@@ -11,7 +11,14 @@
 //	                     HTTP server (the high-performance path)
 //
 // A Store owns buckets created locally. Opening a URL resolves mem and
-// file buckets locally and fetches http buckets over the network.
+// file buckets locally, and http buckets under the store's own base URL
+// too; other http buckets are fetched over the network.
+//
+// An HTTP-serving store (NewFileStore with a base URL) has two backings
+// behind one lookup: a bucket stays in RAM until it passes MemBucketMax
+// or the store's RAM total would pass MemStoreBudget, and only then
+// spills to a file in the store directory. Either way it is published
+// under the same http URL with the same at-rest bytes.
 package bucket
 
 import (
@@ -55,6 +62,18 @@ const BlockExt = ".mrb"
 // it transcode down to row blocks for pre-columnar peers.
 const ColExt = ".mrc"
 
+// MemBucketMax is the largest bucket an HTTP-serving store keeps in RAM.
+// A writer that passes it spills to a file and continues there.
+const MemBucketMax = 64 << 10
+
+// MemStoreBudget bounds the bytes an HTTP-serving store holds in RAM. A
+// bucket that would push the total past it is published as a file. It
+// is sized for the iterative case: a superstep chain frees its datasets
+// as it goes, so its live buckets fit many times over, while a job that
+// keeps hundreds of small buckets live (word count) mostly spills
+// instead of growing the heap.
+const MemStoreBudget = 256 << 10
+
 // Descriptor identifies a finished bucket.
 type Descriptor struct {
 	// Name is the store-relative bucket name, e.g. "ds3/t2/s1".
@@ -72,14 +91,26 @@ var (
 	storeSeq   int
 )
 
+// serving maps the directory of every open HTTP-serving store to the
+// store, so ServeBucket, which gets only a path from ServeName, finds the
+// store's RAM buckets before its files. ServeBucket's path-only
+// signature is what existing data servers call, hence a table rather
+// than a parameter; each store's directory is its own, and Close
+// unregisters it.
+var (
+	servingMu sync.Mutex
+	serving   = map[string]*Store{}
+)
+
 // Store creates and resolves buckets.
 type Store struct {
 	id      int
-	dir     string // if non-empty, buckets are files under dir
-	baseURL string // if non-empty, file buckets advertise baseURL/<name>
+	dir     string // if non-empty, buckets may be files under dir
+	baseURL string // if non-empty, buckets advertise baseURL/<name>
 
 	mu           sync.Mutex
-	mem          map[string][]byte  // record-stream payloads for mem buckets
+	mem          map[string]atRest  // RAM buckets by flat name
+	memBytes     int64              // total payload of mem
 	client       *http.Client       // overrides the shared fetch client (fault injection)
 	compress     bool               // write new file buckets legacy flate-compressed
 	codec        wirecodec.Codec    // if set, write new file buckets block-framed with this codec
@@ -96,18 +127,44 @@ func NewMemStore() *Store {
 	storeSeq++
 	id := storeSeq
 	storeSeqMu.Unlock()
-	return &Store{id: id, mem: map[string][]byte{}}
+	return &Store{id: id, mem: map[string]atRest{}}
 }
 
-// NewFileStore returns a Store that writes buckets as files under dir.
-// If baseURL is non-empty (e.g. "http://10.0.0.7:9123/data"), finished
-// buckets advertise baseURL/<name>; otherwise they advertise file://
-// URLs, which is correct when dir is on a shared filesystem.
+// NewFileStore returns a Store rooted at dir. If baseURL is non-empty
+// (e.g. "http://10.0.0.7:9123/data"), finished buckets advertise
+// baseURL/<name> and small ones are held in RAM (see MemBucketMax);
+// otherwise every bucket is a file advertised by a file:// URL, which is
+// correct when dir is on a shared filesystem that peers open directly.
 func NewFileStore(dir, baseURL string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bucket: creating store dir: %w", err)
 	}
-	return &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/")}, nil
+	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/"), mem: map[string]atRest{}}
+	if s.baseURL != "" {
+		servingMu.Lock()
+		serving[filepath.Clean(dir)] = s
+		servingMu.Unlock()
+	}
+	return s, nil
+}
+
+// Close drops the store's RAM buckets and stops ServeBucket from finding
+// them; bucket files stay on disk. Call it when the owning node stops:
+// its RAM buckets are then exactly as lost as its process would make
+// them.
+func (s *Store) Close() {
+	if s.baseURL != "" {
+		servingMu.Lock()
+		if serving[filepath.Clean(s.dir)] == s {
+			delete(serving, filepath.Clean(s.dir))
+		}
+		servingMu.Unlock()
+	}
+	s.mu.Lock()
+	for flat := range s.mem {
+		s.dropMem(flat)
+	}
+	s.mu.Unlock()
 }
 
 // Dir returns the store's directory ("" for memory stores).
@@ -222,12 +279,13 @@ func (s *Store) codecOn() (wirecodec.Codec, kvio.BlockEncoding, int) {
 	return c, s.blockEnc, s.blockSize
 }
 
-// SetMetrics wires the registry that receives the store's wire-byte
-// counters. A nil registry (the default) discards them.
+// SetMetrics wires the registry that receives the store's wire-byte and
+// publish counters. A nil registry (the default) discards them.
 func (s *Store) SetMetrics(m *obs.Metrics) {
 	s.mu.Lock()
 	s.metrics = m
 	s.mu.Unlock()
+	obs.RegisterBucketMemGauge(m)
 }
 
 func (s *Store) compressOn() bool {
@@ -236,9 +294,9 @@ func (s *Store) compressOn() bool {
 	return s.compress
 }
 
-// wireCounter returns the wire-byte counter for a URL scheme's data
-// path (nil, a no-op, when metrics are not wired or the path is local).
-func (s *Store) wireCounter(metric string) *obs.Counter {
+// counter returns the named counter of the wired registry (nil, a no-op,
+// when metrics are not wired).
+func (s *Store) counter(metric string) *obs.Counter {
 	s.mu.Lock()
 	m := s.metrics
 	s.mu.Unlock()
@@ -251,9 +309,9 @@ func (s *Store) wireCounter(metric string) *obs.Counter {
 func (s *Store) counting(rc io.ReadCloser, pathMetric, codecName, encName string) io.ReadCloser {
 	return &countingReadCloser{
 		rc: rc,
-		c:  s.wireCounter(pathMetric),
-		c2: s.wireCounter(obs.MetricWireBytesCodec(codecName)),
-		c3: s.wireCounter(obs.MetricWireBytesEncoding(encName)),
+		c:  s.counter(pathMetric),
+		c2: s.counter(obs.MetricWireBytesCodec(codecName)),
+		c3: s.counter(obs.MetricWireBytesEncoding(encName)),
 	}
 }
 
@@ -310,31 +368,112 @@ func deflateCodec() wirecodec.Codec {
 	return c
 }
 
-// Writer accumulates one bucket's records.
+// Writer accumulates one bucket's records. The encoded bytes land in a
+// RAM buffer or a temp file, whichever backing the store gives the
+// bucket (see sink), and Close publishes them.
 type Writer struct {
 	store *Store
 	name  string
-	// memory path
-	buf *bytes.Buffer
-	// file path: records accumulate in tmp and are renamed to path on
-	// Close, so a bucket is only ever observed complete. Duplicate task
-	// attempts (reassignment races, lease requeues) then cannot expose
-	// a half-written file to a concurrent reader — last rename wins and
-	// both attempts produced identical content.
-	f    *os.File
-	tmp  string
-	path string
-	cw   io.WriteCloser // legacy compression layer between records and f, if on
+	form  atRest // at-rest form: file path (with suffix) and block form
+	sink  sink
+	cw    io.WriteCloser // legacy compression layer between records and sink, if on
 
 	w      *kvio.Writer      // legacy per-record framing
 	bw     *kvio.BlockWriter // block framing (when the store has a codec)
 	closed bool
 }
 
+// bufPool recycles the RAM backing of writers. Only buffers whose bytes
+// were copied out (published) or spilled return here, so a published
+// bucket's slice is never reused.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// sink is a bucket's backing while it is written: buf until the bucket
+// passes MemBucketMax (memory stores never leave buf), then a temp file
+// in the store directory. A file is renamed into place on Close, so a
+// bucket is only ever observed complete. Duplicate task attempts
+// (reassignment races, lease requeues) then cannot expose a half-written
+// bucket to a concurrent reader — the last publish wins and both
+// attempts produced identical content.
+type sink struct {
+	store *Store
+	flat  string
+	buf   *bytes.Buffer // RAM backing; nil once spilled, or for shared-dir stores
+	f     *os.File
+	tmp   string
+}
+
+func (k *sink) Write(p []byte) (int, error) {
+	if k.buf != nil {
+		if k.store.keepsInRAM(k.buf.Len() + len(p)) {
+			return k.buf.Write(p)
+		}
+		if err := k.spill(); err != nil {
+			return 0, err
+		}
+	}
+	return k.f.Write(p)
+}
+
+// keepsInRAM reports whether a bucket of n bytes stays in RAM: always in
+// a memory store, and in an HTTP-serving store while it is within
+// MemBucketMax and the store's RAM budget has room for it. A bucket that
+// will be a file anyway then goes there without first filling a buffer.
+func (s *Store) keepsInRAM(n int) bool {
+	if s.dir == "" {
+		return true
+	}
+	if n > MemBucketMax {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.memBytes+int64(n) <= MemStoreBudget
+}
+
+// openFile creates the temp file the bucket continues in.
+func (k *sink) openFile() error {
+	f, err := os.CreateTemp(k.store.dir, "."+k.flat+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("bucket: creating %s: %w", filepath.Join(k.store.dir, k.flat), err)
+	}
+	k.f, k.tmp = f, f.Name()
+	return nil
+}
+
+// spill moves the RAM buffer into a fresh temp file.
+func (k *sink) spill() error {
+	if err := k.openFile(); err != nil {
+		return err
+	}
+	_, err := k.f.Write(k.buf.Bytes())
+	k.releaseBuf()
+	k.store.counter(obs.MetricBucketSpilled).Add(1)
+	return err
+}
+
+func (k *sink) releaseBuf() {
+	if k.buf != nil {
+		k.buf.Reset()
+		bufPool.Put(k.buf)
+		k.buf = nil
+	}
+}
+
+// abort discards whatever the sink holds.
+func (k *sink) abort() {
+	k.releaseBuf()
+	if k.f != nil {
+		k.f.Close()
+		os.Remove(k.tmp)
+		k.f = nil
+	}
+}
+
 // CreateOpts carries per-bucket overrides of the store's data-plane
 // defaults; zero values inherit the store settings. This is how a
 // per-dataset codec or block-encoding pin (core.OpOpts) reaches the
-// files a task writes.
+// buckets a task writes.
 type CreateOpts struct {
 	// Codec overrides the store's block codec by registered name.
 	Codec string
@@ -345,11 +484,12 @@ type CreateOpts struct {
 
 // Create starts a new bucket with the given store-relative name. Name
 // components are sanitized into a flat, safe file name. With a block
-// codec set the file is written block-framed and published with the
+// codec set the bucket is written block-framed and published with the
 // BlockExt+codec (or ColExt+codec, for columnar encodings) suffix; with
 // legacy compression on it is written through whole-stream flate under
-// CompressExt. Record counts and payload bytes in the descriptor are
-// always pre-compression.
+// CompressExt. A RAM bucket holds exactly the bytes its file would.
+// Record counts and payload bytes in the descriptor are always
+// pre-compression.
 func (s *Store) Create(name string) (*Writer, error) {
 	return s.CreateOpts(name, CreateOpts{})
 }
@@ -359,9 +499,12 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	if name == "" {
 		return nil, fmt.Errorf("bucket: empty bucket name")
 	}
+	flat := flatten(name)
+	w := &Writer{store: s, name: name, sink: sink{store: s, flat: flat}}
 	if s.dir == "" {
-		buf := &bytes.Buffer{}
-		return &Writer{store: s, name: name, buf: buf, w: kvio.NewWriter(buf)}, nil
+		w.sink.buf = new(bytes.Buffer)
+		w.w = kvio.NewWriter(&w.sink)
+		return w, nil
 	}
 	c, enc, blockSize := s.codecOn()
 	if opts.BlockEncoding != "" {
@@ -383,25 +526,28 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	if c == nil && enc.Columnar {
 		c = wirecodec.Identity()
 	}
-	path := filepath.Join(s.dir, flatten(name))
-	f, err := os.CreateTemp(s.dir, "."+flatten(name)+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("bucket: creating %s: %w", path, err)
+	if s.baseURL != "" {
+		w.sink.buf = bufPool.Get().(*bytes.Buffer)
+	} else if err := w.sink.openFile(); err != nil {
+		return nil, err
 	}
-	w := &Writer{store: s, name: name, f: f, tmp: f.Name(), path: path}
+	w.form.path = filepath.Join(s.dir, flat)
 	if c != nil {
+		w.form.blockCodec = c
+		w.form.columnar = enc.Columnar
 		if enc.Columnar {
-			w.path += ColExt + c.Ext()
+			w.form.path += ColExt + c.Ext()
 		} else {
-			w.path += BlockExt + c.Ext()
+			w.form.path += BlockExt + c.Ext()
 		}
-		w.bw = kvio.NewBlockWriterEnc(f, c, blockSize, enc)
+		w.bw = kvio.NewBlockWriterEnc(&w.sink, c, blockSize, enc)
 	} else if s.compressOn() {
-		w.path += CompressExt
-		w.cw = deflateCodec().NewWriter(f)
+		w.form.legacyFlate = true
+		w.form.path += CompressExt
+		w.cw = deflateCodec().NewWriter(&w.sink)
 		w.w = kvio.NewWriter(w.cw)
 	} else {
-		w.w = kvio.NewWriter(f)
+		w.w = kvio.NewWriter(&w.sink)
 	}
 	return w, nil
 }
@@ -444,7 +590,7 @@ func (w *Writer) Close() (Descriptor, error) {
 		d = Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
 		err = w.bw.Close()
 		if n := w.bw.ColumnarBlocks(); n > 0 {
-			w.store.wireCounter(obs.MetricBlocksColumnar).Add(n)
+			w.store.counter(obs.MetricBlocksColumnar).Add(n)
 		}
 	} else {
 		d = Descriptor{Name: w.name, Records: w.w.Count(), Bytes: w.w.Bytes()}
@@ -457,37 +603,99 @@ func (w *Writer) Close() (Descriptor, error) {
 			w.cw = nil
 		}
 	}
+	if err == nil {
+		err = w.publish()
+	}
 	if err != nil {
-		if w.f != nil {
-			w.f.Close()
-			os.Remove(w.tmp)
-		}
+		w.sink.abort()
 		return Descriptor{}, err
 	}
 	s := w.store
-	if w.buf != nil {
-		s.mu.Lock()
-		s.mem[w.name] = w.buf.Bytes()
-		s.mu.Unlock()
+	switch {
+	case s.dir == "":
 		d.URL = fmt.Sprintf("mem:%d/%s", s.id, w.name)
-		return d, nil
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return Descriptor{}, err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		return Descriptor{}, fmt.Errorf("bucket: publishing %s: %w", w.path, err)
-	}
-	if s.baseURL != "" {
-		// http URLs never carry the compression suffix: the data server
+	case s.baseURL != "":
+		// http URLs never carry the at-rest suffix: the data server
 		// resolves the at-rest form and negotiates the wire encoding.
-		d.URL = s.baseURL + "/" + url.PathEscape(flatten(w.name))
-	} else {
-		d.URL = "file://" + w.path
+		d.URL = s.baseURL + "/" + url.PathEscape(w.sink.flat)
+	default:
+		d.URL = "file://" + w.form.path
 	}
 	return d, nil
+}
+
+// publish makes the finished bucket visible: a map insert for a RAM
+// bucket the budget has room for, a rename of the temp file otherwise.
+func (w *Writer) publish() error {
+	s, k := w.store, &w.sink
+	if s.dir == "" {
+		// A memory store's bucket: publish the buffer itself, unpooled.
+		data := k.buf.Bytes()
+		if data == nil {
+			data = []byte{} // non-nil marks a RAM bucket
+		}
+		s.insertMem(k.flat, w.form, data)
+		k.buf = nil
+		return nil
+	}
+	if k.buf != nil {
+		if s.insertMem(k.flat, w.form, k.buf.Bytes()) {
+			k.releaseBuf()
+			return nil
+		}
+		if err := k.spill(); err != nil {
+			return err
+		}
+	}
+	if err := k.f.Close(); err != nil {
+		return err
+	}
+	k.f = nil
+	if err := os.Rename(k.tmp, w.form.path); err != nil {
+		os.Remove(k.tmp)
+		return fmt.Errorf("bucket: publishing %s: %w", w.form.path, err)
+	}
+	// The file is now the last publish of this name; a RAM copy from an
+	// earlier attempt must not shadow it.
+	s.mu.Lock()
+	s.dropMem(k.flat)
+	s.mu.Unlock()
+	s.counter(obs.MetricBucketPublishedFile).Add(1)
+	return nil
+}
+
+// insertMem publishes data as the RAM bucket flat, replacing any earlier
+// one. It refuses (returning false) when an HTTP-serving store's RAM
+// total would pass MemStoreBudget; otherwise such a store publishes an
+// exact-size copy, since its data is a pooled buffer's.
+func (s *Store) insertMem(flat string, form atRest, data []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dir != "" {
+		if s.memBytes-int64(len(s.mem[flat].data))+int64(len(data)) > MemStoreBudget {
+			return false
+		}
+		data = append([]byte{}, data...)
+	}
+	s.dropMem(flat)
+	form.data = data
+	s.mem[flat] = form
+	s.memBytes += int64(len(data))
+	s.metrics.Counter(obs.MetricBucketMemInsertedBytes).Add(int64(len(data)))
+	s.metrics.Counter(obs.MetricBucketPublishedMem).Add(1)
+	return true
+}
+
+// dropMem forgets the RAM bucket flat, if any. Caller holds s.mu.
+func (s *Store) dropMem(flat string) bool {
+	ar, ok := s.mem[flat]
+	if !ok {
+		return false
+	}
+	delete(s.mem, flat)
+	s.memBytes -= int64(len(ar.data))
+	s.metrics.Counter(obs.MetricBucketMemReleasedBytes).Add(int64(len(ar.data)))
+	return true
 }
 
 // Put stores a complete pair slice as a bucket in one call.
@@ -504,18 +712,19 @@ func (s *Store) Put(name string, pairs []kvio.Pair) (Descriptor, error) {
 	return w.Close()
 }
 
-// Remove deletes a local bucket by name; used when datasets are freed
-// between iterations to bound storage.
+// Remove deletes a local bucket by name from both backings; used when
+// datasets are freed between iterations to bound storage.
 func (s *Store) Remove(name string) error {
+	flat := flatten(name)
+	s.mu.Lock()
+	s.dropMem(flat)
+	s.mu.Unlock()
 	if s.dir == "" {
-		s.mu.Lock()
-		delete(s.mem, name)
-		s.mu.Unlock()
 		return nil
 	}
 	// A bucket may exist in any at-rest form depending on the codec and
 	// compression settings when it was written; remove every variant.
-	path := filepath.Join(s.dir, flatten(name))
+	path := filepath.Join(s.dir, flat)
 	err := os.Remove(path)
 	for _, suffix := range atRestSuffixes() {
 		if ferr := os.Remove(path + suffix); err != nil && ferr == nil {
@@ -541,55 +750,95 @@ func atRestSuffixes() []string {
 	return append(out, CompressExt)
 }
 
-// RemoveJob deletes every local bucket in one job's namespace (names
-// prefixed "j<job>/", stored flattened as "j<job>_"), in either
-// at-rest form. This is the slave- and master-side reclaim that runs
-// when a job completes; the flattened prefix keeps "j1_" from matching
-// "j10_..." because the separator is part of the prefix. Returns how
-// many buckets were removed.
-func (s *Store) RemoveJob(job int64) (int, error) {
-	prefix := fmt.Sprintf("j%d/", job)
+// jobPrefix is the flat-name prefix of one job's buckets (names
+// prefixed "j<job>/"); the separator keeps "j1_" from matching "j10_".
+func jobPrefix(job int64) string { return fmt.Sprintf("j%d_", job) }
+
+// jobFiles lists the at-rest files of one job's buckets.
+func (s *Store) jobFiles(job int64) ([]string, error) {
 	if s.dir == "" {
-		s.mu.Lock()
-		n := 0
-		for name := range s.mem {
-			if strings.HasPrefix(name, prefix) {
-				delete(s.mem, name)
-				n++
-			}
-		}
-		s.mu.Unlock()
-		return n, nil
+		return nil, nil
 	}
-	flat := flatten(prefix)
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	n := 0
-	var firstErr error
+	var out []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), flat) {
-			continue
+		if !e.IsDir() && strings.HasPrefix(e.Name(), jobPrefix(job)) {
+			out = append(out, filepath.Join(s.dir, e.Name()))
 		}
-		if rerr := os.Remove(filepath.Join(s.dir, e.Name())); rerr != nil && !os.IsNotExist(rerr) {
-			if firstErr == nil {
-				firstErr = rerr
+	}
+	return out, nil
+}
+
+// RemoveJob deletes every local bucket in one job's namespace, from
+// both backings and in every at-rest form. This is the slave- and
+// master-side reclaim that runs when a job completes. Returns how many
+// buckets were removed.
+func (s *Store) RemoveJob(job int64) (int, error) {
+	n := 0
+	s.mu.Lock()
+	for flat := range s.mem {
+		if strings.HasPrefix(flat, jobPrefix(job)) && s.dropMem(flat) {
+			n++
+		}
+	}
+	s.mu.Unlock()
+	files, err := s.jobFiles(job)
+	for _, path := range files {
+		if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
+			if err == nil {
+				err = rerr
 			}
 			continue
 		}
 		n++
 	}
-	return n, firstErr
+	return n, err
 }
 
-// atRest describes one resolved at-rest bucket file.
+// JobBuckets counts the buckets of one job the store holds, in RAM and
+// as files.
+func (s *Store) JobBuckets(job int64) (int, error) {
+	n := 0
+	s.mu.Lock()
+	for flat := range s.mem {
+		if strings.HasPrefix(flat, jobPrefix(job)) {
+			n++
+		}
+	}
+	s.mu.Unlock()
+	files, err := s.jobFiles(job)
+	return n + len(files), err
+}
+
+// atRest describes one resolved bucket: its bytes in RAM (data) or in
+// the file at path, and the form those bytes take.
 type atRest struct {
 	path        string
-	blockCodec  wirecodec.Codec // non-nil: block-framed file, blocks under this codec
-	columnar    bool            // block file holds columnar frames (ColExt)
-	legacyFlate bool            // legacy whole-stream flate file
+	data        []byte          // non-nil: a RAM bucket holding these bytes
+	blockCodec  wirecodec.Codec // non-nil: block-framed, blocks under this codec
+	columnar    bool            // blocks are columnar frames (ColExt)
+	legacyFlate bool            // legacy whole-stream flate
 }
+
+// open returns the bucket's at-rest bytes.
+func (a atRest) open() (readSeekCloser, error) {
+	if a.data != nil {
+		return nopCloser{bytes.NewReader(a.data)}, nil
+	}
+	return os.Open(a.path)
+}
+
+type readSeekCloser interface {
+	io.ReadSeeker
+	io.Closer
+}
+
+type nopCloser struct{ *bytes.Reader }
+
+func (nopCloser) Close() error { return nil }
 
 // resolveAtRest finds which at-rest form exists for the plain path:
 // the plain legacy file, a block file (row or columnar, any registered
@@ -618,37 +867,56 @@ func statOK(path string) bool {
 	return err == nil
 }
 
+// lookup resolves a flat bucket name: RAM first, then the at-rest file.
+// It is the one resolution every reader of the store goes through.
+func (s *Store) lookup(flat string) (atRest, error) {
+	s.mu.Lock()
+	ar, ok := s.mem[flat]
+	s.mu.Unlock()
+	if ok {
+		return ar, nil
+	}
+	if s.dir == "" {
+		return atRest{}, fmt.Errorf("bucket: no mem bucket %q", flat)
+	}
+	return resolveAtRest(filepath.Join(s.dir, flat))
+}
+
+// lookupPath resolves a path from ServeName through its store's lookup,
+// or straight to the at-rest file when no open store serves its
+// directory.
+func lookupPath(path string) (atRest, error) {
+	servingMu.Lock()
+	s := serving[filepath.Dir(path)]
+	servingMu.Unlock()
+	if s != nil {
+		return s.lookup(filepath.Base(path))
+	}
+	return resolveAtRest(path)
+}
+
 // OpenLocal returns a reader for a bucket created by this store,
-// undoing any whole-stream compression. Block-framed files come back
+// undoing any whole-stream compression. Block-framed buckets come back
 // verbatim — block compression lives inside the framing and the stream
 // is self-describing, so record consumers go through kvio.NewAnyReader.
 func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
-	if s.dir == "" {
-		s.mu.Lock()
-		data, ok := s.mem[name]
-		s.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("bucket: no mem bucket %q", name)
-		}
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}
-	ar, err := resolveAtRest(filepath.Join(s.dir, flatten(name)))
+	ar, err := s.lookup(flatten(name))
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(ar.path)
+	rc, err := ar.open()
 	if err != nil {
 		return nil, err
 	}
 	if ar.legacyFlate {
-		return &drainReadCloser{r: deflateCodec().NewReader(f), under: f}, nil
+		return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
 	}
-	return f, nil
+	return rc, nil
 }
 
-// ServeName maps an escaped bucket file name (as it appears in an http
-// URL path) back to a served file path, for use by the data server.
-func (s *Store) ServeName(escaped string) (string, error) {
+// checkName unescapes a bucket file name as it appears in an http URL
+// path and rejects anything that could leave the store directory.
+func checkName(escaped string) (string, error) {
 	name, err := url.PathUnescape(escaped)
 	if err != nil {
 		return "", err
@@ -656,10 +924,45 @@ func (s *Store) ServeName(escaped string) (string, error) {
 	if strings.ContainsAny(name, "/\\") || name == "" || strings.HasPrefix(name, ".") {
 		return "", fmt.Errorf("bucket: illegal bucket name %q", name)
 	}
+	return name, nil
+}
+
+// ServeName maps an escaped bucket file name (as it appears in an http
+// URL path) to the path ServeBucket takes, for use by the data server.
+func (s *Store) ServeName(escaped string) (string, error) {
+	name, err := checkName(escaped)
+	if err != nil {
+		return "", err
+	}
 	if s.dir == "" {
 		return "", fmt.Errorf("bucket: memory store cannot serve files")
 	}
 	return filepath.Join(s.dir, name), nil
+}
+
+// Local reports whether rawURL names a bucket of this store that Open
+// reads in-process: a mem: URL, or an http URL under the store's own
+// base URL.
+func (s *Store) Local(rawURL string) bool {
+	if strings.HasPrefix(rawURL, "mem:") {
+		return true
+	}
+	_, ok := s.localName(rawURL)
+	return ok
+}
+
+// localName returns the flat bucket name of an http URL under the
+// store's own base URL.
+func (s *Store) localName(rawURL string) (string, bool) {
+	if s.baseURL == "" {
+		return "", false
+	}
+	rest, ok := strings.CutPrefix(rawURL, s.baseURL+"/")
+	if !ok {
+		return "", false
+	}
+	name, err := checkName(rest)
+	return name, err == nil
 }
 
 // flatten converts a hierarchical bucket name into a safe flat file name.
@@ -726,6 +1029,11 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 		}
 		return rc, nil
 	case strings.HasPrefix(rawURL, "http://"), strings.HasPrefix(rawURL, "https://"):
+		if name, ok := s.localName(rawURL); ok {
+			// Our own bucket: no loopback round trip, and no wire bytes.
+			s.counter(obs.MetricBucketLocalOpens).Add(1)
+			return s.OpenLocal(name)
+		}
 		return s.openHTTP(rawURL)
 	}
 	return nil, fmt.Errorf("bucket: unsupported URL %q", rawURL)
@@ -845,6 +1153,11 @@ func (f *drainReadCloser) Close() error {
 	return f.under.Close()
 }
 
+// remote reports whether Open fetches rawURL over the network.
+func (s *Store) remote(rawURL string) bool {
+	return (strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")) && !s.Local(rawURL)
+}
+
 // Fetch reads an entire bucket into memory. Unlike Open, a remote fetch
 // that dies mid-stream is retried whole — the caller gets either the
 // complete payload or an error, which is what the parallel prefetcher
@@ -854,7 +1167,7 @@ func (f *drainReadCloser) Close() error {
 // never pooled or reused by the store, so callers may retain it
 // indefinitely (the resident dataset cache depends on this).
 func (s *Store) Fetch(rawURL string) ([]byte, error) {
-	remote := strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")
+	remote := s.remote(rawURL)
 	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 2)
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
@@ -865,7 +1178,7 @@ func (s *Store) Fetch(rawURL string) ([]byte, error) {
 		if err != nil {
 			return nil, err // Open already retried transport errors
 		}
-		data, err := io.ReadAll(rc)
+		data, err := readAll(rc)
 		rc.Close()
 		if err == nil {
 			return data, nil
@@ -876,6 +1189,17 @@ func (s *Store) Fetch(rawURL string) ([]byte, error) {
 		}
 	}
 	return nil, lastErr
+}
+
+// readAll reads r to the end in one exact-size allocation when r knows
+// its length (a RAM bucket opened locally), and by io.ReadAll otherwise.
+func readAll(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		data := make([]byte, l.Len())
+		_, err := io.ReadFull(r, data)
+		return data, err
+	}
+	return io.ReadAll(r)
 }
 
 // acceptsDeflate reports whether the request allows a deflate response.
@@ -889,14 +1213,16 @@ func acceptsDeflate(r *http.Request) bool {
 	return false
 }
 
-// ServeBucket writes the bucket file at path (as resolved by ServeName)
-// to an HTTP response, negotiating the wire form per at-rest variant:
+// ServeBucket writes the bucket at path (as resolved by ServeName) to an
+// HTTP response. The path resolves through the serving store's lookup,
+// so a RAM bucket and a file bucket take the same arms with the same
+// bytes. The wire form is negotiated per at-rest variant:
 //
-//   - plain legacy file: served verbatim (every client reads it).
-//   - legacy flate file: verbatim with Content-Encoding: deflate when
+//   - plain legacy bucket: served verbatim (every client reads it).
+//   - legacy flate bucket: verbatim with Content-Encoding: deflate when
 //     the client accepts deflate (zero-CPU wire compression), otherwise
 //     decompressed into the response.
-//   - block file: verbatim with CodecHeader set when the client's
+//   - block bucket: verbatim with CodecHeader set when the client's
 //     advertised codec list (RequestHeader) includes the at-rest codec;
 //     transcoded block-to-block to the best mutual codec otherwise
 //     (identity fallback — a client advertising only unknown codecs
@@ -905,51 +1231,51 @@ func acceptsDeflate(r *http.Request) bool {
 //     deflate-wrapped when they accept it. Mixed-version fleets always
 //     land on a form both sides speak.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
-	ar, err := resolveAtRest(path)
+	ar, err := lookupPath(path)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	if ar.blockCodec != nil {
-		serveBlockBucket(w, r, ar)
-		return
-	}
-	if !ar.legacyFlate {
-		http.ServeFile(w, r, ar.path)
-		return
-	}
-	f, err := os.Open(ar.path)
+	rs, err := ar.open()
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	defer f.Close()
-	if acceptsDeflate(r) {
+	defer rs.Close()
+	switch {
+	case ar.blockCodec != nil:
+		serveBlockBucket(w, r, ar, rs)
+	case !ar.legacyFlate:
+		http.ServeContent(w, r, "", time.Time{}, rs)
+	case acceptsDeflate(r):
 		w.Header().Set("Content-Encoding", "deflate")
-		if fi, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", fmt.Sprint(fi.Size()))
-		}
-		io.Copy(w, f)
-		return
+		setContentLength(w, rs)
+		io.Copy(w, rs)
+	default:
+		fr := deflateCodec().NewReader(rs)
+		io.Copy(w, fr)
+		fr.Close()
 	}
-	fr := deflateCodec().NewReader(f)
-	io.Copy(w, fr)
-	fr.Close()
 }
 
-// serveBlockBucket serves one block-framed at-rest file, picking the
-// wire form the client can decode along both negotiation axes: the
-// codec (RequestHeader) and the block kind (BlockAcceptHeader). A
-// columnar file served to a peer that never advertised block kinds —
-// a pre-columnar build — is transcoded down to row blocks, so
-// mixed-version fleets keep exchanging data.
-func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
-	f, err := os.Open(ar.path)
-	if err != nil {
-		http.NotFound(w, r)
-		return
+// setContentLength announces the size of an at-rest body sent verbatim.
+func setContentLength(w http.ResponseWriter, rs io.Seeker) {
+	n, err := rs.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = rs.Seek(0, io.SeekStart)
 	}
-	defer f.Close()
+	if err == nil {
+		w.Header().Set("Content-Length", fmt.Sprint(n))
+	}
+}
+
+// serveBlockBucket serves one block-framed bucket, picking the wire form
+// the client can decode along both negotiation axes: the codec
+// (RequestHeader) and the block kind (BlockAcceptHeader). A columnar
+// bucket served to a peer that never advertised block kinds — a
+// pre-columnar build — is transcoded down to row blocks, so
+// mixed-version fleets keep exchanging data.
+func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, rs io.ReadSeeker) {
 	accepted := wirecodec.ParseAccept(r.Header.Get(wirecodec.RequestHeader))
 	kind := wirecodec.BlockKindRow
 	if ar.columnar {
@@ -962,10 +1288,8 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
 		// kind the client decodes — send them verbatim, zero CPU.
 		w.Header().Set(wirecodec.CodecHeader, ar.blockCodec.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		if fi, err := f.Stat(); err == nil {
-			w.Header().Set("Content-Length", fmt.Sprint(fi.Size()))
-		}
-		io.Copy(w, f)
+		setContentLength(w, rs)
+		io.Copy(w, rs)
 	case kindOK && len(accepted) > 0:
 		// A block-capable client that can't decode the at-rest codec:
 		// transcode block-to-block into the best mutual codec. Columnar
@@ -975,25 +1299,25 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
 		to := wirecodec.Negotiate(accepted)
 		w.Header().Set(wirecodec.CodecHeader, to.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		kvio.TranscodeBlocks(w, f, to)
+		kvio.TranscodeBlocks(w, rs, to)
 	case len(accepted) > 0:
 		// Block-capable but row-only client (a pre-columnar build) and a
-		// columnar file: flatten every frame into row blocks under the
+		// columnar bucket: flatten every frame into row blocks under the
 		// best mutual codec — the mixed-version fallback.
 		to := wirecodec.Negotiate(accepted)
 		w.Header().Set(wirecodec.CodecHeader, to.Name())
 		w.Header().Set(wirecodec.BlockEncHeader, wirecodec.BlockKindRow)
-		kvio.TranscodeToRowBlocks(w, f, to)
+		kvio.TranscodeToRowBlocks(w, rs, to)
 	case acceptsDeflate(r):
 		// Pre-block client that speaks the legacy deflate negotiation:
 		// flatten blocks to a record stream under Content-Encoding.
 		w.Header().Set("Content-Encoding", "deflate")
 		cw := deflateCodec().NewWriter(w)
-		kvio.TranscodeToRecords(cw, f)
+		kvio.TranscodeToRecords(cw, rs)
 		cw.Close()
 	default:
 		// Identity legacy client.
-		kvio.TranscodeToRecords(w, f)
+		kvio.TranscodeToRecords(w, rs)
 	}
 }
 
@@ -1001,7 +1325,7 @@ func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest) {
 // mid-stream (connection dropped partway through the body) are retried
 // whole, since a partial record stream is useless to the caller.
 func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
-	remote := strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")
+	remote := s.remote(rawURL)
 	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 1)
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {

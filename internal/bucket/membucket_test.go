@@ -1,0 +1,520 @@
+package bucket
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/kvio"
+	"repro/internal/obs"
+	"repro/internal/wirecodec"
+)
+
+// dataPlaneConfigs is the codec × encoding grid a store can write.
+var dataPlaneConfigs = []struct {
+	name  string
+	setup func(*Store) error
+}{
+	{"legacy", func(*Store) error { return nil }},
+	{"legacy+compress", func(s *Store) error { s.SetCompress(true); return nil }},
+	{"identity", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) }},
+	{"deflate", func(s *Store) error { return s.SetCodec(wirecodec.DeflateName) }},
+	{"lz", func(s *Store) error { return s.SetCodec(wirecodec.LZName) }},
+	{"columnar", func(s *Store) error { return s.SetBlockEncoding("columnar") }},
+}
+
+// smallPairs is a bucket well under MemBucketMax with enough repetition
+// for every codec and key encoding to do real work.
+func smallPairs() []kvio.Pair {
+	var out []kvio.Pair
+	for i := 0; i < 200; i++ {
+		out = append(out, kvio.StrPair(fmt.Sprintf("key%03d", i%37), strings.Repeat("v", i%11)))
+	}
+	return out
+}
+
+// bigPairs is a bucket past MemBucketMax under every codec: its values
+// are pseudorandom letters, which no codec shrinks below the threshold.
+func bigPairs() []kvio.Pair {
+	var out []kvio.Pair
+	x := uint32(1)
+	for i := 0; i < 64; i++ {
+		v := make([]byte, 2048)
+		for j := range v {
+			x = x*1664525 + 1013904223
+			v[j] = 'a' + byte(x>>24)%26
+		}
+		out = append(out, kvio.Pair{Key: []byte(fmt.Sprintf("big%02d", i)), Value: v})
+	}
+	return out
+}
+
+// servedStore starts a data server the way a slave runs one (ServeName
+// then ServeBucket) and returns its store: HTTP-serving when ram is
+// set, file-only otherwise.
+func servedStore(t *testing.T, ram bool, setup func(*Store) error) (*Store, *httptest.Server) {
+	t.Helper()
+	var s *Store
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		path, err := s.ServeName(strings.TrimPrefix(r.URL.Path, "/data/"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		ServeBucket(w, r, path)
+	}))
+	t.Cleanup(srv.Close)
+	base := ""
+	if ram {
+		base = srv.URL + "/data"
+	}
+	s, err := NewFileStore(t.TempDir(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := setup(s); err != nil {
+		t.Fatal(err)
+	}
+	return s, srv
+}
+
+// filesIn lists the regular files in dir.
+func filesIn(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if !e.IsDir() {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// A small bucket published to RAM holds exactly the bytes the same
+// bucket written to a file holds, for every at-rest form.
+func TestRAMBucketMatchesFileBytes(t *testing.T) {
+	for _, cfg := range dataPlaneConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			ram, _ := servedStore(t, true, cfg.setup)
+			file, _ := servedStore(t, false, cfg.setup)
+			if _, err := ram.Put("ds1/t0/s0", smallPairs()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := file.Put("ds1/t0/s0", smallPairs()); err != nil {
+				t.Fatal(err)
+			}
+			if got := filesIn(t, ram.Dir()); len(got) != 0 {
+				t.Fatalf("small bucket reached the disk: %v", got)
+			}
+			ar, err := ram.lookup("ds1_t0_s0")
+			if err != nil || ar.data == nil {
+				t.Fatalf("no RAM bucket: %v", err)
+			}
+			names := filesIn(t, file.Dir())
+			if len(names) != 1 {
+				t.Fatalf("file store holds %v, want one bucket", names)
+			}
+			if filepath.Base(ar.path) != names[0] {
+				t.Errorf("RAM bucket form %q, file form %q", filepath.Base(ar.path), names[0])
+			}
+			want, err := os.ReadFile(filepath.Join(file.Dir(), names[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ar.data, want) {
+				t.Errorf("RAM bytes (%d) differ from file bytes (%d)", len(ar.data), len(want))
+			}
+		})
+	}
+}
+
+// Every ServeBucket negotiation arm sends the same response for a RAM
+// bucket as for the same bucket held in a file.
+func TestServeBucketRAMMatchesFile(t *testing.T) {
+	all := wirecodec.AcceptHeader()
+	blocks := wirecodec.AcceptBlocksHeader()
+	arms := []struct {
+		name    string
+		setup   func(*Store) error
+		headers map[string]string
+	}{
+		{"verbatim", dataPlaneConfigs[4].setup,
+			map[string]string{wirecodec.RequestHeader: all, wirecodec.BlockAcceptHeader: blocks}},
+		{"block-transcode", dataPlaneConfigs[4].setup,
+			map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName, wirecodec.BlockAcceptHeader: blocks}},
+		{"row-only-flatten", dataPlaneConfigs[5].setup,
+			map[string]string{wirecodec.RequestHeader: all}},
+		{"legacy-deflate", dataPlaneConfigs[1].setup,
+			map[string]string{"Accept-Encoding": "deflate"}},
+		{"legacy-identity", dataPlaneConfigs[0].setup, nil},
+		{"block-to-records-deflate", dataPlaneConfigs[4].setup,
+			map[string]string{"Accept-Encoding": "deflate"}},
+		{"block-to-records", dataPlaneConfigs[4].setup, nil},
+	}
+	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	get := func(t *testing.T, url string, headers map[string]string) (http.Header, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range headers {
+			req.Header.Set(k, v)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", url, resp.Status)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header, body
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			ram, ramSrv := servedStore(t, true, arm.setup)
+			file, fileSrv := servedStore(t, false, arm.setup)
+			if _, err := ram.Put("ds1/t0/s0", smallPairs()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := file.Put("ds1/t0/s0", smallPairs()); err != nil {
+				t.Fatal(err)
+			}
+			if len(filesIn(t, ram.Dir())) != 0 {
+				t.Fatal("RAM-side bucket went to a file")
+			}
+			rh, rb := get(t, ramSrv.URL+"/data/ds1_t0_s0", arm.headers)
+			fh, fb := get(t, fileSrv.URL+"/data/ds1_t0_s0", arm.headers)
+			if !bytes.Equal(rb, fb) {
+				t.Errorf("RAM body (%d bytes) differs from file body (%d bytes)", len(rb), len(fb))
+			}
+			for _, h := range []string{wirecodec.CodecHeader, wirecodec.BlockEncHeader, "Content-Encoding", "Content-Length"} {
+				if rh.Get(h) != fh.Get(h) {
+					t.Errorf("%s: RAM %q, file %q", h, rh.Get(h), fh.Get(h))
+				}
+			}
+			// And the body decodes to the original records.
+			var r io.Reader = bytes.NewReader(rb)
+			if rh.Get("Content-Encoding") == "deflate" {
+				fr := deflateCodec().NewReader(r)
+				defer fr.Close()
+				r = fr
+			}
+			kr := kvio.NewAnyReader(r)
+			got, err := kr.ReadAll()
+			kr.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqual(got, smallPairs()) {
+				t.Errorf("served body decodes to %d records, want %d", len(got), len(smallPairs()))
+			}
+		})
+	}
+}
+
+// A bucket that passes MemBucketMax mid-write continues in a file and is
+// published there.
+func TestSpillPastThreshold(t *testing.T) {
+	for _, cfg := range dataPlaneConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			s, _ := servedStore(t, true, cfg.setup)
+			m := obs.NewMetrics()
+			s.SetMetrics(m)
+			d, err := s.Put("ds1/t0/s0", bigPairs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(filesIn(t, s.Dir())); n != 1 {
+				t.Fatalf("%d files after a spilled bucket, want 1", n)
+			}
+			if ar, err := s.lookup("ds1_t0_s0"); err != nil || ar.data != nil {
+				t.Error("spilled bucket still resolves to RAM")
+			}
+			snap := m.Snapshot()
+			if snap[obs.MetricBucketSpilled] != 1 || snap[obs.MetricBucketPublishedFile] != 1 || snap[obs.MetricBucketPublishedMem] != 0 {
+				t.Errorf("spilled=%d file=%d mem=%d, want 1/1/0", snap[obs.MetricBucketSpilled],
+					snap[obs.MetricBucketPublishedFile], snap[obs.MetricBucketPublishedMem])
+			}
+			got, err := s.ReadAll(d.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqual(got, bigPairs()) {
+				t.Error("spilled bucket lost data")
+			}
+		})
+	}
+}
+
+// Once the store's RAM is at MemStoreBudget, a bucket that fits the
+// per-bucket threshold still goes to a file; freeing RAM makes room.
+func TestSpillWhenBudgetFull(t *testing.T) {
+	s, _ := servedStore(t, true, dataPlaneConfigs[0].setup)
+	m := obs.NewMetrics()
+	s.SetMetrics(m)
+	value := strings.Repeat("x", MemBucketMax/2)
+	put := func(name string) {
+		t.Helper()
+		if _, err := s.Put(name, []kvio.Pair{kvio.StrPair("k", value)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for len(filesIn(t, s.Dir())) == 0 {
+		put(fmt.Sprintf("j1/b%d", n))
+		n++
+		if n > 2*MemStoreBudget/len(value) {
+			t.Fatal("budget never filled")
+		}
+	}
+	held := m.Snapshot()[obs.MetricBucketMemBytes]
+	if held > MemStoreBudget || held+int64(len(value)) <= MemStoreBudget {
+		t.Errorf("RAM held %d when a bucket of %d spilled, budget %d", held, len(value), MemStoreBudget)
+	}
+	if m.Snapshot()[obs.MetricBucketSpilled] != 1 {
+		t.Errorf("spilled = %d, want 1", m.Snapshot()[obs.MetricBucketSpilled])
+	}
+	if err := s.Remove("j1/b0"); err != nil {
+		t.Fatal(err)
+	}
+	put("j1/again")
+	if ar, err := s.lookup("j1_again"); err != nil || ar.data == nil {
+		t.Errorf("bucket after freeing RAM not held in RAM (err %v)", err)
+	}
+	if got, _ := s.JobBuckets(1); got != n {
+		t.Errorf("JobBuckets = %d, want %d", got, n)
+	}
+}
+
+// Duplicate attempts: the last publish wins in either backing, and a
+// reader holding an earlier RAM bucket reads it unaffected.
+func TestDuplicatePublishLastWins(t *testing.T) {
+	s, _ := servedStore(t, true, dataPlaneConfigs[0].setup)
+	first := []kvio.Pair{kvio.StrPair("attempt", "one")}
+	second := []kvio.Pair{kvio.StrPair("attempt", "two")}
+	d, err := s.Put("ds1/t0/s0", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := s.OpenLocal("ds1/t0/s0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("ds1/t0/s0", second); err != nil {
+		t.Fatal(err)
+	}
+	r := kvio.NewAnyReader(early)
+	got, err := r.ReadAll()
+	r.Release()
+	if err != nil || !pairsEqual(got, first) {
+		t.Errorf("earlier reader got %v (%v), want the first attempt", got, err)
+	}
+	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, second) {
+		t.Errorf("after second publish got %v (%v), want the second attempt", got, err)
+	}
+
+	// A file publish after a RAM one wins, and vice versa.
+	if _, err := s.Put("ds1/t0/s0", bigPairs()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, bigPairs()) {
+		t.Errorf("file publish after RAM did not win (%v)", err)
+	}
+	if _, err := s.Put("ds1/t0/s0", first); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, first) {
+		t.Errorf("RAM publish after file did not win (%v)", err)
+	}
+}
+
+// Remove and RemoveJob clear a job's buckets from RAM and from files.
+func TestRemoveClearsBothBackings(t *testing.T) {
+	s, srv := servedStore(t, true, dataPlaneConfigs[0].setup)
+	for _, b := range []struct {
+		name  string
+		pairs []kvio.Pair
+	}{
+		{"j1/ds1/t0/s0", smallPairs()}, {"j1/ds1/t1/s0", bigPairs()},
+		{"j10/ds1/t0/s0", smallPairs()}, {"j10/ds1/t1/s0", bigPairs()},
+		{"loose/small", smallPairs()}, {"loose/big", bigPairs()},
+	} {
+		if _, err := s.Put(b.name, b.pairs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := s.JobBuckets(1); n != 2 {
+		t.Fatalf("JobBuckets(1) = %d, want 2", n)
+	}
+	n, err := s.RemoveJob(1)
+	if err != nil || n != 2 {
+		t.Fatalf("RemoveJob(1) = %d, %v; want 2", n, err)
+	}
+	if n, _ := s.JobBuckets(1); n != 0 {
+		t.Errorf("JobBuckets(1) = %d after RemoveJob, want 0", n)
+	}
+	if n, _ := s.JobBuckets(10); n != 2 {
+		t.Errorf("JobBuckets(10) = %d, want 2 (prefix must not match j1)", n)
+	}
+	for _, name := range []string{"loose/small", "loose/big"} {
+		if err := s.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.OpenLocal(name); err == nil {
+			t.Errorf("%s still opens after Remove", name)
+		}
+		resp, err := http.Get(srv.URL + "/data/" + flatten(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s served %s after Remove", name, resp.Status)
+		}
+	}
+}
+
+// failingTransport counts requests and fails them all.
+type failingTransport struct{ n atomic.Int64 }
+
+func (f *failingTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	f.n.Add(1)
+	return nil, fmt.Errorf("no network in this test")
+}
+
+// Opening a URL under the store's own base URL reads it in-process: no
+// HTTP request, no wire bytes, and one local open.
+func TestOpenOwnURLIsLocal(t *testing.T) {
+	for _, big := range []bool{false, true} {
+		s, err := NewFileStore(t.TempDir(), "http://127.0.0.1:1/data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ft := &failingTransport{}
+		s.SetHTTPClient(&http.Client{Transport: ft})
+		m := obs.NewMetrics()
+		s.SetMetrics(m)
+		pairs := smallPairs()
+		if big {
+			pairs = bigPairs()
+		}
+		d, err := s.Put("ds1/t0/s0", pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Local(d.URL) || s.Local("http://127.0.0.1:2/data/ds1_t0_s0") {
+			t.Errorf("Local misclassifies %s", d.URL)
+		}
+		got, err := s.ReadAll(d.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pairsEqual(got, pairs) {
+			t.Error("local open lost data")
+		}
+		data, err := s.Fetch(d.URL)
+		if err != nil || len(data) == 0 {
+			t.Fatalf("Fetch of own URL: %d bytes, %v", len(data), err)
+		}
+		if n := ft.n.Load(); n != 0 {
+			t.Errorf("%d HTTP requests for the store's own bucket", n)
+		}
+		snap := m.Snapshot()
+		if snap[obs.MetricBucketLocalOpens] != 2 {
+			t.Errorf("local opens = %d, want 2", snap[obs.MetricBucketLocalOpens])
+		}
+		if snap[obs.MetricWireBytesDirect] != 0 {
+			t.Errorf("local opens counted %d wire bytes", snap[obs.MetricWireBytesDirect])
+		}
+	}
+}
+
+// A closed store's RAM buckets are gone, as on a dead node.
+func TestCloseDropsRAMBuckets(t *testing.T) {
+	s, srv := servedStore(t, true, dataPlaneConfigs[0].setup)
+	if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	resp, err := http.Get(srv.URL + "/data/ds1_t0_s0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("closed store still serves its RAM bucket: %s", resp.Status)
+	}
+}
+
+// Concurrent writers, readers, the data server and removals on one
+// store, with buckets on both sides of the threshold. Run under -race.
+func TestStoreConcurrentStress(t *testing.T) {
+	s, srv := servedStore(t, true, dataPlaneConfigs[4].setup)
+	fetcher := NewMemStore()
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				job := int64(1 + i%3)
+				name := fmt.Sprintf("j%d/ds1/t%d/s%d", job, g, i%4)
+				pairs := smallPairs()
+				if (g+i)%5 == 0 {
+					pairs = bigPairs()
+				}
+				d, err := s.Put(name, pairs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				// The bucket may be removed concurrently; a read either
+				// sees a whole bucket or fails cleanly.
+				for _, u := range []string{d.URL, srv.URL + "/data/" + flatten(name)} {
+					var got []kvio.Pair
+					if u == d.URL {
+						got, err = s.ReadAll(u)
+					} else {
+						got, err = fetcher.ReadAll(u)
+					}
+					if err == nil && len(got) != len(smallPairs()) && len(got) != len(bigPairs()) {
+						errs <- fmt.Errorf("%s: torn read of %d records", u, len(got))
+						return
+					}
+				}
+				switch i % 7 {
+				case 3:
+					s.Remove(name)
+				case 6:
+					s.RemoveJob(job)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

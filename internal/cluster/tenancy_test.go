@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bucket"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/kvio"
@@ -173,31 +174,20 @@ func TestConcurrentJobsUnderChaos(t *testing.T) {
 	checkTenants(t, wantWC, gotWC, wantPi, gotPi)
 }
 
-// jobFiles counts on-disk bucket files belonging to the given job in
-// one store directory (job buckets flatten to a "j<id>_" prefix).
-func jobFiles(t *testing.T, dir string, job int64) int {
+// jobData counts what one store holds of the given job: its buckets,
+// in RAM and as files, plus the per-job scratch dirs ("job<id>-*")
+// that GC must reclaim with them.
+func jobData(t *testing.T, store *bucket.Store, job int64) int {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0
-		}
+	n, err := store.JobBuckets(job)
+	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
-	n := 0
-	prefix := fmt.Sprintf("j%d_", job)
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), prefix) {
-			n++
-		}
-	}
-	// Per-job scratch dirs ("job<id>-*") count too: GC must reclaim
-	// them with the buckets.
-	scratch, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("job%d-*", job)))
+	scratch, _ := filepath.Glob(filepath.Join(store.Dir(), fmt.Sprintf("job%d-*", job)))
 	return n + len(scratch)
 }
 
-// A completed job's data must be reclaimed from every slave's disk
+// A completed job's data must be reclaimed from every slave's store
 // while the fleet keeps serving another job.
 func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 	c, err := Start(tenancyRegistry(piCfg), Options{Slaves: 2})
@@ -206,7 +196,7 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 	}
 	defer c.Close()
 
-	sawFiles := false
+	sawBuckets := false
 	first, err := c.Submit("first", core.JobOptions{Pipeline: true}, func(job *core.Job) error {
 		pairs, err := wordCountRun(job)
 		if err != nil {
@@ -215,10 +205,10 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 		if len(pairs) == 0 {
 			return fmt.Errorf("no output")
 		}
-		// While the job is live its buckets are on the slaves' disks.
+		// While the job is live the slaves hold its buckets.
 		for i := 0; i < c.NumSlaves(); i++ {
-			if jobFiles(t, c.Slave(i).StoreDir(), 1) > 0 {
-				sawFiles = true
+			if jobData(t, c.Slave(i).Store(), 1) > 0 {
+				sawBuckets = true
 			}
 		}
 		return nil
@@ -232,8 +222,8 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 	if first.ID() != 1 {
 		t.Fatalf("first job id = %d, want 1", first.ID())
 	}
-	if !sawFiles {
-		t.Fatal("first job left no bucket files on any slave while running; GC test observes nothing")
+	if !sawBuckets {
+		t.Fatal("first job left no buckets on any slave while running; GC test observes nothing")
 	}
 
 	// A second tenant keeps the fleet busy; its get_task polls carry
@@ -261,13 +251,13 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 	for {
 		left := 0
 		for i := 0; i < c.NumSlaves(); i++ {
-			left += jobFiles(t, c.Slave(i).StoreDir(), 1)
+			left += jobData(t, c.Slave(i).Store(), 1)
 		}
 		if left == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("first job's files still on slave disks: %d", left)
+			t.Fatalf("first job's buckets still on slaves: %d", left)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -279,8 +269,8 @@ func TestJobGCReclaimsSlaveDisk(t *testing.T) {
 		t.Fatal("no slave performed a job GC")
 	}
 	// The master's own store (source buckets) is reclaimed too.
-	if n := jobFiles(t, c.M.Store().Dir(), 1); n != 0 {
-		t.Fatalf("master still holds %d files of the completed job", n)
+	if n := jobData(t, c.M.Store(), 1); n != 0 {
+		t.Fatalf("master still holds %d buckets of the completed job", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bucket"
 )
@@ -126,4 +127,15 @@ func BucketNameJob(job JobID, dataset, task, split int) string {
 		return BucketName(dataset, task, split)
 	}
 	return fmt.Sprintf("j%d/ds%d/t%d/s%d", job, dataset, task, split)
+}
+
+// ParseBucketNameJob recovers the job and dataset of a name made by
+// BucketNameJob.
+func ParseBucketNameJob(name string) (job JobID, dataset int, ok bool) {
+	if strings.HasPrefix(name, "ds") {
+		_, err := fmt.Sscanf(name, "ds%d/", &dataset)
+		return 0, dataset, err == nil
+	}
+	_, err := fmt.Sscanf(name, "j%d/ds%d/", &job, &dataset)
+	return job, dataset, err == nil
 }

@@ -134,6 +134,19 @@ func (c *ResidentCache) Put(key ResidentKey, urls []string, payloads [][]byte) {
 // DropJob releases every entry belonging to job (the per-job GC hook)
 // and returns the bytes reclaimed.
 func (c *ResidentCache) DropJob(job JobID) int64 {
+	return c.drop(func(k ResidentKey) bool { return k.Job == job })
+}
+
+// DropDataset releases the entries caching splits of one of job's
+// datasets and returns the bytes reclaimed. A freed dataset is never
+// read again, so its entries are dead weight: a superstep chain whose
+// every step consumes a fresh dataset would otherwise pin all of them
+// until the job ends.
+func (c *ResidentCache) DropDataset(job JobID, dataset int) int64 {
+	return c.drop(func(k ResidentKey) bool { return k.Job == job && k.Dataset == dataset })
+}
+
+func (c *ResidentCache) drop(match func(ResidentKey) bool) int64 {
 	if c == nil {
 		return 0
 	}
@@ -141,7 +154,7 @@ func (c *ResidentCache) DropJob(job JobID) int64 {
 	defer c.mu.Unlock()
 	var freed int64
 	for k, e := range c.items {
-		if k.Job == job {
+		if match(k) {
 			freed += e.bytes
 			c.removeLocked(e, "")
 		}

@@ -125,6 +125,44 @@ func TestResidentCacheDropJob(t *testing.T) {
 	}
 }
 
+// TestResidentCacheDropDataset: freeing one dataset releases only its
+// splits, and only in its own job.
+func TestResidentCacheDropDataset(t *testing.T) {
+	c := NewResidentCache(1 << 20)
+	urls := []string{"u"}
+	c.Put(rkey(1, 3, 0), urls, payload(10))
+	c.Put(rkey(1, 3, 1), urls, payload(20))
+	c.Put(rkey(1, 4, 0), urls, payload(40))
+	c.Put(rkey(2, 3, 0), urls, payload(80))
+
+	if freed := c.DropDataset(1, 3); freed != 30 {
+		t.Errorf("DropDataset(1, 3) freed %d bytes, want 30", freed)
+	}
+	if c.Len() != 2 || c.Bytes() != 120 {
+		t.Errorf("after DropDataset: Len=%d Bytes=%d, want 2/120", c.Len(), c.Bytes())
+	}
+	for _, k := range []ResidentKey{rkey(1, 4, 0), rkey(2, 3, 0)} {
+		if _, ok := c.Get(k, urls); !ok {
+			t.Errorf("DropDataset(1, 3) removed %+v", k)
+		}
+	}
+}
+
+func TestParseBucketNameJob(t *testing.T) {
+	for _, tc := range []struct {
+		job JobID
+		ds  int
+	}{{0, 7}, {12, 0}, {3, 41}} {
+		job, ds, ok := ParseBucketNameJob(BucketNameJob(tc.job, tc.ds, 2, 5))
+		if !ok || job != tc.job || ds != tc.ds {
+			t.Errorf("ParseBucketNameJob(BucketNameJob(%d, %d, ...)) = %d, %d, %v", tc.job, tc.ds, job, ds, ok)
+		}
+	}
+	if _, _, ok := ParseBucketNameJob("src/0"); ok {
+		t.Error("ParseBucketNameJob accepted a name BucketNameJob cannot make")
+	}
+}
+
 // TestResidentCacheNilSafe: the disabled cache (nil) accepts every call
 // and never hits — the executors rely on this instead of branching.
 func TestResidentCacheNilSafe(t *testing.T) {

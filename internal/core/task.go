@@ -189,10 +189,12 @@ func (t *timedReader) Read(p []byte) (int, error) {
 }
 
 // shuffleMetric classifies an input URL by data path: direct
-// slave-to-slave HTTP, shared-directory files, or in-process memory
-// buckets.
-func shuffleMetric(u string) string {
+// slave-to-slave HTTP, shared-directory files, or buckets the store
+// reads in-process (memory stores, and its own http buckets).
+func shuffleMetric(store *bucket.Store, u string) string {
 	switch {
+	case store.Local(u):
+		return "mrs_shuffle_bytes_local_total"
 	case strings.HasPrefix(u, "http://"), strings.HasPrefix(u, "https://"):
 		return "mrs_shuffle_bytes_direct_total"
 	case strings.HasPrefix(u, "file://"):
@@ -516,7 +518,7 @@ func forEachInput(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink)
 		tr := &timedReader{r: rc, clk: clk, st: st, count: !countPayload}
 		ferr := consumeStream(tr, spec.InputFormat, sink)
 		cerr := rc.Close()
-		env.Obs.M().Add(shuffleMetric(u), st.bytes-before)
+		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
 		if ferr != nil {
 			return ferr
 		}
@@ -578,7 +580,7 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 		// path; reads from memory add ~nothing to readNS.
 		tr := &timedReader{r: bytes.NewReader(res.data), clk: clk, st: st, count: !countPayload}
 		ferr := consumeStream(tr, spec.InputFormat, sink)
-		env.Obs.M().Add(shuffleMetric(u), st.bytes-before)
+		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
 		if ferr != nil {
 			return ferr
 		}
@@ -644,7 +646,7 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 		before := st.bytes
 		tr := &timedReader{r: bytes.NewReader(res.data), clk: clk, st: st, count: !countPayload}
 		ferr := consumeStream(tr, spec.InputFormat, sink)
-		env.Obs.M().Add(shuffleMetric(u), st.bytes-before)
+		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
 		if ferr != nil {
 			return ferr
 		}

@@ -1210,6 +1210,7 @@ func (m *Master) Close() error {
 	if err != nil {
 		m.httpSrv.Close()
 	}
+	m.store.Close()
 	if m.ownsDir != "" {
 		os.RemoveAll(m.ownsDir)
 	}
@@ -1246,5 +1247,6 @@ func (m *Master) Crash() error {
 		<-m.specDone
 	}
 	m.store.CloseIdle()
+	m.store.Close()
 	return nil
 }

@@ -113,6 +113,34 @@ func MetricWireBytesCodec(codec string) string {
 // use (a fleet pinned to row encoding holds this at zero).
 const MetricBlocksColumnar = "mrs_shuffle_blocks_columnar_total"
 
+// Bucket-store metric names. An HTTP-serving store publishes a bucket
+// either into RAM or as a file; spills count buckets that started in
+// RAM and went to a file (past the per-bucket threshold or the store
+// budget), and local opens count http URLs a store read in-process
+// because it serves them itself — those move no wire bytes. The
+// inserted/released byte counters are monotonic so they sum across the
+// slaves sharing one registry; their difference is the RAM held,
+// exported as the MetricBucketMemBytes gauge by RegisterBucketMemGauge.
+const (
+	MetricBucketPublishedMem     = "mrs_bucket_published_mem_total"
+	MetricBucketPublishedFile    = "mrs_bucket_published_file_total"
+	MetricBucketSpilled          = "mrs_bucket_spilled_total"
+	MetricBucketLocalOpens       = "mrs_bucket_local_opens_total"
+	MetricBucketMemInsertedBytes = "mrs_bucket_mem_inserted_bytes_total"
+	MetricBucketMemReleasedBytes = "mrs_bucket_mem_released_bytes_total"
+	MetricBucketMemBytes         = "mrs_bucket_mem_bytes"
+)
+
+// RegisterBucketMemGauge installs the RAM-held-bytes gauge derived from
+// the monotonic inserted/released counters. Idempotent, like
+// RegisterResidentGauge.
+func RegisterBucketMemGauge(m *Metrics) {
+	m.SetGauge(MetricBucketMemBytes, func() int64 {
+		return m.Counter(MetricBucketMemInsertedBytes).Value() -
+			m.Counter(MetricBucketMemReleasedBytes).Value()
+	})
+}
+
 // MetricWireBytesEncoding names the per-block-kind wire-byte counter
 // ("row" or "columnar"). Like the per-codec split it sums to the
 // per-path wire totals; the split shows when a mixed-version peer

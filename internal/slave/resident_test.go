@@ -87,6 +87,31 @@ func TestSlaveGCReclaimsResidentBytes(t *testing.T) {
 	}
 }
 
+// TestSlaveDeleteDropsFreedDatasetSplits: a delete of a freed dataset's
+// buckets also releases the cached splits of that dataset, and only
+// those.
+func TestSlaveDeleteDropsFreedDatasetSplits(t *testing.T) {
+	s, err := New(reg(), Options{MasterAddr: "127.0.0.1:1", ResidentBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cleanup()
+
+	urls := []string{"u"}
+	freed := core.ResidentKey{Job: 5, Dataset: 8, Split: 0}
+	kept := core.ResidentKey{Job: 5, Dataset: 9, Split: 0}
+	s.resident.Put(freed, urls, [][]byte{make([]byte, 300)})
+	s.resident.Put(kept, urls, [][]byte{make([]byte, 100)})
+
+	s.deleteBuckets([]string{core.BucketNameJob(5, 8, 0, 0), core.BucketNameJob(5, 8, 1, 0)})
+	if _, ok := s.resident.Get(freed, urls); ok {
+		t.Error("split of a freed dataset still cached")
+	}
+	if _, ok := s.resident.Get(kept, urls); !ok {
+		t.Error("delete of dataset 8 evicted dataset 9's split")
+	}
+}
+
 // TestSlaveZeroBudgetDisablesCache: budget 0 is the ablation switch —
 // no cache, nil-safe accessors.
 func TestSlaveZeroBudgetDisablesCache(t *testing.T) {

@@ -282,8 +282,8 @@ func (s *Slave) TasksRun() int64 { return s.tasksRun.Load() }
 // performed.
 func (s *Slave) JobGCs() int64 { return s.jobGCs.Load() }
 
-// StoreDir returns the directory backing this slave's bucket store.
-func (s *Slave) StoreDir() string { return s.store.Dir() }
+// Store returns this slave's bucket store.
+func (s *Slave) Store() *bucket.Store { return s.store }
 
 // ResidentBytes returns the bytes currently pinned in this slave's
 // resident cache (0 when the cache is disabled).
@@ -370,9 +370,7 @@ func (s *Slave) Run(ctx context.Context) error {
 			release()
 			return fmt.Errorf("slave: bad assignment: %w", err)
 		}
-		for _, name := range a.Deletes {
-			_ = s.store.Remove(name)
-		}
+		s.deleteBuckets(a.Deletes)
 		for _, job := range a.GCJobs {
 			s.gcJob(core.JobID(job))
 		}
@@ -442,6 +440,18 @@ func (s *Slave) envFor(job core.JobID) (*core.TaskEnv, error) {
 	s.envs[job] = &env
 	s.jobDirs[job] = dir
 	return &env, nil
+}
+
+// deleteBuckets removes buckets of freed datasets from the store, and
+// the resident-cache splits of those datasets with them: no task reads
+// a freed dataset again.
+func (s *Slave) deleteBuckets(names []string) {
+	for _, name := range names {
+		_ = s.store.Remove(name)
+		if job, ds, ok := core.ParseBucketNameJob(name); ok {
+			s.resident.DropDataset(job, ds)
+		}
+	}
 }
 
 // gcJob reclaims everything a completed job left on this slave: its
@@ -553,6 +563,7 @@ func (s *Slave) cleanup() {
 	// Release pooled data-plane and control-plane connections so peers
 	// and the master can shut their servers down gracefully.
 	s.store.CloseIdle()
+	s.store.Close() // RAM buckets die with the slave, like its process would
 	s.client.CloseIdle()
 	s.envMu.Lock()
 	dirs := s.jobDirs

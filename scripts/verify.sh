@@ -49,6 +49,13 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison' \
 		./internal/kvio ./internal/shuffle ./internal/bucket ./internal/wirecodec
+	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
+	go test -race -count=4 \
+		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM' \
+		./internal/bucket
+	go test -race -count=2 \
+		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC' \
+		./internal/cluster
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
