@@ -552,9 +552,10 @@ func BenchmarkImplementations(b *testing.B) {
 	}
 }
 
-// BenchmarkSplitModelAblation compares per-file splits against
-// Hadoop-style byte-range splits on the same corpus: few large files
-// starve per-file parallelism.
+// BenchmarkSplitModelAblation compares whole-file packed splits
+// (TextFileData: whole files packed up to core.FileSplitBytes, so these
+// two files share one split) against Hadoop-style byte-range splits on
+// the same corpus: few large files starve whole-file parallelism.
 func BenchmarkSplitModelAblation(b *testing.B) {
 	dir, err := os.MkdirTemp("", "mrs-split-*")
 	if err != nil {
@@ -584,6 +585,6 @@ func BenchmarkSplitModelAblation(b *testing.B) {
 			job.Close()
 		}
 	}
-	b.Run("per-file", func(b *testing.B) { run(b, 0) })
+	b.Run("whole-file-packed", func(b *testing.B) { run(b, 0) })
 	b.Run("ranged-64k", func(b *testing.B) { run(b, 64<<10) })
 }

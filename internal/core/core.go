@@ -148,8 +148,9 @@ type OpKind int
 const (
 	// OpLocal materializes literal pairs supplied by the program.
 	OpLocal OpKind = iota
-	// OpFile declares text files as a source dataset (one split per
-	// file; records are (line number, line)).
+	// OpFile declares text files as a source dataset (whole files
+	// packed into splits of up to FileSplitBytes; records are (line
+	// number, line), numbered within each file).
 	OpFile
 	// OpMap applies a map function to every record of the input.
 	OpMap
@@ -244,6 +245,9 @@ type Operation struct {
 	// (TextFileDataSplit). Master-side only; slaves see the range
 	// format through the task spec's InputFormat.
 	rangeFormat bool
+	// fileSplit is TextFileData's packing plan: the split of each path.
+	// Master-side only, like rangeFormat.
+	fileSplit []int
 }
 
 // Validate performs structural checks before an operation is queued.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -340,7 +341,10 @@ func (j *Job) runSourceLocked(d *dsState) {
 	case d.op.rangeFormat:
 		m, err = materializeRangedFiles(d.op)
 	default:
-		m, err = MaterializeFiles(d.op)
+		if m, err = MaterializeFiles(d.op); err == nil {
+			j.obs.M().Add(obs.MetricInputFiles, int64(len(d.op.Paths)))
+			j.obs.M().Add(obs.MetricInputSplits, int64(m.NumSplits()))
+		}
 	}
 	if err != nil {
 		j.failLocked(d, err)
@@ -532,15 +536,55 @@ func (j *Job) LocalData(pairs []kvio.Pair, opts OpOpts) (*Dataset, error) {
 	}, splits)
 }
 
-// TextFileData queues text files as a source dataset, one split per
-// file; records are (line number, line).
+// FileSplitBytes is the size TextFileData packs whole files up to per
+// split. Larger splits amortise more per-task cost, but a combining map
+// task holds every value of its split until it ends, so its memory
+// grows with the split.
+const FileSplitBytes = 1 << 20
+
+// TextFileData queues text files as a source dataset; records are (line
+// number, line), numbered from 1 within each file. Every path is
+// stat'ed here, and whole files are packed into splits in path order:
+// a new split starts when the next file would take a non-empty split
+// past FileSplitBytes. A file is never divided, so one of
+// FileSplitBytes or more sits in a split of its own. A split's records
+// are its files' record streams concatenated in path order, and the
+// plan depends only on the paths and their sizes.
 func (j *Job) TextFileData(paths []string) (*Dataset, error) {
+	sizes := make([]int64, len(paths))
+	for i, path := range paths {
+		info, err := os.Stat(path)
+		if err != nil {
+			return nil, fmt.Errorf("core: stat %s: %w", path, err)
+		}
+		sizes[i] = info.Size()
+	}
+	fileSplit, splits := packFiles(sizes, FileSplitBytes)
 	return j.enqueue(&Operation{
-		Kind:   OpFile,
-		Input:  -1,
-		Splits: len(paths),
-		Paths:  append([]string(nil), paths...),
-	}, len(paths))
+		Kind:      OpFile,
+		Input:     -1,
+		Splits:    splits,
+		Paths:     append([]string(nil), paths...),
+		fileSplit: fileSplit,
+	}, splits)
+}
+
+// packFiles returns the split of each file and the split count, packing
+// files in order until the next one would take a non-empty split past
+// target. A split that has reached target is closed, so a file of
+// target bytes or more always sits alone.
+func packFiles(sizes []int64, target int64) (fileSplit []int, splits int) {
+	fileSplit = make([]int, len(sizes))
+	split, fill := -1, int64(0)
+	for i, size := range sizes {
+		if i == 0 || fill >= target || fill+size > target {
+			split++
+			fill = 0
+		}
+		fileSplit[i] = split
+		fill += size
+	}
+	return fileSplit, split + 1
 }
 
 // Map queues a map operation over src.
@@ -774,14 +818,19 @@ func MaterializeLocal(store *bucket.Store, op *Operation, job JobID) (*Materiali
 	return m, nil
 }
 
-// MaterializeFiles wraps file paths as a lines-format dataset, one
-// split per file. Paths must be accessible to every task executor
-// (shared filesystem), matching the paper's cluster assumptions.
+// MaterializeFiles wraps the file paths of an op queued by TextFileData
+// as a lines-format dataset: one file:// bucket per file, in path
+// order, in the split its packing plan assigned. Paths must be
+// accessible to every task executor (shared filesystem), matching the
+// paper's cluster assumptions.
 func MaterializeFiles(op *Operation) (*Materialized, error) {
-	m := NewMaterialized(len(op.Paths), FormatLines)
-	for s, path := range op.Paths {
+	if len(op.fileSplit) != len(op.Paths) {
+		return nil, fmt.Errorf("core: file op %d has no packing plan", op.Dataset)
+	}
+	m := NewMaterialized(op.Splits, FormatLines)
+	for i, path := range op.Paths {
 		d := bucket.Descriptor{URL: "file://" + path}
-		if err := m.AddBucket(s, d); err != nil {
+		if err := m.AddBucket(op.fileSplit[i], d); err != nil {
 			return nil, err
 		}
 	}

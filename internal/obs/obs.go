@@ -108,6 +108,13 @@ func MetricWireBytesCodec(codec string) string {
 	return "mrs_shuffle_wire_bytes_codec_" + codec + "_total"
 }
 
+// Text-input metric names: files and splits of every whole-file text
+// source the driver materializes. files/splits is the packing ratio.
+const (
+	MetricInputFiles  = "mrs_input_files_total"
+	MetricInputSplits = "mrs_input_splits_total"
+)
+
 // MetricBlocksColumnar counts columnar blocks written to bucket files —
 // the producer-side signal that the columnar data plane is actually in
 // use (a fleet pinned to row encoding holds this at zero).

@@ -56,6 +56,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC' \
 		./internal/cluster
+	echo "== tier 2: packed text-input stress (race, packer, per-file records, slave death mid packed map)"
+	go test -race -count=2 \
+		-run 'PackFiles|TextFileData|PackedSplit|PackedWordCount|ChaosPackedMap' \
+		./internal/core ./internal/cluster
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
