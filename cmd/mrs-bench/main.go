@@ -11,12 +11,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -27,7 +25,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/fault"
 	"repro/internal/hadoopsim"
 	"repro/internal/interp"
 	"repro/internal/journal"
@@ -38,13 +35,11 @@ import (
 	"repro/internal/pbs"
 	"repro/internal/piest"
 	"repro/internal/pso"
-	"repro/internal/shuffle"
-	"repro/internal/wirecodec"
 	"repro/internal/wordcount"
 )
 
 var (
-	exp      = flag.String("exp", "all", "experiment: prog|script|wordcount|pi-a|pi-b|crossover|pso|iter|shuffle|tenancy|recovery|fleet|all")
+	exp      = flag.String("exp", "all", "experiment: prog|script|wordcount|pi-a|pi-b|crossover|pso|iter|tenancy|recovery|fleet|all")
 	scale    = flag.Float64("scale", 0.003, "corpus scale for -exp wordcount (1.0 = the paper's 31,173 files)")
 	liveMax  = flag.Uint64("live-max", 4_000_000, "largest sample count to run live for pi experiments")
 	outer    = flag.Int("outer", 30, "outer iterations for -exp pso")
@@ -52,8 +47,6 @@ var (
 	slaves   = flag.Int("slaves", 4, "slaves for distributed measurements")
 	iterN    = flag.Int("iters", 50, "iterations for -exp iter overhead measurement")
 	iterJSON = flag.String("iter-json", "BENCH_iter.json", "file for -exp iter machine-readable results (empty disables)")
-	shufJSON = flag.String("shuffle-json", "BENCH_shuffle.json", "file for -exp shuffle machine-readable results (empty disables)")
-	shufRTT  = flag.Duration("shuffle-rtt", 4*time.Millisecond, "simulated mean per-fetch network delay for -exp shuffle")
 	tenJSON  = flag.String("tenancy-json", "BENCH_tenancy.json", "file for -exp tenancy machine-readable results (empty disables)")
 	recJSON  = flag.String("recovery-json", "BENCH_recovery.json", "file for -exp recovery machine-readable results (empty disables)")
 	recReps  = flag.Int("recovery-reps", 5, "repetitions per config for the -exp recovery overhead measurement")
@@ -125,9 +118,6 @@ func main() {
 	}
 	if all || *exp == "iter" {
 		run("EXP-ITER: per-iteration overhead and the 2471-iteration extrapolation", expIter)
-	}
-	if all || *exp == "shuffle" {
-		run("EXP-SHUFFLE: parallel shuffle fetch and wire compression decomposition", expShuffle)
 	}
 	if all || *exp == "tenancy" {
 		run("EXP-TENANCY: one fleet, many jobs — throughput and small-job latency", expTenancy)
@@ -839,451 +829,6 @@ func expIter() error {
 		fmt.Printf("\n(wrote %s)\n", *iterJSON)
 	}
 	return nil
-}
-
-// shuffleRegistry builds the fan-out workload for -exp shuffle: each
-// map input expands into many small keyed records (no combiner, so the
-// full volume crosses the wire), and the reduce counts values per key.
-func shuffleRegistry(recsPerMap int) *core.Registry {
-	reg := core.NewRegistry()
-	reg.RegisterMap("fan", func(key, value []byte, emit kvio.Emitter) error {
-		base, err := codec.DecodeVarint(key)
-		if err != nil {
-			return err
-		}
-		for j := 0; j < recsPerMap; j++ {
-			k := fmt.Sprintf("k%06d", (int(base)*recsPerMap+j)%997)
-			if err := emit.Emit([]byte(k), value); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	reg.RegisterReduce("count", func(key []byte, values [][]byte, emit kvio.Emitter) error {
-		return emit.Emit(key, codec.EncodeVarint(int64(len(values))))
-	})
-	return reg
-}
-
-// expShuffle measures the data-plane changes in isolation: a reduce
-// whose every task fetches mapSplits input buckets over HTTP, swept
-// across prefetch width {1, 8} x wire compression {off, on} x simulated
-// per-fetch delay {0, -shuffle-rtt}. Reduce shuffle time comes from the
-// job's per-op timing breakdown (time tasks spent blocked on input);
-// raw-vs-wire bytes come from the obs counters the store maintains.
-func expShuffle() error {
-	const (
-		mapSplits    = 16
-		reduceSplits = 4
-		recsPerMap   = 200
-	)
-	// A compressible but non-degenerate payload: repeated words, like
-	// the text workloads the paper benchmarks, so compressors pay a
-	// realistic match-finding cost instead of the all-zeros fast path.
-	words := []string{"science", "compute", "cluster", "shuffle", "record",
-		"block", "codec", "paper", "reduce", "emit", "varint", "bucket"}
-	var payload []byte
-	for i := 0; len(payload) < 256; i++ {
-		payload = append(payload, words[(i*7+3)%len(words)]...)
-		payload = append(payload, ' ')
-	}
-
-	type cfgT struct {
-		width    int
-		compress bool
-		rtt      time.Duration
-		codec    string
-		recs     int // records per map split
-	}
-	var grid []cfgT
-	for _, rtt := range []time.Duration{0, *shufRTT} {
-		for _, compress := range []bool{false, true} {
-			for _, width := range []int{1, 8} {
-				grid = append(grid, cfgT{width, compress, rtt, "", recsPerMap})
-			}
-		}
-	}
-	// Codec sweep: the block data plane under each registered codec, at
-	// sequential and parallel fetch widths, no simulated RTT, and a 20x
-	// record volume so codec CPU rises above scheduling noise.
-	for _, name := range []string{wirecodec.IdentityName, wirecodec.DeflateName, wirecodec.LZName} {
-		for _, width := range []int{1, 8} {
-			grid = append(grid, cfgT{width, false, 0, name, 20 * recsPerMap})
-		}
-	}
-
-	var inputs []kvio.Pair
-	for i := 0; i < mapSplits; i++ {
-		inputs = append(inputs, kvio.Pair{Key: codec.EncodeVarint(int64(i)), Value: payload})
-	}
-
-	type rowT struct {
-		Prefetch         int     `json:"prefetch"`
-		Compress         bool    `json:"compress"`
-		Codec            string  `json:"codec"`
-		RecsPerMap       int     `json:"records_per_map"`
-		RTTMeanMS        float64 `json:"rtt_mean_ms"`
-		WallMS           float64 `json:"wall_ms"`
-		CPUMS            float64 `json:"cpu_ms"`
-		ReduceShuffleMS  float64 `json:"reduce_shuffle_ms_total"`
-		ShufflePerTaskMS float64 `json:"reduce_shuffle_ms_per_task"`
-		RawDirectBytes   int64   `json:"raw_direct_bytes"`
-		WireDirectBytes  int64   `json:"wire_direct_bytes"`
-		CodecWireBytes   int64   `json:"codec_wire_bytes"`
-	}
-	var rows []rowT
-
-	fmt.Printf("M=%d map splits, R=%d reduce splits, %d records/map, %d slaves\n\n",
-		mapSplits, reduceSplits, recsPerMap, *slaves)
-	fmt.Printf("%-9s %-9s %-9s %-8s %12s %10s %16s %12s %12s\n",
-		"prefetch", "compress", "codec", "rtt", "wall", "cpu", "shuffle(total)", "raw-bytes", "wire-bytes")
-	for _, cfg := range grid {
-		var inj *fault.Injector
-		if cfg.rtt > 0 {
-			// DelayRate 1 with MaxDelay = 2x the target mean: every data
-			// fetch (and RPC) pays a deterministic uniform (0, 2rtt] delay.
-			inj = fault.New(fault.Config{Seed: 7, DelayRate: 1, MaxDelay: 2 * cfg.rtt})
-		}
-		rt := obs.New(nil)
-		c, err := cluster.Start(shuffleRegistry(cfg.recs), cluster.Options{
-			Slaves:   *slaves,
-			Prefetch: cfg.width,
-			Compress: cfg.compress,
-			Codec:    cfg.codec,
-			Chaos:    inj,
-			Obs:      rt,
-		})
-		if err != nil {
-			return err
-		}
-		job := core.NewJobWith(c.Executor(), core.JobOptions{Pipeline: true, Obs: rt})
-		src, err := job.LocalData(inputs, core.OpOpts{Splits: mapSplits, Partition: "roundrobin"})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		cpuBefore := processCPU()
-		out, err := job.MapReduce(src, "fan", "count",
-			core.OpOpts{Splits: mapSplits}, core.OpOpts{Splits: reduceSplits})
-		if err == nil {
-			_, err = out.Collect()
-		}
-		cpuUsed := processCPU() - cpuBefore
-		wall := time.Since(start)
-		stats := job.Stats()
-		job.Close()
-		c.Close()
-		if err != nil {
-			return err
-		}
-
-		var shuffleNS int64
-		var tasks int64
-		for _, op := range stats.Ops {
-			if op.Func == "count" {
-				shuffleNS += op.ShuffleNS
-				tasks += op.Tasks
-			}
-		}
-		snap := rt.M().Snapshot()
-		row := rowT{
-			Prefetch:        cfg.width,
-			Compress:        cfg.compress,
-			Codec:           cfg.codec,
-			RecsPerMap:      cfg.recs,
-			RTTMeanMS:       float64(cfg.rtt) / float64(time.Millisecond),
-			WallMS:          float64(wall) / float64(time.Millisecond),
-			CPUMS:           float64(cpuUsed) / float64(time.Millisecond),
-			ReduceShuffleMS: float64(shuffleNS) / float64(time.Millisecond),
-			RawDirectBytes:  snap[obs.MetricShuffleBytesDirect],
-			WireDirectBytes: snap[obs.MetricWireBytesDirect],
-		}
-		if cfg.codec != "" {
-			row.CodecWireBytes = snap[obs.MetricWireBytesCodec(cfg.codec)]
-		}
-		if tasks > 0 {
-			row.ShufflePerTaskMS = row.ReduceShuffleMS / float64(tasks)
-		}
-		rows = append(rows, row)
-		codecLabel := cfg.codec
-		if codecLabel == "" {
-			codecLabel = "-"
-		}
-		fmt.Printf("%-9d %-9v %-9s %-8s %12s %8.1fms %15.1fms %12d %12d\n",
-			cfg.width, cfg.compress, codecLabel, cfg.rtt,
-			wall.Round(time.Millisecond), row.CPUMS, row.ReduceShuffleMS,
-			row.RawDirectBytes, row.WireDirectBytes)
-	}
-
-	// Headline numbers: prefetch speedup under simulated RTT (compression
-	// off), and the wire saving from compression (no RTT needed).
-	pick := func(width int, compress bool, rtt bool) rowT {
-		for _, r := range rows {
-			if r.Prefetch == width && r.Compress == compress && (r.RTTMeanMS > 0) == rtt {
-				return r
-			}
-		}
-		return rowT{}
-	}
-	seq, par := pick(1, false, true), pick(8, false, true)
-	speedup := 0.0
-	if par.ReduceShuffleMS > 0 {
-		speedup = seq.ReduceShuffleMS / par.ReduceShuffleMS
-	}
-	comp := pick(1, true, false)
-	saving := 0.0
-	if comp.RawDirectBytes > 0 {
-		saving = 100 * (1 - float64(comp.WireDirectBytes)/float64(comp.RawDirectBytes))
-	}
-	fmt.Printf("\nprefetch speedup (shuffle time, width 8 vs 1, rtt %s): %.2fx\n", *shufRTT, speedup)
-	fmt.Printf("wire compression saving (direct path): %.1f%%\n", saving)
-
-	// Codec headline: lz vs deflate, summed over both widths. The point
-	// of the in-repo LZ codec is cheaper CPU at comparable wire savings.
-	codecSum := func(name string) (cpu, wall float64, wire int64) {
-		for _, r := range rows {
-			if r.Codec == name {
-				cpu += r.CPUMS
-				wall += r.WallMS
-				wire += r.WireDirectBytes
-			}
-		}
-		return
-	}
-	lzCPU, lzWall, lzWire := codecSum(wirecodec.LZName)
-	dfCPU, dfWall, dfWire := codecSum(wirecodec.DeflateName)
-	cpuRatio := 0.0
-	if lzCPU > 0 {
-		cpuRatio = dfCPU / lzCPU
-	}
-	fmt.Printf("codec sweep: lz cpu %.1fms wall %.1fms wire %d | deflate cpu %.1fms wall %.1fms wire %d | deflate/lz cpu %.2fx\n",
-		lzCPU, lzWall, lzWire, dfCPU, dfWall, dfWire, cpuRatio)
-
-	colRows, colSpeedup, err := columnarSweep()
-	if err != nil {
-		return err
-	}
-
-	if *shufJSON != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"experiment":        "shuffle",
-			"slaves":            *slaves,
-			"map_splits":        mapSplits,
-			"reduce_splits":     reduceSplits,
-			"records_per_map":   recsPerMap,
-			"rtt_mean_ms":       float64(*shufRTT) / float64(time.Millisecond),
-			"rows":              rows,
-			"prefetch_speedup":  speedup,
-			"wire_saving_pct":   saving,
-			"codec_cpu_ms":      map[string]float64{"lz": lzCPU, "deflate": dfCPU},
-			"codec_wall_ms":     map[string]float64{"lz": lzWall, "deflate": dfWall},
-			"lz_vs_deflate_cpu": cpuRatio,
-			"columnar_rows":     colRows,
-			// Headline: identity-codec sort-CPU ratio row/columnar-dict
-			// on the repetitive-key text payload.
-			"columnar_sort_speedup": colSpeedup,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*shufJSON, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\n(wrote %s)\n", *shufJSON)
-	}
-	var csvRows [][]string
-	for _, r := range rows {
-		csvRows = append(csvRows, []string{
-			strconv.Itoa(r.Prefetch), strconv.FormatBool(r.Compress), r.Codec,
-			strconv.FormatFloat(r.RTTMeanMS, 'g', 4, 64),
-			strconv.FormatFloat(r.WallMS, 'g', 6, 64),
-			strconv.FormatFloat(r.CPUMS, 'g', 6, 64),
-			strconv.FormatFloat(r.ReduceShuffleMS, 'g', 6, 64),
-			strconv.FormatInt(r.RawDirectBytes, 10),
-			strconv.FormatInt(r.WireDirectBytes, 10),
-		})
-	}
-	return writeCSV("shuffle", []string{
-		"prefetch", "compress", "codec", "rtt_ms", "wall_ms", "cpu_ms", "reduce_shuffle_ms", "raw_bytes", "wire_bytes",
-	}, csvRows)
-}
-
-// columnarRowT is one cell of the columnar block sweep: an in-process
-// measurement over pre-encoded streams, so decode CPU (block parsing)
-// and sort CPU (grouping in the shuffle sorter) are reported
-// separately instead of folded into whole-job CPU.
-type columnarRowT struct {
-	Payload     string  `json:"payload"`
-	Encoding    string  `json:"encoding"`
-	Codec       string  `json:"codec"`
-	Records     int     `json:"records"`
-	WireBytes   int     `json:"wire_bytes"`
-	DecodeCPUMS float64 `json:"decode_cpu_ms"`
-	SortCPUMS   float64 `json:"sort_cpu_ms"`
-}
-
-// columnarSweep measures the columnar block format against row blocks:
-// encoding {row, columnar-raw, columnar-dict, columnar-delta} x codec
-// {identity, deflate, lz}, over a repetitive-key text payload (the
-// word-count shape: few distinct keys, short values) and a k-means
-// payload (tiny cluster-id keys, fixed-width vectors). Each cell
-// reports the encoded stream size and, per full pass, the CPU to
-// decode the blocks and the CPU to group them in the shuffle sorter —
-// the reduce-side hot path. The headline ratio is identity-codec sort
-// CPU, row vs columnar-dict, on the text payload: the columnar fast
-// path resolves each dictionary entry to its group once per block, so
-// repetitive keys skip the per-record hash-and-compare entirely.
-func columnarSweep() ([]columnarRowT, float64, error) {
-	words := []string{"science", "compute", "cluster", "shuffle", "record",
-		"block", "codec", "paper", "reduce", "emit", "varint", "bucket"}
-	var text []kvio.Pair
-	for i := 0; i < 200_000; i++ {
-		text = append(text, kvio.Pair{
-			Key:   []byte(fmt.Sprintf("k%06d", i%997)),
-			Value: []byte(words[i%len(words)]),
-		})
-	}
-	vec := make([]byte, 64)
-	for i := range vec {
-		vec[i] = byte(i * 37)
-	}
-	var km []kvio.Pair
-	for i := 0; i < 100_000; i++ {
-		km = append(km, kvio.Pair{Key: codec.EncodeVarint(int64(i % 32)), Value: vec})
-	}
-	payloads := []struct {
-		name  string
-		pairs []kvio.Pair
-	}{{"text", text}, {"kmeans", km}}
-
-	const reps = 10
-	var out []columnarRowT
-	fmt.Printf("\ncolumnar sweep (%d decode+sort passes per cell):\n", reps)
-	fmt.Printf("%-8s %-15s %-9s %12s %12s %12s\n",
-		"payload", "encoding", "codec", "wire-bytes", "decode-cpu", "sort-cpu")
-	for _, p := range payloads {
-		for _, encName := range []string{kvio.EncRow, kvio.EncColumnarRaw, kvio.EncColumnarDict, kvio.EncColumnarDelta} {
-			enc, err := kvio.ParseBlockEncoding(encName)
-			if err != nil {
-				return nil, 0, err
-			}
-			for _, codecName := range []string{wirecodec.IdentityName, wirecodec.DeflateName, wirecodec.LZName} {
-				c, ok := wirecodec.Lookup(codecName)
-				if !ok {
-					return nil, 0, fmt.Errorf("unknown codec %q", codecName)
-				}
-				var buf bytes.Buffer
-				bw := kvio.NewBlockWriterEnc(&buf, c, kvio.DefaultBlockSize, enc)
-				for _, pr := range p.pairs {
-					if err := bw.Write(pr); err != nil {
-						return nil, 0, err
-					}
-				}
-				if err := bw.Close(); err != nil {
-					return nil, 0, err
-				}
-				stream := buf.Bytes()
-
-				// One untimed decode retains the blocks so the sort
-				// passes pay no parsing cost at all.
-				var rowBlocks [][]byte
-				var rowRecs []int
-				var colBlocks []*kvio.ColumnarBlock
-				decode := func(retain bool) error {
-					br, err := kvio.NewBlockReader(bytes.NewReader(stream))
-					if err != nil {
-						return err
-					}
-					defer br.Release()
-					for {
-						rows, cb, recs, err := br.NextAny()
-						if err == io.EOF {
-							return nil
-						}
-						if err != nil {
-							return err
-						}
-						if retain {
-							if cb != nil {
-								colBlocks = append(colBlocks, cb)
-							} else {
-								rowBlocks = append(rowBlocks, rows)
-								rowRecs = append(rowRecs, recs)
-							}
-						}
-					}
-				}
-				if err := decode(true); err != nil {
-					return nil, 0, err
-				}
-				cpu0 := processCPU()
-				for r := 0; r < reps; r++ {
-					if err := decode(false); err != nil {
-						return nil, 0, err
-					}
-				}
-				decodeCPU := processCPU() - cpu0
-
-				// Sort pass: feed the retained blocks and drain the
-				// groups. Blocks are adopted by reference, never
-				// mutated, so the same set feeds every pass.
-				sortPass := func() error {
-					s := shuffle.NewSorter(shuffle.Options{SpillBytes: 1 << 62})
-					defer s.Close()
-					for i, b := range rowBlocks {
-						if _, err := s.AddBlock(b, rowRecs[i]); err != nil {
-							return err
-						}
-					}
-					for _, cb := range colBlocks {
-						if _, err := s.AddColumnar(cb); err != nil {
-							return err
-						}
-					}
-					return s.Groups(func(key []byte, values [][]byte) error { return nil })
-				}
-				cpu0 = processCPU()
-				for r := 0; r < reps; r++ {
-					if err := sortPass(); err != nil {
-						return nil, 0, err
-					}
-				}
-				sortCPU := processCPU() - cpu0
-
-				row := columnarRowT{
-					Payload:     p.name,
-					Encoding:    encName,
-					Codec:       codecName,
-					Records:     len(p.pairs),
-					WireBytes:   len(stream),
-					DecodeCPUMS: float64(decodeCPU) / float64(time.Millisecond) / reps,
-					SortCPUMS:   float64(sortCPU) / float64(time.Millisecond) / reps,
-				}
-				out = append(out, row)
-				fmt.Printf("%-8s %-15s %-9s %12d %10.2fms %10.2fms\n",
-					row.Payload, row.Encoding, row.Codec, row.WireBytes,
-					row.DecodeCPUMS, row.SortCPUMS)
-			}
-		}
-	}
-
-	pick := func(payload, encoding, codecName string) columnarRowT {
-		for _, r := range out {
-			if r.Payload == payload && r.Encoding == encoding && r.Codec == codecName {
-				return r
-			}
-		}
-		return columnarRowT{}
-	}
-	rowCell := pick("text", kvio.EncRow, wirecodec.IdentityName)
-	dictCell := pick("text", kvio.EncColumnarDict, wirecodec.IdentityName)
-	speedup := 0.0
-	if dictCell.SortCPUMS > 0 {
-		speedup = rowCell.SortCPUMS / dictCell.SortCPUMS
-	}
-	fmt.Printf("columnar sort speedup (text, identity, row vs columnar-dict): %.2fx (wire %d -> %d bytes)\n",
-		speedup, rowCell.WireBytes, dictCell.WireBytes)
-	return out, speedup, nil
 }
 
 // tenancyBenchRegistry: a map whose cost is a fixed sleep (so task

@@ -103,18 +103,27 @@ func filesIn(t *testing.T, dir string) []string {
 	return out
 }
 
-// A small bucket published to RAM holds exactly the bytes the same
-// bucket written to a file holds, for every at-rest form.
+// A small bucket holds exactly the same at-rest bytes under the same
+// at-rest name whichever store writes it, for every at-rest form: an
+// HTTP-serving store's RAM, the same kind of store once its RAM budget
+// is full (the bucket spills to a file), and a file-only store. Memory
+// stores always write the plain per-record form, so they join the
+// comparison for that form.
 func TestRAMBucketMatchesFileBytes(t *testing.T) {
 	for _, cfg := range dataPlaneConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			ram, _ := servedStore(t, true, cfg.setup)
+			spilled, _ := servedStore(t, true, cfg.setup)
 			file, _ := servedStore(t, false, cfg.setup)
-			if _, err := ram.Put("ds1/t0/s0", smallPairs()); err != nil {
-				t.Fatal(err)
+			// A RAM bucket the size of the whole budget leaves no room, so
+			// every bucket the store writes after it goes to a file.
+			if !spilled.insertMem("filler", atRest{}, make([]byte, MemStoreBudget)) {
+				t.Fatal("could not fill the RAM budget")
 			}
-			if _, err := file.Put("ds1/t0/s0", smallPairs()); err != nil {
-				t.Fatal(err)
+			for _, s := range []*Store{ram, spilled, file} {
+				if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := filesIn(t, ram.Dir()); len(got) != 0 {
 				t.Fatalf("small bucket reached the disk: %v", got)
@@ -136,6 +145,33 @@ func TestRAMBucketMatchesFileBytes(t *testing.T) {
 			}
 			if !bytes.Equal(ar.data, want) {
 				t.Errorf("RAM bytes (%d) differ from file bytes (%d)", len(ar.data), len(want))
+			}
+			spilledNames := filesIn(t, spilled.Dir())
+			if len(spilledNames) != 1 || spilledNames[0] != names[0] {
+				t.Fatalf("spilled store holds %v, want [%s]", spilledNames, names[0])
+			}
+			if sr, err := spilled.lookup("ds1_t0_s0"); err != nil || sr.data != nil {
+				t.Fatalf("spilled bucket still resolves to RAM (err %v)", err)
+			}
+			got, err := os.ReadFile(filepath.Join(spilled.Dir(), spilledNames[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("spilled bytes (%d) differ from file bytes (%d)", len(got), len(want))
+			}
+			if cfg.name == "legacy" {
+				mem := NewMemStore()
+				if _, err := mem.Put("ds1/t0/s0", smallPairs()); err != nil {
+					t.Fatal(err)
+				}
+				mr, err := mem.lookup("ds1_t0_s0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mr.data, want) {
+					t.Errorf("memory-store bytes (%d) differ from file bytes (%d)", len(mr.data), len(want))
+				}
 			}
 		})
 	}

@@ -494,7 +494,8 @@ func forEachInput(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink)
 		return forEachInputResident(env, spec, st, sink, countPayload)
 	}
 	if w := env.prefetchWidth(); w > 1 && len(spec.InputURLs) > 1 && spec.InputFormat != FormatLinesRange {
-		return forEachInputPrefetched(env, spec, st, sink, w, countPayload)
+		_, err := forEachInputPrefetched(env, spec, st, sink, w, countPayload, false)
+		return err
 	}
 	for _, u := range spec.InputURLs {
 		if spec.InputFormat == FormatLinesRange {
@@ -545,8 +546,10 @@ type fetched struct {
 // unchanged. Each fetch runs through Store.Fetch, so per-fetch retries
 // and fault-injection hooks apply exactly as they do when streaming;
 // a fetch that dies mid-body is retried whole rather than surfacing a
-// truncated stream.
-func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, width int, countPayload bool) error {
+// truncated stream. With retain set it also returns every fetched
+// payload in URL order (the resident cache's miss path); otherwise a
+// payload is released as soon as it is consumed.
+func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, width int, countPayload, retain bool) ([][]byte, error) {
 	clk := env.clk()
 	urls := spec.InputURLs
 	results := make([]chan fetched, len(urls))
@@ -564,16 +567,23 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 	for i := 0; i < width && i < len(urls); i++ {
 		launch(i)
 	}
+	var retained [][]byte
+	if retain {
+		retained = make([][]byte, 0, len(urls))
+	}
 	for i, u := range urls {
 		begin := clk.Now()
 		res := <-results[i]
 		st.readNS += clk.Now().Sub(begin).Nanoseconds()
-		results[i] = nil // the payload is released as soon as it is consumed
+		results[i] = nil
 		if next := i + width; next < len(urls) {
 			launch(next)
 		}
 		if res.err != nil {
-			return fmt.Errorf("opening input %s: %w", u, res.err)
+			return nil, fmt.Errorf("opening input %s: %w", u, res.err)
+		}
+		if retain {
+			retained = append(retained, res.data)
 		}
 		before := st.bytes
 		// The timedReader keeps accounting identical to the streaming
@@ -582,19 +592,19 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 		ferr := consumeStream(tr, spec.InputFormat, sink)
 		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
 		if ferr != nil {
-			return ferr
+			return nil, ferr
 		}
 	}
-	return nil
+	return retained, nil
 }
 
 // forEachInputResident serves a Resident-marked input split through the
 // worker-local cache. A hit replays the previously fetched bucket
 // payloads from memory — no store traffic, near-zero shuffle wait, and
 // the identical byte stream the fetch produced, so record order and
-// results cannot differ from a cold read. A miss runs the same windowed
-// whole-bucket fetch as the prefetched path, retains the payloads, and
-// inserts them after the task consumed every bucket successfully (a
+// results cannot differ from a cold read. A miss runs the windowed
+// whole-bucket fetch of the prefetched path, retaining the payloads,
+// and inserts them after the task consumed every bucket successfully (a
 // failed task caches nothing). The cache key is (job, input dataset,
 // split); the fetch plan (URL list) is stored alongside and must match
 // exactly on lookup, so a changed plan — re-executed producers after a
@@ -616,40 +626,9 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 	}
 	st.residentMisses++
 	env.Obs.M().Add(obs.MetricResidentMisses, 1)
-	width := env.prefetchWidth()
-	results := make([]chan fetched, len(urls))
-	launch := func(i int) {
-		ch := make(chan fetched, 1)
-		results[i] = ch
-		u := urls[i]
-		go func() {
-			data, err := env.Store.Fetch(u)
-			ch <- fetched{data: data, err: err}
-		}()
-	}
-	for i := 0; i < width && i < len(urls); i++ {
-		launch(i)
-	}
-	retained := make([][]byte, 0, len(urls))
-	for i, u := range urls {
-		begin := clk.Now()
-		res := <-results[i]
-		st.readNS += clk.Now().Sub(begin).Nanoseconds()
-		results[i] = nil
-		if next := i + width; next < len(urls) {
-			launch(next)
-		}
-		if res.err != nil {
-			return fmt.Errorf("opening input %s: %w", u, res.err)
-		}
-		retained = append(retained, res.data)
-		before := st.bytes
-		tr := &timedReader{r: bytes.NewReader(res.data), clk: clk, st: st, count: !countPayload}
-		ferr := consumeStream(tr, spec.InputFormat, sink)
-		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
-		if ferr != nil {
-			return ferr
-		}
+	retained, err := forEachInputPrefetched(env, spec, st, sink, env.prefetchWidth(), countPayload, true)
+	if err != nil {
+		return err
 	}
 	env.Resident.Put(key, urls, retained)
 	return nil

@@ -170,6 +170,55 @@ func TestBlockUnknownCodecErrors(t *testing.T) {
 	}
 }
 
+// TestBlockReaderRejectsForeignStreams: a block reader handed a
+// per-record stream, or a well-formed block naming a codec nobody
+// registered, fails with ErrBlockCorrupt and a message saying which,
+// rather than decoding garbage records.
+func TestBlockReaderRejectsForeignStreams(t *testing.T) {
+	t.Run("per-record stream", func(t *testing.T) {
+		_, err := NewBlockReader(bytes.NewReader(Marshal(testPairs(10))))
+		if !errors.Is(err, ErrBlockCorrupt) || !strings.Contains(err.Error(), "missing block magic") {
+			t.Fatalf("per-record stream: got %v, want ErrBlockCorrupt naming the missing magic", err)
+		}
+	})
+	t.Run("unregistered codec", func(t *testing.T) {
+		// One uncompressed row block whose header names codec.
+		block := func(codec string) []byte {
+			payload := Marshal(testPairs(3))
+			wire := append([]byte(nil), BlockMagic[:]...)
+			wire = binary.AppendUvarint(wire, 3)
+			wire = binary.AppendUvarint(wire, uint64(len(payload)))
+			wire = binary.AppendUvarint(wire, uint64(len(codec)))
+			wire = append(wire, codec...)
+			wire = binary.AppendUvarint(wire, uint64(len(payload)))
+			wire = binary.LittleEndian.AppendUint32(wire, crc32.ChecksumIEEE(payload))
+			return append(wire, payload...)
+		}
+		// The same block naming identity decodes, so the name alone is
+		// what the reader rejects.
+		ok, err := NewBlockReader(bytes.NewReader(block(wirecodec.IdentityName)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ok.ReadAll(); err != nil || !pairsEqual(got, testPairs(3)) {
+			t.Fatalf("identity control block: %d records, %v", len(got), err)
+		}
+		ok.Release()
+		r, err := NewBlockReader(bytes.NewReader(block("zstd")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Release()
+		got, err := r.ReadAll()
+		if !errors.Is(err, ErrBlockCorrupt) || !strings.Contains(err.Error(), `"zstd"`) {
+			t.Fatalf("unregistered codec: got %v, want ErrBlockCorrupt naming \"zstd\"", err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("decoded %d records from a block it cannot read", len(got))
+		}
+	})
+}
+
 func TestBlockMagicIsLegacyPoison(t *testing.T) {
 	// The design guarantee behind NewAnyReader: a legacy reader must
 	// reject a block stream deterministically — and, since the magic is

@@ -86,10 +86,10 @@ func collectColumnar(t *testing.T, opts Options, batches [][]kvio.Pair, keyEnc i
 	return groups, order
 }
 
-// TestAddColumnarMatchesAdd: feeding the same records through the
-// columnar fast path must produce byte-identical grouping to
-// per-record Add — for every key encoding, on the sort and combiner
-// paths, with and without spilling.
+// TestAddColumnarMatchesAdd: feeding the same records through columnar
+// blocks must produce byte-identical grouping to per-record Add — for
+// every key encoding, with and without a combiner, with and without
+// spilling.
 func TestAddColumnarMatchesAdd(t *testing.T) {
 	var pairs []kvio.Pair
 	for i := 0; i < 3000; i++ {
@@ -124,9 +124,8 @@ func TestAddColumnarMatchesAdd(t *testing.T) {
 }
 
 // TestAddColumnarMixedFraming: row and columnar inputs interleaving in
-// either order must still match pure per-record Add. This exercises
-// both sides of the single-form invariant — columnar-first flattens
-// its groups when row input arrives, row-first keeps the flat buffer.
+// either order must still match pure per-record Add, with arena-copied
+// and aliased records sharing one set of key groups.
 func TestAddColumnarMixedFraming(t *testing.T) {
 	var pairs []kvio.Pair
 	for i := 0; i < 900; i++ {
@@ -211,9 +210,9 @@ func TestAddColumnarAfterCloseFails(t *testing.T) {
 	}
 }
 
-// BenchmarkSorterAddColumnar measures the per-record cost of the
-// columnar fast path on repetitive keys. The dict case is the headline:
-// per-record work is an index lookup and a value append.
+// BenchmarkSorterAddColumnar measures the per-record cost of adopting
+// columnar blocks on repetitive keys: a hash lookup and a value append,
+// with no copies.
 func BenchmarkSorterAddColumnar(b *testing.B) {
 	const blockRecs = 2048
 	for _, mk := range []struct {

@@ -7,13 +7,14 @@
 // k-way merged on read — the classic external sort, so a reduce split
 // can exceed memory.
 //
-// Record bytes are stored in a chunked arena: buffering n records costs
-// O(n · recordSize / chunkSize) allocations instead of 2n, and a spill
-// releases the whole slab at once. When a combiner is configured the
-// sorter additionally groups records by key in a hash table as they
-// arrive, deferring the comparison sort to the (much smaller) set of
-// distinct keys; values within a key keep insertion order, so the
-// delivered groups are byte-identical to the sort-everything path.
+// Records are grouped by key in a hash table as they arrive, and the
+// comparison sort runs over the distinct keys only; values within a key
+// keep insertion order, so the delivered groups are exactly those of a
+// stable sort of every record. Record bytes either alias an adopted
+// block (AddBlock, AddColumnar) or are copied into a chunked arena
+// (Add): buffering n records costs O(n · recordSize / chunkSize)
+// allocations instead of 2n, and a spill releases the whole slab at
+// once.
 package shuffle
 
 import (
@@ -22,7 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/kvio"
 )
@@ -76,31 +77,20 @@ func (a *arena) copy(b []byte) []byte {
 // reset.
 func (a *arena) reset() { a.buf = a.buf[:0] }
 
-// hashGroup is one distinct key and its values in insertion order; the
-// combiner path accumulates these instead of flat pairs.
+// hashGroup is one distinct key and its values in insertion order.
 type hashGroup struct {
 	key    []byte
 	values [][]byte
 }
 
 // Sorter accumulates pairs and then yields key groups in sorted order.
-// Usage: Add*, then Groups (exactly once), then Close.
-//
-// Two in-memory forms exist: a flat pair buffer that is stably sorted
-// on demand (buf) and a hash-grouped form with one entry per distinct
-// key (groups). A combiner always uses groups. Without a combiner the
-// forms never coexist: columnar input prefers groups (the key column
-// makes grouping cheap), and row input arriving afterwards flattens
-// the groups back into buf. Both forms deliver byte-identical output —
-// per-key value order is insertion order either way, and cross-key
-// order is irrelevant because keys are emitted sorted.
+// Usage: Add/AddBlock/AddColumnar, then Groups (exactly once), then
+// Close.
 type Sorter struct {
 	opts    Options
 	ar      arena
-	buf     []kvio.Pair    // sort path (no combiner)
-	groups  []hashGroup    // grouped path: one entry per distinct key
-	idx     map[string]int // grouped path: key -> index into groups
-	dictIdx []int          // AddColumnar scratch: dict entry -> group index
+	groups  []hashGroup    // one entry per distinct key, in first-seen order
+	idx     map[string]int // key -> index into groups
 	bufSize int64
 	runs    []string // spilled run file paths
 	closed  bool
@@ -123,13 +113,7 @@ func (s *Sorter) Add(p kvio.Pair) error {
 	if s.closed {
 		return fmt.Errorf("shuffle: Add after Close")
 	}
-	if s.opts.Combine != nil {
-		s.addHash(p, false)
-	} else {
-		s.flattenGroups()
-		s.buf = append(s.buf, kvio.Pair{Key: s.ar.copy(p.Key), Value: s.ar.copy(p.Value)})
-		s.bufSize += int64(len(p.Key) + len(p.Value))
-	}
+	s.addHash(p, false)
 	s.added++
 	return s.maybeSpill()
 }
@@ -147,19 +131,10 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shuffle: AddBlock after Close")
 	}
-	if s.opts.Combine == nil {
-		s.flattenGroups()
-	}
 	var payload int64
 	n, err := kvio.ScanRecords(block, func(key, value []byte) error {
 		payload += int64(len(key) + len(value))
-		p := kvio.Pair{Key: key, Value: value}
-		if s.opts.Combine != nil {
-			s.addHash(p, true)
-		} else {
-			s.buf = append(s.buf, p)
-			s.bufSize += int64(len(key) + len(value))
-		}
+		s.addHash(kvio.Pair{Key: key, Value: value}, true)
 		s.added++
 		return nil
 	})
@@ -174,49 +149,18 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 
 // AddColumnar adopts a decoded columnar block (ownership transferred by
 // kvio.BlockReader.NextAny) and buffers every record by aliasing the
-// block's column buffers: sorting and grouping work runs against the
-// key column, and value bytes are never copied or compared. It prefers
-// the hash-grouped form even without a combiner — one group per
-// distinct key is exactly what repetitive shuffle keys collapse to.
-// Dictionary-encoded blocks take a fast path: each dict entry resolves
-// to its group once per block, after which every record costs an index
-// lookup and an append, with no per-record hashing or key comparisons.
+// block's column buffers, exactly as AddBlock does for a row block.
 // Returns the summed key+value payload bytes the block contributed.
 func (s *Sorter) AddColumnar(cb *kvio.ColumnarBlock) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shuffle: AddColumnar after Close")
 	}
 	n := cb.Len()
-	payload := cb.PayloadBytes()
-	if s.opts.Combine == nil && len(s.buf) > 0 {
-		// Row input got here first; keep the single-form invariant and
-		// stay flat.
-		for i := 0; i < n; i++ {
-			s.buf = append(s.buf, kvio.Pair{Key: cb.Key(i), Value: cb.Value(i)})
-		}
-		s.bufSize += payload
-		s.added += int64(n)
-		return payload, s.maybeSpill()
-	}
-	if dn := cb.DictLen(); dn >= 0 {
-		dg := s.dictIdx[:0]
-		for j := 0; j < dn; j++ {
-			dg = append(dg, s.groupIndex(cb.DictKey(j), true))
-		}
-		s.dictIdx = dg
-		for i := 0; i < n; i++ {
-			v := cb.Value(i)
-			g := &s.groups[dg[cb.DictIndex(i)]]
-			g.values = append(g.values, v)
-			s.bufSize += int64(len(v))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			s.addHash(kvio.Pair{Key: cb.Key(i), Value: cb.Value(i)}, true)
-		}
+	for i := 0; i < n; i++ {
+		s.addHash(kvio.Pair{Key: cb.Key(i), Value: cb.Value(i)}, true)
 	}
 	s.added += int64(n)
-	return payload, s.maybeSpill()
+	return cb.PayloadBytes(), s.maybeSpill()
 }
 
 // maybeSpill spills the in-memory buffer when it crosses the threshold.
@@ -227,29 +171,6 @@ func (s *Sorter) maybeSpill() error {
 	return nil
 }
 
-// flattenGroups converts the hash-grouped form back into flat pairs so
-// row-framed input can share the buffer. Only reachable on mixed
-// framing without a combiner. Per-key value order is preserved; the
-// extra key references are charged to bufSize the way the flat path
-// would have counted them.
-func (s *Sorter) flattenGroups() {
-	if len(s.groups) == 0 {
-		return
-	}
-	for i := range s.groups {
-		g := &s.groups[i]
-		for _, v := range g.values {
-			s.buf = append(s.buf, kvio.Pair{Key: g.key, Value: v})
-		}
-		s.bufSize += int64((len(g.values) - 1) * len(g.key))
-	}
-	clear(s.groups)
-	s.groups = s.groups[:0]
-	if s.idx != nil {
-		clear(s.idx)
-	}
-}
-
 // groupIndex returns the index of key's hash group, creating an empty
 // one on first sight. The map lookup with a string(key) conversion is
 // allocation free for existing keys; only the first record of a
@@ -258,10 +179,7 @@ func (s *Sorter) flattenGroups() {
 // copy.
 func (s *Sorter) groupIndex(key []byte, owned bool) int {
 	if s.idx == nil {
-		s.idx = make(map[string]int, 1+len(s.groups))
-		for i := range s.groups {
-			s.idx[string(s.groups[i].key)] = i
-		}
+		s.idx = map[string]int{}
 	}
 	if i, ok := s.idx[string(key)]; ok {
 		return i
@@ -275,8 +193,8 @@ func (s *Sorter) groupIndex(key []byte, owned bool) int {
 	return len(s.groups) - 1
 }
 
-// addHash accumulates p into the hash-grouped form. owned means p's
-// bytes already belong to the sorter (an adopted block).
+// addHash appends p's value to its key's group. owned means p's bytes
+// already belong to the sorter (an adopted block).
 func (s *Sorter) addHash(p kvio.Pair, owned bool) {
 	i := s.groupIndex(p.Key, owned)
 	value := p.Value
@@ -311,54 +229,35 @@ func (s *Sorter) Added() int64 { return s.added }
 // Spills returns how many run files were written.
 func (s *Sorter) Spills() int { return s.spills }
 
-// sortBuf stably sorts the in-memory buffer by key. Stability keeps
-// value order deterministic across implementations, which the Mrs
-// debugging story (serial == parallel output) depends on.
-func (s *Sorter) sortBuf() {
-	sort.SliceStable(s.buf, func(i, j int) bool {
-		return bytes.Compare(s.buf[i].Key, s.buf[j].Key) < 0
-	})
-}
-
 // forEachMemGroup yields the in-memory content as combined key groups
-// in ascending key order. It does not disturb the hash index: the
-// grouped path sorts an index permutation, not the groups themselves.
+// in ascending key order. It does not disturb the hash index: it sorts
+// an index permutation, not the groups themselves.
 func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) error {
-	if s.opts.Combine != nil || len(s.groups) > 0 {
-		order := make([]int, len(s.groups))
-		for i := range order {
-			order[i] = i
-		}
-		// Keys are distinct by construction, so the unstable sort is
-		// deterministic.
-		sort.Slice(order, func(a, b int) bool {
-			return bytes.Compare(s.groups[order[a]].key, s.groups[order[b]].key) < 0
-		})
-		for _, i := range order {
-			g := &s.groups[i]
-			vals, err := s.combine(g.key, g.values)
-			if err != nil {
-				return err
-			}
-			if err := fn(g.key, vals); err != nil {
-				return err
-			}
-		}
-		return nil
+	order := make([]int, len(s.groups))
+	for i := range order {
+		order[i] = i
 	}
-	s.sortBuf()
-	return forEachGroup(s.buf, func(key []byte, values [][]byte) error {
-		values, err := s.combine(key, values)
+	// Keys are distinct by construction, so the unstable sort is
+	// deterministic.
+	slices.SortFunc(order, func(a, b int) int {
+		return bytes.Compare(s.groups[a].key, s.groups[b].key)
+	})
+	for _, i := range order {
+		g := &s.groups[i]
+		vals, err := s.combine(g.key, g.values)
 		if err != nil {
 			return err
 		}
-		return fn(key, values)
-	})
+		if err := fn(g.key, vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // spill sorts, combines, and writes the current buffer as a run file.
 func (s *Sorter) spill() error {
-	if len(s.buf) == 0 && len(s.groups) == 0 {
+	if len(s.groups) == 0 {
 		return nil
 	}
 	f, err := os.CreateTemp(s.opts.TempDir, "mrs-spill-*.run")
@@ -389,8 +288,6 @@ func (s *Sorter) spill() error {
 	s.spills++
 	s.spilled += s.bufSize
 	// Drop every reference into the arena before reusing it.
-	clear(s.buf)
-	s.buf = s.buf[:0]
 	clear(s.groups)
 	s.groups = s.groups[:0]
 	if s.idx != nil {
@@ -436,33 +333,10 @@ func (s *Sorter) Close() error {
 		}
 	}
 	s.runs = nil
-	s.buf = nil
 	s.groups = nil
 	s.idx = nil
 	s.ar = arena{}
 	return first
-}
-
-// forEachGroup walks a key-sorted pair slice and invokes fn once per
-// distinct key with the values in encounter order.
-func forEachGroup(sorted []kvio.Pair, fn func(key []byte, values [][]byte) error) error {
-	i := 0
-	var values [][]byte
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && bytes.Equal(sorted[j].Key, sorted[i].Key) {
-			j++
-		}
-		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, sorted[k].Value)
-		}
-		if err := fn(sorted[i].Key, values); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -176,55 +176,89 @@ func TestCombinerAcrossSpills(t *testing.T) {
 	}
 }
 
+// TestGroupsPropertyAgainstReferenceModel is the sorter's reference:
+// for any input, every way of feeding it (per-record Add or whole
+// blocks), with or without spilling, and with or without a combiner
+// that keeps every value, must deliver each key once, keys ascending,
+// values in input order.
 func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
-	f := func(raw [][2][]byte) bool {
-		pairs := make([]kvio.Pair, len(raw))
-		for i, kv := range raw {
-			pairs[i] = kvio.Pair{Key: kv[0], Value: kv[1]}
-		}
+	keepAll := func(key []byte, values [][]byte) ([][]byte, error) { return values, nil }
+	check := func(pairs []kvio.Pair) error {
 		// Reference model: map from key to values in input order.
 		want := map[string][]string{}
 		for _, p := range pairs {
 			want[string(p.Key)] = append(want[string(p.Key)], string(p.Value))
 		}
-		s := NewSorter(Options{SpillBytes: 64, TempDir: t.TempDir()})
-		defer s.Close()
-		for _, p := range pairs {
-			if err := s.Add(p); err != nil {
-				return false
-			}
-		}
-		got := map[string][]string{}
-		var keys []string
-		err := s.Groups(func(key []byte, values [][]byte) error {
-			var vs []string
-			for _, v := range values {
-				vs = append(vs, string(v))
-			}
-			got[string(key)] = vs
-			keys = append(keys, string(key))
-			return nil
-		})
-		if err != nil {
-			return false
-		}
-		if !sort.StringsAreSorted(keys) {
-			return false
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, vs := range want {
-			gvs, ok := got[k]
-			if !ok || len(gvs) != len(vs) {
-				return false
-			}
-			// External merge preserves per-key value order because runs
-			// are spilled in input order and merged with seq tie-break.
-			for i := range vs {
-				if gvs[i] != vs[i] {
-					return false
+		for _, combine := range []CombineFunc{nil, keepAll} {
+			for _, spill := range []int64{0, 64, 2 << 10} {
+				for _, blocks := range []bool{false, true} {
+					s := NewSorter(Options{SpillBytes: spill, TempDir: t.TempDir(), Combine: combine})
+					var err error
+					if blocks {
+						for i := 0; i < len(pairs) && err == nil; i += 7 {
+							batch := pairs[i:min(i+7, len(pairs))]
+							_, err = s.AddBlock(blockPayload(t, batch), len(batch))
+						}
+					} else {
+						for _, p := range pairs {
+							if err = s.Add(p); err != nil {
+								break
+							}
+						}
+					}
+					got := map[string][]string{}
+					var keys []string
+					if err == nil {
+						err = s.Groups(func(key []byte, values [][]byte) error {
+							var vs []string
+							for _, v := range values {
+								vs = append(vs, string(v))
+							}
+							got[string(key)] = vs
+							keys = append(keys, string(key))
+							return nil
+						})
+					}
+					s.Close()
+					cfg := fmt.Sprintf("combine=%v spill=%d blocks=%v", combine != nil, spill, blocks)
+					if err != nil {
+						return fmt.Errorf("%s: %w", cfg, err)
+					}
+					if !sort.StringsAreSorted(keys) || len(keys) != len(want) {
+						return fmt.Errorf("%s: %d keys, sorted=%v; want %d sorted keys", cfg, len(keys), sort.StringsAreSorted(keys), len(want))
+					}
+					// External merge preserves per-key value order because
+					// runs are spilled in input order and merged with seq
+					// tie-break.
+					for k, vs := range want {
+						if !equalStrings(got[k], vs) {
+							return fmt.Errorf("%s: key %q: got %v, want %v", cfg, k, got[k], vs)
+						}
+					}
 				}
+			}
+		}
+		return nil
+	}
+	// Many repeated keys, values interleaved across them.
+	var repeated []kvio.Pair
+	for i := 0; i < 3000; i++ {
+		repeated = append(repeated, kvio.StrPair(fmt.Sprintf("key-%03d", (i*37)%113), fmt.Sprintf("v%d", i)))
+	}
+	if err := check(repeated); err != nil {
+		t.Fatal(err)
+	}
+	f := func(raw [][2][]byte) bool {
+		pairs := make([]kvio.Pair, len(raw))
+		narrow := make([]kvio.Pair, len(raw)) // keys of at most one byte repeat
+		for i, kv := range raw {
+			pairs[i] = kvio.Pair{Key: kv[0], Value: kv[1]}
+			narrow[i] = kvio.Pair{Key: kv[0][:min(1, len(kv[0]))], Value: kv[1]}
+		}
+		for _, in := range [][]kvio.Pair{pairs, narrow} {
+			if err := check(in); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		return true
@@ -334,24 +368,37 @@ func TestAddCopiesCallerSlices(t *testing.T) {
 	}
 }
 
+// TestHashPathMatchesSortPathByteForByte: the hash-grouped sorter, with
+// and without a combiner that keeps every value, must deliver exactly
+// the groups of a stable sort over every record — the form the sorter
+// replaced.
 func TestHashPathMatchesSortPathByteForByte(t *testing.T) {
-	// The combiner fast path must deliver byte-identical groups to the
-	// plain sort path. Use an identity "combiner" that keeps all values
-	// so the two paths produce comparable output.
 	identity := func(key []byte, values [][]byte) ([][]byte, error) { return values, nil }
 	var pairs []kvio.Pair
 	for i := 0; i < 3000; i++ {
 		pairs = append(pairs, kvio.StrPair(fmt.Sprintf("key-%03d", (i*37)%113), fmt.Sprintf("v%d", i)))
 	}
-	for _, spill := range []int64{0, 2 << 10} {
-		sortG, sortOrder := collect(t, Options{SpillBytes: spill, TempDir: t.TempDir()}, pairs)
-		hashG, hashOrder := collect(t, Options{SpillBytes: spill, TempDir: t.TempDir(), Combine: identity}, pairs)
-		if !equalStrings(sortOrder, hashOrder) {
-			t.Fatalf("spill=%d: key orders differ", spill)
+	sorted := append([]kvio.Pair(nil), pairs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0 })
+	sortG := map[string][]string{}
+	var sortOrder []string
+	for _, p := range sorted {
+		k := string(p.Key)
+		if _, seen := sortG[k]; !seen {
+			sortOrder = append(sortOrder, k)
 		}
-		for k, vs := range sortG {
-			if !equalStrings(vs, hashG[k]) {
-				t.Errorf("spill=%d key %q: sort %v, hash %v", spill, k, vs, hashG[k])
+		sortG[k] = append(sortG[k], string(p.Value))
+	}
+	for _, spill := range []int64{0, 2 << 10} {
+		for _, combine := range []CombineFunc{nil, identity} {
+			hashG, hashOrder := collect(t, Options{SpillBytes: spill, TempDir: t.TempDir(), Combine: combine}, pairs)
+			if !equalStrings(sortOrder, hashOrder) {
+				t.Fatalf("spill=%d combine=%v: key orders differ", spill, combine != nil)
+			}
+			for k, vs := range sortG {
+				if !equalStrings(vs, hashG[k]) {
+					t.Errorf("spill=%d combine=%v key %q: sort %v, hash %v", spill, combine != nil, k, vs, hashG[k])
+				}
 			}
 		}
 	}
@@ -420,7 +467,7 @@ func BenchmarkSortGroupExternal(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSorter(Options{SpillBytes: 16 << 10, TempDir: dir})
+		s := NewSorter(Options{SpillBytes: 4 << 10, TempDir: dir})
 		for _, p := range pairs {
 			if err := s.Add(p); err != nil {
 				b.Fatal(err)
@@ -433,8 +480,8 @@ func BenchmarkSortGroupExternal(b *testing.B) {
 	}
 }
 
-// blockPayload frames pairs as a legacy record run — exactly the
-// decoded payload a kvio.BlockReader hands over via NextBlock.
+// blockPayload frames pairs as a per-record run — exactly the decoded
+// payload a kvio.BlockReader hands over via NextBlock.
 func blockPayload(t *testing.T, pairs []kvio.Pair) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -488,8 +535,8 @@ func collectBlocks(t *testing.T, opts Options, batches [][]kvio.Pair) (map[strin
 }
 
 // TestAddBlockMatchesAdd: feeding the same records through AddBlock
-// must produce byte-identical grouping to per-record Add, on both the
-// sort path and the combiner hash path, with and without spilling.
+// must produce byte-identical grouping to per-record Add, with and
+// without a combiner, with and without spilling.
 func TestAddBlockMatchesAdd(t *testing.T) {
 	var pairs []kvio.Pair
 	for i := 0; i < 3000; i++ {

@@ -8,6 +8,9 @@
 #   - somewhere in the user-facing doc set (README.md + docs/*.md),
 #     which OBSERVABILITY.md membership already implies but is checked
 #     independently so the rule survives a reference-table move.
+# Fails, too, if README.md, DESIGN.md or docs/*.md mention a -mrs-*
+# flag that flags.go does not register, so a deleted flag cannot leave
+# stale rows behind (CHANGES.md and ROADMAP.md are history and exempt).
 # Also fails if any docs/*.md file referenced from the top-level docs
 # does not exist, so renames can't leave dangling links.
 set -eu
@@ -28,6 +31,14 @@ for f in $flags; do
 	fi
 	if ! grep -q -- "-$f" README.md docs/*.md; then
 		echo "check_docs: FAIL: flag -$f not documented anywhere in README.md or docs/" >&2
+		fail=1
+	fi
+done
+
+# Every -mrs-* flag the docs mention must be registered.
+for f in $(grep -ohE -- '-mrs-[a-z0-9-]+' README.md DESIGN.md docs/*.md | sed 's/^-//' | sort -u); do
+	if ! echo "$flags" | grep -qx -- "$f"; then
+		echo "check_docs: FAIL: docs mention -$f, which flags.go does not register" >&2
 		fail=1
 	fi
 done

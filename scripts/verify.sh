@@ -37,18 +37,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos' \
 		./internal/core ./internal/cluster
-	echo "== tier 2: parallel-shuffle stress (race, fault injection, prefetch+compression)"
+	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block/columnar handoff, negotiation)"
 	go test -race -count=2 \
-		-run 'ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression' \
-		./internal/cluster
-	echo "== tier 2: block data-plane stress (race, non-default codecs, negotiation, cross-mode)"
-	go test -race -count=2 \
-		-run 'CodecGrid|CodecSerialMatchesCluster|AddBlock|BlockBucket|Negotiation|TranscodeBetween' \
-		./internal/cluster ./internal/bucket ./internal/shuffle
-	echo "== tier 2: columnar data-plane stress (race, key encodings, transcode, row-only fallback)"
-	go test -race -count=2 \
-		-run 'Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison' \
-		./internal/kvio ./internal/shuffle ./internal/bucket ./internal/wirecodec
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|AddColumnar|HashPath|GroupsProperty|BlockBucket|Negotiation|TranscodeBetween|Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison|ForeignStreams' \
+		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
 		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM' \
