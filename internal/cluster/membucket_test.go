@@ -14,6 +14,7 @@ import (
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/pso"
+	"repro/internal/rpcproto"
 )
 
 // selfFetchCounter is a data-plane transport that counts requests a
@@ -114,6 +115,25 @@ func TestPSOChainCreatesNoBucketFiles(t *testing.T) {
 	}
 	if snap[obs.MetricBucketLocalOpens] == 0 {
 		t.Error("no bucket opened locally: index affinity should co-locate consumers")
+	}
+
+	// One control round trip per task: each outcome rides on the slot's
+	// next get_task, so leaves send no task_done or task_failed, and
+	// every get_task carries a task out, is answered idle, or is a
+	// slot's pending poll.
+	for _, method := range []string{rpcproto.MethodTaskDone, rpcproto.MethodTaskFailed,
+		rpcproto.MethodReportBatch, rpcproto.MethodGetTasks} {
+		if n := snap[obs.RPCSeries(method)]; n != 0 {
+			t.Errorf("%d %s calls, want 0", n, method)
+		}
+	}
+	st := c.M.Stats()
+	polls := snap[obs.RPCSeries(rpcproto.MethodGetTask)]
+	slots := int64(c.NumSlaves())
+	t.Logf("%d tasks, %d get_task calls, %d idle answers, %d slots", st.TasksAssigned, polls, st.IdlePolls, slots)
+	if st.TasksAssigned == 0 || polls > st.TasksAssigned+slots+st.IdlePolls {
+		t.Errorf("%d get_task calls for %d tasks + %d slots + %d idle answers",
+			polls, st.TasksAssigned, slots, st.IdlePolls)
 	}
 }
 

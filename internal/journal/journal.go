@@ -82,6 +82,8 @@ const (
 	EvJobDone      = "job_done"
 	EvJobFailed    = "job_failed"
 	EvJobWeight    = "job_weight"
+	// EvMasterStarted numbers a master start on this journal.
+	EvMasterStarted = "master_started"
 )
 
 // Job lifecycle states as folded into a JobRecord.
@@ -138,6 +140,8 @@ type Event struct {
 	Weight int `json:"weight,omitempty"`
 	// Error is the failure message (EvJobFailed).
 	Error string `json:"error,omitempty"`
+	// Incarnation is the number of the master start (EvMasterStarted).
+	Incarnation int64 `json:"incarnation,omitempty"`
 	// UnixNano is the clock stamp assigned at append time.
 	UnixNano int64 `json:"t,omitempty"`
 }
@@ -199,6 +203,10 @@ func (jr *JobRecord) TaskOutputs(dataset, task int) []Manifest {
 type State struct {
 	MaxJobID int64                `json:"max_job_id,omitempty"`
 	Jobs     map[int64]*JobRecord `json:"jobs,omitempty"`
+	// Incarnation is the highest master start recorded: a restarted
+	// master numbers itself one past it, so no two masters of one
+	// journal hand out the same node ids.
+	Incarnation int64 `json:"incarnation,omitempty"`
 }
 
 // NewState returns an empty state.
@@ -231,6 +239,12 @@ func (s *State) jobRecord(id int64) *JobRecord {
 // converges to the same state — and tolerant: events for unknown kinds
 // or out-of-order jobs never error, they just contribute what they can.
 func (s *State) Apply(ev Event) {
+	if ev.Kind == EvMasterStarted {
+		if ev.Incarnation > s.Incarnation {
+			s.Incarnation = ev.Incarnation
+		}
+		return
+	}
 	if ev.Job == 0 && ev.Kind != "" {
 		// Job 0 is the unmanaged single-job namespace; it is never
 		// journaled (nothing can resume it), so nothing to fold.

@@ -13,7 +13,7 @@
 // /debug/status, /debug/metrics (Prometheus text), /debug/pprof — next
 // to the RPC and data endpoints, trace IDs issued by the Job driver
 // travel to slaves inside assignments, and the per-attempt timing
-// breakdown slaves report with task_done flows back through the
+// breakdown slaves report with each task outcome flows back through the
 // scheduler into Job.Stats.
 package master
 
@@ -173,6 +173,7 @@ type slaveInfo struct {
 	slots     int64  // offered task slots (aggregated for sub-masters)
 	tasksDone int64  // completions this node reported
 	draining  bool   // next get_task answers shutdown and forgets it
+	shutDown  bool   // a poll was answered shutdown after Close began
 	lastSeen  time.Time
 }
 
@@ -190,6 +191,9 @@ type Master struct {
 	// recovered is the journal state replayed at startup (empty when no
 	// journal or a fresh one); immutable after New.
 	recovered *journal.State
+	// incarnation numbers this start of a journaled master (0 without a
+	// journal); node ids carry it from the second start on.
+	incarnation int64
 
 	mu             sync.Mutex
 	slaves         map[string]*slaveInfo
@@ -201,6 +205,12 @@ type Master struct {
 	journal        *journal.Journal // nil once detached by Close/Crash
 	closed         bool
 	crashed        bool // Crash() was used; skip clean-shutdown signals
+
+	// closing is closed by Close and Crash: it wakes parked polls.
+	// shutdownAck is kicked each time a node is first answered shutdown,
+	// so Close can stop waiting once the whole fleet has heard.
+	closing     chan struct{}
+	shutdownAck chan struct{}
 
 	reaperStop chan struct{}
 	reaperDone chan struct{}
@@ -224,6 +234,7 @@ type TaskStats struct {
 	SlavesSeen    int64
 	SlavesLost    int64
 	Blacklisted   int64 // get_task requests parked by the blacklist
+	IdlePolls     int64 // get_task/get_tasks polls answered idle
 }
 
 // New starts a master listening on opts.Addr.
@@ -236,6 +247,8 @@ func New(opts Options) (*Master, error) {
 		pendingDeletes: map[string][]string{},
 		pendingGC:      map[string][]int64{},
 		jobStats:       map[core.JobID]*JobTaskStats{},
+		closing:        make(chan struct{}),
+		shutdownAck:    make(chan struct{}, 1),
 		reaperStop:     make(chan struct{}),
 		reaperDone:     make(chan struct{}),
 	}
@@ -263,6 +276,19 @@ func New(opts Options) (*Master, error) {
 		}
 		m.journal = jl
 		m.recovered = st
+		// Number this start durably before any node signs in: a
+		// restarted master must never reissue a node id its predecessor
+		// handed out, or a task report still in flight from before the
+		// crash could name a new assignment of the same (node, task).
+		m.incarnation = st.Incarnation + 1
+		err = jl.Append(journal.Event{Kind: journal.EvMasterStarted, Incarnation: m.incarnation})
+		if err == nil {
+			err = jl.Sync()
+		}
+		if err != nil {
+			jl.Close()
+			return nil, err
+		}
 		if len(st.Jobs) > 0 {
 			opts.Obs.M().Add(obs.MetricMasterRecoveries, 1)
 		}
@@ -345,15 +371,19 @@ func New(opts Options) (*Master, error) {
 	m.store = store
 
 	rpc := xmlrpc.NewServer()
-	rpc.Register(rpcproto.MethodSignin, m.handleSignin)
-	rpc.Register(rpcproto.MethodGetTask, m.handleGetTask)
-	rpc.Register(rpcproto.MethodGetTasks, m.handleGetTasks)
-	rpc.Register(rpcproto.MethodTaskDone, m.handleTaskDone)
-	rpc.Register(rpcproto.MethodTaskFailed, m.handleTaskFailed)
-	rpc.Register(rpcproto.MethodPing, m.handlePing)
-	rpc.Register(rpcproto.MethodReportBatch, m.handleReportBatch)
-	rpc.Register(rpcproto.MethodDrain, m.handleDrain)
-	rpc.Register(rpcproto.MethodListNodes, m.handleListNodes)
+	for method, h := range map[string]xmlrpc.Handler{
+		rpcproto.MethodSignin:      m.handleSignin,
+		rpcproto.MethodGetTask:     m.handleGetTask,
+		rpcproto.MethodGetTasks:    m.handleGetTasks,
+		rpcproto.MethodTaskDone:    m.handleTaskDone,
+		rpcproto.MethodTaskFailed:  m.handleTaskFailed,
+		rpcproto.MethodPing:        m.handlePing,
+		rpcproto.MethodReportBatch: m.handleReportBatch,
+		rpcproto.MethodDrain:       m.handleDrain,
+		rpcproto.MethodListNodes:   m.handleListNodes,
+	} {
+		rpc.Register(method, obs.CountCalls(opts.Obs.M(), method, h))
+	}
 
 	mux := http.NewServeMux()
 	mux.Handle(xmlrpc.RPCPath, rpc)
@@ -557,6 +587,9 @@ func (m *Master) handleSignin(args []any) (any, error) {
 		prefix = "sm"
 	}
 	id := fmt.Sprintf("%s-%d", prefix, m.nextSlave)
+	if m.incarnation > 1 {
+		id = fmt.Sprintf("%s-r%d-%d", prefix, m.incarnation, m.nextSlave)
+	}
 	m.slaves[id] = &slaveInfo{
 		id:       id,
 		kind:     node.Kind,
@@ -614,8 +647,28 @@ func (m *Master) handlePing(args []any) (any, error) {
 	return true, nil
 }
 
+// handleGetTask answers a node's poll: get_task(node[, reports]). The
+// optional reports are the outcomes of the node's previous tasks, in
+// report_batch's encoding, so a leaf pays one round trip per task: the
+// poll that asks for the next task delivers the last one's result.
+// They are applied before anything else — the unknown-node fault, the
+// drain or shutdown answer, the blacklist park — and applying one twice
+// is harmless (the scheduler ignores duplicates), so a node redelivers
+// a report until a poll is answered. A report the scheduler rejects is
+// final, as on task_done, and does not fail the poll.
 func (m *Master) handleGetTask(args []any) (any, error) {
-	a, err := m.assignOne(args)
+	id, err := slaveIDArg(args)
+	if err != nil {
+		return nil, err
+	}
+	if len(args) >= 2 {
+		reports, err := rpcproto.DecodeReports(args[1])
+		if err != nil {
+			return nil, err
+		}
+		_ = m.applyReports(id, reports)
+	}
+	a, err := m.assignOne(id)
 	if err != nil {
 		return nil, err
 	}
@@ -626,23 +679,25 @@ func (m *Master) handleGetTask(args []any) (any, error) {
 // get_task long poll for the first assignment, then a non-blocking
 // drain of up to max-1 more ready tasks, all in one round trip. A
 // sub-master refilling a whole shard's worth of idle slots pays one
-// RPC instead of one per task; the flat get_task protocol is
-// unchanged for leaves. args: (node, max).
+// RPC instead of one per task. args: (node, max).
 func (m *Master) handleGetTasks(args []any) (any, error) {
 	if len(args) < 2 {
 		return nil, fmt.Errorf("master: get_tasks wants (node, max)")
+	}
+	id, err := slaveIDArg(args)
+	if err != nil {
+		return nil, err
 	}
 	maxN, _ := args[1].(int64)
 	if maxN < 1 {
 		maxN = 1
 	}
-	first, err := m.assignOne(args[:1])
+	first, err := m.assignOne(id)
 	if err != nil {
 		return nil, err
 	}
 	as := []rpcproto.Assignment{first}
 	if first.Status == rpcproto.StatusTask {
-		id, _ := args[0].(string)
 		for int64(len(as)) < maxN {
 			task, attempt, err := m.sched.RequestAttempt(id, 0)
 			if err != nil || task == nil {
@@ -662,23 +717,18 @@ func (m *Master) handleGetTasks(args []any) (any, error) {
 	return rpcproto.EncodeAssignments(as)
 }
 
-// assignOne is the get_task body: liveness bookkeeping, piggybacked
+// assignOne is the poll body: liveness bookkeeping, piggybacked
 // broadcasts, then one long poll on the scheduler.
-func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return rpcproto.Assignment{}, err
-	}
+func (m *Master) assignOne(id string) (rpcproto.Assignment, error) {
 	if !m.touch(id) {
 		return rpcproto.Assignment{}, unknownSlaveFault(id)
 	}
 	// Collect piggybacked deletes and job-GC broadcasts.
 	m.mu.Lock()
-	deletes := m.pendingDeletes[id]
+	a := rpcproto.Assignment{Deletes: m.pendingDeletes[id], GCJobs: m.pendingGC[id]}
 	delete(m.pendingDeletes, id)
-	gcJobs := m.pendingGC[id]
 	delete(m.pendingGC, id)
-	closed, crashed := m.closed, m.crashed
+	closed := m.closed
 	draining := false
 	if info := m.slaves[id]; info != nil && info.draining {
 		// Drain completion: the node's leases were already requeued by
@@ -687,60 +737,91 @@ func (m *Master) assignOne(args []any) (rpcproto.Assignment, error) {
 		// the scheduler's stale-delivery tolerance.
 		draining = true
 		delete(m.slaves, id)
-		delete(m.pendingDeletes, id)
-		delete(m.pendingGC, id)
 	}
 	m.mu.Unlock()
 	if draining {
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		a.Status = rpcproto.StatusShutdown
+		return a, nil
 	}
 	if closed {
-		if crashed {
-			// A crashing master must not tell the fleet to shut down —
-			// a plain error makes slaves back off and retry until the
-			// restarted master answers.
-			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
-		}
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.shutdownAnswer(id, a)
 	}
 	if m.blacklisted(id) {
 		// Park the repeat offender for a long-poll period so it paces
 		// itself like an idle slave, then send it away empty-handed.
-		time.Sleep(m.opts.LongPoll)
+		if !m.park() {
+			return m.shutdownAnswer(id, a)
+		}
 		m.touch(id)
 		m.mu.Lock()
 		m.taskStats.Blacklisted++
+		m.taskStats.IdlePolls++
 		m.mu.Unlock()
-		return rpcproto.Assignment{Status: rpcproto.StatusIdle, Deletes: deletes, GCJobs: gcJobs}, nil
+		a.Status = rpcproto.StatusIdle
+		return a, nil
 	}
 	task, attempt, err := m.sched.RequestAttempt(id, m.opts.LongPoll)
 	if err == sched.ErrClosed {
-		m.mu.Lock()
-		crashed = m.crashed
-		m.mu.Unlock()
-		if crashed {
-			return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
-		}
-		return rpcproto.Assignment{Status: rpcproto.StatusShutdown, Deletes: deletes, GCJobs: gcJobs}, nil
+		return m.shutdownAnswer(id, a)
 	}
 	if err != nil {
 		return rpcproto.Assignment{}, err
 	}
 	m.touch(id) // the long poll may have taken a while
-	if task == nil {
-		return rpcproto.Assignment{Status: rpcproto.StatusIdle, Deletes: deletes, GCJobs: gcJobs}, nil
-	}
 	m.mu.Lock()
+	if task == nil {
+		m.taskStats.IdlePolls++
+		m.mu.Unlock()
+		a.Status = rpcproto.StatusIdle
+		return a, nil
+	}
 	m.taskStats.TasksAssigned++
 	m.mu.Unlock()
-	return rpcproto.Assignment{
-		Status:  rpcproto.StatusTask,
-		TaskID:  int64(task.ID),
-		Attempt: int64(attempt),
-		Spec:    task.Spec,
-		Deletes: deletes,
-		GCJobs:  gcJobs,
-	}, nil
+	a.Status = rpcproto.StatusTask
+	a.TaskID = int64(task.ID)
+	a.Attempt = int64(attempt)
+	a.Spec = task.Spec
+	return a, nil
+}
+
+// park holds a poll for one long-poll period on the master's clock. It
+// reports false when Close or Crash cut the wait short.
+func (m *Master) park() bool {
+	wake := make(chan struct{})
+	t := m.opts.Clock.AfterFunc(m.opts.LongPoll, func() { close(wake) })
+	defer t.Stop()
+	select {
+	case <-wake:
+		return true
+	case <-m.closing:
+		return false
+	}
+}
+
+// shutdownAnswer answers a poll that arrives while the master stops. A
+// closing master tells the node to shut down and records that it
+// heard; a crashing master must not tell the fleet to shut down — a
+// plain error makes slaves back off and retry until the restarted
+// master answers.
+func (m *Master) shutdownAnswer(id string, a rpcproto.Assignment) (rpcproto.Assignment, error) {
+	m.mu.Lock()
+	if m.crashed {
+		m.mu.Unlock()
+		return rpcproto.Assignment{}, fmt.Errorf("master: unavailable (crashing)")
+	}
+	first := false
+	if info := m.slaves[id]; info != nil && !info.shutDown {
+		info.shutDown, first = true, true
+	}
+	m.mu.Unlock()
+	if first {
+		select {
+		case m.shutdownAck <- struct{}{}:
+		default:
+		}
+	}
+	a.Status = rpcproto.StatusShutdown
+	return a, nil
 }
 
 // blacklisted reports whether the slave has failed enough tasks to be
@@ -879,11 +960,8 @@ func (m *Master) applyTaskFailed(id string, jobID, taskID int64, msg string) err
 }
 
 // handleReportBatch accepts a sub-master's aggregated task outcomes:
-// (node, reports). Each report names its own job — a batch may span
-// jobs. Every report in the batch is applied even if one errors — a
-// batch is a transport optimization, not a transaction — and like
-// task_done, reports from an unknown node are processed before the
-// re-sign-in fault is returned.
+// (node, reports). Like task_done, reports from an unknown node are
+// processed before the re-sign-in fault is returned.
 func (m *Master) handleReportBatch(args []any) (any, error) {
 	if len(args) < 2 {
 		return nil, fmt.Errorf("master: report_batch wants (node, reports)")
@@ -898,6 +976,20 @@ func (m *Master) handleReportBatch(args []any) (any, error) {
 	}
 	known := m.touch(id)
 	m.opts.Obs.M().Add(obs.MetricMasterBatchReports, 1)
+	if err := m.applyReports(id, reports); err != nil {
+		return nil, err
+	}
+	if !known {
+		return nil, unknownSlaveFault(id)
+	}
+	return true, nil
+}
+
+// applyReports applies a node's task outcomes, each naming its own job
+// (a batch may span jobs). Every report is applied even if one errors —
+// a batch is a transport optimization, not a transaction — and the
+// first error is returned.
+func (m *Master) applyReports(id string, reports []rpcproto.Report) error {
 	var firstErr error
 	for _, r := range reports {
 		var err error
@@ -910,13 +1002,7 @@ func (m *Master) handleReportBatch(args []any) (any, error) {
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if !known {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
+	return firstErr
 }
 
 // handleDrain takes a node out of rotation by id or advertised
@@ -1176,6 +1262,7 @@ func (m *Master) Close() error {
 		return nil
 	}
 	m.closed = true
+	close(m.closing)
 	jl := m.journal
 	m.journal = nil
 	m.mu.Unlock()
@@ -1197,10 +1284,11 @@ func (m *Master) Close() error {
 	}
 
 	// Closing the scheduler wakes every long-polled get_task, whose
-	// handlers then return shutdown. A short grace period lets slaves
-	// that were between polls get one more request in before the HTTP
-	// server stops accepting connections.
-	time.Sleep(100 * time.Millisecond)
+	// handlers then answer shutdown; every idle slot waits in such a
+	// poll, so an idle fleet hears at once. Nodes still mid-task (or
+	// killed) get a short grace period to poll before the HTTP server
+	// stops accepting connections.
+	m.awaitShutdownAcks(shutdownGrace)
 	// Drop our own pooled fetch connections (Collect reads from slave
 	// data servers) so their shutdowns quiesce too.
 	m.store.CloseIdle()
@@ -1217,6 +1305,35 @@ func (m *Master) Close() error {
 	return nil
 }
 
+// shutdownGrace bounds how long Close waits for signed-in nodes to be
+// answered shutdown.
+const shutdownGrace = 100 * time.Millisecond
+
+// awaitShutdownAcks returns once every signed-in node has been answered
+// shutdown at least once, or after grace.
+func (m *Master) awaitShutdownAcks(grace time.Duration) {
+	deadline := time.NewTimer(grace)
+	defer deadline.Stop()
+	for !m.fleetShutDown() {
+		select {
+		case <-m.shutdownAck:
+		case <-deadline.C:
+			return
+		}
+	}
+}
+
+func (m *Master) fleetShutDown() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, info := range m.slaves {
+		if !info.shutDown {
+			return false
+		}
+	}
+	return true
+}
+
 // Crash stops the master the way SIGKILL would, for crash-recovery
 // tests: the journal is abandoned without a final checkpoint or fsync,
 // the HTTP server is torn down abruptly, and — unlike Close — no
@@ -1231,6 +1348,7 @@ func (m *Master) Crash() error {
 	}
 	m.closed = true
 	m.crashed = true
+	close(m.closing)
 	jl := m.journal
 	m.journal = nil
 	m.mu.Unlock()

@@ -220,6 +220,27 @@ const (
 	MetricMasterBatchReports    = "mrs_master_batch_reports_total"
 )
 
+// MetricRPCCalls counts control-plane calls served, one series per
+// method (RPCSeries): the master and every sub-master count the calls
+// their handlers receive, so the family shows how many round trips
+// each task costs.
+const MetricRPCCalls = "mrs_rpc_calls_total"
+
+// RPCSeries returns the labeled series of MetricRPCCalls for a method.
+func RPCSeries(method string) string {
+	return MetricRPCCalls + `{method="` + method + `"}`
+}
+
+// CountCalls wraps an RPC handler so every call it serves increments
+// the method's MetricRPCCalls series in m (nil m counts nothing).
+func CountCalls(m *Metrics, method string, h func([]any) (any, error)) func([]any) (any, error) {
+	c := m.Counter(RPCSeries(method))
+	return func(args []any) (any, error) {
+		c.Add(1)
+		return h(args)
+	}
+}
+
 // RegisterResidentGauge installs the pinned-bytes gauge derived from
 // the monotonic inserted/reclaimed counters. Registering is idempotent
 // (SetGauge replaces), so every slave sharing the registry may call it.

@@ -15,9 +15,9 @@
 //
 // Each task attempt is measured by the task engine (wall time, time
 // blocked reading input, byte/record counts) and the breakdown rides
-// back to the master as the optional final task_done argument, where
-// it lands in the trace span for the attempt and in Job.Stats; an
-// Options.Obs runtime additionally collects the slave's local
+// back to the master in the task's report on the slot's next get_task,
+// where it lands in the trace span for the attempt and in Job.Stats;
+// an Options.Obs runtime additionally collects the slave's local
 // task-engine metrics (tasks executed, shuffle bytes by data path) for
 // the -mrs-debug-addr surface. See docs/OBSERVABILITY.md.
 package slave
@@ -117,13 +117,9 @@ type Slave struct {
 	logger  *log.Logger
 	retry   *fault.Backoff
 
-	idMu sync.Mutex
-	id   string // master-assigned; rewritten on re-signin
-
-	// Task slots: a slot is acquired before polling get_task, so the
-	// slave never asks for work it cannot start immediately.
-	sem chan struct{}
-	wg  sync.WaitGroup
+	idMu     sync.Mutex
+	id       string     // master-assigned; rewritten on re-signin
+	signinMu sync.Mutex // serializes re-signin across task slots
 
 	// Per-job execution state: jobs other than 0 get their own TaskEnv
 	// clone with a private temp dir, created lazily and reclaimed when
@@ -141,7 +137,6 @@ type Slave struct {
 	tasksRun  atomic.Int64
 	resignins atomic.Int64
 	jobGCs    atomic.Int64
-	stopHB    chan struct{}
 }
 
 // New prepares a slave (listening for data but not yet signed in).
@@ -173,8 +168,6 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 		client:  xmlrpc.NewClient("http://" + opts.MasterAddr + xmlrpc.RPCPath),
 		logger:  logger,
 		retry:   fault.NewBackoff(seed),
-		stopHB:  make(chan struct{}),
-		sem:     make(chan struct{}, opts.Concurrency),
 		envs:    map[core.JobID]*core.TaskEnv{},
 		jobDirs: map[core.JobID]string{},
 	}
@@ -309,48 +302,83 @@ func (s *Slave) serveData(w http.ResponseWriter, r *http.Request) {
 
 // Run signs in and processes tasks until the master shuts down, the
 // context is cancelled, or the master becomes unreachable.
+//
+// Each task slot is one poll → run → poll loop: the get_task that asks
+// for a slot's next task carries the outcome of its last one (the
+// optional reports argument), so a task costs one control round trip.
 func (s *Slave) Run(ctx context.Context) error {
 	defer s.cleanup()
-	defer s.wg.Wait() // drain in-flight tasks before tearing down
 
 	reply, err := s.signin(ctx)
 	if err != nil {
 		return err
 	}
 	s.setID(reply.SlaveID)
-	interval := time.Duration(reply.HeartbeatMillis) * time.Millisecond
-	go s.heartbeat(interval)
-	defer close(s.stopHB)
 
+	// run ends when ctx does (a kill: heartbeats stop at once, even
+	// while a slot is still inside a task) or when any slot stops the
+	// whole slave (shutdown answered, or the master lost).
+	run, stop := context.WithCancel(ctx)
+	defer stop()
+	go s.heartbeat(run, time.Duration(reply.HeartbeatMillis)*time.Millisecond)
+
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	wg.Add(s.opts.Concurrency)
+	for i := 0; i < s.opts.Concurrency; i++ {
+		go func() {
+			defer wg.Done()
+			if err := s.slot(run); err != nil {
+				errOnce.Do(func() { firstErr = err })
+			}
+			stop()
+		}()
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return firstErr
+}
+
+// slot is one task slot's loop. It returns nil when the master answers
+// shutdown or the run ends, and an error when the slave must give up.
+func (s *Slave) slot(ctx context.Context) error {
+	// report is the outcome of the slot's last task, sent with every
+	// poll until one is answered: the master applies reports before
+	// anything else and ignores duplicates, so redelivery is safe.
+	var report []any
+	var reportID string // the node id the reported task was assigned to
 	consecutiveErrs := 0
-	for {
-		// Take a task slot before polling: the slave only asks the
-		// master for work it can start right away. With Concurrency 1
-		// this degenerates to the classic sequential poll-run loop.
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case s.sem <- struct{}{}:
-		}
-		release := func() { <-s.sem }
+	for ctx.Err() == nil {
 		id := s.ID()
-		raw, err := s.client.Call(rpcproto.MethodGetTask, id)
+		args := []any{id}
+		if report != nil {
+			// Report under the id the task was assigned to: a sibling
+			// slot may have re-signed in since, and the scheduler
+			// accepts an outcome only from the task's assignee.
+			id = reportID
+			args = []any{id, report}
+		}
+		raw, err := s.client.Call(rpcproto.MethodGetTask, args...)
 		if err != nil {
-			release()
 			if rpcproto.IsUnknownSlave(err) {
 				// The master reaped us (we hung or our heartbeats were
 				// lost past the timeout), or it restarted from its
-				// journal and has never met us. Either way our old
-				// tasks were requeued or replayed; rejoin under a fresh
-				// identity rather than dying.
-				s.logger.Printf("slave %s: declared dead by master; re-signing in", id)
-				reply, err := s.signin(ctx)
-				if err != nil {
-					return fmt.Errorf("slave: re-signin after being declared dead: %w", err)
+				// journal and has never met us. It applied the report
+				// before faulting, and our old tasks were requeued or
+				// replayed; rejoin under a fresh identity rather than
+				// dying.
+				report = nil
+				if ctx.Err() != nil {
+					return nil
 				}
-				s.setID(reply.SlaveID)
-				s.resignins.Add(1)
-				s.opts.Obs.M().Add("mrs_slave_resignins_total", 1)
+				if err := s.resignin(ctx, id); err != nil {
+					return err
+				}
 				consecutiveErrs = 0
 				continue
 			}
@@ -360,14 +388,14 @@ func (s *Slave) Run(ctx context.Context) error {
 				return fmt.Errorf("slave: master unreachable: %w", err)
 			}
 			if !sleepCtx(ctx, s.retry.Delay(consecutiveErrs)) {
-				return ctx.Err()
+				return nil
 			}
 			continue
 		}
 		consecutiveErrs = 0
+		report = nil
 		a, err := rpcproto.DecodeAssignment(raw)
 		if err != nil {
-			release()
 			return fmt.Errorf("slave: bad assignment: %w", err)
 		}
 		s.deleteBuckets(a.Deletes)
@@ -376,45 +404,55 @@ func (s *Slave) Run(ctx context.Context) error {
 		}
 		switch a.Status {
 		case rpcproto.StatusShutdown:
-			release()
 			return nil
-		case rpcproto.StatusIdle:
-			release()
-			continue
 		case rpcproto.StatusTask:
-			s.wg.Add(1)
-			go func(a rpcproto.Assignment) {
-				defer s.wg.Done()
-				defer release()
-				s.runTask(a)
-			}(a)
+			report = rpcproto.EncodeReports([]rpcproto.Report{s.runTask(a)})
+			reportID = id
 		}
 	}
+	return nil
 }
 
-// reportRetries bounds task_done/task_failed delivery attempts. Losing
-// a report is survivable (the master's task lease reclaims the
-// assignment) but expensive, so reports retry harder than polls.
-const reportRetries = 6
+// resignin re-establishes the slave's identity after an unknown-slave
+// fault. oldID guards against slots racing to re-sign-in: the first
+// signs in, the others find the id already replaced.
+func (s *Slave) resignin(ctx context.Context, oldID string) error {
+	s.signinMu.Lock()
+	defer s.signinMu.Unlock()
+	if s.ID() != oldID {
+		return nil
+	}
+	s.logger.Printf("slave %s: declared dead by master; re-signing in", oldID)
+	reply, err := s.signin(ctx)
+	if err != nil {
+		return fmt.Errorf("slave: re-signin after being declared dead: %w", err)
+	}
+	s.setID(reply.SlaveID)
+	s.resignins.Add(1)
+	s.opts.Obs.M().Add("mrs_slave_resignins_total", 1)
+	return nil
+}
 
-func (s *Slave) runTask(a rpcproto.Assignment) {
-	id := s.ID()
-	job := int64(a.Spec.Job)
+// runTask executes one assignment and returns its outcome as a report.
+func (s *Slave) runTask(a rpcproto.Assignment) rpcproto.Report {
+	r := rpcproto.Report{Job: int64(a.Spec.Job), TaskID: a.TaskID}
 	env, err := s.envFor(a.Spec.Job)
 	if err != nil {
-		s.logger.Printf("slave %s: job %d env: %v", id, job, err)
-		s.report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
-		return
+		s.logger.Printf("slave %s: job %d env: %v", s.ID(), r.Job, err)
+		r.Err = err.Error()
+		return r
 	}
 	result, err := core.ExecTask(env, a.Spec)
 	s.tasksRun.Add(1)
 	if err != nil {
-		s.logger.Printf("slave %s: task %d (attempt %d) failed: %v", id, a.TaskID, a.Attempt, err)
-		s.report(rpcproto.MethodTaskFailed, id, job, a.TaskID, err.Error())
-		return
+		s.logger.Printf("slave %s: task %d (attempt %d) failed: %v", s.ID(), a.TaskID, a.Attempt, err)
+		r.Err = err.Error()
+		return r
 	}
-	outputs := rpcproto.EncodeDescriptors(result.Outputs)
-	s.report(rpcproto.MethodTaskDone, id, job, a.TaskID, outputs, rpcproto.EncodeTiming(result.Timing))
+	r.Done = true
+	r.Outputs = result.Outputs
+	r.Timing = result.Timing
+	return r
 }
 
 // envFor returns the task environment for a job. Job 0 (the unmanaged
@@ -482,37 +520,6 @@ func (s *Slave) gcJob(job core.JobID) {
 	}
 }
 
-// report delivers a task outcome with retries and backoff. Transport
-// errors (including injected drops, where the master may already have
-// processed the call) are retried — the master treats redelivery
-// idempotently. Server-side faults are final: retrying a call the
-// master rejected cannot succeed.
-func (s *Slave) report(method string, args ...any) {
-	var lastErr error
-	for attempt := 1; attempt <= reportRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(s.retry.Delay(attempt - 1))
-		}
-		_, err := s.client.Call(method, args...)
-		if err == nil {
-			return
-		}
-		lastErr = err
-		if rpcproto.IsUnknownSlave(err) {
-			// A master that restarted from its journal (or reaped us)
-			// processed the report before faulting — task state is
-			// reconciled idempotently there, and the main loop's next
-			// get_task re-signs us in. Nothing to retry, nothing lost.
-			s.logger.Printf("slave %s: %s acknowledged by a master that no longer knows us; will re-sign-in", s.ID(), method)
-			return
-		}
-		if _, isFault := err.(*xmlrpc.Fault); isFault {
-			break
-		}
-	}
-	s.logger.Printf("slave %s: %s undelivered: %v", s.ID(), method, lastErr)
-}
-
 func (s *Slave) signin(ctx context.Context) (rpcproto.SigninReply, error) {
 	var lastErr error
 	for attempt := 0; attempt < 20; attempt++ {
@@ -540,12 +547,12 @@ func (s *Slave) signin(ctx context.Context) (rpcproto.SigninReply, error) {
 	return rpcproto.SigninReply{}, fmt.Errorf("slave: signin failed: %w", lastErr)
 }
 
-func (s *Slave) heartbeat(interval time.Duration) {
+func (s *Slave) heartbeat(ctx context.Context, interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.stopHB:
+		case <-ctx.Done():
 			return
 		case <-tick.C:
 			id := s.ID()

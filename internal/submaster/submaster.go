@@ -2,8 +2,9 @@
 // control plane: a node that signs in to the master as one aggregated
 // worker group while serving the full master↔node protocol to a shard
 // of the fleet. Unmodified slaves attach to a sub-master exactly as
-// they would to the master — signin, get_task, task_done, task_failed,
-// ping — and never learn the tree exists.
+// they would to the master — signin, get_task (carrying their task
+// reports), ping, or the task_done/task_failed reports of older
+// clients — and never learn the tree exists.
 //
 // Downward, a sub-master owns its shard: child signins, heartbeats and
 // reaping, a local sched.Scheduler instance that dispatches the work
@@ -248,13 +249,17 @@ func New(opts Options) (*SubMaster, error) {
 	s.addr = ln.Addr().String()
 
 	rpc := xmlrpc.NewServer()
-	rpc.Register(rpcproto.MethodSignin, s.handleSignin)
-	rpc.Register(rpcproto.MethodGetTask, s.handleGetTask)
-	rpc.Register(rpcproto.MethodTaskDone, s.handleTaskDone)
-	rpc.Register(rpcproto.MethodTaskFailed, s.handleTaskFailed)
-	rpc.Register(rpcproto.MethodPing, s.handlePing)
-	rpc.Register(rpcproto.MethodDrain, s.handleDrain)
-	rpc.Register(rpcproto.MethodListNodes, s.handleListNodes)
+	for method, h := range map[string]xmlrpc.Handler{
+		rpcproto.MethodSignin:     s.handleSignin,
+		rpcproto.MethodGetTask:    s.handleGetTask,
+		rpcproto.MethodTaskDone:   s.handleTaskDone,
+		rpcproto.MethodTaskFailed: s.handleTaskFailed,
+		rpcproto.MethodPing:       s.handlePing,
+		rpcproto.MethodDrain:      s.handleDrain,
+		rpcproto.MethodListNodes:  s.handleListNodes,
+	} {
+		rpc.Register(method, obs.CountCalls(opts.Obs.M(), method, h))
+	}
 	mux := http.NewServeMux()
 	mux.Handle(xmlrpc.RPCPath, rpc)
 	s.httpSrv = &http.Server{Handler: mux}
@@ -866,10 +871,27 @@ func (s *SubMaster) handlePing(args []any) (any, error) {
 	return true, nil
 }
 
+// handleGetTask answers a child's poll: get_task(child[, reports]).
+// As on the master, the optional reports (the child's previous task
+// outcomes) are applied before anything else, a report the local
+// scheduler rejects does not fail the poll, and redelivery is harmless.
 func (s *SubMaster) handleGetTask(args []any) (any, error) {
 	id, err := childIDArg(args)
 	if err != nil {
 		return nil, err
+	}
+	if len(args) >= 2 {
+		reports, err := rpcproto.DecodeReports(args[1])
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range reports {
+			if r.Done {
+				_ = s.completeChild(id, r.TaskID, &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing})
+			} else {
+				_ = s.failChild(id, r.TaskID, r.Err)
+			}
+		}
 	}
 	if !s.touchChild(id) {
 		return nil, unknownChildFault(id)
@@ -941,21 +963,30 @@ func (s *SubMaster) handleTaskDone(args []any) (any, error) {
 		result.Timing = rpcproto.DecodeTiming(args[4])
 	}
 	known := s.touchChild(id)
-	// Accept the result even from a forgotten child; the local
-	// scheduler sorts accepted completions from stale ones, exactly as
-	// the master does.
-	if _, err := s.sched.CompleteTask(sched.TaskID(taskID), id, result); err != nil {
+	if err := s.completeChild(id, taskID, result); err != nil {
 		return nil, err
+	}
+	if !known {
+		return nil, unknownChildFault(id)
+	}
+	return true, nil
+}
+
+// completeChild applies a child's task completion. It accepts the
+// result even from a forgotten child; the local scheduler sorts
+// accepted completions from stale ones, exactly as the master does,
+// and only accepted ones count toward the child's tasks.
+func (s *SubMaster) completeChild(id string, taskID int64, result *core.TaskResult) error {
+	spec, err := s.sched.CompleteTask(sched.TaskID(taskID), id, result)
+	if err != nil || spec == nil {
+		return err
 	}
 	s.mu.Lock()
 	if c := s.children[id]; c != nil {
 		c.tasks.Add(1)
 	}
 	s.mu.Unlock()
-	if !known {
-		return nil, unknownChildFault(id)
-	}
-	return true, nil
+	return nil
 }
 
 func (s *SubMaster) handleTaskFailed(args []any) (any, error) {
@@ -972,23 +1003,30 @@ func (s *SubMaster) handleTaskFailed(args []any) (any, error) {
 	}
 	msg, _ := args[3].(string)
 	known := s.touchChild(id)
-	if err := s.sched.Fail(sched.TaskID(taskID), id, msg); err != nil {
+	if err := s.failChild(id, taskID, msg); err != nil {
 		return nil, err
 	}
-	// If the task survived the failure it is queued for another local
-	// attempt: the retry was absorbed inside the shard, no master round
-	// trip. Exhausted tasks escalated via their callback instead and
-	// are no longer tracked.
+	if !known {
+		return nil, unknownChildFault(id)
+	}
+	return true, nil
+}
+
+// failChild applies a child's task failure. If the task survives it is
+// queued for another local attempt: the retry was absorbed inside the
+// shard, no master round trip. Exhausted tasks escalated via their
+// callback instead and are no longer tracked.
+func (s *SubMaster) failChild(id string, taskID int64, msg string) error {
+	if err := s.sched.Fail(sched.TaskID(taskID), id, msg); err != nil {
+		return err
+	}
 	s.localMu.Lock()
 	_, retrying := s.local[sched.TaskID(taskID)]
 	s.localMu.Unlock()
 	if retrying {
 		s.opts.Obs.M().Add(obs.MetricSubmasterLocalRetries, 1)
 	}
-	if !known {
-		return nil, unknownChildFault(id)
-	}
-	return true, nil
+	return nil
 }
 
 // handleDrain takes one child out of rotation, mirroring the master's

@@ -161,13 +161,21 @@ func TestTasksFlowThroughTree(t *testing.T) {
 		t.Errorf("reports forwarded = %d, want 3", got)
 	}
 	// The master's per-node accounting sees the sub-master, not the
-	// child.
-	nodes := h.m.Nodes()
-	if len(nodes) != 1 || nodes[0].Kind != rpcproto.NodeKindSubmaster {
-		t.Fatalf("master nodes = %+v", nodes)
-	}
-	if nodes[0].TasksDone != 3 {
-		t.Errorf("node TasksDone = %d, want 3", nodes[0].TasksDone)
+	// child. The master counts a completion after its callback fires,
+	// so wait for the count rather than reading it once.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		nodes := h.m.Nodes()
+		if len(nodes) != 1 || nodes[0].Kind != rpcproto.NodeKindSubmaster {
+			t.Fatalf("master nodes = %+v", nodes)
+		}
+		if nodes[0].TasksDone == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node TasksDone = %d, want 3", nodes[0].TasksDone)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -262,5 +270,78 @@ func TestDrainChildReturnsLeases(t *testing.T) {
 	}
 	if got := h.sm.ChildCount(); got != 1 {
 		t.Errorf("ChildCount = %d after drain, want 1", got)
+	}
+}
+
+// report polls again carrying the outcome of a as the piggybacked
+// report, returning the answer (or error) of that poll.
+func (c *fakeChild) report(a rpcproto.Assignment) (any, error) {
+	return c.client.Call(rpcproto.MethodGetTask, c.id, rpcproto.EncodeReports([]rpcproto.Report{{
+		Done: true, Job: int64(a.Spec.Job), TaskID: a.TaskID,
+		Outputs: []bucket.Descriptor{{Name: fmt.Sprintf("t%d", a.TaskID), URL: "mem:done"}},
+		Timing:  obs.Timing{WallNS: 1000},
+	}}))
+}
+
+// A child redelivering the same piggybacked report after a dropped
+// response has it accepted once.
+func TestPiggybackedReportRedeliveredIsAcceptedOnce(t *testing.T) {
+	h := newHarness(t, Options{LongPoll: 20 * time.Millisecond})
+	child := attach(t, h.sm, 1)
+	result := make(chan error, 2)
+	h.m.Submit(spec(0), func(res *core.TaskResult, err error) { result <- err })
+	a := child.poll(5 * time.Second)
+	for i := 0; i < 2; i++ {
+		if _, err := child.report(a); err != nil {
+			t.Fatalf("poll %d: %v", i, err)
+		}
+	}
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("master callback never fired")
+	}
+	// The master counts a completion after its callback fires; wait for
+	// the count, then give a duplicate time to show up.
+	deadline := time.Now().Add(5 * time.Second)
+	for h.m.Stats().TasksDone < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := h.m.Stats().TasksDone; got != 1 {
+		t.Errorf("master TasksDone = %d, want 1", got)
+	}
+	if got := h.rt.M().Get(obs.MetricSubmasterReports); got != 1 {
+		t.Errorf("reports forwarded = %d, want 1", got)
+	}
+	if nodes := h.sm.Nodes(); len(nodes) != 1 || nodes[0].TasksDone != 1 {
+		t.Errorf("children = %+v, want one with 1 task done", nodes)
+	}
+}
+
+// A report riding on the poll of a child the sub-master forgot is
+// applied before the unknown-child fault.
+func TestPiggybackedReportAppliedBeforeUnknownFault(t *testing.T) {
+	h := newHarness(t, Options{LongPoll: 20 * time.Millisecond})
+	child := attach(t, h.sm, 1)
+	result := make(chan error, 1)
+	h.m.Submit(spec(0), func(res *core.TaskResult, err error) { result <- err })
+	a := child.poll(5 * time.Second)
+	h.sm.mu.Lock()
+	h.sm.forgetChildLocked(child.id)
+	h.sm.mu.Unlock()
+	if _, err := child.report(a); !rpcproto.IsUnknownSlave(err) {
+		t.Fatalf("poll from forgotten child: %v, want the unknown-slave fault", err)
+	}
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatalf("task failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("report from forgotten child was not applied")
 	}
 }

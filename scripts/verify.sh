@@ -54,11 +54,17 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
+	echo "== tier 2: control-plane fuzz (scanner vs encoding/xml reference, rpcproto decoders; corpus + 10s each)"
+	go test -run '^$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/xmlrpc
+	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
+	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
 	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory' \
 		-benchmem -benchtime 100x ./internal/shuffle/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
-		-benchmem -benchtime 1000x ./internal/kvio/)"
+		-benchmem -benchtime 1000x ./internal/kvio/
+	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
+		-benchmem -benchtime 1000x ./internal/rpcproto/)"
 	echo "$bench"
 	echo "$bench" | awk '
 		NR == FNR { if ($0 !~ /^#/ && NF == 2) limit[$1] = $2; next }
@@ -96,6 +102,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'Hierarchical|SubMaster|Elastic|Drain|Speculat|Resignin|Tree|Escalates' \
 		./internal/cluster ./internal/submaster ./internal/sched
+	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts)"
+	go test -race -count=2 \
+		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster' \
+		./internal/master ./internal/submaster ./internal/cluster ./internal/slave
 	echo "== tier 2: journal replay fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 10s ./internal/journal
 	echo "== tier 2: traced pipelined job end-to-end"
