@@ -112,3 +112,24 @@ func TestJobStatsAndMetrics(t *testing.T) {
 		t.Error("mrs_shuffle_bytes_local_total = 0, want > 0")
 	}
 }
+
+// TestSorterFormCounters: a map with a combiner buffers its 17 emitted
+// words in the hash-grouped form, and the reduce, which has none, sorts
+// a prefix index of what reaches it — every word without the map-side
+// combine, at most one record per word and map task with it.
+func TestSorterFormCounters(t *testing.T) {
+	for _, combine := range []string{"", "sum"} {
+		rt := obs.New(clock.Real{})
+		exec := NewSerial(testRegistry())
+		exec.SetObserver(rt)
+		checkCounts(t, runWordCount(t, exec, 3, 3, combine))
+		exec.Close()
+		grouped, indexed := rt.M().Get(obs.MetricSortGrouped), rt.M().Get(obs.MetricSortIndexed)
+		if combine == "" && (grouped != 0 || indexed != 17) {
+			t.Errorf("no combiner: grouped/indexed records = %d/%d, want 0/17", grouped, indexed)
+		}
+		if combine != "" && (grouped != 17 || indexed < 8 || indexed > 16) {
+			t.Errorf("map-side combiner: grouped/indexed records = %d/%d, want 17/8..16", grouped, indexed)
+		}
+	}
+}

@@ -318,6 +318,7 @@ func execMapTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, err
 			return nil, fmt.Errorf("core: map task %d of ds%d: %w", spec.TaskIndex, op.Dataset, err)
 		}
 		for s, sorter := range sorters {
+			countSortForm(env, sorter)
 			w := writers[s]
 			err := sorter.Groups(func(key []byte, values [][]byte) error {
 				for _, v := range values {
@@ -338,6 +339,16 @@ func execMapTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, err
 		return nil, err
 	}
 	return &TaskResult{Dataset: op.Dataset, TaskIndex: spec.TaskIndex, Outputs: outputs}, nil
+}
+
+// countSortForm charges a fed sorter's records to the counter of its
+// in-memory form.
+func countSortForm(env *TaskEnv, s *shuffle.Sorter) {
+	name := obs.MetricSortGrouped
+	if s.Indexed() {
+		name = obs.MetricSortIndexed
+	}
+	env.Obs.M().Add(name, s.Added())
 }
 
 func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, error) {
@@ -378,6 +389,7 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 	if err != nil {
 		return nil, fmt.Errorf("core: reduce task %d of ds%d (input): %w", spec.TaskIndex, op.Dataset, err)
 	}
+	countSortForm(env, sorter)
 
 	writers, err := makeWriters(env, spec)
 	if err != nil {

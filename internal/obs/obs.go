@@ -115,6 +115,15 @@ const (
 	MetricInputSplits = "mrs_input_splits_total"
 )
 
+// Sorter-form metric names: records buffered by the sorters a task
+// builds, split by in-memory form. A sorter without a combiner sorts a
+// prefix index of every record; one with a combiner groups records by
+// key in a hash table first.
+const (
+	MetricSortIndexed = "mrs_sort_records_indexed_total"
+	MetricSortGrouped = "mrs_sort_records_grouped_total"
+)
+
 // MetricBlocksColumnar counts columnar blocks written to bucket files —
 // the producer-side signal that the columnar data plane is actually in
 // use (a fleet pinned to row encoding holds this at zero).

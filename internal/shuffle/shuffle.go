@@ -7,23 +7,26 @@
 // k-way merged on read — the classic external sort, so a reduce split
 // can exceed memory.
 //
-// Records are grouped by key in a hash table as they arrive, and the
-// comparison sort runs over the distinct keys only; values within a key
-// keep insertion order, so the delivered groups are exactly those of a
-// stable sort of every record. Record bytes either alias an adopted
-// block (AddBlock, AddColumnar) or are copied into a chunked arena
-// (Add): buffering n records costs O(n · recordSize / chunkSize)
-// allocations instead of 2n, and a spill releases the whole slab at
-// once.
+// One sort kernel, a stable radix sort of pointer-free entries on each
+// key's 8-byte prefix, sits under two grouping front-ends. Without a
+// combiner every record gets an entry (the prefix index) and adjacent
+// equal keys form a group after the sort. With a combiner, heavy key
+// repeats favour grouping records in a hash table as they arrive, and
+// the kernel sorts one entry per distinct key. Either way the groups
+// are those of a stable sort of every record. Record bytes alias an
+// adopted block (AddBlock) or are copied into a chunked arena, so a
+// spill releases the whole slab at once.
 package shuffle
 
 import (
 	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"slices"
+	"unsafe"
 
 	"repro/internal/kvio"
 )
@@ -36,13 +39,15 @@ type CombineFunc func(key []byte, values [][]byte) ([][]byte, error)
 
 // Options configures a Sorter.
 type Options struct {
-	// SpillBytes is the approximate in-memory payload limit before a
-	// sorted run is spilled to disk. Zero means never spill.
+	// SpillBytes is the approximate in-memory limit before a sorted run
+	// is spilled to disk: record payload plus per-record bookkeeping.
+	// Zero means never spill.
 	SpillBytes int64
 	// TempDir is where run files are created. Empty means os.TempDir().
 	TempDir string
 	// Combine, if non-nil, is applied to each key group as runs are
-	// spilled and again during the final merge.
+	// spilled and again during the final merge. It also selects the
+	// hash-grouped in-memory form; nil selects the prefix index.
 	Combine CombineFunc
 }
 
@@ -52,30 +57,110 @@ type Options struct {
 const arenaChunk = 256 << 10
 
 // arena is a chunked bump allocator for record bytes. Old chunks stay
-// alive only while slices returned by copy reference them; reset reuses
-// the current chunk for the next fill.
+// alive only while something references them; reset reuses the current
+// chunk for the next fill.
 type arena struct {
 	buf []byte // current chunk: len = bytes used, cap = chunk size
 }
 
+// grow makes room for n more bytes in the current chunk, starting a new
+// one if they do not fit, and reports whether it did.
+func (a *arena) grow(n int) bool {
+	if n <= cap(a.buf)-len(a.buf) {
+		return false
+	}
+	a.buf = make([]byte, 0, max(arenaChunk, n)) // oversized records get a dedicated chunk
+	return true
+}
+
 // copy appends b to the arena and returns the arena-owned copy.
 func (a *arena) copy(b []byte) []byte {
-	if len(b) > cap(a.buf)-len(a.buf) {
-		size := arenaChunk
-		if len(b) > size {
-			size = len(b) // oversized records get a dedicated chunk
-		}
-		a.buf = make([]byte, 0, size)
-	}
+	a.grow(len(b))
 	n := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return a.buf[n:len(a.buf):len(a.buf)]
 }
 
 // reset forgets everything allocated, reusing the current chunk. The
-// caller must have dropped every slice copy returned since the last
-// reset.
+// caller must have dropped every reference into the arena since the
+// last reset.
 func (a *arena) reset() { a.buf = a.buf[:0] }
+
+// entry is one record of the prefix index, or one distinct key of the
+// hash form: the key's first eight bytes, big-endian and zero-padded,
+// and where the key and value live. Index entries locate both in
+// Sorter.bufs; hash-form entries name their group in buf. An entry
+// holds no pointers, so the collector never scans the index.
+type entry struct {
+	prefix     uint64
+	buf        uint32
+	koff, klen uint32
+	voff, vlen uint32
+}
+
+// Per-record bookkeeping charged against SpillBytes on top of the
+// payload: an index entry, or a hash group's value slice header.
+const entryBytes, headerBytes = int64(unsafe.Sizeof(entry{})), int64(unsafe.Sizeof([]byte(nil)))
+
+func keyPrefix(key []byte) uint64 {
+	var b [8]byte
+	copy(b[:], key)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// radixSort orders es by full key, stably, and returns the sorted
+// entries, which may be es itself. An LSD byte radix sort over the
+// prefixes, skipping every pass whose digit is the same for all
+// entries, does the bulk of the work; within a run of equal prefixes
+// ("a" and "a\x00" pad alike) a stable compare of key(e) finishes it.
+func radixSort(es []entry, key func(entry) []byte) []entry {
+	if len(es) < 2 {
+		return es
+	}
+	var counts [8][256]int
+	for _, e := range es {
+		for d := range counts {
+			counts[d][byte(e.prefix>>(8*d))]++
+		}
+	}
+	src, dst := es, make([]entry, len(es))
+	for d := range counts {
+		shift := 8 * d
+		c := &counts[d]
+		if c[byte(src[0].prefix>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, e := range src {
+			b := byte(e.prefix >> shift)
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < len(src); {
+		j, same := i+1, true
+		for ; j < len(src) && src[j].prefix == src[i].prefix; j++ {
+			same = same && equalKeys(src[i], src[j], key)
+		}
+		if !same {
+			slices.SortStableFunc(src[i:j], func(a, b entry) int { return bytes.Compare(key(a), key(b)) })
+		}
+		i = j
+	}
+	return src
+}
+
+// equalKeys reports whether a and b have equal keys, reading key bytes
+// only when the prefix cannot tell: past eight bytes of equal prefix.
+func equalKeys(a, b entry, key func(entry) []byte) bool {
+	return a.prefix == b.prefix && a.klen == b.klen &&
+		(a.klen <= 8 || bytes.Equal(key(a)[8:], key(b)[8:]))
+}
 
 // hashGroup is one distinct key and its values in insertion order.
 type hashGroup struct {
@@ -89,22 +174,30 @@ type hashGroup struct {
 type Sorter struct {
 	opts    Options
 	ar      arena
-	groups  []hashGroup    // one entry per distinct key, in first-seen order
-	idx     map[string]int // key -> index into groups
-	bufSize int64
+	bufs    [][]byte // adopted blocks, and the arena chunks index entries point into
+	bufSize int64    // buffered payload plus bookkeeping, against SpillBytes
 	runs    []string // spilled run file paths
 	closed  bool
-
-	// stats
 	added   int64
 	spills  int
-	spilled int64
+
+	// The prefix index (no combiner).
+	arBuf int     // bufs slot of the current arena chunk, or -1
+	index []entry // one per record, in insertion order
+
+	// The hash form (a combiner).
+	groups []hashGroup    // one entry per distinct key, in first-seen order
+	idx    map[string]int // key -> index into groups
 }
 
 // NewSorter returns an empty Sorter.
 func NewSorter(opts Options) *Sorter {
-	return &Sorter{opts: opts}
+	return &Sorter{opts: opts, arBuf: -1}
 }
+
+// Indexed reports whether the sorter buffers records in the prefix
+// index (no combiner) rather than grouping them in a hash table.
+func (s *Sorter) Indexed() bool { return s.opts.Combine == nil }
 
 // Add buffers one record, spilling if the memory threshold is crossed.
 // The pair's bytes are copied into the sorter's arena, so the caller
@@ -113,7 +206,7 @@ func (s *Sorter) Add(p kvio.Pair) error {
 	if s.closed {
 		return fmt.Errorf("shuffle: Add after Close")
 	}
-	s.addHash(p, false)
+	s.addCopy(p.Key, p.Value)
 	s.added++
 	return s.maybeSpill()
 }
@@ -132,9 +225,17 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 		return 0, fmt.Errorf("shuffle: AddBlock after Close")
 	}
 	var payload int64
+	bi, end := len(s.bufs), cap(block)
+	s.bufs = append(s.bufs, block)
 	n, err := kvio.ScanRecords(block, func(key, value []byte) error {
 		payload += int64(len(key) + len(value))
-		s.addHash(kvio.Pair{Key: key, Value: value}, true)
+		if s.Indexed() {
+			// key and value are subslices of block, so each one's
+			// offset is the capacity it lost.
+			s.push(key, bi, end-cap(key), end-cap(value), len(value))
+		} else {
+			s.addHash(key, value, true)
+		}
 		s.added++
 		return nil
 	})
@@ -147,17 +248,16 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	return payload, s.maybeSpill()
 }
 
-// AddColumnar adopts a decoded columnar block (ownership transferred by
-// kvio.BlockReader.NextAny) and buffers every record by aliasing the
-// block's column buffers, exactly as AddBlock does for a row block.
-// Returns the summed key+value payload bytes the block contributed.
+// AddColumnar buffers every record of a decoded columnar block, copying
+// it into the arena as Add does. Returns the summed key+value payload
+// bytes the block contributed.
 func (s *Sorter) AddColumnar(cb *kvio.ColumnarBlock) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shuffle: AddColumnar after Close")
 	}
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		s.addHash(kvio.Pair{Key: cb.Key(i), Value: cb.Value(i)}, true)
+		s.addCopy(cb.Key(i), cb.Value(i))
 	}
 	s.added += int64(n)
 	return cb.PayloadBytes(), s.maybeSpill()
@@ -169,6 +269,41 @@ func (s *Sorter) maybeSpill() error {
 		return s.spill()
 	}
 	return nil
+}
+
+// addCopy buffers a record the sorter does not own, copying its bytes
+// into the arena: key and value side by side for the index.
+func (s *Sorter) addCopy(key, value []byte) {
+	if !s.Indexed() {
+		s.addHash(key, value, false)
+		return
+	}
+	if s.ar.grow(len(key)+len(value)) || s.arBuf < 0 {
+		s.arBuf = len(s.bufs)
+		s.bufs = append(s.bufs, s.ar.buf[:cap(s.ar.buf)])
+	}
+	off := len(s.ar.buf)
+	s.ar.buf = append(append(s.ar.buf, key...), value...)
+	s.push(key, s.arBuf, off, off+len(key), len(value))
+}
+
+// push appends an index entry for a record whose key starts at koff and
+// whose value starts at voff in s.bufs[buf].
+func (s *Sorter) push(key []byte, buf, koff, voff, vlen int) {
+	s.index = append(s.index, entry{
+		prefix: keyPrefix(key),
+		buf:    uint32(buf),
+		koff:   uint32(koff), klen: uint32(len(key)),
+		voff: uint32(voff), vlen: uint32(vlen),
+	})
+	s.bufSize += int64(len(key)+vlen) + entryBytes
+}
+
+func (s *Sorter) indexKey(e entry) []byte {
+	return s.bufs[e.buf][e.koff : e.koff+e.klen : e.koff+e.klen]
+}
+func (s *Sorter) indexValue(e entry) []byte {
+	return s.bufs[e.buf][e.voff : e.voff+e.vlen : e.voff+e.vlen]
 }
 
 // groupIndex returns the index of key's hash group, creating an empty
@@ -193,17 +328,16 @@ func (s *Sorter) groupIndex(key []byte, owned bool) int {
 	return len(s.groups) - 1
 }
 
-// addHash appends p's value to its key's group. owned means p's bytes
-// already belong to the sorter (an adopted block).
-func (s *Sorter) addHash(p kvio.Pair, owned bool) {
-	i := s.groupIndex(p.Key, owned)
-	value := p.Value
+// addHash appends value to key's group. owned means the bytes already
+// belong to the sorter (an adopted block).
+func (s *Sorter) addHash(key, value []byte, owned bool) {
+	i := s.groupIndex(key, owned)
 	if !owned {
 		value = s.ar.copy(value)
 	}
 	g := &s.groups[i]
 	g.values = append(g.values, value)
-	s.bufSize += int64(len(value))
+	s.bufSize += int64(len(value)) + headerBytes
 }
 
 // AddStream drains a record stream into the sorter. Records are read
@@ -230,20 +364,36 @@ func (s *Sorter) Added() int64 { return s.added }
 func (s *Sorter) Spills() int { return s.spills }
 
 // forEachMemGroup yields the in-memory content as combined key groups
-// in ascending key order. It does not disturb the hash index: it sorts
-// an index permutation, not the groups themselves.
+// in ascending key order.
 func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) error {
-	order := make([]int, len(s.groups))
-	for i := range order {
-		order[i] = i
+	if !s.Indexed() {
+		return s.forEachHashGroup(fn)
 	}
-	// Keys are distinct by construction, so the unstable sort is
-	// deterministic.
-	slices.SortFunc(order, func(a, b int) int {
-		return bytes.Compare(s.groups[a].key, s.groups[b].key)
-	})
-	for _, i := range order {
-		g := &s.groups[i]
+	key := s.indexKey
+	es := radixSort(s.index, key)
+	var vals [][]byte
+	for i := 0; i < len(es); {
+		first := es[i]
+		vals = append(vals[:0], s.indexValue(first))
+		for i++; i < len(es) && equalKeys(first, es[i], key); i++ {
+			vals = append(vals, s.indexValue(es[i]))
+		}
+		if err := fn(key(first), vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forEachHashGroup sorts one entry per distinct key, its buffer number
+// naming its group; the hash index itself is left undisturbed.
+func (s *Sorter) forEachHashGroup(fn func(key []byte, values [][]byte) error) error {
+	es := make([]entry, len(s.groups))
+	for i, g := range s.groups {
+		es[i] = entry{prefix: keyPrefix(g.key), buf: uint32(i), klen: uint32(len(g.key))}
+	}
+	for _, e := range radixSort(es, func(e entry) []byte { return s.groups[e.buf].key }) {
+		g := &s.groups[e.buf]
 		vals, err := s.combine(g.key, g.values)
 		if err != nil {
 			return err
@@ -257,7 +407,7 @@ func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) err
 
 // spill sorts, combines, and writes the current buffer as a run file.
 func (s *Sorter) spill() error {
-	if len(s.groups) == 0 {
+	if len(s.index) == 0 && len(s.groups) == 0 {
 		return nil
 	}
 	f, err := os.CreateTemp(s.opts.TempDir, "mrs-spill-*.run")
@@ -286,15 +436,14 @@ func (s *Sorter) spill() error {
 	}
 	s.runs = append(s.runs, f.Name())
 	s.spills++
-	s.spilled += s.bufSize
-	// Drop every reference into the arena before reusing it.
+	// Drop every reference into the arena and adopted blocks before
+	// reusing the arena.
 	clear(s.groups)
-	s.groups = s.groups[:0]
-	if s.idx != nil {
-		clear(s.idx)
-	}
+	clear(s.idx)
+	clear(s.bufs)
+	s.groups, s.bufs, s.index = s.groups[:0], s.bufs[:0], s.index[:0]
+	s.arBuf, s.bufSize = -1, 0
 	s.ar.reset()
-	s.bufSize = 0
 	return nil
 }
 
@@ -335,6 +484,7 @@ func (s *Sorter) Close() error {
 	s.runs = nil
 	s.groups = nil
 	s.idx = nil
+	s.bufs, s.index = nil, nil
 	s.ar = arena{}
 	return first
 }

@@ -3,6 +3,8 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,70 +178,81 @@ func TestCombinerAcrossSpills(t *testing.T) {
 	}
 }
 
-// TestGroupsPropertyAgainstReferenceModel is the sorter's reference:
-// for any input, every way of feeding it (per-record Add or whole
-// blocks), with or without spilling, and with or without a combiner
-// that keeps every value, must deliver each key once, keys ascending,
-// values in input order.
-func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
-	keepAll := func(key []byte, values [][]byte) ([][]byte, error) { return values, nil }
-	check := func(pairs []kvio.Pair) error {
-		// Reference model: map from key to values in input order.
-		want := map[string][]string{}
-		for _, p := range pairs {
-			want[string(p.Key)] = append(want[string(p.Key)], string(p.Value))
+// keepAll is a combiner that keeps every value, so a sorter with it
+// runs the hash-grouped form yet must deliver the index's groups.
+func keepAll(key []byte, values [][]byte) ([][]byte, error) { return values, nil }
+
+// checkGroups is the sorter's reference model: every way of feeding
+// pairs — both in-memory forms, per-record Add or 7-record blocks, and
+// each spill threshold in spills (0 never spills) — must deliver
+// exactly the groups of a stable sort of every record: each key once,
+// keys ascending, values in input order.
+func checkGroups(tb testing.TB, pairs []kvio.Pair, spills ...int64) error {
+	sorted := slices.Clone(pairs)
+	sort.SliceStable(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0 })
+	var want []string
+	for i := 0; i < len(sorted); {
+		j := i
+		var vs []string
+		for ; j < len(sorted) && bytes.Equal(sorted[j].Key, sorted[i].Key); j++ {
+			vs = append(vs, string(sorted[j].Value))
 		}
-		for _, combine := range []CombineFunc{nil, keepAll} {
-			for _, spill := range []int64{0, 64, 2 << 10} {
-				for _, blocks := range []bool{false, true} {
-					s := NewSorter(Options{SpillBytes: spill, TempDir: t.TempDir(), Combine: combine})
-					var err error
-					if blocks {
-						for i := 0; i < len(pairs) && err == nil; i += 7 {
-							batch := pairs[i:min(i+7, len(pairs))]
-							_, err = s.AddBlock(blockPayload(t, batch), len(batch))
+		want = append(want, fmt.Sprintf("%q: %q", sorted[i].Key, vs))
+		i = j
+	}
+	dir := tb.TempDir()
+	for _, combine := range []CombineFunc{nil, keepAll} {
+		for _, spill := range spills {
+			for _, blocks := range []bool{false, true} {
+				s := NewSorter(Options{SpillBytes: spill, TempDir: dir, Combine: combine})
+				var err error
+				if blocks {
+					for i := 0; i < len(pairs) && err == nil; i += 7 {
+						batch := pairs[i:min(i+7, len(pairs))]
+						_, err = s.AddBlock(blockPayload(tb, batch), len(batch))
+					}
+				} else {
+					for _, p := range pairs {
+						if err = s.Add(p); err != nil {
+							break
 						}
-					} else {
-						for _, p := range pairs {
-							if err = s.Add(p); err != nil {
-								break
-							}
+					}
+				}
+				var got []string
+				if err == nil {
+					err = s.Groups(func(key []byte, values [][]byte) error {
+						var vs []string
+						for _, v := range values {
+							vs = append(vs, string(v))
 						}
-					}
-					got := map[string][]string{}
-					var keys []string
-					if err == nil {
-						err = s.Groups(func(key []byte, values [][]byte) error {
-							var vs []string
-							for _, v := range values {
-								vs = append(vs, string(v))
-							}
-							got[string(key)] = vs
-							keys = append(keys, string(key))
-							return nil
-						})
-					}
-					s.Close()
-					cfg := fmt.Sprintf("combine=%v spill=%d blocks=%v", combine != nil, spill, blocks)
-					if err != nil {
-						return fmt.Errorf("%s: %w", cfg, err)
-					}
-					if !sort.StringsAreSorted(keys) || len(keys) != len(want) {
-						return fmt.Errorf("%s: %d keys, sorted=%v; want %d sorted keys", cfg, len(keys), sort.StringsAreSorted(keys), len(want))
-					}
-					// External merge preserves per-key value order because
-					// runs are spilled in input order and merged with seq
-					// tie-break.
-					for k, vs := range want {
-						if !equalStrings(got[k], vs) {
-							return fmt.Errorf("%s: key %q: got %v, want %v", cfg, k, got[k], vs)
-						}
+						got = append(got, fmt.Sprintf("%q: %q", key, vs))
+						return nil
+					})
+				}
+				s.Close()
+				cfg := fmt.Sprintf("combine=%v spill=%d blocks=%v", combine != nil, spill, blocks)
+				if err != nil {
+					return fmt.Errorf("%s: %w", cfg, err)
+				}
+				if len(got) != len(want) {
+					return fmt.Errorf("%s: %d groups, want %d", cfg, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						return fmt.Errorf("%s: group %d is %.200s, want %.200s", cfg, i, got[i], want[i])
 					}
 				}
 			}
 		}
-		return nil
 	}
+	return nil
+}
+
+// TestGroupsPropertyAgainstReferenceModel runs checkGroups over fixed
+// inputs, including keys the 8-byte zero-padded prefix cannot tell
+// apart, and over random ones.
+func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
+	check := func(pairs []kvio.Pair) error { return checkGroups(t, pairs, 0, 64, 2<<10) }
 	// Many repeated keys, values interleaved across them.
 	var repeated []kvio.Pair
 	for i := 0; i < 3000; i++ {
@@ -247,6 +260,27 @@ func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
 	}
 	if err := check(repeated); err != nil {
 		t.Fatal(err)
+	}
+	// Prefix collisions: each row's keys arrive three times, last key
+	// first, so a kernel that sorts or groups by the padded prefix alone
+	// misorders or merges them.
+	for _, keys := range [][]string{
+		{"", "\x00", "a", "a\x00", "a\x00\x00"},
+		{"abcdefgh", "abcdefg\x00", "\x00\x00\x00\x00\x00\x00\x00\x00", "\xff\xff\xff\xff\xff\xff\xff\xff", "abcdefgi"},
+		{"abcdefgh2", "abcdefgh10", "abcdefgh1", "abcdefghij\x00", "abcdefghij"},
+		{"abcdefgh\x00", "abcdefgh", "abcdefgha", "abcdefg"},
+	} {
+		var pairs []kvio.Pair
+		for i := 0; i < 3*len(keys); i++ {
+			pairs = append(pairs, kvio.StrPair(keys[len(keys)-1-i%len(keys)], fmt.Sprintf("v%d", i)))
+		}
+		if err := check(pairs); err != nil {
+			t.Errorf("keys %q: %v", keys, err)
+		}
+	}
+	big := kvio.Pair{Key: []byte("big"), Value: bytes.Repeat([]byte{'x'}, arenaChunk+1)}
+	if err := check([]kvio.Pair{kvio.StrPair("m", "1"), big, kvio.StrPair("a", "2"), kvio.StrPair("big", "3")}); err != nil {
+		t.Errorf("record larger than an arena chunk: %v", err)
 	}
 	f := func(raw [][2][]byte) bool {
 		pairs := make([]kvio.Pair, len(raw))
@@ -265,6 +299,53 @@ func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzSorterGroups decodes the input into pairs — a key-length byte
+// (mod 12, so keys straddle the 8-byte prefix), a value-length byte
+// (mod 4), then the bytes — and checks them against the stable-sort
+// reference model, unspilled and with a small SpillBytes.
+func FuzzSorterGroups(f *testing.F) {
+	f.Add([]byte("\x00\x01v\x01\x01\x00w\x01\x01ax\x02\x01a\x00y"))
+	f.Add([]byte("\x08\x00abcdefgh\x09\x00abcdefgh\x00\x08\x00abcdefgh\x0a\x01abcdefgh10z"))
+	f.Add([]byte("\x02\x03aaxyz\x02\x03aaxyz\x01\x00a"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pairs []kvio.Pair
+		for len(data) >= 2 {
+			klen, vlen := int(data[0])%12, int(data[1])%4
+			data = data[2:]
+			klen = min(klen, len(data))
+			key := data[:klen]
+			data = data[klen:]
+			vlen = min(vlen, len(data))
+			pairs = append(pairs, kvio.Pair{Key: key, Value: data[:vlen]})
+			data = data[vlen:]
+		}
+		if err := checkGroups(t, pairs, 0, 48); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSpillChargesBookkeeping: SpillBytes bounds what buffering costs,
+// not just record payload. A 1-byte record's index entry or value slice
+// header is many times its size, so both forms must spill once that
+// bookkeeping, not the payload alone, reaches the threshold.
+func TestSpillChargesBookkeeping(t *testing.T) {
+	const limit = 4 << 10
+	for _, combine := range []CombineFunc{nil, sumCombine} {
+		s := NewSorter(Options{SpillBytes: limit, TempDir: t.TempDir(), Combine: combine})
+		n := 0
+		for ; n < limit && s.Spills() == 0; n++ {
+			if err := s.Add(kvio.Pair{Key: []byte{byte('a' + n%2)}, Value: codec.EncodeVarint(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if max := limit/int(headerBytes) + 1; n > max {
+			t.Errorf("combine=%v: first spill after %d records, want at most %d", combine != nil, n, max)
+		}
+		s.Close()
 	}
 }
 
@@ -373,7 +454,6 @@ func TestAddCopiesCallerSlices(t *testing.T) {
 // the groups of a stable sort over every record — the form the sorter
 // replaced.
 func TestHashPathMatchesSortPathByteForByte(t *testing.T) {
-	identity := func(key []byte, values [][]byte) ([][]byte, error) { return values, nil }
 	var pairs []kvio.Pair
 	for i := 0; i < 3000; i++ {
 		pairs = append(pairs, kvio.StrPair(fmt.Sprintf("key-%03d", (i*37)%113), fmt.Sprintf("v%d", i)))
@@ -390,7 +470,7 @@ func TestHashPathMatchesSortPathByteForByte(t *testing.T) {
 		sortG[k] = append(sortG[k], string(p.Value))
 	}
 	for _, spill := range []int64{0, 2 << 10} {
-		for _, combine := range []CombineFunc{nil, identity} {
+		for _, combine := range []CombineFunc{nil, keepAll} {
 			hashG, hashOrder := collect(t, Options{SpillBytes: spill, TempDir: t.TempDir(), Combine: combine}, pairs)
 			if !equalStrings(sortOrder, hashOrder) {
 				t.Fatalf("spill=%d combine=%v: key orders differ", spill, combine != nil)
@@ -459,6 +539,39 @@ func BenchmarkSortGroupInMemory(b *testing.B) {
 	}
 }
 
+// BenchmarkSortGroupUniqueKeys is shuffle-sort's reduce shape: 60,000
+// unique 10-byte keys with 90-byte values, adopted as ~64 KiB blocks and
+// grouped without a combiner.
+func BenchmarkSortGroupUniqueKeys(b *testing.B) {
+	const recs, perBlock = 60000, 640
+	rng := rand.New(rand.NewSource(1))
+	var blocks [][]byte
+	for i := 0; i < recs; i += perBlock {
+		batch := make([]kvio.Pair, min(perBlock, recs-i))
+		for j := range batch {
+			key, value := make([]byte, 10), make([]byte, 90)
+			rng.Read(key)
+			rng.Read(value)
+			batch[j] = kvio.Pair{Key: key, Value: value}
+		}
+		blocks = append(blocks, blockPayload(b, batch))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSorter(Options{})
+		for _, block := range blocks {
+			if _, err := s.AddBlock(block, -1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Groups(func([]byte, [][]byte) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
 func BenchmarkSortGroupExternal(b *testing.B) {
 	pairs := make([]kvio.Pair, 10000)
 	for i := range pairs {
@@ -482,18 +595,18 @@ func BenchmarkSortGroupExternal(b *testing.B) {
 
 // blockPayload frames pairs as a per-record run — exactly the decoded
 // payload a kvio.BlockReader hands over via NextBlock.
-func blockPayload(t *testing.T, pairs []kvio.Pair) []byte {
-	t.Helper()
+func blockPayload(tb testing.TB, pairs []kvio.Pair) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := kvio.NewWriter(&buf)
 	defer w.Release()
 	for _, p := range pairs {
 		if err := w.Write(p); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }

@@ -56,10 +56,12 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
 	echo "== tier 2: control-plane fuzz (scanner vs encoding/xml reference, rpcproto decoders; corpus + 10s each)"
 	go test -run '^$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/xmlrpc
+	echo "== tier 2: sorter fuzz (both in-memory forms, Add and AddBlock, spilled, vs a stable-sort reference; corpus + 10s)"
+	go test -run '^$' -fuzz 'FuzzSorterGroups' -fuzztime 10s ./internal/shuffle
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
-	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory' \
+	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys' \
 		-benchmem -benchtime 100x ./internal/shuffle/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
 		-benchmem -benchtime 1000x ./internal/kvio/
