@@ -19,6 +19,10 @@
 // or the store's RAM total would pass MemStoreBudget, and only then
 // spills to a file in the store directory. Either way it is published
 // under the same http URL with the same at-rest bytes.
+//
+// A file-backed store indexes the bucket files it publishes (flat name
+// to exact at-rest path), so removing a RAM bucket or a name it never
+// wrote costs no syscall and removing one of its files costs one unlink.
 package bucket
 
 import (
@@ -111,6 +115,7 @@ type Store struct {
 	mu           sync.Mutex
 	mem          map[string]atRest  // RAM buckets by flat name
 	memBytes     int64              // total payload of mem
+	files        map[string]string  // file buckets by flat name: exact at-rest path
 	client       *http.Client       // overrides the shared fetch client (fault injection)
 	compress     bool               // write new file buckets legacy flate-compressed
 	codec        wirecodec.Codec    // if set, write new file buckets block-framed with this codec
@@ -135,11 +140,24 @@ func NewMemStore() *Store {
 // baseURL/<name> and small ones are held in RAM (see MemBucketMax);
 // otherwise every bucket is a file advertised by a file:// URL, which is
 // correct when dir is on a shared filesystem that peers open directly.
+// Bucket files already in dir (a restarted node's) are indexed as the
+// store's own, so Remove deletes them.
 func NewFileStore(dir, baseURL string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("bucket: creating store dir: %w", err)
 	}
-	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/"), mem: map[string]atRest{}}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("bucket: reading store dir: %w", err)
+	}
+	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/"),
+		mem: map[string]atRest{}, files: map[string]string{}}
+	for _, e := range entries {
+		// Temp files of unfinished writes are hidden and never published.
+		if name := e.Name(); !e.IsDir() && !strings.HasPrefix(name, ".") {
+			s.files[flatName(name)] = filepath.Join(dir, name)
+		}
+	}
 	if s.baseURL != "" {
 		servingMu.Lock()
 		serving[filepath.Clean(dir)] = s
@@ -655,34 +673,47 @@ func (w *Writer) publish() error {
 		os.Remove(k.tmp)
 		return fmt.Errorf("bucket: publishing %s: %w", w.form.path, err)
 	}
-	// The file is now the last publish of this name; a RAM copy from an
-	// earlier attempt must not shadow it.
+	// The file is now the last publish of this name; a RAM copy or an
+	// other-form file from an earlier attempt must not shadow it.
 	s.mu.Lock()
 	s.dropMem(k.flat)
+	old := s.files[k.flat]
+	s.files[k.flat] = w.form.path
 	s.mu.Unlock()
 	s.counter(obs.MetricBucketPublishedFile).Add(1)
+	if old != "" && old != w.form.path {
+		_ = s.unlink(old) // the new file is published either way; GC retries
+	}
 	return nil
 }
 
 // insertMem publishes data as the RAM bucket flat, replacing any earlier
-// one. It refuses (returning false) when an HTTP-serving store's RAM
-// total would pass MemStoreBudget; otherwise such a store publishes an
-// exact-size copy, since its data is a pooled buffer's.
+// one, and unlinks an earlier attempt's file of the same name, which
+// lookup would otherwise keep finding after the RAM copy goes. It
+// refuses (returning false) when an HTTP-serving store's RAM total would
+// pass MemStoreBudget; otherwise such a store publishes an exact-size
+// copy, since its data is a pooled buffer's.
 func (s *Store) insertMem(flat string, form atRest, data []byte) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.dir != "" {
 		if s.memBytes-int64(len(s.mem[flat].data))+int64(len(data)) > MemStoreBudget {
+			s.mu.Unlock()
 			return false
 		}
 		data = append([]byte{}, data...)
 	}
 	s.dropMem(flat)
+	stale, ok := s.files[flat]
+	delete(s.files, flat)
 	form.data = data
 	s.mem[flat] = form
 	s.memBytes += int64(len(data))
 	s.metrics.Counter(obs.MetricBucketMemInsertedBytes).Add(int64(len(data)))
 	s.metrics.Counter(obs.MetricBucketPublishedMem).Add(1)
+	s.mu.Unlock()
+	if ok {
+		_ = s.unlink(stale) // the RAM bucket is published either way; GC retries
+	}
 	return true
 }
 
@@ -713,41 +744,53 @@ func (s *Store) Put(name string, pairs []kvio.Pair) (Descriptor, error) {
 }
 
 // Remove deletes a local bucket by name from both backings; used when
-// datasets are freed between iterations to bound storage.
+// datasets are freed between iterations to bound storage. It touches
+// the filesystem only for a bucket file the store indexed: a RAM bucket,
+// or a name the store never wrote (a freed bucket some other node
+// owns), costs no syscall, and an indexed file one unlink.
 func (s *Store) Remove(name string) error {
 	flat := flatten(name)
 	s.mu.Lock()
 	s.dropMem(flat)
+	path, ok := s.files[flat]
+	delete(s.files, flat)
 	s.mu.Unlock()
-	if s.dir == "" {
+	if !ok {
 		return nil
 	}
-	// A bucket may exist in any at-rest form depending on the codec and
-	// compression settings when it was written; remove every variant.
-	path := filepath.Join(s.dir, flat)
-	err := os.Remove(path)
-	for _, suffix := range atRestSuffixes() {
-		if ferr := os.Remove(path + suffix); err != nil && ferr == nil {
-			err = nil
-		}
-	}
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
+	return s.unlink(path)
 }
 
-// atRestSuffixes lists every non-plain at-rest suffix a bucket file can
-// carry: a row-block and a columnar form per registered codec, plus the
-// legacy flate form.
-func atRestSuffixes() []string {
-	names := wirecodec.Names()
-	out := make([]string, 0, 2*len(names)+1)
-	for _, name := range names {
-		c, _ := wirecodec.Lookup(name)
-		out = append(out, BlockExt+c.Ext(), ColExt+c.Ext())
+// RemoveFile deletes the bucket file at its exact at-rest path, as a
+// file:// URL carries it: one unlink, whichever store in a shared
+// directory published it.
+func (s *Store) RemoveFile(path string) error {
+	flat := flatName(filepath.Base(path))
+	s.mu.Lock()
+	if s.files[flat] == path {
+		delete(s.files, flat)
 	}
-	return append(out, CompressExt)
+	s.mu.Unlock()
+	return s.unlink(path)
+}
+
+// unlink deletes one bucket file, counting the syscall. A file already
+// gone is not an error: removal is idempotent.
+func (s *Store) unlink(path string) error {
+	s.counter(obs.MetricBucketUnlinks).Add(1)
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
+}
+
+// flatName strips the at-rest suffix from a bucket file name, leaving
+// the flat bucket name it was published under.
+func flatName(file string) string {
+	if i, _ := blockExtIndex(file); i >= 0 {
+		return file[:i]
+	}
+	return strings.TrimSuffix(file, CompressExt)
 }
 
 // jobPrefix is the flat-name prefix of one job's buckets (names
@@ -764,8 +807,9 @@ func (s *Store) jobFiles(job int64) ([]string, error) {
 		return nil, err
 	}
 	var out []string
+	prefix := jobPrefix(job)
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), jobPrefix(job)) {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) {
 			out = append(out, filepath.Join(s.dir, e.Name()))
 		}
 	}
@@ -774,20 +818,27 @@ func (s *Store) jobFiles(job int64) ([]string, error) {
 
 // RemoveJob deletes every local bucket in one job's namespace, from
 // both backings and in every at-rest form. This is the slave- and
-// master-side reclaim that runs when a job completes. Returns how many
+// master-side reclaim that runs when a job completes. The files are
+// listed from the directory, not the index: in a shared directory they
+// include the job's buckets every other node wrote. Returns how many
 // buckets were removed.
 func (s *Store) RemoveJob(job int64) (int, error) {
-	n := 0
+	n, prefix := 0, jobPrefix(job)
 	s.mu.Lock()
 	for flat := range s.mem {
-		if strings.HasPrefix(flat, jobPrefix(job)) && s.dropMem(flat) {
+		if strings.HasPrefix(flat, prefix) && s.dropMem(flat) {
 			n++
+		}
+	}
+	for flat := range s.files {
+		if strings.HasPrefix(flat, prefix) {
+			delete(s.files, flat)
 		}
 	}
 	s.mu.Unlock()
 	files, err := s.jobFiles(job)
 	for _, path := range files {
-		if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
+		if rerr := s.unlink(path); rerr != nil {
 			if err == nil {
 				err = rerr
 			}
@@ -965,11 +1016,11 @@ func (s *Store) localName(rawURL string) (string, bool) {
 	return name, err == nil
 }
 
+// flattener maps the separators of hierarchical bucket names to "_".
+var flattener = strings.NewReplacer("/", "_", "\\", "_", "..", "_", ":", "_")
+
 // flatten converts a hierarchical bucket name into a safe flat file name.
-func flatten(name string) string {
-	r := strings.NewReplacer("/", "_", "\\", "_", "..", "_", ":", "_")
-	return r.Replace(name)
-}
+func flatten(name string) string { return flattener.Replace(name) }
 
 // ---------------------------------------------------------------------------
 // Opening by URL

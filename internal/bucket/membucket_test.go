@@ -381,6 +381,137 @@ func TestDuplicatePublishLastWins(t *testing.T) {
 	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, first) {
 		t.Errorf("RAM publish after file did not win (%v)", err)
 	}
+	// The superseded file is gone, not left for lookup to find once the
+	// RAM copy is removed.
+	if got := filesIn(t, s.Dir()); len(got) != 0 {
+		t.Errorf("files after a RAM publish replaced a file: %v, want none", got)
+	}
+	if err := s.Remove("ds1/t0/s0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenLocal("ds1/t0/s0"); err == nil {
+		t.Error("an earlier attempt's file still opens after Remove")
+	}
+}
+
+// A file publish in another at-rest form than an earlier attempt's
+// (the codec changed between attempts) unlinks the earlier file, which
+// lookup would otherwise resolve first.
+func TestFileRepublishInAnotherFormUnlinksOld(t *testing.T) {
+	s, _ := servedStore(t, false, dataPlaneConfigs[0].setup)
+	if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodec(wirecodec.IdentityName); err != nil {
+		t.Fatal(err)
+	}
+	second := []kvio.Pair{kvio.StrPair("attempt", "two")}
+	if _, err := s.Put("ds1/t0/s0", second); err != nil {
+		t.Fatal(err)
+	}
+	if got := filesIn(t, s.Dir()); len(got) != 1 || got[0] != "ds1_t0_s0"+BlockExt+wirecodec.Identity().Ext() {
+		t.Errorf("files after re-publishing as blocks: %v, want the block file alone", got)
+	}
+	rc, err := s.OpenLocal("ds1/t0/s0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	r := kvio.NewAnyReader(rc)
+	defer r.Release()
+	if got, err := r.ReadAll(); err != nil || !pairsEqual(got, second) {
+		t.Errorf("re-published bucket reads back %v (%v)", got, err)
+	}
+}
+
+// Removal costs what the bucket's backing costs: nothing for a RAM
+// bucket or a name the store never wrote (a freed bucket another node
+// owns), one unlink for a file bucket the store published or found on
+// reopening its directory.
+func TestRemoveUnlinkCounts(t *testing.T) {
+	for _, cfg := range dataPlaneConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			s, _ := servedStore(t, true, cfg.setup)
+			m := obs.NewMetrics()
+			s.SetMetrics(m)
+			unlinks := func() int64 { return m.Snapshot()[obs.MetricBucketUnlinks] }
+			if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"ds1/t0/s0", "ds1/t0/s0", "ds9/t3/s1"} {
+				if err := s.Remove(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := unlinks(); n != 0 {
+				t.Errorf("removing a RAM bucket and unknown names: %d unlinks, want 0", n)
+			}
+			for _, name := range []string{"ds2/t0/s0", "ds2/t1/s0"} {
+				if _, err := s.Put(name, bigPairs()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Remove("ds2/t0/s0"); err != nil {
+				t.Fatal(err)
+			}
+			if n := unlinks(); n != 1 {
+				t.Errorf("removing an own file bucket: %d unlinks, want 1", n)
+			}
+			if err := s.Remove("ds2/t0/s0"); err != nil {
+				t.Fatal(err)
+			}
+			if n := unlinks(); n != 1 {
+				t.Errorf("removing it again: %d unlinks, want still 1", n)
+			}
+
+			// A store reopened over the directory (a restarted node)
+			// removes the file it finds with one unlink too.
+			re, err := NewFileStore(s.Dir(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2 := obs.NewMetrics()
+			re.SetMetrics(m2)
+			if err := re.Remove("ds2/t1/s0"); err != nil {
+				t.Fatal(err)
+			}
+			if n := m2.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
+				t.Errorf("removing a reopened store's file: %d unlinks, want 1", n)
+			}
+			if got := filesIn(t, s.Dir()); len(got) != 0 {
+				t.Errorf("files left after removing both: %v", got)
+			}
+		})
+	}
+}
+
+// RemoveFile deletes a shared-directory bucket by its file:// path,
+// whichever store wrote it.
+func TestRemoveFilePeerBucket(t *testing.T) {
+	for _, cfg := range dataPlaneConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			peer, _ := servedStore(t, false, cfg.setup)
+			d, err := peer.Put("ds1/t0/s0", smallPairs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			master, err := NewFileStore(t.TempDir(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := obs.NewMetrics()
+			master.SetMetrics(m)
+			if err := master.RemoveFile(strings.TrimPrefix(d.URL, "file://")); err != nil {
+				t.Fatal(err)
+			}
+			if got := filesIn(t, peer.Dir()); len(got) != 0 {
+				t.Errorf("files left after RemoveFile: %v", got)
+			}
+			if n := m.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
+				t.Errorf("RemoveFile: %d unlinks, want 1", n)
+			}
+		})
+	}
 }
 
 // Remove and RemoveJob clear a job's buckets from RAM and from files.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -83,11 +84,15 @@ func TestPSOChainCreatesNoBucketFiles(t *testing.T) {
 		}
 		got = res
 		t.Logf("RAM held at chain end: %d bytes", rt.M().Snapshot()[obs.MetricBucketMemBytes])
-		// Before the job's GC: nothing the chain wrote reached a file.
+		// Before the job's GC: nothing the chain wrote reached a file,
+		// so freeing its datasets cost no unlink.
 		for i := 0; i < c.NumSlaves(); i++ {
 			if n := bucketFiles(t, c.Slave(i).Store().Dir()); n != 0 {
 				t.Errorf("slave %d store holds %d bucket files, want 0", i, n)
 			}
+		}
+		if n := rt.M().Snapshot()[obs.MetricBucketUnlinks]; n != 0 {
+			t.Errorf("%d bucket unlinks before the job's GC, want 0", n)
 		}
 		return nil
 	})
@@ -134,6 +139,75 @@ func TestPSOChainCreatesNoBucketFiles(t *testing.T) {
 	if st.TasksAssigned == 0 || polls > st.TasksAssigned+slots+st.IdlePolls {
 		t.Errorf("%d get_task calls for %d tasks + %d slots + %d idle answers",
 			polls, st.TasksAssigned, slots, st.IdlePolls)
+	}
+}
+
+// On the shared-directory data plane the master frees a dataset by
+// unlinking the exact files its slaves wrote, so an iterative chain's
+// freed datasets leave the directory as the chain runs, not at job end.
+func TestSharedDirFreeRemovesFilesBeforeJobEnd(t *testing.T) {
+	shared := t.TempDir()
+	rt := obs.New(nil)
+	c, err := Start(testRegistry(), Options{Slaves: 2, SharedDir: shared, Obs: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var in []kvio.Pair
+	for i := 0; i < 40; i++ {
+		in = append(in, kvio.StrPair(fmt.Sprintf("k%02d", i), strings.Repeat("v", i)))
+	}
+	var got []kvio.Pair
+	mj, err := c.Submit("chain", core.JobOptions{Pipeline: true}, func(job *core.Job) error {
+		prev, err := job.LocalData(in, core.OpOpts{Splits: 2, Partition: "roundrobin"})
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 8; i++ {
+			next, err := job.Map(prev, "identity", core.OpOpts{Splits: 2})
+			if err != nil {
+				return err
+			}
+			if err := next.Wait(); err != nil {
+				return err
+			}
+			prev.Free()
+			prev = next
+		}
+		// Before the job's GC: only the live dataset's files remain.
+		entries, err := os.ReadDir(shared)
+		if err != nil {
+			return err
+		}
+		live := fmt.Sprintf("j%d_ds%d_", job.ID(), prev.ID())
+		left := 0
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			left++
+			if !strings.HasPrefix(e.Name(), live) {
+				t.Errorf("freed bucket file %s still on disk before job end", e.Name())
+			}
+		}
+		snap := rt.M().Snapshot()
+		published := snap[obs.MetricBucketPublishedFile]
+		t.Logf("before the job's GC: %d bucket files published, %d on disk, %d unlinks",
+			published, left, snap[obs.MetricBucketUnlinks])
+		if n := snap[obs.MetricBucketUnlinks]; n != published-int64(left) {
+			t.Errorf("%d unlinks for %d freed bucket files, want one each", n, published-int64(left))
+		}
+		got, err = prev.CollectSorted()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mj.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !samePairs(got, in) {
+		t.Errorf("chain output differs from its input: %d pairs", len(got))
 	}
 }
 

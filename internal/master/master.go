@@ -1217,7 +1217,11 @@ func (m *Master) Free(mat *core.Materialized) {
 				continue
 			}
 			switch {
-			case strings.HasPrefix(d.URL, "file://"), strings.HasPrefix(d.URL, "http://"+m.addr+"/"):
+			case strings.HasPrefix(d.URL, "file://"):
+				// A shared-dir bucket, usually a slave's: the URL names
+				// its exact file, which the master's store never indexed.
+				_ = m.store.RemoveFile(strings.TrimPrefix(d.URL, "file://"))
+			case strings.HasPrefix(d.URL, "http://"+m.addr+"/"):
 				_ = m.store.Remove(d.Name)
 			default:
 				// Ask every live slave to delete; removal is

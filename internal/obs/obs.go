@@ -137,6 +137,7 @@ const MetricBlocksColumnar = "mrs_shuffle_blocks_columnar_total"
 // inserted/released byte counters are monotonic so they sum across the
 // slaves sharing one registry; their difference is the RAM held,
 // exported as the MetricBucketMemBytes gauge by RegisterBucketMemGauge.
+// Unlinks count every removal syscall a store issues on a bucket file.
 const (
 	MetricBucketPublishedMem     = "mrs_bucket_published_mem_total"
 	MetricBucketPublishedFile    = "mrs_bucket_published_file_total"
@@ -145,6 +146,7 @@ const (
 	MetricBucketMemInsertedBytes = "mrs_bucket_mem_inserted_bytes_total"
 	MetricBucketMemReleasedBytes = "mrs_bucket_mem_released_bytes_total"
 	MetricBucketMemBytes         = "mrs_bucket_mem_bytes"
+	MetricBucketUnlinks          = "mrs_bucket_unlinks_total"
 )
 
 // RegisterBucketMemGauge installs the RAM-held-bytes gauge derived from

@@ -51,16 +51,22 @@ type Options struct {
 	Combine CombineFunc
 }
 
-// arenaChunk is the slab size for record storage. Large enough that
+// arenaChunk is the largest slab for record storage. Large enough that
 // chunk allocations are rare against typical record sizes, small enough
 // that a mostly-empty final chunk wastes little.
 const arenaChunk = 256 << 10
+
+// arenaFirst is the first chunk's size. Chunks double from it up to
+// arenaChunk, so a sorter that sees a few KB (a small reduce of an
+// iterative chain) allocates a few KB, not a whole slab.
+const arenaFirst = 4 << 10
 
 // arena is a chunked bump allocator for record bytes. Old chunks stay
 // alive only while something references them; reset reuses the current
 // chunk for the next fill.
 type arena struct {
-	buf []byte // current chunk: len = bytes used, cap = chunk size
+	buf  []byte // current chunk: len = bytes used, cap = chunk size
+	next int    // size of the next chunk; 0 means arenaFirst
 }
 
 // grow makes room for n more bytes in the current chunk, starting a new
@@ -69,7 +75,9 @@ func (a *arena) grow(n int) bool {
 	if n <= cap(a.buf)-len(a.buf) {
 		return false
 	}
-	a.buf = make([]byte, 0, max(arenaChunk, n)) // oversized records get a dedicated chunk
+	size := max(a.next, arenaFirst, n) // oversized records get a dedicated chunk
+	a.buf = make([]byte, 0, size)
+	a.next = min(2*size, arenaChunk)
 	return true
 }
 

@@ -539,6 +539,42 @@ func BenchmarkSortGroupInMemory(b *testing.B) {
 	}
 }
 
+// BenchmarkSortGroupSmall is an iterative chain's reduce shape: a few
+// KB of records through a fresh sorter per task. Its cost should be the
+// data's, not a whole arena slab's.
+func BenchmarkSortGroupSmall(b *testing.B) {
+	pairs := make([]kvio.Pair, 8)
+	for i := range pairs {
+		pairs[i] = kvio.Pair{Key: []byte(fmt.Sprintf("particle-%02d", i)), Value: bytes.Repeat([]byte{byte(i)}, 1000)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSorter(Options{})
+		for _, p := range pairs {
+			if err := s.Add(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Groups(func([]byte, [][]byte) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
+// A sorter's arena grows with what it holds: 8 KB of records must not
+// allocate a 256 KiB slab.
+func TestSmallSortAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-driven")
+	}
+	r := testing.Benchmark(BenchmarkSortGroupSmall)
+	if got := r.AllocedBytesPerOp(); got >= 32<<10 {
+		t.Errorf("8 records of ~1 KiB allocated %d bytes per sort, want < 32 KiB", got)
+	}
+}
+
 // BenchmarkSortGroupUniqueKeys is shuffle-sort's reduce shape: 60,000
 // unique 10-byte keys with 90-byte values, adopted as ~64 KiB blocks and
 // grouped without a combiner.

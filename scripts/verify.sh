@@ -43,10 +43,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
-		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM' \
+		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|Republish|UnlinkCounts|RemoveFile' \
 		./internal/bucket
 	go test -race -count=2 \
-		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC' \
+		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC|SharedDirFree' \
 		./internal/cluster
 	echo "== tier 2: packed text-input stress (race, packer, per-file records, slave death mid packed map)"
 	go test -race -count=2 \
@@ -61,7 +61,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
-	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys' \
+	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall' \
 		-benchmem -benchtime 100x ./internal/shuffle/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
 		-benchmem -benchtime 1000x ./internal/kvio/
