@@ -198,19 +198,7 @@ func (Float64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
 }
 
 func (Float64SliceCodec) Decode(data []byte) (any, error) {
-	n, size := binary.Uvarint(data)
-	if size <= 0 {
-		return nil, ErrShortData
-	}
-	data = data[size:]
-	if uint64(len(data)) != n*8 {
-		return nil, ErrShortData
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out, nil
+	return DecodeFloat64SliceInto(nil, data)
 }
 
 // ---------------------------------------------------------------------------
@@ -283,11 +271,30 @@ func EncodeFloat64Slice(s []float64) []byte {
 
 // DecodeFloat64Slice parses a Float64SliceCodec encoding.
 func DecodeFloat64Slice(data []byte) ([]float64, error) {
-	v, err := Float64SliceCodec{}.Decode(data)
-	if err != nil {
-		return nil, err
+	return DecodeFloat64SliceInto(nil, data)
+}
+
+// DecodeFloat64SliceInto parses a Float64SliceCodec encoding into dst's
+// storage, growing it only if it is too short, and returns the decoded
+// slice. A caller that keeps the result as the next dst decodes
+// same-length vectors without allocating.
+func DecodeFloat64SliceInto(dst []float64, data []byte) ([]float64, error) {
+	n, size := binary.Uvarint(data)
+	if size <= 0 {
+		return nil, ErrShortData
 	}
-	return v.([]float64), nil
+	data = data[size:]
+	if len(data)%8 != 0 || uint64(len(data)/8) != n {
+		return nil, ErrShortData
+	}
+	if dst == nil || cap(dst) < len(data)/8 {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	}
+	return dst, nil
 }
 
 // ---------------------------------------------------------------------------

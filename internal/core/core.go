@@ -25,11 +25,13 @@ import (
 )
 
 // MapFunc is a map function: called once per input record; emits any
-// number of output records.
+// number of output records. emit.Emit copies, so the function may reuse
+// the key and value it passed once Emit returns (kvio.Emitter).
 type MapFunc func(key, value []byte, emit kvio.Emitter) error
 
 // ReduceFunc is a reduce function: called once per key with all values;
-// emits any number of output records (commonly one).
+// emits any number of output records (commonly one). As for MapFunc,
+// emit.Emit copies, so emitted slices may be reused once it returns.
 type ReduceFunc func(key []byte, values [][]byte, emit kvio.Emitter) error
 
 // ErrNotRegistered reports a map/reduce name that the registry lacks.

@@ -523,23 +523,41 @@ func (o OpOpts) splitsOr(def int) int {
 // LocalData queues literal pairs as a source dataset.
 func (j *Job) LocalData(pairs []kvio.Pair, opts OpOpts) (*Dataset, error) {
 	splits := opts.splitsOr(1)
-	cp := make([]kvio.Pair, len(pairs))
-	for i, p := range pairs {
-		cp[i] = p.Clone()
-	}
 	return j.enqueue(&Operation{
 		Kind:       OpLocal,
 		Input:      -1,
 		Splits:     splits,
 		Partition:  opts.Partition,
-		LocalPairs: cp,
+		LocalPairs: clonePairs(pairs),
 	}, splits)
 }
 
+// clonePairs copies pairs into one []Pair whose keys and values share
+// one byte buffer, so the copy costs two allocations, not two per pair.
+// Empty slices stay nil, as Pair.Clone leaves them.
+func clonePairs(pairs []kvio.Pair) []kvio.Pair {
+	n := 0
+	for _, p := range pairs {
+		n += len(p.Key) + len(p.Value)
+	}
+	buf := make([]byte, 0, n)
+	clone := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
+	}
+	cp := make([]kvio.Pair, len(pairs))
+	for i, p := range pairs {
+		cp[i] = kvio.Pair{Key: clone(p.Key), Value: clone(p.Value)}
+	}
+	return cp
+}
+
 // FileSplitBytes is the size TextFileData packs whole files up to per
-// split. Larger splits amortise more per-task cost, but a combining map
-// task holds every value of its split until it ends, so its memory
-// grows with the split.
+// split. Larger splits amortise more per-task cost, but a map task's
+// output, and a combining one's distinct keys, grow with the split.
 const FileSplitBytes = 1 << 20
 
 // TextFileData queues text files as a source dataset; records are (line

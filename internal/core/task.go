@@ -231,6 +231,21 @@ func (e *partitionedEmitter) Emit(key, value []byte) error {
 	return e.writers[s].Emit(key, value)
 }
 
+// sortingEmitter routes emitted records into per-split sorters: the
+// map-side combine. Add copies into the sorter's arena, so the caller
+// may reuse its slices once Emit returns.
+func sortingEmitter(parter partition.Func, sorters []*shuffle.Sorter) kvio.FuncEmitter {
+	var serial int64
+	return func(key, value []byte) error {
+		s := parter(key, serial, len(sorters))
+		serial++
+		if s < 0 || s >= len(sorters) {
+			return fmt.Errorf("core: partitioner returned split %d of %d", s, len(sorters))
+		}
+		return sorters[s].Add(kvio.Pair{Key: key, Value: value})
+	}
+}
+
 // makeWriters creates the output bucket writers for a task, in the
 // task's job namespace.
 func makeWriters(env *TaskEnv, spec *TaskSpec) ([]*bucket.Writer, error) {
@@ -301,16 +316,7 @@ func execMapTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, err
 			})
 			defer sorters[s].Close()
 		}
-		var serial int64
-		emit := kvio.FuncEmitter(func(key, value []byte) error {
-			s := parter(key, serial, op.Splits)
-			serial++
-			if s < 0 || s >= op.Splits {
-				return fmt.Errorf("core: partitioner returned split %d of %d", s, op.Splits)
-			}
-			// Add copies into the sorter's arena; no caller-side clone.
-			return sorters[s].Add(kvio.Pair{Key: key, Value: value})
-		})
+		emit := sortingEmitter(parter, sorters)
 		err = forEachInputRecord(env, spec, st, func(key, value []byte) error {
 			return mapFn(key, value, emit)
 		})
@@ -342,13 +348,14 @@ func execMapTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, err
 }
 
 // countSortForm charges a fed sorter's records to the counter of its
-// in-memory form.
+// in-memory form, and its folds so far to the fold counter.
 func countSortForm(env *TaskEnv, s *shuffle.Sorter) {
 	name := obs.MetricSortGrouped
 	if s.Indexed() {
 		name = obs.MetricSortIndexed
 	}
 	env.Obs.M().Add(name, s.Added())
+	env.Obs.M().Add(obs.MetricSortFolds, s.Folds())
 }
 
 func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, error) {
@@ -415,22 +422,49 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 
 // CombineAdapter turns a reduce function into a shuffle combiner. Per
 // the combiner contract, emitted keys must equal the group key; only
-// the values are retained.
+// the values are retained. The returned values share one buffer that
+// the next call reuses, which shuffle.CombineFunc allows, so a combiner
+// called once per fold allocates only as its output grows; the
+// combiner serves one task's sorters, one call at a time.
 func CombineAdapter(fn ReduceFunc) shuffle.CombineFunc {
+	var e combineEmitter
 	return func(key []byte, values [][]byte) ([][]byte, error) {
-		var e kvio.SliceEmitter
+		e.key, e.buf, e.ends, e.err = key, e.buf[:0], e.ends[:0], nil
 		if err := fn(key, values, &e); err != nil {
 			return nil, err
 		}
-		out := make([][]byte, len(e.Pairs))
-		for i, p := range e.Pairs {
-			if !bytes.Equal(p.Key, key) {
-				return nil, fmt.Errorf("core: combiner changed key %q to %q", key, p.Key)
-			}
-			out[i] = p.Value
+		if e.err != nil {
+			return nil, e.err
 		}
-		return out, nil
+		e.out = e.out[:0]
+		start := 0
+		for _, end := range e.ends {
+			e.out = append(e.out, e.buf[start:end:end])
+			start = end
+		}
+		return e.out, nil
 	}
+}
+
+// combineEmitter collects a combiner's values back to back in buf.
+type combineEmitter struct {
+	key  []byte
+	buf  []byte
+	ends []int // each value's end offset in buf
+	out  [][]byte
+	err  error // the first changed key, in case fn drops Emit's error
+}
+
+func (e *combineEmitter) Emit(key, value []byte) error {
+	if !bytes.Equal(key, e.key) {
+		if e.err == nil {
+			e.err = fmt.Errorf("core: combiner changed key %q to %q", e.key, key)
+		}
+		return e.err
+	}
+	e.buf = append(e.buf, value...)
+	e.ends = append(e.ends, len(e.buf))
+	return nil
 }
 
 // forEachInputRecord streams every record of the task's input split,

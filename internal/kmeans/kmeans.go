@@ -113,16 +113,16 @@ func DecodeCentroids(data []byte) ([][]float64, error) {
 
 // encodePartial packs a (count, sum-vector) aggregation value.
 func encodePartial(count int64, sum []float64) []byte {
-	out := binary.AppendVarint(nil, count)
+	out := binary.AppendVarint(make([]byte, 0, binary.MaxVarintLen64+8*len(sum)), count)
 	for _, x := range sum {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		out = append(out, buf[:]...)
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
 	}
 	return out
 }
 
-func decodePartial(data []byte) (int64, []float64, error) {
+// splitPartial splits a partial into its count and its sum vector's
+// little-endian float64 bytes.
+func splitPartial(data []byte) (int64, []byte, error) {
 	count, n := binary.Varint(data)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("kmeans: bad partial")
@@ -131,11 +131,25 @@ func decodePartial(data []byte) (int64, []float64, error) {
 	if len(data)%8 != 0 {
 		return 0, nil, fmt.Errorf("kmeans: bad partial payload")
 	}
-	sum := make([]float64, len(data)/8)
-	for i := range sum {
-		sum[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	return count, data, nil
+}
+
+func decodePartial(data []byte) (int64, []float64, error) {
+	count, raw, err := splitPartial(data)
+	if err != nil {
+		return 0, nil, err
 	}
+	sum := make([]float64, len(raw)/8)
+	addFloats(sum, raw)
 	return count, sum, nil
+}
+
+// addFloats adds the little-endian float64s in raw to sum, element by
+// element; len(raw) must be 8*len(sum).
+func addFloats(sum []float64, raw []byte) {
+	for d := range sum {
+		sum[d] += math.Float64frombits(binary.LittleEndian.Uint64(raw[8*d:]))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -152,9 +166,17 @@ func Register(reg *core.Registry) {
 		if len(centroids) == 0 {
 			return nil, fmt.Errorf("kmeans: no centroids in params")
 		}
+		// One map function serves one task, so its scratch is reused
+		// from point to point: the emitter copies what it is given.
+		keys := make([][]byte, len(centroids))
+		for i := range keys {
+			keys[i] = codec.EncodeVarint(int64(i))
+		}
+		var point []float64
+		var partial []byte
 		return func(key, value []byte, emit kvio.Emitter) error {
-			point, err := codec.DecodeFloat64Slice(value)
-			if err != nil {
+			var err error
+			if point, err = codec.DecodeFloat64SliceInto(point, value); err != nil {
 				return err
 			}
 			best, bestDist := 0, math.Inf(1)
@@ -163,7 +185,11 @@ func Register(reg *core.Registry) {
 					best, bestDist = i, d
 				}
 			}
-			return emit.Emit(codec.EncodeVarint(int64(best)), encodePartial(1, point))
+			// A point's partial is a count of 1, then its float64s,
+			// whose little-endian bytes end the value as they are.
+			partial = binary.AppendVarint(partial[:0], 1)
+			partial = append(partial, value[len(value)-8*len(point):]...)
+			return emit.Emit(keys[best], partial)
 		}, nil
 	})
 
@@ -172,19 +198,17 @@ func Register(reg *core.Registry) {
 		var total int64
 		var sum []float64
 		for _, v := range values {
-			count, part, err := decodePartial(v)
+			count, raw, err := splitPartial(v)
 			if err != nil {
 				return err
 			}
 			if sum == nil {
-				sum = make([]float64, len(part))
+				sum = make([]float64, len(raw)/8)
 			}
-			if len(part) != len(sum) {
+			if len(raw) != 8*len(sum) {
 				return fmt.Errorf("kmeans: dimension mismatch in partials")
 			}
-			for d := range part {
-				sum[d] += part[d]
-			}
+			addFloats(sum, raw)
 			total += count
 		}
 		return emit.Emit(key, encodePartial(total, sum))

@@ -1,11 +1,14 @@
 package kmeans
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/kvio"
 )
 
 func config() Config {
@@ -285,6 +288,82 @@ func TestMapReduceDistributedCluster(t *testing.T) {
 			if diff := math.Abs(res.Centroids[i][d] - serial.Centroids[i][d]); diff > 1e-9 {
 				t.Errorf("centroid %d dim %d differs by %v", i, d, diff)
 			}
+		}
+	}
+}
+
+// assignFunc builds the assign map for the given centroids, as a map
+// task does.
+func assignFunc(tb testing.TB, centroids [][]float64) core.MapFunc {
+	tb.Helper()
+	reg := core.NewRegistry()
+	Register(reg)
+	fn, err := reg.Map(AssignName, EncodeCentroids(centroids))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
+}
+
+// The assign map reuses its key and partial buffers; what it emits must
+// still be each point's nearest cluster and a partial of count 1 and
+// the point itself.
+func TestAssignEmitsPointPartials(t *testing.T) {
+	cfg := Config{K: 5, Dims: 7, Seed: 3}
+	points, _, err := GeneratePoints(cfg, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centroids, err := InitialCentroids(cfg, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := assignFunc(t, centroids)
+	var e kvio.SliceEmitter
+	for _, p := range PointPairs(points) {
+		if err := assign(p.Key, p.Value, &e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range points {
+		best, bestDist := 0, math.Inf(1)
+		for c := range centroids {
+			if d := sqDist(p, centroids[c]); d < bestDist {
+				best, bestDist = c, d
+			}
+		}
+		got := e.Pairs[i]
+		if !bytes.Equal(got.Key, codec.EncodeVarint(int64(best))) || !bytes.Equal(got.Value, encodePartial(1, p)) {
+			t.Fatalf("point %d: emitted %x=%x, want cluster %d and its partial", i, got.Key, got.Value, best)
+		}
+	}
+}
+
+// BenchmarkKMeansAssign assigns one 32-dimensional point to one of 8
+// centroids per op: no allocation per point once the task's scratch is
+// warm.
+func BenchmarkKMeansAssign(b *testing.B) {
+	cfg := Config{K: 8, Dims: 32, Seed: 1}
+	points, _, err := GeneratePoints(cfg, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	centroids, err := InitialCentroids(cfg, points)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := PointPairs(points)
+	assign := assignFunc(b, centroids)
+	e := &kvio.CountingEmitter{}
+	if err := assign(pairs[0].Key, pairs[0].Value, e); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if err := assign(p.Key, p.Value, e); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -354,7 +354,11 @@ func Unmarshal(data []byte) ([]Pair, error) {
 // ---------------------------------------------------------------------------
 // Emitters and sinks
 
-// Emitter receives the output records of a map or reduce call.
+// Emitter receives the output records of a map or reduce call. Emit
+// copies what it keeps, so the caller may reuse or overwrite key and
+// value as soon as it returns: a kernel can emit from one scratch
+// buffer per task. FuncEmitter and CountingEmitter pass the slices on
+// and keep the promise of what they wrap.
 type Emitter interface {
 	Emit(key, value []byte) error
 }

@@ -124,6 +124,12 @@ const (
 	MetricSortGrouped = "mrs_sort_records_grouped_total"
 )
 
+// MetricSortFolds counts the times a combining sorter folded the values
+// that arrived since its last fold through the combiner, which bounds
+// its memory by distinct keys rather than records. A job with no
+// combiner holds it at zero.
+const MetricSortFolds = "mrs_sort_folds_total"
+
 // MetricBlocksColumnar counts columnar blocks written to bucket files —
 // the producer-side signal that the columnar data plane is actually in
 // use (a fleet pinned to row encoding holds this at zero).

@@ -16,6 +16,12 @@
 // are those of a stable sort of every record. Record bytes alias an
 // adopted block (AddBlock) or are copied into a chunked arena, so a
 // spill releases the whole slab at once.
+//
+// The hash form also folds as it goes: values wait in a second, reused
+// arena, and once they reach foldBytes every group touched since the
+// last fold is combined over its values in arrival order, so a
+// combining sorter holds about one value per distinct key, not one per
+// record.
 package shuffle
 
 import (
@@ -32,9 +38,13 @@ import (
 )
 
 // CombineFunc merges the values of a single key into (usually fewer)
-// values. It must be associative and commutative in the values for the
-// final answer to be independent of spill boundaries; this mirrors the
-// requirement on MapReduce combiners.
+// values. The sorter may apply it any number of times to a key, each
+// time over values in arrival order: earlier results first, then the
+// values that came after them. It must be associative for the final
+// answer to be independent of fold and spill boundaries; this mirrors
+// the requirement on MapReduce combiners. The returned values may alias
+// the input values, or buffers of the combiner's own that its next call
+// reuses: the sorter copies what it keeps before combining again.
 type CombineFunc func(key []byte, values [][]byte) ([][]byte, error)
 
 // Options configures a Sorter.
@@ -55,6 +65,10 @@ type Options struct {
 // chunk allocations are rare against typical record sizes, small enough
 // that a mostly-empty final chunk wastes little.
 const arenaChunk = 256 << 10
+
+// foldBytes bounds the hash form's unfolded values, payload plus a
+// slice header each, before it folds them through the combiner.
+const foldBytes = 256 << 10
 
 // arenaFirst is the first chunk's size. Chunks double from it up to
 // arenaChunk, so a sorter that sees a few KB (a small reduce of an
@@ -170,10 +184,18 @@ func equalKeys(a, b entry, key func(entry) []byte) bool {
 		(a.klen <= 8 || bytes.Equal(key(a)[8:], key(b)[8:]))
 }
 
-// hashGroup is one distinct key and its values in insertion order.
+// hashGroup is one distinct key of the hash form. Its values are the
+// folded ones, then its entries in Sorter.pend in arrival order.
 type hashGroup struct {
 	key    []byte
-	values [][]byte
+	folded [][]byte // earlier folds' combiner output, or a lone value's heap copy
+	lo, hi int      // during a gather, its values in Sorter.gathered; hi == 0 otherwise
+}
+
+// pendingValue is a value of group that arrived since the last fold.
+type pendingValue struct {
+	group int
+	value []byte
 }
 
 // Sorter accumulates pairs and then yields key groups in sorted order.
@@ -194,8 +216,14 @@ type Sorter struct {
 	index []entry // one per record, in insertion order
 
 	// The hash form (a combiner).
-	groups []hashGroup    // one entry per distinct key, in first-seen order
-	idx    map[string]int // key -> index into groups
+	groups    []hashGroup    // one entry per distinct key, in first-seen order
+	idx       map[string]int // key -> index into groups
+	pend      []pendingValue // values since the last fold, in arrival order
+	pendAr    arena          // Add's copies of pending values, reused after a fold
+	pendBytes int64          // pending payload plus slice headers, against foldBytes
+	touched   []int          // gather: the groups with pending values
+	gathered  [][]byte       // gather: each touched group's values, contiguous
+	folds     int64
 }
 
 // NewSorter returns an empty Sorter.
@@ -210,11 +238,14 @@ func (s *Sorter) Indexed() bool { return s.opts.Combine == nil }
 // Add buffers one record, spilling if the memory threshold is crossed.
 // The pair's bytes are copied into the sorter's arena, so the caller
 // may reuse the slices immediately (e.g. from kvio.Reader.ReadShared).
+// It returns the combiner's error if the record set off a fold.
 func (s *Sorter) Add(p kvio.Pair) error {
 	if s.closed {
 		return fmt.Errorf("shuffle: Add after Close")
 	}
-	s.addCopy(p.Key, p.Value)
+	if err := s.addCopy(p.Key, p.Value); err != nil {
+		return err
+	}
 	s.added++
 	return s.maybeSpill()
 }
@@ -224,7 +255,8 @@ func (s *Sorter) Add(p kvio.Pair) error {
 // buffers every record in it by aliasing into the block buffer — the
 // zero-copy handoff from the block data plane: one decode, no
 // per-record arena copies. The block is retained until the next spill
-// or Close drops the references. recs is the block header's record
+// or Close drops the references, or in the hash form until its values
+// are folded (keys are copied there). recs is the block header's record
 // count and is verified against the scan; pass -1 to skip the check.
 // Returns the summed key+value payload bytes the block contributed,
 // which is what callers charge to their raw-byte input accounting.
@@ -234,17 +266,18 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	}
 	var payload int64
 	bi, end := len(s.bufs), cap(block)
-	s.bufs = append(s.bufs, block)
+	if s.Indexed() {
+		s.bufs = append(s.bufs, block)
+	}
 	n, err := kvio.ScanRecords(block, func(key, value []byte) error {
 		payload += int64(len(key) + len(value))
-		if s.Indexed() {
-			// key and value are subslices of block, so each one's
-			// offset is the capacity it lost.
-			s.push(key, bi, end-cap(key), end-cap(value), len(value))
-		} else {
-			s.addHash(key, value, true)
-		}
 		s.added++
+		if !s.Indexed() {
+			return s.addHash(key, value, true)
+		}
+		// key and value are subslices of block, so each one's offset
+		// is the capacity it lost.
+		s.push(key, bi, end-cap(key), end-cap(value), len(value))
 		return nil
 	})
 	if err != nil {
@@ -265,7 +298,9 @@ func (s *Sorter) AddColumnar(cb *kvio.ColumnarBlock) (int64, error) {
 	}
 	n := cb.Len()
 	for i := 0; i < n; i++ {
-		s.addCopy(cb.Key(i), cb.Value(i))
+		if err := s.addCopy(cb.Key(i), cb.Value(i)); err != nil {
+			return 0, err
+		}
 	}
 	s.added += int64(n)
 	return cb.PayloadBytes(), s.maybeSpill()
@@ -281,10 +316,9 @@ func (s *Sorter) maybeSpill() error {
 
 // addCopy buffers a record the sorter does not own, copying its bytes
 // into the arena: key and value side by side for the index.
-func (s *Sorter) addCopy(key, value []byte) {
+func (s *Sorter) addCopy(key, value []byte) error {
 	if !s.Indexed() {
-		s.addHash(key, value, false)
-		return
+		return s.addHash(key, value, false)
 	}
 	if s.ar.grow(len(key)+len(value)) || s.arBuf < 0 {
 		s.arBuf = len(s.bufs)
@@ -293,6 +327,7 @@ func (s *Sorter) addCopy(key, value []byte) {
 	off := len(s.ar.buf)
 	s.ar.buf = append(append(s.ar.buf, key...), value...)
 	s.push(key, s.arBuf, off, off+len(key), len(value))
+	return nil
 }
 
 // push appends an index entry for a record whose key starts at koff and
@@ -316,36 +351,143 @@ func (s *Sorter) indexValue(e entry) []byte {
 
 // groupIndex returns the index of key's hash group, creating an empty
 // one on first sight. The map lookup with a string(key) conversion is
-// allocation free for existing keys; only the first record of a
-// distinct key pays for the map entry. owned means the key bytes
-// already belong to the sorter (an adopted block) and need no arena
-// copy.
-func (s *Sorter) groupIndex(key []byte, owned bool) int {
+// allocation free; a new key's map string is its arena copy, which
+// stays unchanged until a spill clears the map and resets the arena.
+func (s *Sorter) groupIndex(key []byte) int {
 	if s.idx == nil {
 		s.idx = map[string]int{}
 	}
 	if i, ok := s.idx[string(key)]; ok {
 		return i
 	}
-	if !owned {
-		key = s.ar.copy(key)
-	}
+	key = s.ar.copy(key)
 	s.groups = append(s.groups, hashGroup{key: key})
-	s.idx[string(key)] = len(s.groups) - 1
+	s.idx[unsafe.String(unsafe.SliceData(key), len(key))] = len(s.groups) - 1
 	s.bufSize += int64(len(key))
 	return len(s.groups) - 1
 }
 
-// addHash appends value to key's group. owned means the bytes already
-// belong to the sorter (an adopted block).
-func (s *Sorter) addHash(key, value []byte, owned bool) {
-	i := s.groupIndex(key, owned)
-	if !owned {
-		value = s.ar.copy(value)
+// addHash queues value for key's group, first folding what is pending
+// if the value would take it past foldBytes. owned means the value
+// bytes already belong to the sorter (an adopted block).
+func (s *Sorter) addHash(key, value []byte, owned bool) error {
+	n := int64(len(value)) + headerBytes
+	if s.pendBytes > 0 && s.pendBytes+n > foldBytes {
+		if err := s.fold(); err != nil {
+			return err
+		}
 	}
-	g := &s.groups[i]
-	g.values = append(g.values, value)
-	s.bufSize += int64(len(value)) + headerBytes
+	i := s.groupIndex(key)
+	if !owned {
+		value = s.pendAr.copy(value)
+	}
+	s.pend = append(s.pend, pendingValue{group: i, value: value})
+	s.pendBytes += n
+	s.bufSize += n
+	return nil
+}
+
+// gather lays out the values of every group with pending ones in
+// s.gathered, each group's folded values then its pending ones in
+// arrival order, and lists those groups in s.touched.
+func (s *Sorter) gather() {
+	s.touched = s.touched[:0]
+	for _, p := range s.pend {
+		g := &s.groups[p.group]
+		if g.hi == 0 {
+			s.touched = append(s.touched, p.group)
+		}
+		g.hi++
+	}
+	total := 0
+	for _, i := range s.touched {
+		g := &s.groups[i]
+		g.lo = total
+		total += len(g.folded) + g.hi
+	}
+	s.gathered = slices.Grow(s.gathered[:0], total)[:total]
+	for _, i := range s.touched {
+		g := &s.groups[i]
+		g.hi = g.lo + copy(s.gathered[g.lo:], g.folded)
+	}
+	for _, p := range s.pend {
+		g := &s.groups[p.group]
+		s.gathered[g.hi] = p.value
+		g.hi++
+	}
+}
+
+// values returns group g's values: gathered ones if it has any pending,
+// else its folded ones.
+func (s *Sorter) values(g *hashGroup) [][]byte {
+	if g.hi == 0 {
+		return g.folded
+	}
+	return s.gathered[g.lo:g.hi]
+}
+
+// fold combines the values of every group touched since the last fold
+// and keeps a heap copy of the result, so the pending values' arena and
+// adopted blocks can be let go. A lone value is copied, not combined.
+func (s *Sorter) fold() error {
+	s.gather()
+	var err error
+	for _, i := range s.touched {
+		g := &s.groups[i]
+		vals := s.values(g)
+		g.hi = 0 // every touched group leaves the gather, even after an error
+		if err == nil {
+			err = s.foldGroup(g, vals)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	s.bufSize -= s.pendBytes
+	clear(s.gathered)
+	clear(s.pend)
+	s.pend = s.pend[:0]
+	s.pendAr.reset()
+	s.pendBytes = 0
+	s.folds++
+	return nil
+}
+
+// foldGroup replaces g's folded values with a heap copy of vals
+// combined, or of vals itself if it is a lone value.
+func (s *Sorter) foldGroup(g *hashGroup, vals [][]byte) error {
+	if len(vals) > 1 {
+		var err error
+		if vals, err = s.opts.Combine(g.key, vals); err != nil {
+			return err
+		}
+	}
+	s.bufSize += liveBytes(vals) - liveBytes(g.folded)
+	g.folded = appendCopies(g.folded[:0], vals)
+	return nil
+}
+
+// liveBytes is what vals charge against SpillBytes.
+func liveBytes(vals [][]byte) int64 {
+	n := int64(len(vals)) * headerBytes
+	for _, v := range vals {
+		n += int64(len(v))
+	}
+	return n
+}
+
+// appendCopies appends to dst copies of vals, backed by one allocation.
+func appendCopies(dst, vals [][]byte) [][]byte {
+	n := 0
+	for _, v := range vals {
+		n += len(v)
+	}
+	buf := make([]byte, 0, n)
+	for _, v := range vals {
+		buf = append(buf, v...)
+		dst = append(dst, buf[len(buf)-len(v):len(buf):len(buf)])
+	}
+	return dst
 }
 
 // AddStream drains a record stream into the sorter. Records are read
@@ -371,6 +513,10 @@ func (s *Sorter) Added() int64 { return s.added }
 // Spills returns how many run files were written.
 func (s *Sorter) Spills() int { return s.spills }
 
+// Folds returns how many times the hash form folded its pending values
+// through the combiner before Groups.
+func (s *Sorter) Folds() int64 { return s.folds }
+
 // forEachMemGroup yields the in-memory content as combined key groups
 // in ascending key order.
 func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) error {
@@ -394,15 +540,18 @@ func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) err
 }
 
 // forEachHashGroup sorts one entry per distinct key, its buffer number
-// naming its group; the hash index itself is left undisturbed.
+// naming its group, and combines each group's folded and pending
+// values once more; the hash index itself is left undisturbed.
 func (s *Sorter) forEachHashGroup(fn func(key []byte, values [][]byte) error) error {
+	s.gather()
 	es := make([]entry, len(s.groups))
 	for i, g := range s.groups {
 		es[i] = entry{prefix: keyPrefix(g.key), buf: uint32(i), klen: uint32(len(g.key))}
 	}
 	for _, e := range radixSort(es, func(e entry) []byte { return s.groups[e.buf].key }) {
 		g := &s.groups[e.buf]
-		vals, err := s.combine(g.key, g.values)
+		vals, err := s.combine(g.key, s.values(g))
+		g.hi = 0
 		if err != nil {
 			return err
 		}
@@ -444,14 +593,17 @@ func (s *Sorter) spill() error {
 	}
 	s.runs = append(s.runs, f.Name())
 	s.spills++
-	// Drop every reference into the arena and adopted blocks before
-	// reusing the arena.
+	// Drop every reference into the arenas and adopted blocks before
+	// reusing the arenas.
 	clear(s.groups)
 	clear(s.idx)
 	clear(s.bufs)
-	s.groups, s.bufs, s.index = s.groups[:0], s.bufs[:0], s.index[:0]
-	s.arBuf, s.bufSize = -1, 0
+	clear(s.pend)
+	clear(s.gathered)
+	s.groups, s.bufs, s.index, s.pend = s.groups[:0], s.bufs[:0], s.index[:0], s.pend[:0]
+	s.arBuf, s.bufSize, s.pendBytes = -1, 0, 0
 	s.ar.reset()
+	s.pendAr.reset()
 	return nil
 }
 
@@ -493,7 +645,8 @@ func (s *Sorter) Close() error {
 	s.groups = nil
 	s.idx = nil
 	s.bufs, s.index = nil, nil
-	s.ar = arena{}
+	s.pend, s.touched, s.gathered = nil, nil, nil
+	s.ar, s.pendAr = arena{}, arena{}
 	return first
 }
 

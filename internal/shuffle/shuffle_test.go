@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -344,6 +345,34 @@ func TestSpillChargesBookkeeping(t *testing.T) {
 		}
 		if max := limit/int(headerBytes) + 1; n > max {
 			t.Errorf("combine=%v: first spill after %d records, want at most %d", combine != nil, n, max)
+		}
+		s.Close()
+	}
+}
+
+// A combiner that fails during a fold fails the Add (or AddBlock) that
+// set the fold off, not some later call.
+func TestFoldErrorReturnedFromAdd(t *testing.T) {
+	boom := fmt.Errorf("combiner exploded")
+	failing := func(key []byte, values [][]byte) ([][]byte, error) { return nil, boom }
+	value := bytes.Repeat([]byte("v"), 1000)
+	perValue := int64(len(value)) + headerBytes
+	for _, blocks := range []bool{false, true} {
+		s := NewSorter(Options{Combine: failing})
+		var err error
+		n := 0
+		for ; err == nil && n < 2*foldBytes/int(perValue); n++ {
+			p := kvio.Pair{Key: []byte("k"), Value: value}
+			if blocks {
+				_, err = s.AddBlock(blockPayload(t, []kvio.Pair{p}), 1)
+			} else {
+				err = s.Add(p)
+			}
+		}
+		if !errors.Is(err, boom) {
+			t.Errorf("blocks=%v: error %v, want the combiner's", blocks, err)
+		} else if first := foldBytes/int(perValue) + 1; n != first {
+			t.Errorf("blocks=%v: record %d failed, want the first past foldBytes (%d)", blocks, n, first)
 		}
 		s.Close()
 	}

@@ -7,9 +7,10 @@
 package wordcount
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -22,12 +23,40 @@ const (
 	ReduceName = "wordcount_reduce"
 )
 
-// Map emits (word, 1) for each token of the input line.
+// one is every emitted count; the emitter copies it.
+var one = codec.EncodeVarint(1)
+
+// asciiSpace is unicode.IsSpace below utf8.RuneSelf.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// Map emits (word, 1) for each token of the input line. Its tokens are
+// bytes.Fields's, words separated by Unicode white space, emitted as
+// subslices of value without building the field list.
 func Map(key, value []byte, emit kvio.Emitter) error {
-	for _, w := range bytes.Fields(value) {
-		if err := emit.Emit(w, codec.EncodeVarint(1)); err != nil {
-			return err
+	start := -1 // the current word's first byte, or -1 between words
+	for i := 0; i < len(value); {
+		space, size := false, 1
+		if c := value[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRune(value[i:])
+			space = unicode.IsSpace(r)
 		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if err := emit.Emit(value[start:i], one); err != nil {
+				return err
+			}
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		return emit.Emit(value[start:], one)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package wordcount
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -215,5 +216,52 @@ func TestSplitBytesMatchesPerFile(t *testing.T) {
 	chunked := run(128)
 	if whole["pear"] != 200 || chunked["pear"] != 200 || whole["plum"] != chunked["plum"] {
 		t.Errorf("whole %v vs chunked %v", whole, chunked)
+	}
+}
+
+// FuzzMapMatchesFields: Map's words are bytes.Fields's on any input,
+// invalid UTF-8 and non-ASCII white space included.
+func FuzzMapMatchesFields(f *testing.F) {
+	for _, seed := range []string{
+		"", "  to be   or not to be ", "\t\n\v\f\r tab",
+		"bad \xff\xfe utf8", "\xc3", "a\u0085b", "a\u00a0b", "a\u2028b", "a\u3000c",
+		"\x85 lone continuation", "mixed \xffend ",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var e kvio.SliceEmitter
+		if err := Map(nil, line, &e); err != nil {
+			t.Fatal(err)
+		}
+		want := bytes.Fields(line)
+		if len(e.Pairs) != len(want) {
+			t.Fatalf("%q: %d words, bytes.Fields has %d", line, len(e.Pairs), len(want))
+		}
+		for i, p := range e.Pairs {
+			if !bytes.Equal(p.Key, want[i]) {
+				t.Fatalf("%q: word %d is %q, bytes.Fields has %q", line, i, p.Key, want[i])
+			}
+			if n, err := codec.DecodeVarint(p.Value); err != nil || n != 1 {
+				t.Fatalf("%q: word %d counts %x", line, i, p.Value)
+			}
+		}
+	})
+}
+
+// BenchmarkWordcountMap tokenises one ten-word line per op into an
+// emitter that keeps nothing: no allocation per line or word.
+func BenchmarkWordcountMap(b *testing.B) {
+	line := []byte("the quick brown fox jumps over the lazy dog again")
+	e := &kvio.CountingEmitter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Map(nil, line, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if e.Records != 10*int64(b.N) {
+		b.Fatalf("%d words from %d lines", e.Records, b.N)
 	}
 }

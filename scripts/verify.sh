@@ -39,7 +39,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block/columnar handoff, negotiation)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|AddColumnar|HashPath|GroupsProperty|BlockBucket|Negotiation|TranscodeBetween|Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison|ForeignStreams' \
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|AddColumnar|HashPath|GroupsProperty|BlockBucket|Negotiation|TranscodeBetween|Columnar|BlockEncoding|AcceptsBlock|BlockMagicIsLegacyPoison|ForeignStreams|Fold' \
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
@@ -58,11 +58,15 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/xmlrpc
 	echo "== tier 2: sorter fuzz (both in-memory forms, Add and AddBlock, spilled, vs a stable-sort reference; corpus + 10s)"
 	go test -run '^$' -fuzz 'FuzzSorterGroups' -fuzztime 10s ./internal/shuffle
+	echo "== tier 2: WordCount tokenizer fuzz (Map vs bytes.Fields on arbitrary bytes; corpus + 10s)"
+	go test -run '^$' -fuzz 'FuzzMapMatchesFields' -fuzztime 10s ./internal/wordcount
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
-	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall' \
+	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall|BenchmarkSortGroupCombineHeavy' \
 		-benchmem -benchtime 100x ./internal/shuffle/
+	go test -run '^$' -bench 'BenchmarkKMeansAssign' -benchmem -benchtime 1000x ./internal/kmeans/
+	go test -run '^$' -bench 'BenchmarkWordcountMap' -benchmem -benchtime 1000x ./internal/wordcount/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
 		-benchmem -benchtime 1000x ./internal/kvio/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
