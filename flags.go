@@ -44,8 +44,6 @@ func BindFlags(fs *flag.FlagSet) *Options {
 		"store and serve intermediate buckets flate-compressed")
 	fs.StringVar(&o.Codec, "mrs-codec", "",
 		"block data-plane codec: identity|deflate|lz (empty = legacy per-record framing)")
-	fs.StringVar(&o.BlockEncoding, "mrs-block-encoding", "",
-		"block encoding: row|columnar|columnar-raw|columnar-dict|columnar-delta (empty = row)")
 	fs.IntVar(&o.BlockSize, "mrs-block-size", 0,
 		"record-block flush threshold in bytes (0 = default 64 KiB)")
 	fs.Int64Var(&o.ResidentBudget, "mrs-resident-budget", core.DefaultResidentBudget,

@@ -58,14 +58,6 @@ const CompressExt = ".fz"
 // and can serve it verbatim to a client that accepts that codec.
 const BlockExt = ".mrb"
 
-// ColExt marks a bucket file whose blocks are columnar frames (kvio's
-// second block kind: key and value columns with per-column codecs).
-// Like BlockExt it composes with the codec extension — ".mrc",
-// ".mrc.fz", ".mrc.lz" — so the data server knows both the at-rest
-// codec and the block kind without opening the file, which is what lets
-// it transcode down to row blocks for pre-columnar peers.
-const ColExt = ".mrc"
-
 // MemBucketMax is the largest bucket an HTTP-serving store keeps in RAM.
 // A writer that passes it spills to a file and continues there.
 const MemBucketMax = 64 << 10
@@ -112,17 +104,15 @@ type Store struct {
 	dir     string // if non-empty, buckets may be files under dir
 	baseURL string // if non-empty, buckets advertise baseURL/<name>
 
-	mu           sync.Mutex
-	mem          map[string]atRest  // RAM buckets by flat name
-	memBytes     int64              // total payload of mem
-	files        map[string]string  // file buckets by flat name: exact at-rest path
-	client       *http.Client       // overrides the shared fetch client (fault injection)
-	compress     bool               // write new file buckets legacy flate-compressed
-	codec        wirecodec.Codec    // if set, write new file buckets block-framed with this codec
-	blockEnc     kvio.BlockEncoding // block kind + key encoding for new file buckets
-	blockSize    int                // target uncompressed bytes per block (0 = kvio default)
-	rowOnlyFetch bool               // test hook: fetch like a pre-columnar peer
-	metrics      *obs.Metrics       // wire-byte counters (nil-safe)
+	mu        sync.Mutex
+	mem       map[string]atRest // RAM buckets by flat name
+	memBytes  int64             // total payload of mem
+	files     map[string]string // file buckets by flat name: exact at-rest path
+	client    *http.Client      // overrides the shared fetch client (fault injection)
+	compress  bool              // write new file buckets legacy flate-compressed
+	codec     wirecodec.Codec   // if set, write new file buckets block-framed with this codec
+	blockSize int               // target uncompressed bytes per block (0 = kvio default)
+	metrics   *obs.Metrics      // wire-byte counters (nil-safe)
 }
 
 // NewMemStore returns a Store that keeps buckets in memory. Its
@@ -246,39 +236,6 @@ func (s *Store) SetCodec(name string) error {
 	return nil
 }
 
-// SetBlockEncoding sets the block encoding for new file buckets:
-// "row" (the default), "columnar" (per-block automatic key encoding),
-// or a pinned "columnar-raw"/"columnar-dict"/"columnar-delta". Columnar
-// framing implies block framing, so if no block codec is set new
-// buckets are written as identity-codec blocks rather than falling
-// back to the legacy per-record forms.
-func (s *Store) SetBlockEncoding(name string) error {
-	enc, err := kvio.ParseBlockEncoding(name)
-	if err != nil {
-		return fmt.Errorf("bucket: %w", err)
-	}
-	s.mu.Lock()
-	s.blockEnc = enc
-	s.mu.Unlock()
-	return nil
-}
-
-// SetRowOnlyFetch makes the store's HTTP fetches look like they come
-// from a pre-columnar peer (no block-kind advertisement), forcing
-// serving peers onto the row-block transcode fallback. Test hook for
-// mixed-version fleets.
-func (s *Store) SetRowOnlyFetch(on bool) {
-	s.mu.Lock()
-	s.rowOnlyFetch = on
-	s.mu.Unlock()
-}
-
-func (s *Store) rowOnlyFetchOn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rowOnlyFetch
-}
-
 // SetBlockSize sets the target uncompressed payload per block for new
 // block-framed buckets; 0 restores the kvio default.
 func (s *Store) SetBlockSize(n int) {
@@ -287,14 +244,10 @@ func (s *Store) SetBlockSize(n int) {
 	s.mu.Unlock()
 }
 
-func (s *Store) codecOn() (wirecodec.Codec, kvio.BlockEncoding, int) {
+func (s *Store) codecOn() (wirecodec.Codec, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.codec
-	if c == nil && s.blockEnc.Columnar {
-		c = wirecodec.Identity()
-	}
-	return c, s.blockEnc, s.blockSize
+	return s.codec, s.blockSize
 }
 
 // SetMetrics wires the registry that receives the store's wire-byte and
@@ -321,36 +274,21 @@ func (s *Store) counter(metric string) *obs.Counter {
 	return m.Counter(metric)
 }
 
-// counting wraps rc so every wire byte lands in the per-path counter,
-// the per-codec counter for codecName, and the per-block-kind counter
-// for encName.
-func (s *Store) counting(rc io.ReadCloser, pathMetric, codecName, encName string) io.ReadCloser {
+// counting wraps rc so every wire byte lands in the per-path counter
+// and the per-codec counter for codecName.
+func (s *Store) counting(rc io.ReadCloser, pathMetric, codecName string) io.ReadCloser {
 	return &countingReadCloser{
 		rc: rc,
 		c:  s.counter(pathMetric),
 		c2: s.counter(obs.MetricWireBytesCodec(codecName)),
-		c3: s.counter(obs.MetricWireBytesEncoding(encName)),
 	}
-}
-
-// blockExtIndex finds the block-framing marker (row or columnar) in an
-// at-rest path, returning the marker's length so the codec extension
-// after it can be extracted.
-func blockExtIndex(path string) (idx, markerLen int) {
-	if i := strings.Index(path, BlockExt); i >= 0 {
-		return i, len(BlockExt)
-	}
-	if i := strings.Index(path, ColExt); i >= 0 {
-		return i, len(ColExt)
-	}
-	return -1, 0
 }
 
 // fileCodecName classifies an at-rest file path by the codec its wire
 // bytes are compressed with, for the per-codec counters.
 func fileCodecName(path string) string {
-	if i, n := blockExtIndex(path); i >= 0 {
-		ext := path[i+n:]
+	if i := strings.Index(path, BlockExt); i >= 0 {
+		ext := path[i+len(BlockExt):]
 		for _, name := range wirecodec.Names() {
 			if c, _ := wirecodec.Lookup(name); c.Ext() == ext {
 				return name
@@ -362,15 +300,6 @@ func fileCodecName(path string) string {
 		return wirecodec.DeflateName
 	}
 	return wirecodec.IdentityName
-}
-
-// fileEncodingName classifies an at-rest file path by block kind for
-// the per-encoding counters; legacy record files count as row.
-func fileEncodingName(path string) string {
-	if strings.Contains(path, ColExt) {
-		return wirecodec.BlockKindColumnar
-	}
-	return wirecodec.BlockKindRow
 }
 
 // InMemory reports whether this store keeps buckets in memory.
@@ -490,20 +419,17 @@ func (k *sink) abort() {
 
 // CreateOpts carries per-bucket overrides of the store's data-plane
 // defaults; zero values inherit the store settings. This is how a
-// per-dataset codec or block-encoding pin (core.OpOpts) reaches the
-// buckets a task writes.
+// per-dataset codec pin (core.OpOpts) reaches the buckets a task
+// writes.
 type CreateOpts struct {
 	// Codec overrides the store's block codec by registered name.
 	Codec string
-	// BlockEncoding overrides the store's block encoding ("row",
-	// "columnar", "columnar-raw", "columnar-dict", "columnar-delta").
-	BlockEncoding string
 }
 
 // Create starts a new bucket with the given store-relative name. Name
 // components are sanitized into a flat, safe file name. With a block
 // codec set the bucket is written block-framed and published with the
-// BlockExt+codec (or ColExt+codec, for columnar encodings) suffix; with
+// BlockExt+codec suffix; with
 // legacy compression on it is written through whole-stream flate under
 // CompressExt. A RAM bucket holds exactly the bytes its file would.
 // Record counts and payload bytes in the descriptor are always
@@ -524,25 +450,13 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 		w.w = kvio.NewWriter(&w.sink)
 		return w, nil
 	}
-	c, enc, blockSize := s.codecOn()
-	if opts.BlockEncoding != "" {
-		var err error
-		if enc, err = kvio.ParseBlockEncoding(opts.BlockEncoding); err != nil {
-			return nil, fmt.Errorf("bucket: %w", err)
-		}
-		if !enc.Columnar && opts.Codec == "" && s.dirCodec() == nil {
-			c = nil // pinned back to row on a store with no codec: legacy forms
-		}
-	}
+	c, blockSize := s.codecOn()
 	if opts.Codec != "" {
 		oc, ok := wirecodec.Lookup(opts.Codec)
 		if !ok {
 			return nil, fmt.Errorf("bucket: unknown codec %q (have %s)", opts.Codec, strings.Join(wirecodec.Names(), ", "))
 		}
 		c = oc
-	}
-	if c == nil && enc.Columnar {
-		c = wirecodec.Identity()
 	}
 	if s.baseURL != "" {
 		w.sink.buf = bufPool.Get().(*bytes.Buffer)
@@ -552,13 +466,8 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	w.form.path = filepath.Join(s.dir, flat)
 	if c != nil {
 		w.form.blockCodec = c
-		w.form.columnar = enc.Columnar
-		if enc.Columnar {
-			w.form.path += ColExt + c.Ext()
-		} else {
-			w.form.path += BlockExt + c.Ext()
-		}
-		w.bw = kvio.NewBlockWriterEnc(&w.sink, c, blockSize, enc)
+		w.form.path += BlockExt + c.Ext()
+		w.bw = kvio.NewBlockWriter(&w.sink, c, blockSize)
 	} else if s.compressOn() {
 		w.form.legacyFlate = true
 		w.form.path += CompressExt
@@ -568,14 +477,6 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 		w.w = kvio.NewWriter(&w.sink)
 	}
 	return w, nil
-}
-
-// dirCodec returns the store's configured block codec without the
-// columnar-implies-blocks defaulting codecOn applies.
-func (s *Store) dirCodec() wirecodec.Codec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codec
 }
 
 // Write appends one record to the bucket.
@@ -607,9 +508,6 @@ func (w *Writer) Close() (Descriptor, error) {
 	if w.bw != nil {
 		d = Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
 		err = w.bw.Close()
-		if n := w.bw.ColumnarBlocks(); n > 0 {
-			w.store.counter(obs.MetricBlocksColumnar).Add(n)
-		}
 	} else {
 		d = Descriptor{Name: w.name, Records: w.w.Count(), Bytes: w.w.Bytes()}
 		err = w.w.Flush()
@@ -787,7 +685,7 @@ func (s *Store) unlink(path string) error {
 // flatName strips the at-rest suffix from a bucket file name, leaving
 // the flat bucket name it was published under.
 func flatName(file string) string {
-	if i, _ := blockExtIndex(file); i >= 0 {
+	if i := strings.Index(file, BlockExt); i >= 0 {
 		return file[:i]
 	}
 	return strings.TrimSuffix(file, CompressExt)
@@ -870,7 +768,6 @@ type atRest struct {
 	path        string
 	data        []byte          // non-nil: a RAM bucket holding these bytes
 	blockCodec  wirecodec.Codec // non-nil: block-framed, blocks under this codec
-	columnar    bool            // blocks are columnar frames (ColExt)
 	legacyFlate bool            // legacy whole-stream flate
 }
 
@@ -892,8 +789,8 @@ type nopCloser struct{ *bytes.Reader }
 func (nopCloser) Close() error { return nil }
 
 // resolveAtRest finds which at-rest form exists for the plain path:
-// the plain legacy file, a block file (row or columnar, any registered
-// codec's suffix), or the legacy flate file.
+// the plain legacy file, a block file (any registered codec's suffix),
+// or the legacy flate file.
 func resolveAtRest(path string) (atRest, error) {
 	if _, err := os.Stat(path); err == nil {
 		return atRest{path: path}, nil
@@ -902,9 +799,6 @@ func resolveAtRest(path string) (atRest, error) {
 		c, _ := wirecodec.Lookup(name)
 		if p := path + BlockExt + c.Ext(); statOK(p) {
 			return atRest{path: p, blockCodec: c}, nil
-		}
-		if p := path + ColExt + c.Ext(); statOK(p) {
-			return atRest{path: p, blockCodec: c, columnar: true}, nil
 		}
 	}
 	if _, err := os.Stat(path + CompressExt); err == nil {
@@ -1071,11 +965,10 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc := s.counting(f, obs.MetricWireBytesShared, fileCodecName(path), fileEncodingName(path))
-		// ".mrb.fz"/".mrc.fz" end in ".fz" too, but block files carry no
-		// outer compression layer — only a bare CompressExt means legacy
-		// flate.
-		if i, _ := blockExtIndex(path); i < 0 && strings.HasSuffix(path, CompressExt) {
+		rc := s.counting(f, obs.MetricWireBytesShared, fileCodecName(path))
+		// ".mrb.fz" ends in ".fz" too, but block files carry no outer
+		// compression layer — only a bare CompressExt means legacy flate.
+		if !strings.Contains(path, BlockExt) && strings.HasSuffix(path, CompressExt) {
 			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
 		}
 		return rc, nil
@@ -1114,12 +1007,6 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 		// bytes verbatim. Servers that know neither header ignore both
 		// and serve identity — the mixed-version fallback.
 		req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-		// Advertise both block kinds; a peer holding columnar data can
-		// then send it verbatim instead of transcoding to row blocks.
-		// The rowOnlyFetch hook omits the header to look pre-columnar.
-		if !s.rowOnlyFetchOn() {
-			req.Header.Set(wirecodec.BlockAcceptHeader, wirecodec.AcceptBlocksHeader())
-		}
 		req.Header.Set("Accept-Encoding", "deflate")
 		resp, err := client.Do(req)
 		if err != nil {
@@ -1147,11 +1034,7 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 				codecName = wirecodec.DeflateName
 			}
 		}
-		encName := resp.Header.Get(wirecodec.BlockEncHeader)
-		if encName == "" {
-			encName = wirecodec.BlockKindRow
-		}
-		rc := s.counting(resp.Body, obs.MetricWireBytesDirect, codecName, encName)
+		rc := s.counting(resp.Body, obs.MetricWireBytesDirect, codecName)
 		if deflated {
 			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
 		}
@@ -1161,12 +1044,11 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 }
 
 // countingReadCloser adds every byte read to the wire counters: the
-// per-path total, the per-codec split, and the per-block-kind split.
+// per-path total and the per-codec split.
 type countingReadCloser struct {
 	rc io.ReadCloser
 	c  *obs.Counter
 	c2 *obs.Counter
-	c3 *obs.Counter
 }
 
 func (c *countingReadCloser) Read(p []byte) (int, error) {
@@ -1174,7 +1056,6 @@ func (c *countingReadCloser) Read(p []byte) (int, error) {
 	if n > 0 {
 		c.c.Add(int64(n))
 		c.c2.Add(int64(n))
-		c.c3.Add(int64(n))
 	}
 	return n, err
 }
@@ -1281,6 +1162,10 @@ func acceptsDeflate(r *http.Request) bool {
 //     stream for clients that sent no codec advertisement at all,
 //     deflate-wrapped when they accept it. Mixed-version fleets always
 //     land on a form both sides speak.
+//
+// A re-encoding arm that hits a read or decode error mid-body aborts
+// the response (see abortOn), so the client never mistakes a prefix of
+// the bucket for all of it.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 	ar, err := lookupPath(path)
 	if err != nil {
@@ -1304,8 +1189,9 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 		io.Copy(w, rs)
 	default:
 		fr := deflateCodec().NewReader(rs)
-		io.Copy(w, fr)
+		_, err := io.Copy(w, fr)
 		fr.Close()
+		abortOn(err)
 	}
 }
 
@@ -1320,55 +1206,50 @@ func setContentLength(w http.ResponseWriter, rs io.Seeker) {
 	}
 }
 
-// serveBlockBucket serves one block-framed bucket, picking the wire form
-// the client can decode along both negotiation axes: the codec
-// (RequestHeader) and the block kind (BlockAcceptHeader). A columnar
-// bucket served to a peer that never advertised block kinds — a
-// pre-columnar build — is transcoded down to row blocks, so
-// mixed-version fleets keep exchanging data.
+// serveBlockBucket serves one block-framed bucket in the wire form the
+// client's codec advertisement (RequestHeader) lets it decode.
 func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, rs io.ReadSeeker) {
 	accepted := wirecodec.ParseAccept(r.Header.Get(wirecodec.RequestHeader))
-	kind := wirecodec.BlockKindRow
-	if ar.columnar {
-		kind = wirecodec.BlockKindColumnar
-	}
-	kindOK := wirecodec.AcceptsBlock(r.Header.Get(wirecodec.BlockAcceptHeader), kind)
 	switch {
-	case kindOK && wirecodec.Accepts(accepted, ar.blockCodec.Name()):
-		// Best case: the at-rest bytes are already in a codec and block
-		// kind the client decodes — send them verbatim, zero CPU.
+	case wirecodec.Accepts(accepted, ar.blockCodec.Name()):
+		// Best case: the at-rest bytes are already in a codec the client
+		// decodes — send them verbatim, zero CPU. The client checks each
+		// block's CRC.
 		w.Header().Set(wirecodec.CodecHeader, ar.blockCodec.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, kind)
 		setContentLength(w, rs)
 		io.Copy(w, rs)
-	case kindOK && len(accepted) > 0:
-		// A block-capable client that can't decode the at-rest codec:
-		// transcode block-to-block into the best mutual codec. Columnar
-		// frames are recompressed column-wise without re-parsing records.
-		// Unknown advertised names fall through to identity inside
-		// Negotiate, so this arm is also the forward-compatibility path.
-		to := wirecodec.Negotiate(accepted)
-		w.Header().Set(wirecodec.CodecHeader, to.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, kind)
-		kvio.TranscodeBlocks(w, rs, to)
 	case len(accepted) > 0:
-		// Block-capable but row-only client (a pre-columnar build) and a
-		// columnar bucket: flatten every frame into row blocks under the
-		// best mutual codec — the mixed-version fallback.
+		// A block-capable client that can't decode the at-rest codec:
+		// transcode block-to-block into the best mutual codec. Unknown
+		// advertised names fall through to identity inside Negotiate, so
+		// this arm is also the forward-compatibility path.
 		to := wirecodec.Negotiate(accepted)
 		w.Header().Set(wirecodec.CodecHeader, to.Name())
-		w.Header().Set(wirecodec.BlockEncHeader, wirecodec.BlockKindRow)
-		kvio.TranscodeToRowBlocks(w, rs, to)
+		abortOn(kvio.TranscodeBlocks(w, rs, to))
 	case acceptsDeflate(r):
 		// Pre-block client that speaks the legacy deflate negotiation:
-		// flatten blocks to a record stream under Content-Encoding.
+		// flatten blocks to a record stream under Content-Encoding. On
+		// error the flate stream is left unterminated: a final block
+		// would let the client's decompressor end cleanly.
 		w.Header().Set("Content-Encoding", "deflate")
 		cw := deflateCodec().NewWriter(w)
-		kvio.TranscodeToRecords(cw, rs)
+		abortOn(kvio.TranscodeToRecords(cw, rs))
 		cw.Close()
 	default:
 		// Identity legacy client.
-		kvio.TranscodeToRecords(w, rs)
+		abortOn(kvio.TranscodeToRecords(w, rs))
+	}
+}
+
+// abortOn aborts the response when re-encoding an at-rest bucket failed
+// (a corrupt block, a short read). Headers and part of the body may
+// already be sent, so an error status is impossible; panicking with
+// http.ErrAbortHandler drops the connection without the response's
+// clean end, and the client's read fails instead of seeing a bucket
+// silently truncated at the bad block.
+func abortOn(err error) {
+	if err != nil {
+		panic(http.ErrAbortHandler)
 	}
 }
 

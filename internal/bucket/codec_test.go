@@ -1,9 +1,13 @@
 package bucket
 
 import (
+	"bytes"
+	"compress/flate"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -312,5 +316,141 @@ func TestBlockBucketTranscodeBetweenCodecs(t *testing.T) {
 	}
 	if !pairsEqual(got, in) {
 		t.Fatal("transcoded response lost data")
+	}
+}
+
+func TestCreateOptsOverrides(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := NewFileStore(dir, "")
+	in := compressiblePairs()
+
+	// Plain store, bucket pinned to lz.
+	w, err := s.CreateOpts("ds1/t0/s0", CreateOpts{Codec: wirecodec.LZName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range in {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := BlockExt + wirecodec.LZExt; !strings.HasSuffix(d.URL, want) {
+		t.Fatalf("pinned bucket URL %q should carry %s", d.URL, want)
+	}
+	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, in) {
+		t.Fatalf("pinned lz bucket round trip: %v", err)
+	}
+
+	if _, err := s.CreateOpts("ds1/t0/s2", CreateOpts{Codec: "zstd-from-the-future"}); err == nil {
+		t.Fatal("CreateOpts accepted an unknown codec")
+	}
+}
+
+// TestServeBucketAbortsOnCorruptAtRest: every arm that re-encodes an
+// at-rest bucket on the way out must fail the client's read when the
+// at-rest bytes are corrupt, not end the response cleanly after the
+// last good block.
+func TestServeBucketAbortsOnCorruptAtRest(t *testing.T) {
+	in := compressiblePairs()
+	// fetch GETs the bucket and decodes it as the matching client would,
+	// returning the records decoded and the first error seen anywhere.
+	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	defer client.CloseIdleConnections()
+	fetch := func(url string, headers map[string]string) (int, error) {
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		for k, v := range headers {
+			req.Header.Set(k, v)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("status %s", resp.Status)
+		}
+		var body io.Reader = resp.Body
+		if resp.Header.Get("Content-Encoding") == "deflate" {
+			fr := deflateCodec().NewReader(body)
+			defer fr.Close()
+			body = fr
+		}
+		r := kvio.NewAnyReader(body)
+		defer r.Release()
+		got, err := r.ReadAll()
+		return len(got), err
+	}
+
+	// An lz block bucket whose last block fails its CRC.
+	blockDir := t.TempDir()
+	blocks, _ := NewFileStore(blockDir, "")
+	if err := blocks.SetCodec(wirecodec.LZName); err != nil {
+		t.Fatal(err)
+	}
+	blocks.SetBlockSize(1 << 10)
+	if _, err := blocks.Put("ds1/t0/s0", in); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(blockDir, "ds1_t0_s0"+BlockExt+wirecodec.LZExt)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF // inside the last block's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blockSrv := serveStore(blocks)
+	defer blockSrv.Close()
+
+	// A legacy flate bucket that decompresses to whole records up to a
+	// sync flush, then hits a corrupt flate block (BTYPE 11).
+	fzDir := t.TempDir()
+	fz, _ := NewFileStore(fzDir, "")
+	fz.SetCompress(true)
+	if _, err := fz.Put("ds1/t0/s0", in); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
+	kw := kvio.NewWriter(fw)
+	for _, p := range in[:100] {
+		if err := kw.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0x07)
+	if err := os.WriteFile(filepath.Join(fzDir, "ds1_t0_s0"+CompressExt), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fzSrv := serveStore(fz)
+	defer fzSrv.Close()
+
+	for _, arm := range []struct {
+		name    string
+		url     string
+		headers map[string]string
+	}{
+		{"block-transcode", blockSrv.URL, map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName}},
+		{"block-to-records", blockSrv.URL, nil},
+		{"block-to-records-deflate", blockSrv.URL, map[string]string{"Accept-Encoding": "deflate"}},
+		{"legacy-fz-decompress", fzSrv.URL, nil},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			n, err := fetch(arm.url+"/data/ds1_t0_s0", arm.headers)
+			if err == nil {
+				t.Fatalf("corrupt bucket served cleanly: %d of %d records, no error", n, len(in))
+			}
+		})
 	}
 }

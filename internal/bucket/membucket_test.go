@@ -18,7 +18,7 @@ import (
 	"repro/internal/wirecodec"
 )
 
-// dataPlaneConfigs is the codec × encoding grid a store can write.
+// dataPlaneConfigs is the at-rest forms a store can write.
 var dataPlaneConfigs = []struct {
 	name  string
 	setup func(*Store) error
@@ -28,11 +28,10 @@ var dataPlaneConfigs = []struct {
 	{"identity", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) }},
 	{"deflate", func(s *Store) error { return s.SetCodec(wirecodec.DeflateName) }},
 	{"lz", func(s *Store) error { return s.SetCodec(wirecodec.LZName) }},
-	{"columnar", func(s *Store) error { return s.SetBlockEncoding("columnar") }},
 }
 
 // smallPairs is a bucket well under MemBucketMax with enough repetition
-// for every codec and key encoding to do real work.
+// for every codec to do real work.
 func smallPairs() []kvio.Pair {
 	var out []kvio.Pair
 	for i := 0; i < 200; i++ {
@@ -181,18 +180,15 @@ func TestRAMBucketMatchesFileBytes(t *testing.T) {
 // bucket as for the same bucket held in a file.
 func TestServeBucketRAMMatchesFile(t *testing.T) {
 	all := wirecodec.AcceptHeader()
-	blocks := wirecodec.AcceptBlocksHeader()
 	arms := []struct {
 		name    string
 		setup   func(*Store) error
 		headers map[string]string
 	}{
 		{"verbatim", dataPlaneConfigs[4].setup,
-			map[string]string{wirecodec.RequestHeader: all, wirecodec.BlockAcceptHeader: blocks}},
-		{"block-transcode", dataPlaneConfigs[4].setup,
-			map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName, wirecodec.BlockAcceptHeader: blocks}},
-		{"row-only-flatten", dataPlaneConfigs[5].setup,
 			map[string]string{wirecodec.RequestHeader: all}},
+		{"block-transcode", dataPlaneConfigs[4].setup,
+			map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName}},
 		{"legacy-deflate", dataPlaneConfigs[1].setup,
 			map[string]string{"Accept-Encoding": "deflate"}},
 		{"legacy-identity", dataPlaneConfigs[0].setup, nil},
@@ -242,7 +238,7 @@ func TestServeBucketRAMMatchesFile(t *testing.T) {
 			if !bytes.Equal(rb, fb) {
 				t.Errorf("RAM body (%d bytes) differs from file body (%d bytes)", len(rb), len(fb))
 			}
-			for _, h := range []string{wirecodec.CodecHeader, wirecodec.BlockEncHeader, "Content-Encoding", "Content-Length"} {
+			for _, h := range []string{wirecodec.CodecHeader, "Content-Encoding", "Content-Length"} {
 				if rh.Get(h) != fh.Get(h) {
 					t.Errorf("%s: RAM %q, file %q", h, rh.Get(h), fh.Get(h))
 				}

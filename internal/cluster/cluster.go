@@ -62,14 +62,6 @@ type Options struct {
 	// the legacy per-record framing). When both Codec and Compress are
 	// set, Codec wins. Unknown names fail Start.
 	Codec string
-	// BlockEncoding selects the block encoding every node writes its
-	// buckets with ("row", "columnar", "columnar-raw", "columnar-dict",
-	// "columnar-delta"; "" = row). Unknown names fail Start.
-	BlockEncoding string
-	// RowOnlyFetch makes every slave fetch like a pre-columnar peer
-	// (no columnar-accept header), forcing servers into the
-	// row-transcode fallback — the mixed-version ablation.
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -108,8 +100,6 @@ type Cluster struct {
 	prefetch     int
 	compress     bool
 	codec        string
-	blockEnc     string
-	rowOnly      bool
 	blockSize    int
 	slaveCon     int
 	resident     int64
@@ -159,8 +149,6 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 		Obs:                   opts.Obs,
 		Compress:              opts.Compress,
 		Codec:                 opts.Codec,
-		BlockEncoding:         opts.BlockEncoding,
-		RowOnlyFetch:          opts.RowOnlyFetch,
 		BlockSize:             opts.BlockSize,
 		MaxConcurrentJobs:     opts.MaxConcurrentJobs,
 		SpeculationFactor:     opts.SpeculationFactor,
@@ -170,7 +158,7 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, compress: opts.Compress, codec: opts.Codec, blockEnc: opts.BlockEncoding, rowOnly: opts.RowOnlyFetch, blockSize: opts.BlockSize, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
+	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, compress: opts.Compress, codec: opts.Codec, blockSize: opts.BlockSize, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < opts.SubMasters; i++ {
@@ -375,8 +363,6 @@ func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, cont
 		Prefetch:       c.prefetch,
 		Compress:       c.compress,
 		Codec:          c.codec,
-		BlockEncoding:  c.blockEnc,
-		RowOnlyFetch:   c.rowOnly,
 		BlockSize:      c.blockSize,
 		Concurrency:    c.slaveCon,
 		ResidentBudget: c.resident,

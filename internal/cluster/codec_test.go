@@ -20,8 +20,6 @@ import (
 func TestCodecGridByteIdentical(t *testing.T) {
 	type config struct {
 		codec    string
-		encoding string
-		rowOnly  bool
 		compress bool
 		prefetch int
 	}
@@ -33,16 +31,8 @@ func TestCodecGridByteIdentical(t *testing.T) {
 		)
 		for _, name := range wirecodec.Names() {
 			configs = append(configs, config{codec: name, prefetch: p})
-			// The columnar plane under every key encoding.
-			for _, enc := range []string{"columnar-raw", "columnar-dict", "columnar-delta"} {
-				configs = append(configs, config{codec: name, encoding: enc, prefetch: p})
-			}
 		}
 	}
-	// The mixed-version cell: every node writes columnar, but fetches
-	// like a pre-columnar peer, so each data server takes the
-	// row-transcode fallback on every request.
-	configs = append(configs, config{codec: wirecodec.LZName, encoding: "columnar-dict", rowOnly: true, prefetch: 8})
 	var want []kvio.Pair
 	for _, cfg := range configs {
 		cfg := cfg
@@ -50,22 +40,14 @@ func TestCodecGridByteIdentical(t *testing.T) {
 		if cfg.codec == "" {
 			name = fmt.Sprintf("legacy,compress=%v,prefetch=%d", cfg.compress, cfg.prefetch)
 		}
-		if cfg.encoding != "" {
-			name = fmt.Sprintf("codec=%s,enc=%s,prefetch=%d", cfg.codec, cfg.encoding, cfg.prefetch)
-			if cfg.rowOnly {
-				name += ",row-only-peer"
-			}
-		}
 		t.Run(name, func(t *testing.T) {
 			rt := obs.New(nil)
 			c, err := Start(testRegistry(), Options{
-				Slaves:        3,
-				Prefetch:      cfg.prefetch,
-				Compress:      cfg.compress,
-				Codec:         cfg.codec,
-				BlockEncoding: cfg.encoding,
-				RowOnlyFetch:  cfg.rowOnly,
-				Obs:           rt,
+				Slaves:   3,
+				Prefetch: cfg.prefetch,
+				Compress: cfg.compress,
+				Codec:    cfg.codec,
+				Obs:      rt,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -80,29 +62,6 @@ func TestCodecGridByteIdentical(t *testing.T) {
 			} else if !samePairs(want, got) {
 				t.Errorf("%s output diverged from baseline: %d records vs %d",
 					name, len(got), len(want))
-			}
-			if cfg.encoding != "" {
-				// Columnar cells: columnar blocks were actually written,
-				// and the wire split shows whether peers fetched them
-				// (homogeneous fleet) or forced the row fallback
-				// (row-only mixed-version cell).
-				snap := rt.M().Snapshot()
-				if snap[obs.MetricBlocksColumnar] == 0 {
-					t.Error("no columnar blocks written under a columnar encoding")
-				}
-				wire := snap[obs.MetricWireBytesDirect]
-				colWire := snap[obs.MetricWireBytesEncoding("columnar")]
-				rowWire := snap[obs.MetricWireBytesEncoding("row")]
-				if cfg.rowOnly {
-					if colWire != 0 {
-						t.Errorf("row-only peers moved %d columnar wire bytes", colWire)
-					}
-					if rowWire != wire {
-						t.Errorf("row wire bytes = %d, want all direct traffic %d", rowWire, wire)
-					}
-				} else if colWire != wire {
-					t.Errorf("columnar wire bytes = %d, want all direct traffic %d", colWire, wire)
-				}
 			}
 			if cfg.codec == "" {
 				return

@@ -237,11 +237,6 @@ type Operation struct {
 	// settings it never changes results, only bytes at rest and on the
 	// wire.
 	Codec string
-	// BlockEncoding pins the block encoding of this operation's output
-	// buckets ("row", "columnar", "columnar-raw", "columnar-dict",
-	// "columnar-delta"), overriding the executor-wide setting. Empty
-	// inherits.
-	BlockEncoding string
 
 	// rangeFormat marks an OpFile whose Paths are byte-range URLs
 	// (TextFileDataSplit). Master-side only; slaves see the range

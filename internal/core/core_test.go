@@ -154,10 +154,9 @@ func TestWordCountMockParallel(t *testing.T) {
 }
 
 func TestPerOpDataPlanePins(t *testing.T) {
-	// One operation pins its output buckets to columnar-dict over lz
-	// while the store keeps its legacy default: the pinned dataset's
-	// files must be columnar at rest, every other dataset legacy, and
-	// the answers unchanged.
+	// One operation pins its output buckets to lz while the store keeps
+	// its legacy default: the pinned dataset's files must be lz blocks
+	// at rest, every other dataset legacy, and the answers unchanged.
 	dir := t.TempDir()
 	exec, err := NewMockParallel(testRegistry(), dir)
 	if err != nil {
@@ -170,7 +169,7 @@ func TestPerOpDataPlanePins(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := job.MapReduce(src, "split", "sum",
-		OpOpts{Splits: 4, Codec: "lz", BlockEncoding: "columnar-dict"},
+		OpOpts{Splits: 4, Codec: "lz"},
 		OpOpts{Splits: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -184,13 +183,13 @@ func TestPerOpDataPlanePins(t *testing.T) {
 	}
 	checkCounts(t, pairs)
 
-	var columnar, plain int
+	var pinned, plain int
 	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() {
 			return err
 		}
-		if strings.HasSuffix(path, ".mrc.lz") {
-			columnar++
+		if strings.HasSuffix(path, ".mrb.lz") {
+			pinned++
 		} else {
 			plain++
 		}
@@ -199,8 +198,8 @@ func TestPerOpDataPlanePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if columnar == 0 {
-		t.Error("pinned map op left no columnar at-rest files")
+	if pinned == 0 {
+		t.Error("pinned map op left no lz block files at rest")
 	}
 	if plain == 0 {
 		t.Error("unpinned datasets left no legacy files; pin leaked store-wide")

@@ -508,9 +508,6 @@ type OpOpts struct {
 	// Codec pins this operation's output-bucket wire codec by name,
 	// overriding the executor-wide setting (see Operation.Codec).
 	Codec string
-	// BlockEncoding pins this operation's output block encoding (see
-	// Operation.BlockEncoding).
-	BlockEncoding string
 }
 
 func (o OpOpts) splitsOr(def int) int {
@@ -609,16 +606,15 @@ func packFiles(sizes []int64, target int64) (fileSplit []int, splits int) {
 func (j *Job) Map(src *Dataset, funcName string, opts OpOpts) (*Dataset, error) {
 	splits := opts.splitsOr(src.splits)
 	return j.enqueue(&Operation{
-		Kind:          OpMap,
-		Input:         src.id,
-		FuncName:      funcName,
-		CombineName:   opts.Combine,
-		Splits:        splits,
-		Partition:     opts.Partition,
-		Params:        append([]byte(nil), opts.Params...),
-		Resident:      opts.Resident,
-		Codec:         opts.Codec,
-		BlockEncoding: opts.BlockEncoding,
+		Kind:        OpMap,
+		Input:       src.id,
+		FuncName:    funcName,
+		CombineName: opts.Combine,
+		Splits:      splits,
+		Partition:   opts.Partition,
+		Params:      append([]byte(nil), opts.Params...),
+		Resident:    opts.Resident,
+		Codec:       opts.Codec,
 	}, splits)
 }
 
@@ -628,17 +624,16 @@ func (j *Job) Map(src *Dataset, funcName string, opts OpOpts) (*Dataset, error) 
 func (j *Job) Reduce(src *Dataset, funcName string, opts OpOpts) (*Dataset, error) {
 	splits := opts.splitsOr(src.splits)
 	return j.enqueue(&Operation{
-		Kind:          OpReduce,
-		Input:         src.id,
-		FuncName:      funcName,
-		CombineName:   opts.Combine,
-		Splits:        splits,
-		Partition:     opts.Partition,
-		Params:        append([]byte(nil), opts.Params...),
-		KeyAligned:    opts.KeyAligned,
-		Resident:      opts.Resident,
-		Codec:         opts.Codec,
-		BlockEncoding: opts.BlockEncoding,
+		Kind:        OpReduce,
+		Input:       src.id,
+		FuncName:    funcName,
+		CombineName: opts.Combine,
+		Splits:      splits,
+		Partition:   opts.Partition,
+		Params:      append([]byte(nil), opts.Params...),
+		KeyAligned:  opts.KeyAligned,
+		Resident:    opts.Resident,
+		Codec:       opts.Codec,
 	}, splits)
 }
 

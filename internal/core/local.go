@@ -124,14 +124,6 @@ func (e *LocalExecutor) SetCompress(on bool) { e.env.Store.SetCompress(on) }
 // Submit.
 func (e *LocalExecutor) SetCodec(name string) error { return e.env.Store.SetCodec(name) }
 
-// SetBlockEncoding selects the block encoding the executor's store
-// writes block-framed buckets with ("row", "columnar",
-// "columnar-raw", "columnar-dict", "columnar-delta"; "" = row).
-// Unknown names error. Must be called before the first Submit.
-func (e *LocalExecutor) SetBlockEncoding(name string) error {
-	return e.env.Store.SetBlockEncoding(name)
-}
-
 // SetBlockSize overrides the record-block flush threshold in bytes
 // (0 = default). Must be called before the first Submit.
 func (e *LocalExecutor) SetBlockSize(n int) { e.env.Store.SetBlockSize(n) }

@@ -251,7 +251,7 @@ func sortingEmitter(parter partition.Func, sorters []*shuffle.Sorter) kvio.FuncE
 func makeWriters(env *TaskEnv, spec *TaskSpec) ([]*bucket.Writer, error) {
 	op := spec.Op
 	writers := make([]*bucket.Writer, op.Splits)
-	opts := bucket.CreateOpts{Codec: op.Codec, BlockEncoding: op.BlockEncoding}
+	opts := bucket.CreateOpts{Codec: op.Codec}
 	for s := range writers {
 		w, err := env.Store.CreateOpts(BucketNameJob(spec.Job, op.Dataset, spec.TaskIndex, s), opts)
 		if err != nil {
@@ -391,7 +391,6 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 			return sorter.Add(kvio.Pair{Key: key, Value: value})
 		},
 		block: sorter.AddBlock,
-		col:   sorter.AddColumnar,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: reduce task %d of ds%d (input): %w", spec.TaskIndex, op.Dataset, err)
@@ -490,13 +489,9 @@ func forEachInputRecord(env *TaskEnv, spec *TaskSpec, st *inputStats, fn func(ke
 // key+value payload bytes it consumed. That is the zero-copy handoff
 // into the shuffle sorter; streams in any other framing fall back to
 // fn, so a sink always sees every record exactly once either way.
-// col, when non-nil, receives whole columnar blocks (ownership
-// transfers, same as block); without it columnar frames are flattened
-// into row form and delivered through block or fn.
 type recordSink struct {
 	fn    func(key, value []byte) error
 	block func(block []byte, recs int) (int64, error)
-	col   func(cb *kvio.ColumnarBlock) (int64, error)
 }
 
 // forEachInput streams every input split of the task into sink,
@@ -517,17 +512,6 @@ func forEachInput(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink)
 	if inner.block != nil {
 		sink.block = func(block []byte, recs int) (int64, error) {
 			n, err := inner.block(block, recs)
-			st.records += int64(recs)
-			if countPayload {
-				st.bytes += n
-			}
-			return n, err
-		}
-	}
-	if inner.col != nil {
-		sink.col = func(cb *kvio.ColumnarBlock) (int64, error) {
-			recs := cb.Len()
-			n, err := inner.col(cb)
 			st.records += int64(recs)
 			if countPayload {
 				st.bytes += n
@@ -702,23 +686,12 @@ func consumeKVStream(r io.Reader, sink recordSink) error {
 	defer kr.Release()
 	if br, ok := kr.(*kvio.BlockReader); ok && sink.block != nil {
 		for {
-			blk, cb, recs, err := br.NextAny()
+			blk, recs, err := br.NextBlock()
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
-			}
-			if cb != nil {
-				if sink.col != nil {
-					if _, err := sink.col(cb); err != nil {
-						return err
-					}
-					continue
-				}
-				// No columnar sink: flatten to row form. The sink adopts
-				// the buffer, so each block gets a fresh one.
-				blk = cb.AppendRows(nil)
 			}
 			if _, err := sink.block(blk, recs); err != nil {
 				return err

@@ -148,77 +148,6 @@ func BenchmarkBlockReaderReadShared(b *testing.B) {
 	}
 }
 
-// benchColumnarStream builds a columnar stream of n records over a
-// repetitive key set — the shuffle shape the column split targets.
-func benchColumnarStream(n int, codecName string, keyEnc int) []byte {
-	c, ok := wirecodec.Lookup(codecName)
-	if !ok {
-		panic("unknown codec " + codecName)
-	}
-	var buf bytes.Buffer
-	w := NewBlockWriterEnc(&buf, c, 0, BlockEncoding{Columnar: true, KeyEnc: keyEnc})
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = "some-moderate-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-	}
-	for i := 0; i < n; i++ {
-		p := StrPair(keys[i%len(keys)], "some-moderate-value-payload")
-		if err := w.Write(p); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// BenchmarkBlockColumnarScan measures the columnar decode hot path:
-// NextAny plus a key/value visit of every record. Per-block work
-// amortizes across the block's records, so allocs/op must hold at 0.
-func BenchmarkBlockColumnarScan(b *testing.B) {
-	for _, mk := range []struct {
-		codec  string
-		keyEnc int
-		name   string
-	}{
-		{wirecodec.IdentityName, KeyEncRaw, "identity/raw"},
-		{wirecodec.IdentityName, KeyEncDict, "identity/dict"},
-		{wirecodec.IdentityName, KeyEncDelta, "identity/delta"},
-		{wirecodec.LZName, KeyEncDict, "lz/dict"},
-	} {
-		b.Run(mk.name, func(b *testing.B) {
-			data := benchColumnarStream(b.N, mk.codec, mk.keyEnc)
-			b.SetBytes(int64(len("some-moderate-key-xx") + len("some-moderate-value-payload")))
-			b.ReportAllocs()
-			b.ResetTimer()
-			r, err := NewBlockReader(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Release()
-			seen := 0
-			var sink int
-			for seen < b.N {
-				_, cb, recs, err := r.NextAny()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < cb.Len(); i++ {
-					sink += len(cb.Key(i)) + len(cb.Value(i))
-				}
-				seen += recs
-			}
-			if sink == 0 && b.N > 0 {
-				b.Fatal("scan visited nothing")
-			}
-		})
-	}
-}
-
 // BenchmarkBlockNextBlock measures the zero-copy batch path: decode a
 // block and scan records in place, no per-record copies.
 func BenchmarkBlockNextBlock(b *testing.B) {

@@ -15,11 +15,7 @@ package kvio
 //	payload              codec-compressed record run
 //
 // and the payload decompresses to `records` records in the classic
-// per-record framing (uvarint keyLen|key|uvarint valueLen|value). This
-// is the row block kind; the same stream can also carry columnar blocks
-// (colblock.go), discriminated per block by a sentinel first uvarint,
-// which store keys and values as independently compressed and
-// checksummed column segments.
+// per-record framing (uvarint keyLen|key|uvarint valueLen|value).
 // Compression and integrity checking run once per ~BlockSize bytes
 // instead of once per record, the header makes every block
 // self-describing (a reader needs no out-of-band codec agreement), and
@@ -76,20 +72,11 @@ type BlockWriter struct {
 	w         io.Writer
 	codec     wirecodec.Codec
 	blockSize int
-	enc       BlockEncoding // block kind emitted by Write (row or columnar)
 
 	raw   []byte // pending records in per-record framing
 	recs  int    // records pending in raw
 	comp  bytes.Buffer
 	wrote bool // magic emitted
-
-	// columnar emit scratch (colblock.go)
-	colKeys   [][]byte
-	colVal    []byte
-	colKey    []byte
-	colSeen   map[string]uint32
-	compCol   bytes.Buffer
-	colBlocks int64
 
 	n     int64 // records written (total)
 	bytes int64 // payload bytes written (keys+values, no framing)
@@ -99,20 +86,13 @@ type BlockWriter struct {
 // NewBlockWriter returns a BlockWriter on w compressing each block with
 // codec (nil = identity). blockSize <= 0 selects DefaultBlockSize.
 func NewBlockWriter(w io.Writer, codec wirecodec.Codec, blockSize int) *BlockWriter {
-	return NewBlockWriterEnc(w, codec, blockSize, BlockEncoding{})
-}
-
-// NewBlockWriterEnc is NewBlockWriter with an explicit block encoding:
-// the zero BlockEncoding emits row blocks, a Columnar encoding emits
-// columnar blocks (colblock.go) from the same Write/Flush surface.
-func NewBlockWriterEnc(w io.Writer, codec wirecodec.Codec, blockSize int, enc BlockEncoding) *BlockWriter {
 	if codec == nil {
 		codec = wirecodec.Identity()
 	}
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &BlockWriter{w: w, codec: codec, blockSize: blockSize, enc: enc, raw: make([]byte, 0, blockSize+1024)}
+	return &BlockWriter{w: w, codec: codec, blockSize: blockSize, raw: make([]byte, 0, blockSize+1024)}
 }
 
 // Write appends one record to the pending block, emitting a block when
@@ -145,11 +125,8 @@ func (w *BlockWriter) writeMagic() error {
 }
 
 // emit compresses, checksums, and writes one block of raw record
-// bytes, in the writer's configured block kind.
+// bytes.
 func (w *BlockWriter) emit(raw []byte, recs int) error {
-	if w.enc.Columnar {
-		return w.emitColumnar(raw, recs)
-	}
 	if err := w.writeMagic(); err != nil {
 		return err
 	}
@@ -299,29 +276,13 @@ func (r *BlockReader) Count() int64 { return r.n }
 // consumed so far, including blocks handed off via NextBlock.
 func (r *BlockReader) RawBytes() int64 { return r.rawBytes }
 
-// colSegHdr is one column segment's header within a columnar block.
-type colSegHdr struct {
+// blockHdr is one parsed block header.
+type blockHdr struct {
+	recs       int
 	rawLen     int
 	codec      wirecodec.Codec
 	payloadLen int
 	crc        uint32
-}
-
-// blockHdr is one parsed block header of either kind. A row block uses
-// seg alone (its single payload); a columnar block uses key and val.
-type blockHdr struct {
-	columnar bool
-	recs     int
-	keyEnc   int
-	seg      colSegHdr // row payload
-	key, val colSegHdr // columnar columns
-}
-
-// rawColumns is a columnar block's decompressed-but-still-key-encoded
-// column bytes, the unit the column transcoding path moves.
-type rawColumns struct {
-	keyEnc   int
-	key, val []byte
 }
 
 // u reads one bounds-checked header uvarint. An io.EOF at a block start
@@ -340,10 +301,14 @@ func (r *BlockReader) u(atStart bool) (int, error) {
 	return int(v), nil
 }
 
-// readSeg parses one column-segment header (rawLen, codec, payloadLen,
-// CRC) — also the shape of a row block header after its record count.
-func (r *BlockReader) readSeg() (s colSegHdr, err error) {
-	if s.rawLen, err = r.u(false); err != nil {
+// readHeader parses one block header. Its first uvarint is the record
+// count, bounded by MaxBlockLen; an io.EOF before that first byte is
+// the clean end of stream.
+func (r *BlockReader) readHeader() (h blockHdr, err error) {
+	if h.recs, err = r.u(true); err != nil {
+		return
+	}
+	if h.rawLen, err = r.u(false); err != nil {
 		return
 	}
 	nameLen, err := r.u(false)
@@ -361,11 +326,11 @@ func (r *BlockReader) readSeg() (s colSegHdr, err error) {
 	}
 	name := string(nameBuf[:nameLen])
 	var ok bool
-	if s.codec, ok = wirecodec.Lookup(name); !ok {
+	if h.codec, ok = wirecodec.Lookup(name); !ok {
 		err = fmt.Errorf("%w: unknown codec %q", ErrBlockCorrupt, name)
 		return
 	}
-	if s.payloadLen, err = r.u(false); err != nil {
+	if h.payloadLen, err = r.u(false); err != nil {
 		return
 	}
 	var crcBuf [4]byte
@@ -373,94 +338,56 @@ func (r *BlockReader) readSeg() (s colSegHdr, err error) {
 		err = noEOF(err)
 		return
 	}
-	s.crc = binary.LittleEndian.Uint32(crcBuf[:])
+	h.crc = binary.LittleEndian.Uint32(crcBuf[:])
 	return
 }
 
-// readHeader parses one block header of either kind. The first uvarint
-// discriminates: the colMarker sentinel (deliberately above MaxBlockLen,
-// so pre-columnar readers fail it deterministically) introduces a
-// columnar block, anything within bounds is a row block's record count.
-// An io.EOF before the first header byte is the clean end of stream.
-func (r *BlockReader) readHeader() (h blockHdr, err error) {
-	first, uerr := binary.ReadUvarint(r.br)
-	if uerr != nil {
-		err = uerr
-		return
-	}
-	if first == colMarker {
-		h.columnar = true
-		if h.recs, err = r.u(false); err != nil {
-			return
-		}
-		if h.keyEnc, err = r.u(false); err != nil {
-			return
-		}
-		if h.keyEnc > KeyEncDelta {
-			err = fmt.Errorf("%w: unknown key encoding %d", ErrBlockCorrupt, h.keyEnc)
-			return
-		}
-		if h.key, err = r.readSeg(); err != nil {
-			return
-		}
-		h.val, err = r.readSeg()
-		return
-	}
-	if first > MaxBlockLen {
-		err = fmt.Errorf("%w: length %d exceeds MaxBlockLen", ErrBlockCorrupt, first)
-		return
-	}
-	h.recs = int(first)
-	h.seg, err = r.readSeg()
-	return
-}
-
-// decodeSeg reads one segment's stored payload, verifies its CRC, and
+// decodePayload reads a block's stored payload, verifies its CRC, and
 // decodes it into dst (grown as needed; pass nil for a fresh,
 // caller-owned allocation).
-func (r *BlockReader) decodeSeg(s colSegHdr, what string, dst []byte) ([]byte, error) {
-	identity := s.codec.Name() == wirecodec.IdentityName
-	if identity && s.payloadLen != s.rawLen {
-		return nil, fmt.Errorf("%w: %s identity payload %d != raw %d", ErrBlockCorrupt, what, s.payloadLen, s.rawLen)
+func (r *BlockReader) decodePayload(h blockHdr, dst []byte) ([]byte, error) {
+	identity := h.codec.Name() == wirecodec.IdentityName
+	if identity && h.payloadLen != h.rawLen {
+		return nil, fmt.Errorf("%w: identity payload %d != raw %d", ErrBlockCorrupt, h.payloadLen, h.rawLen)
 	}
-	if cap(dst) < s.rawLen {
-		dst = make([]byte, s.rawLen)
+	if cap(dst) < h.rawLen {
+		dst = make([]byte, h.rawLen)
 	}
-	dst = dst[:s.rawLen]
+	dst = dst[:h.rawLen]
 	if identity {
 		// Identity stores the raw bytes verbatim: read and CRC them in
 		// place, no staging.
 		if _, err := io.ReadFull(r.br, dst); err != nil {
 			return nil, noEOF(err)
 		}
-		if crc32.ChecksumIEEE(dst) != s.crc {
-			return nil, fmt.Errorf("%w (%s)", ErrBlockChecksum, what)
+		if crc32.ChecksumIEEE(dst) != h.crc {
+			return nil, ErrBlockChecksum
 		}
 		return dst, nil
 	}
-	if cap(r.payload) < s.payloadLen {
-		r.payload = make([]byte, s.payloadLen)
+	if cap(r.payload) < h.payloadLen {
+		r.payload = make([]byte, h.payloadLen)
 	}
-	payload := r.payload[:s.payloadLen]
+	payload := r.payload[:h.payloadLen]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return nil, noEOF(err)
 	}
-	if crc32.ChecksumIEEE(payload) != s.crc {
-		return nil, fmt.Errorf("%w (%s)", ErrBlockChecksum, what)
+	if crc32.ChecksumIEEE(payload) != h.crc {
+		return nil, ErrBlockChecksum
 	}
-	cr := s.codec.NewReader(bytes.NewReader(payload))
+	cr := h.codec.NewReader(bytes.NewReader(payload))
 	_, err := io.ReadFull(cr, dst)
 	if err == nil {
 		// The payload must decode to exactly rawLen bytes.
 		var one [1]byte
 		if n, _ := cr.Read(one[:]); n != 0 {
-			err = fmt.Errorf("%w: %s payload longer than header rawLen", ErrBlockCorrupt, what)
+			err = fmt.Errorf("%w: payload longer than header rawLen", ErrBlockCorrupt)
 		}
 	}
 	cr.Close()
 	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: %s payload shorter than header rawLen", ErrBlockCorrupt, what)
+			err = fmt.Errorf("%w: payload shorter than header rawLen", ErrBlockCorrupt)
 		}
 		return nil, err
 	}
@@ -468,87 +395,44 @@ func (r *BlockReader) decodeSeg(s colSegHdr, what string, dst []byte) ([]byte, e
 }
 
 // nextRaw reads the next non-empty block and returns its decompressed
-// content without record parsing: a row block's legacy-framed payload
-// (decoded into dst, grown as needed), or a columnar block's raw column
-// bytes (always freshly allocated, ownership to the caller). io.EOF
-// means a clean end of stream.
-func (r *BlockReader) nextRaw(dst []byte) ([]byte, *rawColumns, int, error) {
+// legacy-framed payload (decoded into dst, grown as needed) without
+// record parsing. io.EOF means a clean end of stream.
+func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
 	for {
 		h, err := r.readHeader()
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
-		if h.columnar {
-			if h.recs == 0 && h.key.rawLen == 0 && h.val.rawLen == 0 &&
-				h.key.payloadLen == 0 && h.val.payloadLen == 0 {
-				continue // empty block: legal, carries nothing
-			}
-			key, err := r.decodeSeg(h.key, "key column", nil)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			val, err := r.decodeSeg(h.val, "value column", nil)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			r.rawBytes += int64(h.key.rawLen + h.val.rawLen)
-			return nil, &rawColumns{keyEnc: h.keyEnc, key: key, val: val}, h.recs, nil
-		}
-		if h.recs == 0 && h.seg.rawLen == 0 && h.seg.payloadLen == 0 {
+		if h.recs == 0 && h.rawLen == 0 && h.payloadLen == 0 {
 			continue // empty block: legal, carries nothing
 		}
-		dst, err = r.decodeSeg(h.seg, "block", dst)
-		if err != nil {
-			return nil, nil, 0, err
+		if dst, err = r.decodePayload(h, dst); err != nil {
+			return nil, 0, err
 		}
-		r.rawBytes += int64(h.seg.rawLen)
-		return dst, nil, h.recs, nil
+		r.rawBytes += int64(h.rawLen)
+		return dst, h.recs, nil
 	}
-}
-
-// NextAny returns the next decoded block in its native kind: a row
-// block's legacy-framed payload in rows, or a columnar block in cb
-// (exactly one is non-nil). Ownership of the returned data transfers to
-// the caller — this is the zero-copy handoff into the shuffle sorter,
-// which adopts row payloads via AddBlock and columnar blocks via
-// AddColumnar. io.EOF signals a clean end of stream.
-func (r *BlockReader) NextAny() (rows []byte, cb *ColumnarBlock, recs int, err error) {
-	if r.err != nil {
-		return nil, nil, 0, r.err
-	}
-	if r.off != len(r.block) {
-		return nil, nil, 0, fmt.Errorf("kvio: NextAny mid-block")
-	}
-	rows, rc, recs, err := r.nextRaw(nil)
-	if err != nil {
-		r.err = err
-		return nil, nil, 0, err
-	}
-	if rc != nil {
-		if cb, err = decodeColumnar(recs, rc.keyEnc, rc.key, rc.val); err != nil {
-			r.err = err
-			return nil, nil, 0, err
-		}
-	}
-	r.n += int64(recs)
-	return rows, cb, recs, nil
 }
 
 // NextBlock returns the next block as a decoded legacy-framed payload
 // and its record count, transferring ownership of the returned slice to
-// the caller (it is never reused by the reader). Columnar blocks are
-// flattened to row form — consumers that can exploit the columnar
-// layout should use NextAny instead. It must not be mixed with
+// the caller (it is never reused by the reader) — the zero-copy handoff
+// into the shuffle sorter's AddBlock. It must not be mixed with
 // Read/ReadShared on a partially consumed block. io.EOF signals a clean
 // end of stream.
 func (r *BlockReader) NextBlock() ([]byte, int, error) {
-	rows, cb, recs, err := r.NextAny()
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	if r.off != len(r.block) {
+		return nil, 0, fmt.Errorf("kvio: NextBlock mid-block")
+	}
+	rows, recs, err := r.nextRaw(nil)
 	if err != nil {
+		r.err = err
 		return nil, 0, err
 	}
-	if cb != nil {
-		rows = cb.AppendRows(nil)
-	}
+	r.n += int64(recs)
 	return rows, recs, nil
 }
 
@@ -558,16 +442,9 @@ func (r *BlockReader) advance() error {
 		if r.off != len(r.block) {
 			return fmt.Errorf("%w: %d payload bytes beyond last record", ErrBlockCorrupt, len(r.block)-r.off)
 		}
-		block, rc, recs, err := r.nextRaw(r.block)
+		block, recs, err := r.nextRaw(r.block)
 		if err != nil {
 			return err
-		}
-		if rc != nil {
-			cb, err := decodeColumnar(recs, rc.keyEnc, rc.key, rc.val)
-			if err != nil {
-				return err
-			}
-			block = cb.AppendRows(r.block[:0]) // reuse the row buffer's capacity
 		}
 		r.block, r.recsLeft, r.off = block, recs, 0
 	}
@@ -702,10 +579,8 @@ type RecordReader interface {
 }
 
 // TranscodeBlocks rewrites a block stream from src onto dst with every
-// block re-compressed under codec c, block boundaries, kinds, and
-// record counts preserved. Row payloads move block-at-a-time and
-// columnar blocks move column-at-a-time — neither path parses records
-// or re-derives a key encoding.
+// block re-compressed under codec c, block boundaries and record counts
+// preserved. Payloads move block-at-a-time; no record is parsed.
 func TranscodeBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
 	br, err := NewBlockReader(src)
 	if err != nil {
@@ -714,38 +589,7 @@ func TranscodeBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
 	defer br.Release()
 	bw := NewBlockWriter(dst, c, 0)
 	for {
-		payload, rc, recs, err := br.nextRaw(nil)
-		if err == io.EOF {
-			return bw.Close()
-		}
-		if err != nil {
-			return err
-		}
-		if rc != nil {
-			err = bw.WriteColumnarRaw(recs, rc.keyEnc, rc.key, rc.val)
-		} else {
-			err = bw.WriteBlock(payload, recs)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// TranscodeToRowBlocks rewrites a block stream from src onto dst as row
-// blocks only, compressed under codec c: row blocks move verbatim
-// (re-compressed), columnar blocks are flattened to the interleaved
-// form. This is the mixed-version fallback a data server uses for a
-// peer that advertises block codecs but not the columnar kind.
-func TranscodeToRowBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
-	br, err := NewBlockReader(src)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	bw := NewBlockWriter(dst, c, 0)
-	for {
-		payload, recs, err := br.NextBlock() // flattens columnar blocks
+		payload, recs, err := br.nextRaw(nil)
 		if err == io.EOF {
 			return bw.Close()
 		}
@@ -759,9 +603,8 @@ func TranscodeToRowBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error
 }
 
 // TranscodeToRecords flattens a block stream from src into a legacy
-// per-record stream on dst. Row payloads already are legacy-framed
-// record runs and are concatenated without parsing; columnar blocks are
-// re-framed row by row. It is how a block-file server talks to a
+// per-record stream on dst. Block payloads already are legacy-framed
+// record runs and are concatenated without parsing. It is how a block-file server talks to a
 // pre-block client.
 func TranscodeToRecords(dst io.Writer, src io.Reader) error {
 	br, err := NewBlockReader(src)

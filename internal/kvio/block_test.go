@@ -170,10 +170,18 @@ func TestBlockUnknownCodecErrors(t *testing.T) {
 	}
 }
 
+// columnarFrame is a block stream in the retired columnar layout (see
+// retiredColumnar) holding the one record "k"->"v". Current readers
+// must refuse it as corrupt rather than guess at it.
+func columnarFrame() []byte {
+	return retiredColumnar([]Pair{StrPair("k", "v")}, wirecodec.IdentityName, 0, keyColRaw)
+}
+
 // TestBlockReaderRejectsForeignStreams: a block reader handed a
-// per-record stream, or a well-formed block naming a codec nobody
-// registered, fails with ErrBlockCorrupt and a message saying which,
-// rather than decoding garbage records.
+// per-record stream, a well-formed block naming a codec nobody
+// registered, or a block in the retired columnar layout fails with
+// ErrBlockCorrupt and a message saying which, rather than decoding
+// garbage records.
 func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 	t.Run("per-record stream", func(t *testing.T) {
 		_, err := NewBlockReader(bytes.NewReader(Marshal(testPairs(10))))
@@ -217,6 +225,29 @@ func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 			t.Fatalf("decoded %d records from a block it cannot read", len(got))
 		}
 	})
+	t.Run("columnar block", func(t *testing.T) {
+		r, err := NewBlockReader(bytes.NewReader(columnarFrame()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ReadAll()
+		r.Release()
+		if !errors.Is(err, ErrBlockCorrupt) || len(got) != 0 {
+			t.Fatalf("ReadAll: %d records, %v; want 0 and ErrBlockCorrupt", len(got), err)
+		}
+		r, err = NewBlockReader(bytes.NewReader(columnarFrame()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Release()
+		blk, recs, err := r.NextBlock()
+		if !errors.Is(err, ErrBlockCorrupt) || recs != 0 || blk != nil {
+			t.Fatalf("NextBlock: %d records, %v; want 0 and ErrBlockCorrupt", recs, err)
+		}
+		if _, _, err2 := r.NextBlock(); err2 != err {
+			t.Fatalf("NextBlock error not sticky: %v then %v", err, err2)
+		}
+	})
 }
 
 func TestBlockMagicIsLegacyPoison(t *testing.T) {
@@ -230,7 +261,7 @@ func TestBlockMagicIsLegacyPoison(t *testing.T) {
 	}{
 		{"bare magic", BlockMagic[:]},
 		{"row blocks", blockStream(t, testPairs(10), wirecodec.IdentityName, 0)},
-		{"columnar blocks", columnarStream(t, testPairs(10), wirecodec.IdentityName, 0, KeyEncAuto)},
+		{"columnar blocks", columnarFrame()},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			r := NewReader(bytes.NewReader(mk.data))

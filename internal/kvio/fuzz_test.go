@@ -145,30 +145,11 @@ func blockSeed(pairs []Pair, codecName string, blockSize int) []byte {
 	return buf.Bytes()
 }
 
-// columnarSeed builds a columnar block stream for fuzz corpora.
-func columnarSeed(pairs []Pair, codecName string, blockSize, keyEnc int) []byte {
-	c, ok := wirecodec.Lookup(codecName)
-	if !ok {
-		panic("unknown codec " + codecName)
-	}
-	var buf bytes.Buffer
-	w := NewBlockWriterEnc(&buf, c, blockSize, BlockEncoding{Columnar: true, KeyEnc: keyEnc})
-	for _, p := range pairs {
-		if err := w.Write(p); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzBlockReader throws arbitrary bytes at the block reader via
 // NewAnyReader: no panics, no infinite loops, and a valid prefix of
-// records before any error. The corpus seeds both framings and both
-// block kinds plus the torn/corrupt/zero-record shapes named in the
-// block format's contract.
+// records before any error. The corpus seeds both framings, blocks in
+// the retired columnar layout (whole, torn and corrupt), and the
+// torn/corrupt/zero-record shapes named in the block format's contract.
 func FuzzBlockReader(f *testing.F) {
 	pairs := []Pair{StrPair("hello", "world"), {}, StrPair("", "x"), StrPair("x", "")}
 	legacy := Marshal(pairs)
@@ -185,17 +166,18 @@ func FuzzBlockReader(f *testing.F) {
 	f.Add(crc) // corrupt checksum
 	// Zero-record block followed by a real one (see TestBlockZeroRecordBlock).
 	f.Add(blockSeed(nil, wirecodec.IdentityName, 0))
-	// Columnar frames: every key encoding, plus one per codec.
-	for _, keyEnc := range []int{KeyEncRaw, KeyEncDict, KeyEncDelta} {
-		f.Add(columnarSeed(pairs, wirecodec.IdentityName, 0, keyEnc))
+	// Blocks in the retired columnar layout (see retiredColumnar): every
+	// key encoding, plus one per codec.
+	for _, keyEnc := range []int{keyColRaw, keyColDict, keyColDelta} {
+		f.Add(retiredColumnar(pairs, wirecodec.IdentityName, 0, keyEnc))
 	}
-	f.Add(columnarSeed(pairs, wirecodec.DeflateName, 8, KeyEncAuto))
-	f.Add(columnarSeed(pairs, wirecodec.LZName, 8, KeyEncAuto))
+	f.Add(retiredColumnar(pairs, wirecodec.DeflateName, 8, keyColAuto))
+	f.Add(retiredColumnar(pairs, wirecodec.LZName, 8, keyColAuto))
 	// Truncated column segments: cut mid key column and mid value column.
-	col := columnarSeed(pairs, wirecodec.IdentityName, 0, KeyEncRaw)
+	col := retiredColumnar(pairs, wirecodec.IdentityName, 0, keyColRaw)
 	var valLen int
 	for _, p := range pairs {
-		valLen += uvarintLen(uint64(len(p.Value))) + len(p.Value)
+		valLen += varintLen(len(p.Value)) + len(p.Value)
 	}
 	f.Add(col[:len(col)-valLen-2]) // ends inside the key column payload
 	f.Add(col[:len(col)-1])        // ends inside the value column payload

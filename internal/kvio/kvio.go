@@ -31,8 +31,8 @@ var ErrRecordTooLarge = errors.New("kvio: record exceeds MaxRecordLen")
 var ErrReleased = errors.New("kvio: use after Release")
 
 // ErrBlockStream is returned by the pre-block per-record Reader when
-// the stream opens with the block-framing magic: the data (row or
-// columnar blocks alike) needs at least kvio.NewBlockReader — or
+// the stream opens with the block-framing magic: the data needs at
+// least kvio.NewBlockReader — or
 // kvio.NewAnyReader, which sniffs the framing — not this Reader.
 var ErrBlockStream = errors.New("kvio: stream is block-framed; minimum reader: kvio.NewBlockReader (or kvio.NewAnyReader)")
 

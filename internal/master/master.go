@@ -103,14 +103,6 @@ type Options struct {
 	// buckets ("" keeps the legacy framing; wins over Compress when
 	// set). Unknown names fail New.
 	Codec string
-	// BlockEncoding selects the block encoding for the master's
-	// buckets ("row", "columnar", "columnar-raw", "columnar-dict",
-	// "columnar-delta"; "" = row). Unknown names fail New.
-	BlockEncoding string
-	// RowOnlyFetch makes the master's bucket fetches omit the
-	// columnar-accept header, like a pre-columnar build (ablation and
-	// mixed-version test hook).
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -358,14 +350,6 @@ func New(opts Options) (*Master, error) {
 		}
 		return nil, fmt.Errorf("master: %w", err)
 	}
-	if err := store.SetBlockEncoding(opts.BlockEncoding); err != nil {
-		ln.Close()
-		if m.journal != nil {
-			m.journal.Close()
-		}
-		return nil, fmt.Errorf("master: %w", err)
-	}
-	store.SetRowOnlyFetch(opts.RowOnlyFetch)
 	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	m.store = store

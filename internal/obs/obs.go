@@ -130,11 +130,6 @@ const (
 // combiner holds it at zero.
 const MetricSortFolds = "mrs_sort_folds_total"
 
-// MetricBlocksColumnar counts columnar blocks written to bucket files —
-// the producer-side signal that the columnar data plane is actually in
-// use (a fleet pinned to row encoding holds this at zero).
-const MetricBlocksColumnar = "mrs_shuffle_blocks_columnar_total"
-
 // Bucket-store metric names. An HTTP-serving store publishes a bucket
 // either into RAM or as a file; spills count buckets that started in
 // RAM and went to a file (past the per-bucket threshold or the store
@@ -163,14 +158,6 @@ func RegisterBucketMemGauge(m *Metrics) {
 		return m.Counter(MetricBucketMemInsertedBytes).Value() -
 			m.Counter(MetricBucketMemReleasedBytes).Value()
 	})
-}
-
-// MetricWireBytesEncoding names the per-block-kind wire-byte counter
-// ("row" or "columnar"). Like the per-codec split it sums to the
-// per-path wire totals; the split shows when a mixed-version peer
-// forced the row-block transcode fallback.
-func MetricWireBytesEncoding(kind string) string {
-	return "mrs_shuffle_wire_bytes_encoding_" + kind + "_total"
 }
 
 // Durability metric names. Journal counters track write-ahead-log

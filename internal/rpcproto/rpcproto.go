@@ -319,9 +319,6 @@ func (a Assignment) Encode() (map[string]any, error) {
 	if op.Codec != "" {
 		out["codec"] = op.Codec
 	}
-	if op.BlockEncoding != "" {
-		out["block_enc"] = op.BlockEncoding
-	}
 	if op.Resident {
 		// Resident tasks also carry the consumed dataset id: it is one
 		// third of the slave's cache key, which the slave cannot derive
@@ -415,7 +412,6 @@ func DecodeAssignment(v any) (Assignment, error) {
 	narrow, _ := st["narrow"].(bool)
 	resident, _ := st["resident"].(bool)
 	opCodec, _ := st["codec"].(string)
-	blockEnc, _ := st["block_enc"].(string)
 	inputDS, _ := st["input_ds"].(int64)
 	var urls []string
 	if raw, ok := st["input_urls"].([]any); ok {
@@ -434,16 +430,15 @@ func DecodeAssignment(v any) (Assignment, error) {
 			// The slave never resolves the input dataset itself — it
 			// receives explicit InputURLs — but Validate requires a
 			// plausible id for map/reduce ops.
-			Input:         0,
-			FuncName:      fn,
-			CombineName:   combine,
-			Splits:        int(splits),
-			Partition:     part,
-			Params:        params,
-			Narrow:        narrow,
-			Resident:      resident,
-			Codec:         opCodec,
-			BlockEncoding: blockEnc,
+			Input:       0,
+			FuncName:    fn,
+			CombineName: combine,
+			Splits:      int(splits),
+			Partition:   part,
+			Params:      params,
+			Narrow:      narrow,
+			Resident:    resident,
+			Codec:       opCodec,
 		},
 		TaskIndex:    int(taskIndex),
 		InputDataset: int(inputDS),

@@ -103,7 +103,7 @@ func TestAssignmentRoundTrip(t *testing.T) {
 		op.CombineName != "sum" || op.Splits != 4 || op.Partition != "hash" {
 		t.Errorf("op: %+v", op)
 	}
-	if op.Codec != "" || op.BlockEncoding != "" {
+	if op.Codec != "" {
 		t.Errorf("unset data-plane pins should stay empty: %+v", op)
 	}
 }
@@ -111,7 +111,6 @@ func TestAssignmentRoundTrip(t *testing.T) {
 func TestAssignmentDataPlanePins(t *testing.T) {
 	a := taskAssignment()
 	a.Spec.Op.Codec = "lz"
-	a.Spec.Op.BlockEncoding = "columnar-dict"
 	enc, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestAssignmentDataPlanePins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec.Op.Codec != "lz" || got.Spec.Op.BlockEncoding != "columnar-dict" {
+	if got.Spec.Op.Codec != "lz" {
 		t.Errorf("pins did not round-trip: %+v", got.Spec.Op)
 	}
 
@@ -132,9 +131,6 @@ func TestAssignmentDataPlanePins(t *testing.T) {
 	}
 	if _, ok := enc2["codec"]; ok {
 		t.Error("empty codec pin was encoded")
-	}
-	if _, ok := enc2["block_enc"]; ok {
-		t.Error("empty block_enc pin was encoded")
 	}
 }
 

@@ -199,8 +199,7 @@ type pendingValue struct {
 }
 
 // Sorter accumulates pairs and then yields key groups in sorted order.
-// Usage: Add/AddBlock/AddColumnar, then Groups (exactly once), then
-// Close.
+// Usage: Add/AddBlock, then Groups (exactly once), then Close.
 type Sorter struct {
 	opts    Options
 	ar      arena
@@ -287,23 +286,6 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 		return payload, fmt.Errorf("shuffle: block scanned %d records, header said %d", n, recs)
 	}
 	return payload, s.maybeSpill()
-}
-
-// AddColumnar buffers every record of a decoded columnar block, copying
-// it into the arena as Add does. Returns the summed key+value payload
-// bytes the block contributed.
-func (s *Sorter) AddColumnar(cb *kvio.ColumnarBlock) (int64, error) {
-	if s.closed {
-		return 0, fmt.Errorf("shuffle: AddColumnar after Close")
-	}
-	n := cb.Len()
-	for i := 0; i < n; i++ {
-		if err := s.addCopy(cb.Key(i), cb.Value(i)); err != nil {
-			return 0, err
-		}
-	}
-	s.added += int64(n)
-	return cb.PayloadBytes(), s.maybeSpill()
 }
 
 // maybeSpill spills the in-memory buffer when it crosses the threshold.

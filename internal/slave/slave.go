@@ -80,16 +80,6 @@ type Options struct {
 	// Compress it is purely local: the data server negotiates per
 	// request, so mixed-codec fleets interoperate.
 	Codec string
-	// BlockEncoding selects the block encoding for this slave's
-	// buckets ("row", "columnar", "columnar-raw", "columnar-dict",
-	// "columnar-delta"; "" = row). Purely local like Codec: the data
-	// server transcodes for peers that only accept row blocks.
-	BlockEncoding string
-	// RowOnlyFetch makes this slave's bucket fetches omit the
-	// columnar-accept header, behaving like a pre-columnar peer (its
-	// requests force servers into the row-transcode fallback). A
-	// mixed-version ablation and test hook; results are identical.
-	RowOnlyFetch bool
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default).
 	BlockSize int
@@ -212,13 +202,6 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 		}
 		return nil, fmt.Errorf("slave: %w", err)
 	}
-	if err := store.SetBlockEncoding(opts.BlockEncoding); err != nil {
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		return nil, fmt.Errorf("slave: %w", err)
-	}
-	store.SetRowOnlyFetch(opts.RowOnlyFetch)
 	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	// The runtime may be shared by several slaves (the in-process

@@ -206,48 +206,3 @@ func Accepts(accepted []string, name string) bool {
 	}
 	return false
 }
-
-// ---------------------------------------------------------------------------
-// Block-kind negotiation
-//
-// Orthogonal to the codec axis: a block stream's blocks are either
-// row-framed or columnar (see internal/kvio). Columnar frames poison
-// pre-columnar block readers, so a client advertises the kinds it can
-// decode and a server holding columnar data transcodes down to row
-// blocks for peers that never sent the header.
-
-// BlockAcceptHeader is the request header advertising the block kinds
-// the client decodes; BlockEncHeader is the response header naming the
-// kind actually served. An absent BlockAcceptHeader means the peer
-// predates columnar frames and must be served row blocks only.
-const (
-	BlockAcceptHeader = "X-Mrs-Accept-Block"
-	BlockEncHeader    = "X-Mrs-Block-Encoding"
-)
-
-// Block kind names carried in the block negotiation headers.
-const (
-	BlockKindRow      = "row"
-	BlockKindColumnar = "columnar"
-)
-
-// AcceptBlocksHeader renders the client's block-kind advertisement.
-func AcceptBlocksHeader() string {
-	return BlockKindRow + "," + BlockKindColumnar
-}
-
-// AcceptsBlock reports whether the BlockAcceptHeader value header
-// admits the given block kind. The empty header — a pre-columnar peer —
-// admits only row blocks.
-func AcceptsBlock(header, kind string) bool {
-	if header == "" {
-		return kind == BlockKindRow
-	}
-	for _, part := range strings.Split(header, ",") {
-		name, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(name) == kind {
-			return true
-		}
-	}
-	return false
-}

@@ -254,23 +254,3 @@ func BenchmarkCodecDecompress(b *testing.B) {
 		})
 	}
 }
-
-func TestAcceptsBlock(t *testing.T) {
-	cases := []struct {
-		header, kind string
-		want         bool
-	}{
-		{"", BlockKindRow, true},       // pre-columnar peer: row only
-		{"", BlockKindColumnar, false}, // absent header never admits columnar
-		{AcceptBlocksHeader(), BlockKindRow, true},
-		{AcceptBlocksHeader(), BlockKindColumnar, true},
-		{"row", BlockKindColumnar, false},
-		{" row , columnar ; q=0.9 ", BlockKindColumnar, true},
-		{"columnar", BlockKindRow, false},
-	}
-	for _, tc := range cases {
-		if got := AcceptsBlock(tc.header, tc.kind); got != tc.want {
-			t.Errorf("AcceptsBlock(%q, %q) = %v, want %v", tc.header, tc.kind, got, tc.want)
-		}
-	}
-}

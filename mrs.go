@@ -151,15 +151,6 @@ type Options struct {
 	// — or none — interoperate, and output is byte-identical under
 	// every setting. Wins over Compress when both are set.
 	Codec string
-	// BlockEncoding selects the block encoding intermediate buckets
-	// are written with: "row" (the default record-block layout) or
-	// "columnar" / "columnar-raw" / "columnar-dict" / "columnar-delta"
-	// (key and value columns stored separately, with the named key
-	// encoding; plain "columnar" picks the key encoding per block).
-	// Data servers negotiate per request and transcode for peers that
-	// only read row blocks, so mixed-version fleets interoperate and
-	// output is byte-identical under every setting.
-	BlockEncoding string
 	// BlockSize overrides the record-block flush threshold in bytes
 	// (0 = default, 64 KiB). Larger blocks compress better; smaller
 	// blocks cost less memory per stream.
@@ -232,9 +223,6 @@ func Run(p Program, opts Options) error {
 		if err := exec.SetCodec(opts.Codec); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
 		exec.SetBlockSize(opts.BlockSize)
 		return runWithExecutor(p, exec, opts, rt)
 
@@ -250,9 +238,6 @@ func Run(p Program, opts Options) error {
 		if err := exec.SetCodec(opts.Codec); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
 		exec.SetBlockSize(opts.BlockSize)
 		return runWithExecutor(p, exec, opts, rt)
 
@@ -263,9 +248,6 @@ func Run(p Program, opts Options) error {
 		exec.SetPrefetch(opts.Prefetch)
 		exec.SetCompress(opts.Compress)
 		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
-		if err := exec.SetBlockEncoding(opts.BlockEncoding); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
 		exec.SetBlockSize(opts.BlockSize)
@@ -281,7 +263,6 @@ func Run(p Program, opts Options) error {
 			Prefetch:          opts.Prefetch,
 			Compress:          opts.Compress,
 			Codec:             opts.Codec,
-			BlockEncoding:     opts.BlockEncoding,
 			BlockSize:         opts.BlockSize,
 			ResidentBudget:    opts.ResidentBudget,
 		})
@@ -300,7 +281,6 @@ func Run(p Program, opts Options) error {
 			Obs:               rt,
 			Compress:          opts.Compress,
 			Codec:             opts.Codec,
-			BlockEncoding:     opts.BlockEncoding,
 			BlockSize:         opts.BlockSize,
 		})
 		if err != nil {
@@ -346,7 +326,6 @@ func Run(p Program, opts Options) error {
 			Prefetch:       opts.Prefetch,
 			Compress:       opts.Compress,
 			Codec:          opts.Codec,
-			BlockEncoding:  opts.BlockEncoding,
 			BlockSize:      opts.BlockSize,
 			ResidentBudget: opts.ResidentBudget,
 		})

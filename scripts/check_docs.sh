@@ -11,8 +11,11 @@
 # Fails, too, if README.md, DESIGN.md or docs/*.md mention a -mrs-*
 # flag that flags.go does not register, so a deleted flag cannot leave
 # stale rows behind (CHANGES.md and ROADMAP.md are history and exempt).
-# Also fails if any docs/*.md file referenced from the top-level docs
-# does not exist, so renames can't leave dangling links.
+# Likewise fails if those docs name an mrs_* metric that no Go string
+# literal in the root package, internal/ or cmd/ defines, so a deleted
+# metric cannot leave stale rows behind either. Also fails if any
+# docs/*.md file referenced from the top-level docs does not exist, so
+# renames can't leave dangling links.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,6 +46,33 @@ for f in $(grep -ohE -- '-mrs-[a-z0-9-]+' README.md DESIGN.md docs/*.md | sed 's
 	fi
 done
 
+# Every mrs_* metric the docs name must come from a Go string literal
+# (test files excluded). A doc name matches a literal exactly; extends a
+# literal that ends in "_" (a name built as prefix + label + suffix,
+# e.g. mrs_shuffle_wire_bytes_codec_<codec>_total); or is itself a
+# prefix of one (a family, e.g. `mrs_shuffle_bytes_*` or `grep mrs_sched`).
+lits="$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; find internal cmd -name '*.go' ! -name '*_test.go')"
+missing="$(
+	{
+		grep -ohE '"mrs_[A-Za-z0-9_]*' $lits | tr -d '"' | sort -u
+		echo '--'
+		grep -ohE 'mrs_[A-Za-z0-9_]+' README.md DESIGN.md docs/*.md | sort -u
+	} | awk '
+		$0 == "--" { docs = 1; next }
+		!docs { lit[++n] = $0; next }
+		{
+			for (i = 1; i <= n; i++) {
+				l = lit[i]
+				if ($0 == l || index(l, $0) == 1 || (l ~ /_$/ && index($0, l) == 1)) next
+			}
+			print
+		}'
+)"
+for m in $missing; do
+	echo "check_docs: FAIL: docs name metric $m, which no Go string literal defines" >&2
+	fail=1
+done
+
 # Doc files referenced from the top-level docs must exist.
 refs="$(grep -ohE 'docs/[A-Za-z0-9_-]+\.md' README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md | sort -u)"
 for r in $refs; do
@@ -56,4 +86,4 @@ if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
 n="$(echo "$flags" | wc -l | tr -d ' ')"
-echo "check_docs: OK ($n flags documented, doc cross-references resolve)"
+echo "check_docs: OK ($n flags documented, documented metrics defined, doc cross-references resolve)"
