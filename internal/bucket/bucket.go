@@ -113,6 +113,9 @@ type Store struct {
 	codec     wirecodec.Codec   // if set, write new file buckets block-framed with this codec
 	blockSize int               // target uncompressed bytes per block (0 = kvio default)
 	metrics   *obs.Metrics      // wire-byte counters (nil-safe)
+	// sleep waits between fetch retries (nil = time.Sleep); tests set
+	// it to observe retry delays.
+	sleep func(time.Duration)
 }
 
 // NewMemStore returns a Store that keeps buckets in memory. Its
@@ -986,17 +989,45 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 // FetchRetries is how many times an http bucket fetch is attempted.
 const FetchRetries = 5
 
+// retrySchedule paces the attempts of one fetch. Jitter is seeded from
+// the URL so a given fetch's retry schedule is reproducible while
+// distinct fetches desynchronize (no retry storms hammering a
+// recovering slave in lockstep). The Backoff, whose generator carries
+// 2.5 KB of state, is built at the first retry, so a fetch that
+// succeeds first time seeds none.
+type retrySchedule struct {
+	seed  uint64
+	sleep func(time.Duration)
+	b     *fault.Backoff
+}
+
+// retries returns the retry schedule of one fetch whose jitter is
+// seeded by seed.
+func (s *Store) retries(seed uint64) retrySchedule {
+	sleep := s.sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
+	return retrySchedule{seed: seed, sleep: sleep}
+}
+
+// wait sleeps before 1-based attempt; the first attempt does not wait.
+func (r *retrySchedule) wait(attempt int) {
+	if attempt == 1 {
+		return
+	}
+	if r.b == nil {
+		r.b = fault.NewBackoff(r.seed)
+	}
+	r.sleep(r.b.Delay(attempt - 1))
+}
+
 func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
-	// Jitter is seeded from the URL so a given fetch's retry schedule is
-	// reproducible while distinct fetches desynchronize (no retry storms
-	// hammering a recovering slave in lockstep).
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL))
+	retry := s.retries(hash.FNV1a64String(rawURL))
 	client := s.fetchClient()
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(retry.Delay(attempt - 1))
-		}
+		retry.wait(attempt)
 		req, err := http.NewRequest(http.MethodGet, rawURL, nil)
 		if err != nil {
 			return nil, err
@@ -1034,14 +1065,27 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 				codecName = wirecodec.DeflateName
 			}
 		}
+		s.counter(obs.MetricBucketHTTPFetches).Add(1)
 		rc := s.counting(resp.Body, obs.MetricWireBytesDirect, codecName)
 		if deflated {
 			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
+		}
+		if resp.ContentLength >= 0 {
+			return &sizedBody{ReadCloser: rc, size: resp.ContentLength}, nil
 		}
 		return rc, nil
 	}
 	return nil, lastErr
 }
+
+// sizedBody is a response body whose Content-Length is known, so
+// readAll can read it into one exact-size buffer.
+type sizedBody struct {
+	io.ReadCloser
+	size int64
+}
+
+func (b *sizedBody) Size() int64 { return b.size }
 
 // countingReadCloser adds every byte read to the wire counters: the
 // per-path total and the per-codec split.
@@ -1100,12 +1144,10 @@ func (s *Store) remote(rawURL string) bool {
 // indefinitely (the resident dataset cache depends on this).
 func (s *Store) Fetch(rawURL string) ([]byte, error) {
 	remote := s.remote(rawURL)
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 2)
+	retry := s.retries(hash.FNV1a64String(rawURL) + 2)
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(retry.Delay(attempt - 1))
-		}
+		retry.wait(attempt)
 		rc, err := s.Open(rawURL)
 		if err != nil {
 			return nil, err // Open already retried transport errors
@@ -1123,11 +1165,13 @@ func (s *Store) Fetch(rawURL string) ([]byte, error) {
 	return nil, lastErr
 }
 
-// readAll reads r to the end in one exact-size allocation when r knows
-// its length (a RAM bucket opened locally), and by io.ReadAll otherwise.
+// readAll reads a freshly opened bucket stream to the end in one
+// exact-size allocation when it knows its length (a RAM bucket opened
+// locally, or an HTTP body with a Content-Length), and by io.ReadAll
+// otherwise.
 func readAll(r io.Reader) ([]byte, error) {
-	if l, ok := r.(interface{ Len() int }); ok {
-		data := make([]byte, l.Len())
+	if l, ok := r.(interface{ Size() int64 }); ok {
+		data := make([]byte, l.Size())
 		_, err := io.ReadFull(r, data)
 		return data, err
 	}
@@ -1258,12 +1302,10 @@ func abortOn(err error) {
 // whole, since a partial record stream is useless to the caller.
 func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
 	remote := s.remote(rawURL)
-	retry := fault.NewBackoff(hash.FNV1a64String(rawURL) + 1)
+	retry := s.retries(hash.FNV1a64String(rawURL) + 1)
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
-		if attempt > 1 {
-			time.Sleep(retry.Delay(attempt - 1))
-		}
+		retry.wait(attempt)
 		rc, err := s.Open(rawURL)
 		if err != nil {
 			return nil, err // Open already retried transport errors

@@ -118,8 +118,10 @@ type dsState struct {
 	// completed.
 	freeWanted     bool
 	freed          bool
-	nConsumers     int
 	nConsumersDone int
+	// consumers lists the operations queued so far that read this
+	// dataset, in queue order.
+	consumers []*dsState
 
 	// Per-task submit times and completed-task cost aggregates feeding
 	// Job.Stats.
@@ -192,7 +194,7 @@ func (j *Job) enqueue(op *Operation, splits int) (*Dataset, error) {
 			return nil, fmt.Errorf("core: op %d: unknown input dataset %d", op.Dataset, op.Input)
 		}
 		in := j.states[op.Input]
-		in.nConsumers++
+		in.consumers = append(in.consumers, st)
 		st.nTasks = in.splits
 		st.narrow = narrowReduce(op, in)
 		op.Narrow = st.narrow
@@ -271,25 +273,53 @@ func (j *Job) scheduleLocked() {
 			if d.submitted[t] || !j.inputReadyLocked(in, t) {
 				continue
 			}
-			d.submitted[t] = true
-			d.started = true
-			d.submitAt[t] = j.clk.Now()
-			spec := &TaskSpec{
-				Op:           d.op,
-				Job:          j.id,
-				TaskIndex:    t,
-				InputDataset: d.op.Input,
-				InputURLs:    j.inputURLsLocked(in, t),
-				InputFormat:  in.out.Format,
-			}
-			spec.TraceID = j.obs.T().TaskSubmittedJob(int64(j.id), d.op.Dataset, t, d.op.Kind.String(), d.op.FuncName)
-			j.obs.M().Add("mrs_tasks_submitted_total", 1)
+			spec := j.newSpecLocked(d, t)
+			spec.InputURLs = j.inputURLsLocked(in, t)
+			spec.InputFormat = in.out.Format
+			members := j.fuseLocked(d, spec)
 			dd, tt := d, t
 			j.exec.Submit(spec, func(res *TaskResult, err error) {
-				j.taskFinished(dd, tt, res, err)
+				j.taskFinished(dd, tt, members, res, err)
 			})
 		}
 	}
+}
+
+// newSpecLocked marks task t of d submitted and returns its spec,
+// without an input plan.
+func (j *Job) newSpecLocked(d *dsState, t int) *TaskSpec {
+	d.submitted[t] = true
+	d.started = true
+	d.submitAt[t] = j.clk.Now()
+	spec := &TaskSpec{Op: d.op, Job: j.id, TaskIndex: t, InputDataset: d.op.Input}
+	spec.TraceID = j.obs.T().TaskSubmittedJob(int64(j.id), d.op.Dataset, t, d.op.Kind.String(), d.op.FuncName)
+	j.obs.M().Add("mrs_tasks_submitted_total", 1)
+	return spec
+}
+
+// fuseLocked attaches to the spec of a narrow reduce task every
+// already-queued map operation that reads the reduce's output, as a
+// fused member (TaskSpec.Then): split t of a narrow reduce is complete
+// the moment task t finishes, so the map task that reads it can run
+// right behind it in the same dispatch. Only maps fuse, one level
+// deep, and only while pipelining; a consumer queued after the head
+// was dispatched runs as its own task. Returns the members' datasets
+// in Then order.
+func (j *Job) fuseLocked(d *dsState, spec *TaskSpec) []*dsState {
+	if !j.pipeline || !d.narrow {
+		return nil
+	}
+	t := spec.TaskIndex
+	var members []*dsState
+	for _, c := range d.consumers {
+		if c.op.Kind != OpMap || c.complete || c.submitted[t] {
+			continue
+		}
+		spec.Then = append(spec.Then, j.newSpecLocked(c, t))
+		members = append(members, c)
+		j.obs.M().Add(obs.MetricTasksFused, 1)
+	}
+	return members
 }
 
 // inputURLsLocked returns the bucket URLs making up input split t. Once
@@ -354,10 +384,30 @@ func (j *Job) runSourceLocked(d *dsState) {
 	j.completeLocked(d)
 }
 
-// taskFinished is the executor's completion callback for one task.
-func (j *Job) taskFinished(d *dsState, t int, res *TaskResult, err error) {
+// taskFinished is the executor's completion callback for one task and
+// its fused members (members[i] ran TaskSpec.Then[i]). A failed attempt
+// fails the head and every member together.
+func (j *Job) taskFinished(d *dsState, t int, members []*dsState, res *TaskResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.recordLocked(d, t, res, err)
+	for i, m := range members {
+		var mres *TaskResult
+		merr := err
+		switch {
+		case err != nil:
+		case res == nil || len(res.Then) != len(members):
+			merr = fmt.Errorf("core: op %d task %d returned no result for fused op %d", d.op.Dataset, t, m.op.Dataset)
+		default:
+			mres = res.Then[i]
+		}
+		j.recordLocked(m, t, mres, merr)
+	}
+	j.scheduleLocked()
+}
+
+// recordLocked applies one task's outcome to its dataset.
+func (j *Job) recordLocked(d *dsState, t int, res *TaskResult, err error) {
 	switch {
 	case d.complete:
 		// Late result after the dataset already failed; drop it.
@@ -397,7 +447,6 @@ func (j *Job) taskFinished(d *dsState, t int, res *TaskResult, err error) {
 			j.completeLocked(d)
 		}
 	}
-	j.scheduleLocked()
 }
 
 // completeLocked marks a dataset finished (success or failure), wakes
@@ -435,7 +484,7 @@ func (j *Job) maybeFreeLocked(st *dsState) {
 	if !st.freeWanted || st.freed || !st.complete || st.failed || st.out == nil {
 		return
 	}
-	if st.nConsumersDone < st.nConsumers {
+	if st.nConsumersDone < len(st.consumers) {
 		return
 	}
 	st.freed = true

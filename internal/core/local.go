@@ -188,13 +188,13 @@ func (e *LocalExecutor) worker(idx int) {
 		e.mu.Unlock()
 		// Local executors run each task exactly once, so the span is
 		// always attempt 1.
-		e.obs.T().TaskStarted(t.spec.TraceID, 1, name)
+		StartSpans(e.obs.T(), t.spec, 1, name)
 		res, err := ExecTask(e.env, t.spec)
+		msg := ""
 		if err != nil {
-			e.obs.T().TaskFinished(t.spec.TraceID, 1, name, obs.Timing{}, err.Error())
-		} else {
-			e.obs.T().TaskFinished(t.spec.TraceID, 1, name, res.Timing, "")
+			msg = err.Error()
 		}
+		FinishSpans(e.obs.T(), t.spec, 1, name, res, msg)
 		t.done(res, err)
 	}
 }

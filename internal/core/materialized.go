@@ -58,16 +58,25 @@ func (m *Materialized) Bytes() int64 {
 }
 
 // URLs returns the bucket URLs of split s in task order, skipping
-// placeholders for tasks that have not reported their bucket yet.
+// placeholders for tasks that have not reported their bucket yet and
+// buckets provably empty. A narrow reduce writes one bucket per split
+// but fills only its own, so its consumers' plans hold one URL each.
 func (m *Materialized) URLs(s int) []string {
 	urls := make([]string, 0, len(m.Splits[s]))
 	for _, d := range m.Splits[s] {
-		if d.URL == "" {
+		if d.URL == "" || provablyEmpty(m.Format, d) {
 			continue
 		}
 		urls = append(urls, d.URL)
 	}
 	return urls
+}
+
+// provablyEmpty reports whether a bucket of the given format is known
+// to hold no records. Only KV descriptors carry counts; a text file's
+// descriptor has none and is never skipped.
+func provablyEmpty(format string, d bucket.Descriptor) bool {
+	return format == FormatKV && d.Records == 0 && d.Bytes == 0
 }
 
 // BucketNames returns every bucket name in the materialization;

@@ -101,6 +101,12 @@ type TaskSpec struct {
 	InputURLs []string
 	// InputFormat is the split's record format (FormatKV or FormatLines).
 	InputFormat string
+	// Then lists the fused members of a narrow reduce task: map tasks
+	// that consume the reduce's own output split, run in this order
+	// right after it in the same attempt. A member shares the head's
+	// Job and TaskIndex; ExecTask fills in its input plan (InputURLs
+	// and InputFormat) from the head's outputs when it runs.
+	Then []*TaskSpec
 }
 
 // TaskResult reports a finished task's output buckets, one per output
@@ -112,12 +118,72 @@ type TaskResult struct {
 	// Timing is the attempt's measured cost breakdown, filled by
 	// ExecTask on the process that ran the task.
 	Timing obs.Timing
+	// Then holds the fused members' results, in TaskSpec.Then order.
+	Then []*TaskResult
 }
 
-// ExecTask dispatches on the operation kind. On success the result
-// carries a Timing breakdown: total wall time, time blocked reading
-// input buckets (shuffle), and input/output byte and record counts.
+// ExecTask runs a task and then its fused members, each member reading
+// the head's own output split from the local store. A member error
+// fails the whole attempt. On success every result carries its own
+// Timing breakdown: total wall time, time blocked reading input
+// buckets (shuffle), and input/output byte and record counts.
 func ExecTask(env *TaskEnv, spec *TaskSpec) (*TaskResult, error) {
+	res, err := execOne(env, spec)
+	if err != nil || len(spec.Then) == 0 {
+		return res, err
+	}
+	t := spec.TaskIndex
+	if !spec.Op.Narrow || t >= len(res.Outputs) {
+		return nil, fmt.Errorf("core: op %d task %d: fused members need a narrow head", spec.Op.Dataset, t)
+	}
+	// A narrow reduce's other buckets for its own split are provably
+	// empty, so this is the plan Job.inputURLsLocked builds for the
+	// split once the head has published.
+	var urls []string
+	if d := res.Outputs[t]; !provablyEmpty(FormatKV, d) {
+		urls = []string{d.URL}
+	}
+	res.Then = make([]*TaskResult, len(spec.Then))
+	for i, m := range spec.Then {
+		member := *m
+		member.InputURLs, member.InputFormat = urls, FormatKV
+		mres, err := execOne(env, &member)
+		if err != nil {
+			return nil, err
+		}
+		res.Then[i] = mres
+	}
+	return res, nil
+}
+
+// StartSpans opens the attempt's trace span for a task and for each of
+// its fused members.
+func StartSpans(tr *obs.Tracer, spec *TaskSpec, attempt int, worker string) {
+	tr.TaskStarted(spec.TraceID, attempt, worker)
+	for _, m := range spec.Then {
+		tr.TaskStarted(m.TraceID, attempt, worker)
+	}
+}
+
+// FinishSpans closes the spans StartSpans opened: with each result's
+// own timing on success (res non-nil), or with errMsg otherwise.
+func FinishSpans(tr *obs.Tracer, spec *TaskSpec, attempt int, worker string, res *TaskResult, errMsg string) {
+	var tm obs.Timing
+	if res != nil {
+		tm = res.Timing
+	}
+	tr.TaskFinished(spec.TraceID, attempt, worker, tm, errMsg)
+	for i, m := range spec.Then {
+		tm = obs.Timing{}
+		if res != nil && i < len(res.Then) && res.Then[i] != nil {
+			tm = res.Then[i].Timing
+		}
+		tr.TaskFinished(m.TraceID, attempt, worker, tm, errMsg)
+	}
+}
+
+// execOne runs a single task, dispatching on the operation kind.
+func execOne(env *TaskEnv, spec *TaskSpec) (*TaskResult, error) {
 	clk := env.clk()
 	start := clk.Now()
 	st := &inputStats{}

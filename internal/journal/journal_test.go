@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bucket"
 	"repro/internal/clock"
 	"repro/internal/obs"
 )
@@ -531,4 +532,51 @@ func FuzzJournalReplay(f *testing.F) {
 				len(again), off2, len(events), off)
 		}
 	})
+}
+
+// A task's output manifests keep their record and byte counts through
+// the log, a checkpoint, and replay: input plans skip KV buckets whose
+// counts are both zero, so a lost count would drop a bucket's records.
+func TestManifestCountsSurviveReplay(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bucket.Descriptor{
+		{Name: "j1/ds3/t0/s0", URL: "file:///shared/j1_ds3_t0_s0", Records: 7, Bytes: 1234},
+		{Name: "j1/ds3/t0/s1", URL: "file:///shared/j1_ds3_t0_s1"},
+		{Name: "j1/ds3/t0/s2", URL: "file:///shared/j1_ds3_t0_s2", Records: 1},
+	}
+	for _, ev := range []Event{submitEv(1, "fused"), {Kind: EvTaskDone, Job: 1, Dataset: 3, Task: 0, Outputs: FromDescriptors(want)}} {
+		if err := j.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *State, stage string) {
+		t.Helper()
+		var got []bucket.Descriptor
+		for _, m := range st.Job(1).TaskOutputs(3, 0) {
+			got = append(got, m.Descriptor())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: descriptors = %+v, want %+v", stage, got, want)
+		}
+	}
+	j.Abandon()
+	j, st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, "log replay")
+	if err := j.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	j.Abandon()
+	j, st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	check(st, "checkpoint replay")
 }

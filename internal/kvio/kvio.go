@@ -90,6 +90,10 @@ type Writer struct {
 	n     int64 // records written
 	bytes int64 // payload bytes written (keys+values, not framing)
 	err   error
+	// hdr is Write's varint scratch. It lives here because a local
+	// array escapes through bufio.Writer.Write, costing an allocation
+	// per record.
+	hdr [binary.MaxVarintLen64]byte
 }
 
 // NewWriter returns a Writer on w. Its buffer comes from a shared pool;
@@ -120,9 +124,8 @@ func (w *Writer) Write(p Pair) error {
 	if w.err != nil {
 		return w.err
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(p.Key)))
-	if _, err := w.w.Write(hdr[:n]); err != nil {
+	n := binary.PutUvarint(w.hdr[:], uint64(len(p.Key)))
+	if _, err := w.w.Write(w.hdr[:n]); err != nil {
 		w.err = err
 		return err
 	}
@@ -130,8 +133,8 @@ func (w *Writer) Write(p Pair) error {
 		w.err = err
 		return err
 	}
-	n = binary.PutUvarint(hdr[:], uint64(len(p.Value)))
-	if _, err := w.w.Write(hdr[:n]); err != nil {
+	n = binary.PutUvarint(w.hdr[:], uint64(len(p.Value)))
+	if _, err := w.w.Write(w.hdr[:n]); err != nil {
 		w.err = err
 		return err
 	}

@@ -435,6 +435,28 @@ func (m *Master) recoveredOutputs(jobID core.JobID, dataset, taskIndex int) []jo
 	return outs
 }
 
+// recoveredResult rebuilds a task's result, fused members included,
+// from journaled output manifests. It returns nil unless recoveredOutputs
+// has manifests for the task and for every member.
+func (m *Master) recoveredResult(spec *core.TaskSpec) *core.TaskResult {
+	outs := m.recoveredOutputs(spec.Job, spec.Op.Dataset, spec.TaskIndex)
+	if outs == nil {
+		return nil
+	}
+	res := &core.TaskResult{Dataset: spec.Op.Dataset, TaskIndex: spec.TaskIndex}
+	for _, o := range outs {
+		res.Outputs = append(res.Outputs, o.Descriptor())
+	}
+	for _, member := range spec.Then {
+		r := m.recoveredResult(member)
+		if r == nil {
+			return nil
+		}
+		res.Then = append(res.Then, r)
+	}
+	return res
+}
+
 // manifestAlive reports whether a journaled bucket manifest still
 // names reachable data. Files (shared-dir staging) and this master's
 // own buckets are statted; slave-served HTTP buckets cannot be checked
@@ -867,43 +889,54 @@ func (m *Master) handleTaskDone(args []any) (any, error) {
 }
 
 // applyTaskDone feeds one completion into the scheduler and, if
-// accepted, into stats, metrics, and the journal. Shared between
-// task_done (one report per RPC) and report_batch (a sub-master's
-// aggregated reports).
+// accepted, into stats, metrics, and the journal — once for the task
+// and once for each fused member it carried. Shared between task_done
+// (one report per RPC) and report_batch (a sub-master's aggregated
+// reports).
 func (m *Master) applyTaskDone(id string, jobID, taskID int64, result *core.TaskResult) error {
 	spec, err := m.sched.CompleteTask(sched.TaskID(taskID), id, result)
 	if err != nil {
 		return err
 	}
 	if spec != nil {
-		m.mu.Lock()
-		m.taskStats.TasksDone++
-		if info := m.slaves[id]; info != nil {
-			info.tasksDone++
-		}
-		js := m.jobStatsLocked(core.JobID(jobID))
-		js.TasksDone++
-		js.ShuffleBytes += result.Timing.InBytes
-		m.mu.Unlock()
-		mm := m.opts.Obs.M()
-		mm.Add(obs.JobSeries("mrs_job_tasks_done_total", jobID), 1)
-		mm.Add(obs.JobSeries("mrs_job_shuffle_bytes_total", jobID), result.Timing.InBytes)
-		if spec.Job != 0 {
-			m.journalAppend(journal.Event{
-				Kind:    journal.EvTaskDone,
-				Job:     int64(spec.Job),
-				Dataset: spec.Op.Dataset,
-				Task:    spec.TaskIndex,
-				Outputs: journal.FromDescriptors(result.Outputs),
-				InBytes: result.Timing.InBytes,
-				Node:    id,
-			})
+		m.recordDone(id, jobID, spec, result)
+		for i, member := range spec.Then {
+			if i < len(result.Then) {
+				m.recordDone(id, jobID, member, result.Then[i])
+			}
 		}
 	}
 	if m.opts.DisableAffinity {
 		m.sched.ClearAffinity()
 	}
 	return nil
+}
+
+// recordDone counts one accepted task completion and journals it.
+func (m *Master) recordDone(id string, jobID int64, spec *core.TaskSpec, result *core.TaskResult) {
+	m.mu.Lock()
+	m.taskStats.TasksDone++
+	if info := m.slaves[id]; info != nil {
+		info.tasksDone++
+	}
+	js := m.jobStatsLocked(core.JobID(jobID))
+	js.TasksDone++
+	js.ShuffleBytes += result.Timing.InBytes
+	m.mu.Unlock()
+	mm := m.opts.Obs.M()
+	mm.Add(obs.JobSeries("mrs_job_tasks_done_total", jobID), 1)
+	mm.Add(obs.JobSeries("mrs_job_shuffle_bytes_total", jobID), result.Timing.InBytes)
+	if spec.Job != 0 {
+		m.journalAppend(journal.Event{
+			Kind:    journal.EvTaskDone,
+			Job:     int64(spec.Job),
+			Dataset: spec.Op.Dataset,
+			Task:    spec.TaskIndex,
+			Outputs: journal.FromDescriptors(result.Outputs),
+			InBytes: result.Timing.InBytes,
+			Node:    id,
+		})
+	}
 }
 
 func (m *Master) handleTaskFailed(args []any) (any, error) {
@@ -978,7 +1011,7 @@ func (m *Master) applyReports(id string, reports []rpcproto.Report) error {
 	for _, r := range reports {
 		var err error
 		if r.Done {
-			err = m.applyTaskDone(id, r.Job, r.TaskID, &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing})
+			err = m.applyTaskDone(id, r.Job, r.TaskID, r.Result())
 		} else {
 			err = m.applyTaskFailed(id, r.Job, r.TaskID, r.Err)
 		}
@@ -1161,14 +1194,13 @@ func (m *Master) Submit(spec *core.TaskSpec, done func(*core.TaskResult, error))
 	// but tasks whose completions the journal replayed are answered from
 	// their journaled output manifests — no slave ever sees them again.
 	// Dataset ids are queue positions and task indexes are stable, so a
-	// deterministic driver resubmits each task under the same key.
+	// deterministic driver resubmits each task under the same key. A
+	// fused task is answered only if its head and every member are
+	// journaled; otherwise it runs whole again, which is safe because
+	// outputs are deterministic and the last publish wins.
 	if spec.Job != 0 {
-		if outs := m.recoveredOutputs(spec.Job, spec.Op.Dataset, spec.TaskIndex); outs != nil {
-			m.opts.Obs.M().Add(obs.MetricRecoveredTasks, 1)
-			res := &core.TaskResult{Dataset: spec.Op.Dataset, TaskIndex: spec.TaskIndex}
-			for _, o := range outs {
-				res.Outputs = append(res.Outputs, o.Descriptor())
-			}
+		if res := m.recoveredResult(spec); res != nil {
+			m.opts.Obs.M().Add(obs.MetricRecoveredTasks, int64(1+len(res.Then)))
 			go done(res, nil)
 			return
 		}

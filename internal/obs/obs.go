@@ -124,6 +124,11 @@ const (
 	MetricSortGrouped = "mrs_sort_records_grouped_total"
 )
 
+// MetricTasksFused counts the map tasks the Job driver attached to a
+// narrow reduce task as fused members (core.TaskSpec.Then), each of
+// which runs in its head's dispatch instead of one of its own.
+const MetricTasksFused = "mrs_tasks_fused_total"
+
 // MetricSortFolds counts the times a combining sorter folded the values
 // that arrived since its last fold through the combiner, which bounds
 // its memory by distinct keys rather than records. A job with no
@@ -138,12 +143,14 @@ const MetricSortFolds = "mrs_sort_folds_total"
 // inserted/released byte counters are monotonic so they sum across the
 // slaves sharing one registry; their difference is the RAM held,
 // exported as the MetricBucketMemBytes gauge by RegisterBucketMemGauge.
-// Unlinks count every removal syscall a store issues on a bucket file.
+// Unlinks count every removal syscall a store issues on a bucket file,
+// and HTTP fetches every bucket a store opened from a peer over HTTP.
 const (
 	MetricBucketPublishedMem     = "mrs_bucket_published_mem_total"
 	MetricBucketPublishedFile    = "mrs_bucket_published_file_total"
 	MetricBucketSpilled          = "mrs_bucket_spilled_total"
 	MetricBucketLocalOpens       = "mrs_bucket_local_opens_total"
+	MetricBucketHTTPFetches      = "mrs_bucket_http_fetches_total"
 	MetricBucketMemInsertedBytes = "mrs_bucket_mem_inserted_bytes_total"
 	MetricBucketMemReleasedBytes = "mrs_bucket_mem_released_bytes_total"
 	MetricBucketMemBytes         = "mrs_bucket_mem_bytes"

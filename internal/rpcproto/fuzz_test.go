@@ -1,6 +1,7 @@
 package rpcproto
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bucket"
@@ -34,6 +35,31 @@ func psoMoveAssignment() Assignment {
 		},
 		Deletes: []string{core.BucketNameJob(3, 38, 5, 0), core.BucketNameJob(3, 38, 6, 0)},
 	}
+}
+
+// psoFusedAssignment is the PSO merge reduce as the Job driver fuses
+// it: the convergence check's map rides along as a member.
+func psoFusedAssignment() Assignment {
+	a := psoMoveAssignment()
+	a.Spec.Op = &core.Operation{Dataset: 42, Kind: core.OpReduce, FuncName: "pso_merge", Splits: 7, Narrow: true}
+	a.Spec.Then = []*core.TaskSpec{{
+		Job:          3,
+		TraceID:      88172645463325253,
+		Op:           &core.Operation{Dataset: 43, Kind: core.OpMap, FuncName: "pso_best", Splits: 1, Partition: "constant", Resident: true},
+		TaskIndex:    5,
+		InputDataset: 42,
+	}}
+	return a
+}
+
+// psoFusedReports is the report of psoFusedAssignment.
+func psoFusedReports() []Report {
+	r := psoReports()[0]
+	r.Then = []*core.TaskResult{{
+		Outputs: []bucket.Descriptor{{Name: core.BucketNameJob(3, 43, 5, 0), URL: "http://127.0.0.1:40001/data/" + core.BucketNameJob(3, 43, 5, 0), Records: 1, Bytes: 17}},
+		Timing:  obs.Timing{WallNS: 4000, InBytes: 2048, InRecords: 5, OutBytes: 17, OutRecords: 1},
+	}}
+	return []Report{r}
 }
 
 func psoReports() []Report {
@@ -70,6 +96,11 @@ func FuzzDecodeAssignment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mustMarshal(f, batch))
+	fused, err := psoFusedAssignment().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mustMarshal(f, fused))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := xmlrpc.UnmarshalResponse(data)
 		if err != nil {
@@ -88,6 +119,11 @@ func FuzzDecodeReports(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(call)
+	fused, err := xmlrpc.MarshalCall(MethodGetTask, []any{"slave-1", EncodeReports(psoFusedReports())})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fused)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, args, err := xmlrpc.UnmarshalCall(data)
 		if err != nil {
@@ -118,6 +154,53 @@ func TestReportsRoundTripOnGetTask(t *testing.T) {
 	if len(got) != len(want) || got[0].Timing != want[0].Timing || got[0].Outputs[0] != want[0].Outputs[0] ||
 		got[1].Done || got[1].Err != want[1].Err || got[1].TaskID != want[1].TaskID {
 		t.Fatalf("reports = %+v, want %+v", got, want)
+	}
+}
+
+// Fused members travel in "then" both ways: the assignment carries
+// each member's operation (sharing the head's job and task index), and
+// the report carries each member's outputs — record and byte counts
+// included, since input plans skip buckets whose counts are both zero —
+// and timing.
+func TestFusedAssignmentAndReportRoundTrip(t *testing.T) {
+	want := psoFusedAssignment()
+	enc, err := want.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := xmlrpc.UnmarshalResponse(mustMarshal(t, enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAssignment(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Spec.Then) != 1 {
+		t.Fatalf("decoded %d fused members, want 1", len(got.Spec.Then))
+	}
+	m, wm := got.Spec.Then[0], want.Spec.Then[0]
+	if !reflect.DeepEqual(m, wm) {
+		t.Errorf("member = %+v (op %+v), want %+v (op %+v)", m, m.Op, wm, wm.Op)
+	}
+
+	call, err := xmlrpc.MarshalCall(MethodGetTask, []any{"slave-1", EncodeReports(psoFusedReports())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, args, err := xmlrpc.UnmarshalCall(call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := DecodeReports(args[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := psoFusedReports(); !reflect.DeepEqual(reports, want) {
+		t.Errorf("reports = %+v, want %+v", reports, want)
+	}
+	if res := reports[0].Result(); len(res.Then) != 1 || res.Then[0].Outputs[0].Records != 1 || res.Then[0].Outputs[0].Bytes != 17 {
+		t.Errorf("Result() = %+v, want the member's outputs with their counts", res)
 	}
 }
 

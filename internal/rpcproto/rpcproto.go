@@ -144,7 +144,20 @@ type Report struct {
 	TaskID  int64 // the parent's task id for the assignment
 	Outputs []bucket.Descriptor
 	Timing  obs.Timing
-	Err     string // task_failed error message
+	// Then holds the fused members' results (Outputs and Timing only),
+	// in the order of the assignment's TaskSpec.Then.
+	Then []*core.TaskResult
+	Err  string // task_failed error message
+}
+
+// DoneReport is the report of a successful task and its fused members.
+func DoneReport(job, taskID int64, res *core.TaskResult) Report {
+	return Report{Done: true, Job: job, TaskID: taskID, Outputs: res.Outputs, Timing: res.Timing, Then: res.Then}
+}
+
+// Result is a done report's task result.
+func (r Report) Result() *core.TaskResult {
+	return &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing, Then: r.Then}
 }
 
 // EncodeReports converts a batch for the reports argument of
@@ -160,6 +173,16 @@ func EncodeReports(reports []Report) []any {
 		if r.Done {
 			st["outputs"] = EncodeDescriptors(r.Outputs)
 			st["timing"] = EncodeTiming(r.Timing)
+			if len(r.Then) > 0 {
+				then := make([]any, len(r.Then))
+				for i, m := range r.Then {
+					then[i] = map[string]any{
+						"outputs": EncodeDescriptors(m.Outputs),
+						"timing":  EncodeTiming(m.Timing),
+					}
+				}
+				st["then"] = then
+			}
 		} else {
 			st["error"] = r.Err
 		}
@@ -195,6 +218,19 @@ func DecodeReports(v any) ([]Report, error) {
 			}
 			r.Outputs = descs
 			r.Timing = DecodeTiming(st["timing"])
+			if raw, ok := st["then"].([]any); ok {
+				for k, e := range raw {
+					mst, ok := e.(map[string]any)
+					if !ok {
+						return nil, fmt.Errorf("rpcproto: report %d fused result %d is %T", i, k, e)
+					}
+					descs, err := DecodeDescriptors(mst["outputs"])
+					if err != nil {
+						return nil, fmt.Errorf("rpcproto: report %d fused result %d: %w", i, k, err)
+					}
+					r.Then = append(r.Then, &core.TaskResult{Outputs: descs, Timing: DecodeTiming(mst["timing"])})
+				}
+			}
 		} else {
 			r.Err, _ = st["error"].(string)
 		}
@@ -290,7 +326,6 @@ func (a Assignment) Encode() (map[string]any, error) {
 	if a.Spec == nil || a.Spec.Op == nil {
 		return nil, fmt.Errorf("rpcproto: task assignment without spec")
 	}
-	op := a.Spec.Op
 	out["task_id"] = a.TaskID
 	if a.Spec.Job != 0 {
 		out["job_id"] = int64(a.Spec.Job)
@@ -298,15 +333,36 @@ func (a Assignment) Encode() (map[string]any, error) {
 	if a.Attempt > 0 {
 		out["attempt"] = a.Attempt
 	}
+	out["task_index"] = int64(a.Spec.TaskIndex)
+	out["input_urls"] = toAnySlice(a.Spec.InputURLs)
+	out["input_format"] = a.Spec.InputFormat
+	encodeOp(out, a.Spec)
+	if len(a.Spec.Then) > 0 {
+		// Fused members share the head's job and task index, and read
+		// the head's output, so each carries only its operation.
+		then := make([]any, len(a.Spec.Then))
+		for i, m := range a.Spec.Then {
+			if m == nil || m.Op == nil {
+				return nil, fmt.Errorf("rpcproto: fused member %d without spec", i)
+			}
+			st := map[string]any{}
+			encodeOp(st, m)
+			then[i] = st
+		}
+		out["then"] = then
+	}
+	return out, nil
+}
+
+// encodeOp writes the operation fields of a task spec into out.
+func encodeOp(out map[string]any, spec *core.TaskSpec) {
+	op := spec.Op
 	out["dataset"] = int64(op.Dataset)
 	out["kind"] = int64(op.Kind)
 	out["func"] = op.FuncName
 	out["combine"] = op.CombineName
 	out["splits"] = int64(op.Splits)
 	out["partition"] = op.Partition
-	out["task_index"] = int64(a.Spec.TaskIndex)
-	out["input_urls"] = toAnySlice(a.Spec.InputURLs)
-	out["input_format"] = a.Spec.InputFormat
 	if len(op.Params) > 0 {
 		out["params"] = op.Params
 	}
@@ -324,12 +380,11 @@ func (a Assignment) Encode() (map[string]any, error) {
 		// third of the slave's cache key, which the slave cannot derive
 		// from the URL list alone.
 		out["resident"] = true
-		out["input_ds"] = int64(a.Spec.InputDataset)
+		out["input_ds"] = int64(spec.InputDataset)
 	}
-	if a.Spec.TraceID != 0 {
-		out["trace_id"] = a.Spec.TraceID
+	if spec.TraceID != 0 {
+		out["trace_id"] = spec.TraceID
 	}
-	return out, nil
 }
 
 // EncodeAssignments converts a get_tasks response — up to max
@@ -400,59 +455,72 @@ func DecodeAssignment(v any) (Assignment, error) {
 	}
 	a.TaskID = id
 	a.Attempt, _ = st["attempt"].(int64)
-	kind, _ := st["kind"].(int64)
-	dataset, _ := st["dataset"].(int64)
-	splits, _ := st["splits"].(int64)
+	spec, err := decodeOp(st)
+	if err != nil {
+		return Assignment{}, err
+	}
 	taskIndex, _ := st["task_index"].(int64)
-	fn, _ := st["func"].(string)
-	combine, _ := st["combine"].(string)
-	part, _ := st["partition"].(string)
-	format, _ := st["input_format"].(string)
-	params, _ := st["params"].([]byte)
-	narrow, _ := st["narrow"].(bool)
-	resident, _ := st["resident"].(bool)
-	opCodec, _ := st["codec"].(string)
-	inputDS, _ := st["input_ds"].(int64)
-	var urls []string
+	spec.TaskIndex = int(taskIndex)
+	spec.InputFormat, _ = st["input_format"].(string)
 	if raw, ok := st["input_urls"].([]any); ok {
 		for _, u := range raw {
 			s, ok := u.(string)
 			if !ok {
 				return Assignment{}, fmt.Errorf("rpcproto: non-string input url %T", u)
 			}
-			urls = append(urls, s)
+			spec.InputURLs = append(spec.InputURLs, s)
 		}
 	}
-	a.Spec = &core.TaskSpec{
-		Op: &core.Operation{
-			Dataset: int(dataset),
-			Kind:    core.OpKind(kind),
-			// The slave never resolves the input dataset itself — it
-			// receives explicit InputURLs — but Validate requires a
-			// plausible id for map/reduce ops.
-			Input:       0,
-			FuncName:    fn,
-			CombineName: combine,
-			Splits:      int(splits),
-			Partition:   part,
-			Params:      params,
-			Narrow:      narrow,
-			Resident:    resident,
-			Codec:       opCodec,
-		},
-		TaskIndex:    int(taskIndex),
-		InputDataset: int(inputDS),
-		InputURLs:    urls,
-		InputFormat:  format,
-	}
-	a.Spec.TraceID, _ = st["trace_id"].(int64)
 	if job, ok := st["job_id"].(int64); ok {
-		a.Spec.Job = core.JobID(job)
+		spec.Job = core.JobID(job)
 	}
-	if err := a.Spec.Op.Validate(); err != nil {
-		return Assignment{}, err
+	if raw, ok := st["then"].([]any); ok {
+		for i, e := range raw {
+			mst, ok := e.(map[string]any)
+			if !ok {
+				return Assignment{}, fmt.Errorf("rpcproto: fused member %d is %T", i, e)
+			}
+			m, err := decodeOp(mst)
+			if err != nil {
+				return Assignment{}, fmt.Errorf("rpcproto: fused member %d: %w", i, err)
+			}
+			m.Job, m.TaskIndex = spec.Job, spec.TaskIndex
+			spec.Then = append(spec.Then, m)
+		}
 	}
+	a.Spec = spec
 	return a, nil
+}
+
+// decodeOp parses the operation fields encodeOp wrote into a task spec
+// with no input plan, and validates the operation.
+func decodeOp(st map[string]any) (*core.TaskSpec, error) {
+	kind, _ := st["kind"].(int64)
+	dataset, _ := st["dataset"].(int64)
+	splits, _ := st["splits"].(int64)
+	inputDS, _ := st["input_ds"].(int64)
+	op := &core.Operation{
+		Dataset: int(dataset),
+		Kind:    core.OpKind(kind),
+		// The slave never resolves the input dataset itself — it
+		// receives explicit InputURLs — but Validate requires a
+		// plausible id for map/reduce ops.
+		Input:  0,
+		Splits: int(splits),
+	}
+	op.FuncName, _ = st["func"].(string)
+	op.CombineName, _ = st["combine"].(string)
+	op.Partition, _ = st["partition"].(string)
+	op.Params, _ = st["params"].([]byte)
+	op.Narrow, _ = st["narrow"].(bool)
+	op.Resident, _ = st["resident"].(bool)
+	op.Codec, _ = st["codec"].(string)
+	if err := op.Validate(); err != nil {
+		return nil, err
+	}
+	spec := &core.TaskSpec{Op: op, InputDataset: int(inputDS)}
+	spec.TraceID, _ = st["trace_id"].(int64)
+	return spec, nil
 }
 
 // EncodeDescriptors converts bucket descriptors for task_done.

@@ -455,7 +455,7 @@ func (s *Scheduler) RequestAttempt(slaveID string, timeout time.Duration) (*Task
 				number:      t.Attempts,
 				speculative: speculative,
 			})
-			s.obs.T().TaskStarted(t.Spec.TraceID, t.Attempts, slaveID)
+			core.StartSpans(s.obs.T(), t.Spec, t.Attempts, slaveID)
 			s.obs.M().Add("mrs_sched_assigned_total", 1)
 			if t.Attempts > 1 && !speculative {
 				s.obs.M().Add("mrs_sched_retries_total", 1)
@@ -720,11 +720,13 @@ func (s *Scheduler) CompleteTask(id TaskID, slaveID string, result *core.TaskRes
 	if j := s.jobs[entry.task.Spec.Job]; j != nil {
 		j.inflight -= len(entry.attempts)
 		j.affinity[entry.task.Spec.TaskIndex] = slaveID
-		if spec := entry.task.Spec; spec.Op.Resident {
-			// The completing slave just populated (or refreshed) its
-			// resident cache with this input split; steer later
-			// consumers of the same split to it.
-			j.resident[residentRef{spec.InputDataset, spec.TaskIndex}] = slaveID
+		for _, spec := range append([]*core.TaskSpec{entry.task.Spec}, entry.task.Spec.Then...) {
+			if spec.Op.Resident {
+				// The completing slave just populated (or refreshed)
+				// its resident cache with this input split; steer
+				// later consumers of the same split to it.
+				j.resident[residentRef{spec.InputDataset, spec.TaskIndex}] = slaveID
+			}
 		}
 		recordDurationLocked(j, entry.task.Spec.Op.Dataset, s.clk.Now().Sub(win.since))
 	} else {
@@ -737,11 +739,7 @@ func (s *Scheduler) CompleteTask(id TaskID, slaveID string, result *core.TaskRes
 		result.TaskIndex = entry.task.Spec.TaskIndex
 		result.Dataset = entry.task.Spec.Op.Dataset
 	}
-	var tm obs.Timing
-	if result != nil {
-		tm = result.Timing
-	}
-	s.obs.T().TaskFinished(entry.task.Spec.TraceID, win.number, win.slave, tm, "")
+	core.FinishSpans(s.obs.T(), entry.task.Spec, win.number, win.slave, result, "")
 	for i, ref := range entry.attempts {
 		if i == idx {
 			continue
@@ -749,7 +747,7 @@ func (s *Scheduler) CompleteTask(id TaskID, slaveID string, result *core.TaskRes
 		// Losers of the speculative race: close their spans so the
 		// trace shows where the duplicate work went; their eventual
 		// reports will land in the late-report counter.
-		s.obs.T().TaskFinished(entry.task.Spec.TraceID, ref.number, ref.slave, obs.Timing{}, "lost speculative race")
+		core.FinishSpans(s.obs.T(), entry.task.Spec, ref.number, ref.slave, nil, "lost speculative race")
 	}
 	s.obs.M().Add("mrs_sched_completed_total", 1)
 	if win.speculative {
@@ -794,7 +792,7 @@ func (s *Scheduler) Fail(id TaskID, slaveID string, taskErr string) error {
 		j.inflight--
 		j.failures[slaveID]++
 	}
-	s.obs.T().TaskFinished(entry.task.Spec.TraceID, ref.number, ref.slave, obs.Timing{}, taskErr)
+	core.FinishSpans(s.obs.T(), entry.task.Spec, ref.number, ref.slave, nil, taskErr)
 	s.obs.M().Add("mrs_sched_task_failures_total", 1)
 	if len(entry.attempts) > 0 {
 		// A speculative twin is still running; it is the retry.
@@ -849,7 +847,7 @@ func (s *Scheduler) RequeueStale(lease time.Duration) int {
 				j.inflight--
 			}
 			n++
-			s.obs.T().TaskFinished(entry.task.Spec.TraceID, ref.number, ref.slave, obs.Timing{}, "lease expired; requeued")
+			core.FinishSpans(s.obs.T(), entry.task.Spec, ref.number, ref.slave, nil, "lease expired; requeued")
 			s.obs.M().Add("mrs_sched_requeued_total", 1)
 		}
 		expired := len(entry.attempts) - len(live)
@@ -917,7 +915,7 @@ func (s *Scheduler) evictSlaveLocked(slaveID, reason, metric string) ([]func(), 
 			j.inflight--
 		}
 		evicted++
-		s.obs.T().TaskFinished(entry.task.Spec.TraceID, ref.number, ref.slave, obs.Timing{}, reason)
+		core.FinishSpans(s.obs.T(), entry.task.Spec, ref.number, ref.slave, nil, reason)
 		s.obs.M().Add(metric, 1)
 		if len(entry.attempts) > 0 {
 			continue // speculative twin still running elsewhere

@@ -416,7 +416,8 @@ func (s *Slave) resignin(ctx context.Context, oldID string) error {
 	return nil
 }
 
-// runTask executes one assignment and returns its outcome as a report.
+// runTask executes one assignment, fused members included, and returns
+// its outcome as a report.
 func (s *Slave) runTask(a rpcproto.Assignment) rpcproto.Report {
 	r := rpcproto.Report{Job: int64(a.Spec.Job), TaskID: a.TaskID}
 	env, err := s.envFor(a.Spec.Job)
@@ -432,10 +433,7 @@ func (s *Slave) runTask(a rpcproto.Assignment) rpcproto.Report {
 		r.Err = err.Error()
 		return r
 	}
-	r.Done = true
-	r.Outputs = result.Outputs
-	r.Timing = result.Timing
-	return r
+	return rpcproto.DoneReport(r.Job, r.TaskID, result)
 }
 
 // envFor returns the task environment for a job. Job 0 (the unmanaged

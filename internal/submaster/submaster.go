@@ -668,13 +668,7 @@ func (s *SubMaster) submitLocal(a rpcproto.Assignment) bool {
 			s.enqueueReport(rpcproto.Report{Job: lt.job, TaskID: lt.parentID, Err: err.Error()})
 			return
 		}
-		s.enqueueReport(rpcproto.Report{
-			Done:    true,
-			Job:     lt.job,
-			TaskID:  lt.parentID,
-			Outputs: res.Outputs,
-			Timing:  res.Timing,
-		})
+		s.enqueueReport(rpcproto.DoneReport(lt.job, lt.parentID, res))
 	})
 	if err != nil {
 		s.localMu.Unlock()
@@ -887,7 +881,7 @@ func (s *SubMaster) handleGetTask(args []any) (any, error) {
 		}
 		for _, r := range reports {
 			if r.Done {
-				_ = s.completeChild(id, r.TaskID, &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing})
+				_ = s.completeChild(id, r.TaskID, r.Result())
 			} else {
 				_ = s.failChild(id, r.TaskID, r.Err)
 			}

@@ -3,6 +3,7 @@ package submaster
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -343,5 +344,60 @@ func TestPiggybackedReportAppliedBeforeUnknownFault(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("report from forgotten child was not applied")
+	}
+}
+
+// A fused task crosses the sub-master tier intact both ways: its
+// members reach the child in the assignment, and their results —
+// outputs with record and byte counts — reach the master in the batch.
+func TestFusedTaskForwardedBothWays(t *testing.T) {
+	h := newHarness(t, Options{LongPoll: 20 * time.Millisecond})
+	child := attach(t, h.sm, 1)
+	head := &core.TaskSpec{
+		Op:        &core.Operation{Kind: core.OpReduce, FuncName: "r", Splits: 2, Dataset: 2, Narrow: true},
+		TaskIndex: 1,
+		InputURLs: []string{"mem:0/none"},
+		Then: []*core.TaskSpec{{
+			Op:           &core.Operation{Kind: core.OpMap, FuncName: "m", Splits: 1, Dataset: 3, Resident: true},
+			TaskIndex:    1,
+			InputDataset: 2,
+			TraceID:      7,
+		}},
+	}
+	result := make(chan *core.TaskResult, 1)
+	h.m.Submit(head, func(res *core.TaskResult, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		result <- res
+	})
+	a := child.poll(5 * time.Second)
+	if len(a.Spec.Then) != 1 {
+		t.Fatalf("child got %d fused members, want 1", len(a.Spec.Then))
+	}
+	if m := a.Spec.Then[0]; m.Op.FuncName != "m" || m.Op.Dataset != 3 || !m.Op.Resident || m.InputDataset != 2 || m.TaskIndex != 1 || m.TraceID != 7 {
+		t.Errorf("child's member = %+v (op %+v)", m, m.Op)
+	}
+	member := &core.TaskResult{
+		Outputs: []bucket.Descriptor{{Name: "ds3/t1/s0", URL: "mem:member", Records: 4, Bytes: 96}},
+		Timing:  obs.Timing{WallNS: 500, InRecords: 4},
+	}
+	report := rpcproto.DoneReport(int64(a.Spec.Job), a.TaskID, &core.TaskResult{
+		Outputs: []bucket.Descriptor{{Name: "ds2/t1/s0", URL: "mem:e"}, {Name: "ds2/t1/s1", URL: "mem:head", Records: 4, Bytes: 96}},
+		Then:    []*core.TaskResult{member},
+	})
+	if _, err := child.client.Call(rpcproto.MethodGetTask, child.id, rpcproto.EncodeReports([]rpcproto.Report{report})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-result:
+		if len(res.Then) != 1 || !reflect.DeepEqual(res.Then[0].Outputs, member.Outputs) || res.Then[0].Timing != member.Timing {
+			t.Errorf("master got member results %+v, want %+v", res.Then, member)
+		}
+		if res.Outputs[1].Records != 4 || res.Outputs[1].Bytes != 96 {
+			t.Errorf("head outputs lost their counts: %+v", res.Outputs)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("master callback never fired")
 	}
 }

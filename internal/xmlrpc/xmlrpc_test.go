@@ -723,6 +723,18 @@ func psoAssignment() map[string]any {
 	}
 }
 
+// fusedAssignment is a PSO merge reduce carrying the convergence
+// check's map as a fused member.
+func fusedAssignment() map[string]any {
+	a := psoAssignment()
+	a["kind"], a["func"], a["dataset"] = int64(1), "pso_merge", int64(42)
+	a["then"] = []any{map[string]any{
+		"dataset": int64(43), "kind": int64(0), "func": "pso_best", "combine": "", "splits": int64(1),
+		"partition": "constant", "resident": true, "input_ds": int64(42), "trace_id": int64(88172645463325253),
+	}}
+	return a
+}
+
 func unmarshalSeeds(t testing.TB) [][]byte {
 	must := func(b []byte, err error) []byte {
 		if err != nil {
@@ -736,6 +748,11 @@ func unmarshalSeeds(t testing.TB) [][]byte {
 		must(MarshalResponse(psoAssignment())),
 		must(MarshalCall("task_done", []any{"slave-1", int64(3), int64(1234), outputs, timing})),
 		must(MarshalCall("get_task", []any{"slave-1", []any{map[string]any{"done": true, "job": int64(3), "task_id": int64(1234), "outputs": outputs, "timing": timing}}})),
+		// A fused narrow reduce: its members ride in "then", in the
+		// assignment and in the report.
+		must(MarshalResponse(fusedAssignment())),
+		must(MarshalCall("get_task", []any{"slave-1", []any{map[string]any{"done": true, "job": int64(3), "task_id": int64(1234), "outputs": outputs, "timing": timing,
+			"then": []any{map[string]any{"outputs": outputs, "timing": timing}}}}})),
 		must(MarshalFault(&Fault{Code: 100, Message: "master: unknown slave slave-1 <declared dead?> & gone"})),
 		must(MarshalResponse(map[string]any{"s": "line1\nline2\r\nline3\ttab \"quoted\" 'apos'", "f": 2.5, "n": []any{}})),
 		[]byte(`<?xml version="1.0"?><methodResponse><params><param><value><string><![CDATA[<raw> & ]] stuff]]></string></value></param></params></methodResponse>`),

@@ -33,10 +33,10 @@ fi
 if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	echo "== tier 2: go test -race -count=2 ./..."
 	go test -race -count=2 ./...
-	echo "== tier 2: pipelined-scheduler stress (race, repeated)"
+	echo "== tier 2: pipelined-scheduler stress (race, repeated; fused narrow chains included)"
 	go test -race -count=4 \
-		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos' \
-		./internal/core ./internal/cluster
+		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused' \
+		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff, codec negotiation)"
 	go test -race -count=2 \
 		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|Negotiation|TranscodeBetween|BlockMagicIsLegacyPoison|ForeignStreams|Fold' \
