@@ -40,12 +40,8 @@ func BindFlags(fs *flag.FlagSet) *Options {
 		"serve /debug/status, /debug/metrics, /debug/pprof on this address")
 	fs.IntVar(&o.Prefetch, "mrs-prefetch", 0,
 		"input-fetch window per task (0 = default, 1 = sequential streaming)")
-	fs.BoolVar(&o.Compress, "mrs-compress", false,
-		"store and serve intermediate buckets flate-compressed")
 	fs.StringVar(&o.Codec, "mrs-codec", "",
 		"block data-plane codec: identity|deflate|lz (empty = legacy per-record framing)")
-	fs.IntVar(&o.BlockSize, "mrs-block-size", 0,
-		"record-block flush threshold in bytes (0 = default 64 KiB)")
 	fs.Int64Var(&o.ResidentBudget, "mrs-resident-budget", core.DefaultResidentBudget,
 		"per-worker resident dataset cache budget in bytes (0 disables)")
 	return o

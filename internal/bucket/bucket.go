@@ -23,6 +23,10 @@
 // A file-backed store indexes the bucket files it publishes (flat name
 // to exact at-rest path), so removing a RAM bucket or a name it never
 // wrote costs no syscall and removing one of its files costs one unlink.
+//
+// A bucket crosses the wire exactly as it rests: the data server sends
+// its at-rest bytes verbatim, and readers sniff the framing (legacy
+// per-record or self-describing blocks) to decode it.
 package bucket
 
 import (
@@ -33,6 +37,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -44,18 +49,10 @@ import (
 	"repro/internal/wirecodec"
 )
 
-// CompressExt marks a bucket file stored whole-stream flate-compressed
-// in the legacy (pre-block) at-rest form. The suffix makes compressed
-// buckets self-describing: any reader that sees it (local open, file://
-// URL, the data server) knows to decompress, so producers and consumers
-// need not agree on configuration.
-const CompressExt = ".fz"
-
 // BlockExt marks a bucket file stored in kvio block framing. The full
 // at-rest suffix is BlockExt plus the block codec's extension —
 // ".mrb" (identity blocks), ".mrb.fz" (deflate blocks), ".mrb.lz" —
-// so the data server knows the at-rest codec without opening the file
-// and can serve it verbatim to a client that accepts that codec.
+// so a bucket's at-rest form is known without opening the file.
 const BlockExt = ".mrb"
 
 // MemBucketMax is the largest bucket an HTTP-serving store keeps in RAM.
@@ -104,15 +101,13 @@ type Store struct {
 	dir     string // if non-empty, buckets may be files under dir
 	baseURL string // if non-empty, buckets advertise baseURL/<name>
 
-	mu        sync.Mutex
-	mem       map[string]atRest // RAM buckets by flat name
-	memBytes  int64             // total payload of mem
-	files     map[string]string // file buckets by flat name: exact at-rest path
-	client    *http.Client      // overrides the shared fetch client (fault injection)
-	compress  bool              // write new file buckets legacy flate-compressed
-	codec     wirecodec.Codec   // if set, write new file buckets block-framed with this codec
-	blockSize int               // target uncompressed bytes per block (0 = kvio default)
-	metrics   *obs.Metrics      // wire-byte counters (nil-safe)
+	mu       sync.Mutex
+	mem      map[string]atRest // RAM buckets by flat name
+	memBytes int64             // total payload of mem
+	files    map[string]string // file buckets by flat name: exact at-rest path
+	client   *http.Client      // overrides the shared fetch client (fault injection)
+	codec    wirecodec.Codec   // if set, write new file buckets block-framed with this codec
+	metrics  *obs.Metrics      // wire-byte counters (nil-safe)
 	// sleep waits between fetch retries (nil = time.Sleep); tests set
 	// it to observe retry delays.
 	sleep func(time.Duration)
@@ -207,17 +202,6 @@ func (s *Store) CloseIdle() {
 	s.fetchClient().CloseIdleConnections()
 }
 
-// SetCompress controls whether new file buckets are written in the
-// legacy whole-stream flate form (mem buckets never are — they never
-// leave the process). Already-written buckets are unaffected; readers
-// handle every at-rest form regardless of this setting. SetCodec
-// supersedes this: when a block codec is set it wins.
-func (s *Store) SetCompress(on bool) {
-	s.mu.Lock()
-	s.compress = on
-	s.mu.Unlock()
-}
-
 // SetCodec switches new file buckets to kvio block framing with the
 // named registered codec ("identity", "deflate", "lz"). An empty name
 // reverts to the legacy per-record forms. Mem buckets are unaffected:
@@ -239,18 +223,10 @@ func (s *Store) SetCodec(name string) error {
 	return nil
 }
 
-// SetBlockSize sets the target uncompressed payload per block for new
-// block-framed buckets; 0 restores the kvio default.
-func (s *Store) SetBlockSize(n int) {
-	s.mu.Lock()
-	s.blockSize = n
-	s.mu.Unlock()
-}
-
-func (s *Store) codecOn() (wirecodec.Codec, int) {
+func (s *Store) codecOn() wirecodec.Codec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.codec, s.blockSize
+	return s.codec
 }
 
 // SetMetrics wires the registry that receives the store's wire-byte and
@@ -262,12 +238,6 @@ func (s *Store) SetMetrics(m *obs.Metrics) {
 	obs.RegisterBucketMemGauge(m)
 }
 
-func (s *Store) compressOn() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compress
-}
-
 // counter returns the named counter of the wired registry (nil, a no-op,
 // when metrics are not wired).
 func (s *Store) counter(metric string) *obs.Counter {
@@ -277,46 +247,13 @@ func (s *Store) counter(metric string) *obs.Counter {
 	return m.Counter(metric)
 }
 
-// counting wraps rc so every wire byte lands in the per-path counter
-// and the per-codec counter for codecName.
-func (s *Store) counting(rc io.ReadCloser, pathMetric, codecName string) io.ReadCloser {
-	return &countingReadCloser{
-		rc: rc,
-		c:  s.counter(pathMetric),
-		c2: s.counter(obs.MetricWireBytesCodec(codecName)),
-	}
-}
-
-// fileCodecName classifies an at-rest file path by the codec its wire
-// bytes are compressed with, for the per-codec counters.
-func fileCodecName(path string) string {
-	if i := strings.Index(path, BlockExt); i >= 0 {
-		ext := path[i+len(BlockExt):]
-		for _, name := range wirecodec.Names() {
-			if c, _ := wirecodec.Lookup(name); c.Ext() == ext {
-				return name
-			}
-		}
-		return wirecodec.IdentityName
-	}
-	if strings.HasSuffix(path, CompressExt) {
-		return wirecodec.DeflateName
-	}
-	return wirecodec.IdentityName
+// counting wraps rc so every wire byte lands in the per-path counter.
+func (s *Store) counting(rc io.ReadCloser, pathMetric string) io.ReadCloser {
+	return &countingReadCloser{rc: rc, c: s.counter(pathMetric)}
 }
 
 // InMemory reports whether this store keeps buckets in memory.
 func (s *Store) InMemory() bool { return s.dir == "" }
-
-// deflateCodec returns the registry's deflate codec, which owns the
-// pooled flate state the legacy ".fz" at-rest form is built on.
-func deflateCodec() wirecodec.Codec {
-	c, ok := wirecodec.Lookup(wirecodec.DeflateName)
-	if !ok {
-		panic("wirecodec: deflate not registered")
-	}
-	return c
-}
 
 // Writer accumulates one bucket's records. The encoded bytes land in a
 // RAM buffer or a temp file, whichever backing the store gives the
@@ -324,9 +261,8 @@ func deflateCodec() wirecodec.Codec {
 type Writer struct {
 	store *Store
 	name  string
-	form  atRest // at-rest form: file path (with suffix) and block form
+	form  atRest // at-rest form: file path, suffix included
 	sink  sink
-	cw    io.WriteCloser // legacy compression layer between records and sink, if on
 
 	w      *kvio.Writer      // legacy per-record framing
 	bw     *kvio.BlockWriter // block framing (when the store has a codec)
@@ -432,10 +368,8 @@ type CreateOpts struct {
 // Create starts a new bucket with the given store-relative name. Name
 // components are sanitized into a flat, safe file name. With a block
 // codec set the bucket is written block-framed and published with the
-// BlockExt+codec suffix; with
-// legacy compression on it is written through whole-stream flate under
-// CompressExt. A RAM bucket holds exactly the bytes its file would.
-// Record counts and payload bytes in the descriptor are always
+// BlockExt+codec suffix. A RAM bucket holds exactly the bytes its file
+// would. Record counts and payload bytes in the descriptor are always
 // pre-compression.
 func (s *Store) Create(name string) (*Writer, error) {
 	return s.CreateOpts(name, CreateOpts{})
@@ -453,7 +387,7 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 		w.w = kvio.NewWriter(&w.sink)
 		return w, nil
 	}
-	c, blockSize := s.codecOn()
+	c := s.codecOn()
 	if opts.Codec != "" {
 		oc, ok := wirecodec.Lookup(opts.Codec)
 		if !ok {
@@ -468,14 +402,8 @@ func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	}
 	w.form.path = filepath.Join(s.dir, flat)
 	if c != nil {
-		w.form.blockCodec = c
 		w.form.path += BlockExt + c.Ext()
-		w.bw = kvio.NewBlockWriter(&w.sink, c, blockSize)
-	} else if s.compressOn() {
-		w.form.legacyFlate = true
-		w.form.path += CompressExt
-		w.cw = deflateCodec().NewWriter(&w.sink)
-		w.w = kvio.NewWriter(w.cw)
+		w.bw = kvio.NewBlockWriter(&w.sink, c, kvio.DefaultBlockSize)
 	} else {
 		w.w = kvio.NewWriter(&w.sink)
 	}
@@ -515,12 +443,6 @@ func (w *Writer) Close() (Descriptor, error) {
 		d = Descriptor{Name: w.name, Records: w.w.Count(), Bytes: w.w.Bytes()}
 		err = w.w.Flush()
 		w.w.Release()
-		if w.cw != nil {
-			if cerr := w.cw.Close(); err == nil {
-				err = cerr // flushes the final flate block, recycles pooled state
-			}
-			w.cw = nil
-		}
 	}
 	if err == nil {
 		err = w.publish()
@@ -535,7 +457,7 @@ func (w *Writer) Close() (Descriptor, error) {
 		d.URL = fmt.Sprintf("mem:%d/%s", s.id, w.name)
 	case s.baseURL != "":
 		// http URLs never carry the at-rest suffix: the data server
-		// resolves the at-rest form and negotiates the wire encoding.
+		// resolves the at-rest form.
 		d.URL = s.baseURL + "/" + url.PathEscape(w.sink.flat)
 	default:
 		d.URL = "file://" + w.form.path
@@ -691,7 +613,7 @@ func flatName(file string) string {
 	if i := strings.Index(file, BlockExt); i >= 0 {
 		return file[:i]
 	}
-	return strings.TrimSuffix(file, CompressExt)
+	return file
 }
 
 // jobPrefix is the flat-name prefix of one job's buckets (names
@@ -766,12 +688,10 @@ func (s *Store) JobBuckets(job int64) (int, error) {
 }
 
 // atRest describes one resolved bucket: its bytes in RAM (data) or in
-// the file at path, and the form those bytes take.
+// the file at path.
 type atRest struct {
-	path        string
-	data        []byte          // non-nil: a RAM bucket holding these bytes
-	blockCodec  wirecodec.Codec // non-nil: block-framed, blocks under this codec
-	legacyFlate bool            // legacy whole-stream flate
+	path string
+	data []byte // non-nil: a RAM bucket holding these bytes
 }
 
 // open returns the bucket's at-rest bytes.
@@ -792,20 +712,16 @@ type nopCloser struct{ *bytes.Reader }
 func (nopCloser) Close() error { return nil }
 
 // resolveAtRest finds which at-rest form exists for the plain path:
-// the plain legacy file, a block file (any registered codec's suffix),
-// or the legacy flate file.
+// the plain legacy file or a block file (any registered codec's suffix).
 func resolveAtRest(path string) (atRest, error) {
-	if _, err := os.Stat(path); err == nil {
+	if statOK(path) {
 		return atRest{path: path}, nil
 	}
 	for _, name := range wirecodec.Names() {
 		c, _ := wirecodec.Lookup(name)
 		if p := path + BlockExt + c.Ext(); statOK(p) {
-			return atRest{path: p, blockCodec: c}, nil
+			return atRest{path: p}, nil
 		}
-	}
-	if _, err := os.Stat(path + CompressExt); err == nil {
-		return atRest{path: path + CompressExt, legacyFlate: true}, nil
 	}
 	return atRest{}, fmt.Errorf("bucket: %s: %w", path, os.ErrNotExist)
 }
@@ -843,23 +759,15 @@ func lookupPath(path string) (atRest, error) {
 	return resolveAtRest(path)
 }
 
-// OpenLocal returns a reader for a bucket created by this store,
-// undoing any whole-stream compression. Block-framed buckets come back
-// verbatim — block compression lives inside the framing and the stream
-// is self-describing, so record consumers go through kvio.NewAnyReader.
+// OpenLocal returns the at-rest bytes of a bucket created by this store.
+// Block compression lives inside the self-describing framing, so record
+// consumers go through kvio.NewAnyReader.
 func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 	ar, err := s.lookup(flatten(name))
 	if err != nil {
 		return nil, err
 	}
-	rc, err := ar.open()
-	if err != nil {
-		return nil, err
-	}
-	if ar.legacyFlate {
-		return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
-	}
-	return rc, nil
+	return ar.open()
 }
 
 // checkName unescapes a bucket file name as it appears in an http URL
@@ -929,13 +837,15 @@ const HTTPTimeout = 30 * time.Second
 // fetch client. net/http's default of 2 idle connections per host
 // serializes connection reuse as soon as fetches run in parallel: with
 // prefetch width k, k−2 of the concurrent fetches to one slave would
-// tear down and redial on every bucket. Fault-injection wrappers should
-// use this as their base RoundTripper so chaos runs keep the same
-// connection behavior.
+// tear down and redial on every bucket. Compression is off because
+// buckets travel as they rest: net/http would otherwise ask for gzip.
+// Fault-injection wrappers should use this as their base RoundTripper
+// so chaos runs keep the same connection behavior.
 var DefaultTransport = &http.Transport{
 	MaxIdleConns:        64,
 	MaxIdleConnsPerHost: 16,
 	IdleConnTimeout:     90 * time.Second,
+	DisableCompression:  true,
 }
 
 // httpClient is shared so connections are reused between fetches.
@@ -944,12 +854,10 @@ var httpClient = &http.Client{Timeout: HTTPTimeout, Transport: DefaultTransport}
 // Open resolves a bucket URL. mem: URLs must belong to this store;
 // file:// URLs are opened directly; http:// URLs are fetched with
 // bounded retries (transient fetch failures are expected during slave
-// churn and must not kill a reduce task immediately). Whole-stream
-// compression (a legacy CompressExt suffix or a deflate
-// Content-Encoding) is transparently undone; block-framed streams come
-// back verbatim — their compression lives inside the framing, which
-// kvio.NewAnyReader decodes — so wire-byte counters see the compressed
-// size either way and record consumers the decoded size.
+// churn and must not kill a reduce task immediately). Every stream
+// comes back as the bucket rests — block compression lives inside the
+// framing, which kvio.NewAnyReader decodes — so wire-byte counters see
+// the compressed size and record consumers the decoded size.
 func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 	switch {
 	case strings.HasPrefix(rawURL, "mem:"):
@@ -968,13 +876,7 @@ func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc := s.counting(f, obs.MetricWireBytesShared, fileCodecName(path))
-		// ".mrb.fz" ends in ".fz" too, but block files carry no outer
-		// compression layer — only a bare CompressExt means legacy flate.
-		if !strings.Contains(path, BlockExt) && strings.HasSuffix(path, CompressExt) {
-			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
-		}
-		return rc, nil
+		return s.counting(f, obs.MetricWireBytesShared), nil
 	case strings.HasPrefix(rawURL, "http://"), strings.HasPrefix(rawURL, "https://"):
 		if name, ok := s.localName(rawURL); ok {
 			// Our own bucket: no loopback round trip, and no wire bytes.
@@ -1028,18 +930,7 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 	var lastErr error
 	for attempt := 1; attempt <= FetchRetries; attempt++ {
 		retry.wait(attempt)
-		req, err := http.NewRequest(http.MethodGet, rawURL, nil)
-		if err != nil {
-			return nil, err
-		}
-		// Advertise every registered block codec so a block-serving peer
-		// can send (or cheaply transcode to) the best mutual one, and
-		// deflate so a legacy compressing server can send its at-rest
-		// bytes verbatim. Servers that know neither header ignore both
-		// and serve identity — the mixed-version fallback.
-		req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-		req.Header.Set("Accept-Encoding", "deflate")
-		resp, err := client.Do(req)
+		resp, err := client.Get(rawURL)
 		if err != nil {
 			lastErr = err
 			continue
@@ -1054,22 +945,8 @@ func (s *Store) openHTTP(rawURL string) (io.ReadCloser, error) {
 			}
 			continue
 		}
-		// Per-codec accounting: a block response names its codec in
-		// CodecHeader; a legacy response is deflate or identity per
-		// Content-Encoding.
-		codecName := resp.Header.Get(wirecodec.CodecHeader)
-		deflated := resp.Header.Get("Content-Encoding") == "deflate"
-		if codecName == "" {
-			codecName = wirecodec.IdentityName
-			if deflated {
-				codecName = wirecodec.DeflateName
-			}
-		}
 		s.counter(obs.MetricBucketHTTPFetches).Add(1)
-		rc := s.counting(resp.Body, obs.MetricWireBytesDirect, codecName)
-		if deflated {
-			return &drainReadCloser{r: deflateCodec().NewReader(rc), under: rc}, nil
-		}
+		rc := s.counting(resp.Body, obs.MetricWireBytesDirect)
 		if resp.ContentLength >= 0 {
 			return &sizedBody{ReadCloser: rc, size: resp.ContentLength}, nil
 		}
@@ -1087,47 +964,21 @@ type sizedBody struct {
 
 func (b *sizedBody) Size() int64 { return b.size }
 
-// countingReadCloser adds every byte read to the wire counters: the
-// per-path total and the per-codec split.
+// countingReadCloser adds every byte read to a wire counter.
 type countingReadCloser struct {
 	rc io.ReadCloser
 	c  *obs.Counter
-	c2 *obs.Counter
 }
 
 func (c *countingReadCloser) Read(p []byte) (int, error) {
 	n, err := c.rc.Read(p)
 	if n > 0 {
 		c.c.Add(int64(n))
-		c.c2.Add(int64(n))
 	}
 	return n, err
 }
 
 func (c *countingReadCloser) Close() error { return c.rc.Close() }
-
-// drainReadCloser decompresses a whole-stream codec layer and closes
-// both layers.
-type drainReadCloser struct {
-	r     io.ReadCloser // the codec layer
-	under io.ReadCloser
-}
-
-func (f *drainReadCloser) Read(p []byte) (int, error) { return f.r.Read(p) }
-
-func (f *drainReadCloser) Close() error {
-	// flate knows the stream ended from the final-block bit without ever
-	// observing the underlying reader's EOF, so an HTTP response body
-	// would look partially read and the connection would be torn down
-	// instead of returned to the keep-alive pool. Drain the (normally
-	// zero) remainder so the transport sees EOF and reuses the socket.
-	io.CopyN(io.Discard, f.under, 512)
-	if f.r != nil {
-		f.r.Close() // recycles the codec's pooled state
-		f.r = nil
-	}
-	return f.under.Close()
-}
 
 // remote reports whether Open fetches rawURL over the network.
 func (s *Store) remote(rawURL string) bool {
@@ -1178,38 +1029,13 @@ func readAll(r io.Reader) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// acceptsDeflate reports whether the request allows a deflate response.
-func acceptsDeflate(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if enc == "deflate" {
-			return true
-		}
-	}
-	return false
-}
-
 // ServeBucket writes the bucket at path (as resolved by ServeName) to an
-// HTTP response. The path resolves through the serving store's lookup,
-// so a RAM bucket and a file bucket take the same arms with the same
-// bytes. The wire form is negotiated per at-rest variant:
-//
-//   - plain legacy bucket: served verbatim (every client reads it).
-//   - legacy flate bucket: verbatim with Content-Encoding: deflate when
-//     the client accepts deflate (zero-CPU wire compression), otherwise
-//     decompressed into the response.
-//   - block bucket: verbatim with CodecHeader set when the client's
-//     advertised codec list (RequestHeader) includes the at-rest codec;
-//     transcoded block-to-block to the best mutual codec otherwise
-//     (identity fallback — a client advertising only unknown codecs
-//     still gets blocks it can decode); flattened to a legacy record
-//     stream for clients that sent no codec advertisement at all,
-//     deflate-wrapped when they accept it. Mixed-version fleets always
-//     land on a form both sides speak.
-//
-// A re-encoding arm that hits a read or decode error mid-body aborts
-// the response (see abortOn), so the client never mistakes a prefix of
-// the bucket for all of it.
+// HTTP response: its at-rest bytes verbatim, with Content-Length, in
+// whichever backing the serving store's lookup finds it. Every reader
+// decodes both framings, and block headers name their codec, so no
+// request header changes the response. Integrity is the client's to
+// check: a block stream's CRCs and a legacy stream's record framing
+// catch a corrupt or truncated body when it is decoded.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 	ar, err := lookupPath(path)
 	if err != nil {
@@ -1222,79 +1048,19 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 		return
 	}
 	defer rs.Close()
-	switch {
-	case ar.blockCodec != nil:
-		serveBlockBucket(w, r, ar, rs)
-	case !ar.legacyFlate:
-		http.ServeContent(w, r, "", time.Time{}, rs)
-	case acceptsDeflate(r):
-		w.Header().Set("Content-Encoding", "deflate")
-		setContentLength(w, rs)
-		io.Copy(w, rs)
-	default:
-		fr := deflateCodec().NewReader(rs)
-		_, err := io.Copy(w, fr)
-		fr.Close()
-		abortOn(err)
-	}
-}
-
-// setContentLength announces the size of an at-rest body sent verbatim.
-func setContentLength(w http.ResponseWriter, rs io.Seeker) {
 	n, err := rs.Seek(0, io.SeekEnd)
 	if err == nil {
 		_, err = rs.Seek(0, io.SeekStart)
 	}
-	if err == nil {
-		w.Header().Set("Content-Length", fmt.Sprint(n))
-	}
-}
-
-// serveBlockBucket serves one block-framed bucket in the wire form the
-// client's codec advertisement (RequestHeader) lets it decode.
-func serveBlockBucket(w http.ResponseWriter, r *http.Request, ar atRest, rs io.ReadSeeker) {
-	accepted := wirecodec.ParseAccept(r.Header.Get(wirecodec.RequestHeader))
-	switch {
-	case wirecodec.Accepts(accepted, ar.blockCodec.Name()):
-		// Best case: the at-rest bytes are already in a codec the client
-		// decodes — send them verbatim, zero CPU. The client checks each
-		// block's CRC.
-		w.Header().Set(wirecodec.CodecHeader, ar.blockCodec.Name())
-		setContentLength(w, rs)
-		io.Copy(w, rs)
-	case len(accepted) > 0:
-		// A block-capable client that can't decode the at-rest codec:
-		// transcode block-to-block into the best mutual codec. Unknown
-		// advertised names fall through to identity inside Negotiate, so
-		// this arm is also the forward-compatibility path.
-		to := wirecodec.Negotiate(accepted)
-		w.Header().Set(wirecodec.CodecHeader, to.Name())
-		abortOn(kvio.TranscodeBlocks(w, rs, to))
-	case acceptsDeflate(r):
-		// Pre-block client that speaks the legacy deflate negotiation:
-		// flatten blocks to a record stream under Content-Encoding. On
-		// error the flate stream is left unterminated: a final block
-		// would let the client's decompressor end cleanly.
-		w.Header().Set("Content-Encoding", "deflate")
-		cw := deflateCodec().NewWriter(w)
-		abortOn(kvio.TranscodeToRecords(cw, rs))
-		cw.Close()
-	default:
-		// Identity legacy client.
-		abortOn(kvio.TranscodeToRecords(w, rs))
-	}
-}
-
-// abortOn aborts the response when re-encoding an at-rest bucket failed
-// (a corrupt block, a short read). Headers and part of the body may
-// already be sent, so an error status is impossible; panicking with
-// http.ErrAbortHandler drops the connection without the response's
-// clean end, and the client's read fails instead of seeing a bucket
-// silently truncated at the bad block.
-func abortOn(err error) {
 	if err != nil {
-		panic(http.ErrAbortHandler)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	// CopyN, not Copy: net/http sends a size-limited *os.File with
+	// sendfile, while io.Copy would go through os.File.WriteTo, which
+	// hides the file from it.
+	io.CopyN(w, rs, n)
 }
 
 // ReadAll opens a URL and decodes every record. Remote fetches that die
@@ -1311,7 +1077,7 @@ func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
 			return nil, err // Open already retried transport errors
 		}
 		// Sniffing reader: the stream may be either framing depending on
-		// the producer's codec setting and the server's negotiation.
+		// the producer's codec setting.
 		r := kvio.NewAnyReader(rc)
 		pairs, err := r.ReadAll()
 		r.Release()

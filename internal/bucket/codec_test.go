@@ -2,14 +2,14 @@ package bucket
 
 import (
 	"bytes"
-	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/kvio"
 	"repro/internal/obs"
@@ -105,10 +105,9 @@ func TestRemoveBlockBucket(t *testing.T) {
 	}
 }
 
-// TestBlockBucketServedVerbatim: a client advertising the at-rest codec
-// gets the file bytes untouched — the zero-CPU path — with the codec
-// named in the response header, and the wire counters see the
-// compressed size split per codec.
+// TestBlockBucketServedVerbatim: a client gets the file bytes
+// untouched — the zero-CPU path — and the wire counters see the
+// compressed size.
 func TestBlockBucketServedVerbatim(t *testing.T) {
 	dir := t.TempDir()
 	server, _ := NewFileStore(dir, "")
@@ -123,10 +122,8 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	defer srv.Close()
 	url := srv.URL + "/data/ds1_t0_s0"
 
-	// Raw HTTP first: response must name the codec and match the file.
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set(wirecodec.RequestHeader, wirecodec.AcceptHeader())
-	resp, err := http.DefaultClient.Do(req)
+	// Raw HTTP first: the response must match the file.
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +131,6 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := resp.Header.Get(wirecodec.CodecHeader); got != wirecodec.LZName {
-		t.Errorf("CodecHeader = %q, want %q", got, wirecodec.LZName)
 	}
 	atRestBytes, err := os.ReadFile(dir + "/ds1_t0_s0" + BlockExt + wirecodec.LZExt)
 	if err != nil {
@@ -146,7 +140,7 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 		t.Error("verbatim response differs from the at-rest file")
 	}
 
-	// Through the store client: decoded records and per-codec counters.
+	// Through the store client: decoded records and wire counters.
 	m := obs.NewMetrics()
 	client := NewMemStore()
 	client.SetMetrics(m)
@@ -158,164 +152,8 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 		t.Fatal("block HTTP round trip lost data")
 	}
 	wire := m.Get(obs.MetricWireBytesDirect)
-	perCodec := m.Get(obs.MetricWireBytesCodec(wirecodec.LZName))
 	if wire == 0 || wire >= payloadBytes(in) {
 		t.Errorf("wire bytes = %d, want 0 < wire < raw %d", wire, payloadBytes(in))
-	}
-	if perCodec != wire {
-		t.Errorf("per-codec wire bytes = %d, want %d (all bytes moved under lz)", perCodec, wire)
-	}
-}
-
-// TestNegotiationUnknownCodecFallsBackToIdentity is the mixed-version
-// guarantee: a client advertising only a codec this server has never
-// heard of still gets blocks — identity-encoded — and decodes the
-// byte-identical record sequence.
-func TestNegotiationUnknownCodecFallsBackToIdentity(t *testing.T) {
-	dir := t.TempDir()
-	server, _ := NewFileStore(dir, "")
-	if err := server.SetCodec(wirecodec.LZName); err != nil {
-		t.Fatal(err)
-	}
-	in := compressiblePairs()
-	if _, err := server.Put("ds1/t0/s0", in); err != nil {
-		t.Fatal(err)
-	}
-	srv := serveStore(server)
-	defer srv.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/data/ds1_t0_s0", nil)
-	req.Header.Set(wirecodec.RequestHeader, "zstd-from-the-future")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get(wirecodec.CodecHeader); got != wirecodec.IdentityName {
-		t.Errorf("CodecHeader = %q, want identity fallback", got)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The body must be identity-encoded blocks: byte-identical to the
-	// at-rest file transcoded to identity, and decodable without lz.
-	r := kvio.NewAnyReader(strings.NewReader(string(body)))
-	defer r.Release()
-	pairs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(pairs, in) {
-		t.Fatal("identity-fallback response lost data")
-	}
-	// Every payload byte is uncompressed: the body must be at least as
-	// large as the raw payload.
-	if int64(len(body)) < payloadBytes(in) {
-		t.Errorf("identity body %d bytes < payload %d; still compressed?", len(body), payloadBytes(in))
-	}
-}
-
-// TestBlockBucketLegacyClients: pre-block clients (no codec header) get
-// a legacy record stream they can already parse — deflate-wrapped when
-// they accept it, identity otherwise.
-func TestBlockBucketLegacyClients(t *testing.T) {
-	dir := t.TempDir()
-	server, _ := NewFileStore(dir, "")
-	if err := server.SetCodec(wirecodec.DeflateName); err != nil {
-		t.Fatal(err)
-	}
-	in := compressiblePairs()
-	if _, err := server.Put("ds1/t0/s0", in); err != nil {
-		t.Fatal(err)
-	}
-	srv := serveStore(server)
-	defer srv.Close()
-	url := srv.URL + "/data/ds1_t0_s0"
-
-	// Identity legacy client: plain record stream, no headers needed.
-	req, _ := http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("Accept-Encoding", "identity") // suppress Go's implicit gzip
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
-		t.Fatalf("identity legacy client got Content-Encoding %q", enc)
-	}
-	if ch := resp.Header.Get(wirecodec.CodecHeader); ch != "" {
-		t.Fatalf("legacy client got CodecHeader %q", ch)
-	}
-	kr := kvio.NewReader(resp.Body) // strictly the legacy reader
-	defer kr.Release()
-	got, err := kr.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got, in) {
-		t.Fatal("legacy identity client lost data")
-	}
-
-	// Deflate legacy client: the old wire form, via the store with its
-	// codec advertisement stripped (simulating a pre-block binary).
-	req2, _ := http.NewRequest(http.MethodGet, url, nil)
-	req2.Header.Set("Accept-Encoding", "deflate")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if enc := resp2.Header.Get("Content-Encoding"); enc != "deflate" {
-		t.Fatalf("deflate legacy client got Content-Encoding %q", enc)
-	}
-	dc, _ := wirecodec.Lookup(wirecodec.DeflateName)
-	fr := dc.NewReader(resp2.Body)
-	kr2 := kvio.NewReader(fr)
-	got2, err := kr2.ReadAll()
-	kr2.Release()
-	fr.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got2, in) {
-		t.Fatal("legacy deflate client lost data")
-	}
-}
-
-// TestBlockBucketTranscodeBetweenCodecs: a client that decodes deflate
-// but not lz gets the lz at-rest file transcoded block-to-block.
-func TestBlockBucketTranscodeBetweenCodecs(t *testing.T) {
-	dir := t.TempDir()
-	server, _ := NewFileStore(dir, "")
-	if err := server.SetCodec(wirecodec.LZName); err != nil {
-		t.Fatal(err)
-	}
-	in := compressiblePairs()
-	if _, err := server.Put("ds1/t0/s0", in); err != nil {
-		t.Fatal(err)
-	}
-	srv := serveStore(server)
-	defer srv.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/data/ds1_t0_s0", nil)
-	req.Header.Set(wirecodec.RequestHeader, "deflate,identity")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get(wirecodec.CodecHeader); got != wirecodec.DeflateName {
-		t.Errorf("CodecHeader = %q, want deflate (best mutual)", got)
-	}
-	r := kvio.NewAnyReader(resp.Body)
-	defer r.Release()
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pairsEqual(got, in) {
-		t.Fatal("transcoded response lost data")
 	}
 }
 
@@ -350,107 +188,84 @@ func TestCreateOptsOverrides(t *testing.T) {
 	}
 }
 
-// TestServeBucketAbortsOnCorruptAtRest: every arm that re-encodes an
-// at-rest bucket on the way out must fail the client's read when the
-// at-rest bytes are corrupt, not end the response cleanly after the
-// last good block.
-func TestServeBucketAbortsOnCorruptAtRest(t *testing.T) {
-	in := compressiblePairs()
-	// fetch GETs the bucket and decodes it as the matching client would,
-	// returning the records decoded and the first error seen anywhere.
-	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	defer client.CloseIdleConnections()
-	fetch := func(url string, headers map[string]string) (int, error) {
-		req, _ := http.NewRequest(http.MethodGet, url, nil)
-		for k, v := range headers {
-			req.Header.Set(k, v)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("status %s", resp.Status)
-		}
-		var body io.Reader = resp.Body
-		if resp.Header.Get("Content-Encoding") == "deflate" {
-			fr := deflateCodec().NewReader(body)
-			defer fr.Close()
-			body = fr
-		}
-		r := kvio.NewAnyReader(body)
-		defer r.Release()
-		got, err := r.ReadAll()
-		return len(got), err
+// TestCorruptBucketFailsClientDecode: the data server sends at-rest
+// bytes verbatim without checking them, so a corrupt bucket must fail
+// the client's decode — from RAM and from a file, through ReadAll and
+// through Fetch followed by a decode — and never yield a clean prefix
+// of its records. A block bucket with one flipped payload byte fails
+// its CRC; a legacy bucket cut mid-record fails its framing. (A legacy
+// bucket cut exactly at a record boundary is a valid shorter stream
+// and cannot be detected; see DESIGN.md §5.)
+func TestCorruptBucketFailsClientDecode(t *testing.T) {
+	in := smallPairs()
+	forms := []struct {
+		name    string
+		setup   func(*Store) error
+		corrupt func([]byte) []byte
+		want    error // nil: any decode error
+	}{
+		{"block-flipped-byte", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) },
+			func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }, kvio.ErrBlockChecksum},
+		{"legacy-cut-mid-record", func(*Store) error { return nil },
+			func(b []byte) []byte { return b[:len(b)-1] }, nil},
 	}
+	for _, form := range forms {
+		for _, ram := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/ram=%v", form.name, ram), func(t *testing.T) {
+				s, srv := servedStore(t, ram, form.setup)
+				if _, err := s.Put("ds1/t0/s0", in); err != nil {
+					t.Fatal(err)
+				}
+				corruptAtRest(t, s, "ds1_t0_s0", form.corrupt)
+				url := srv.URL + "/data/ds1_t0_s0"
+				client := NewMemStore()
+				client.sleep = func(time.Duration) {}
+				check := func(how string, got []kvio.Pair, err error) {
+					t.Helper()
+					if err == nil {
+						t.Fatalf("%s: corrupt bucket decoded cleanly to %d of %d records", how, len(got), len(in))
+					}
+					if form.want != nil && !errors.Is(err, form.want) {
+						t.Errorf("%s: error %v, want %v", how, err, form.want)
+					}
+				}
+				got, err := client.ReadAll(url)
+				check("ReadAll", got, err)
+				if got != nil {
+					t.Errorf("ReadAll returned %d records with its error", len(got))
+				}
+				data, err := client.Fetch(url)
+				if err != nil {
+					t.Fatalf("Fetch: %v", err)
+				}
+				r := kvio.NewAnyReader(bytes.NewReader(data))
+				got, err = r.ReadAll()
+				r.Release()
+				check("Fetch+decode", got, err)
+			})
+		}
+	}
+}
 
-	// An lz block bucket whose last block fails its CRC.
-	blockDir := t.TempDir()
-	blocks, _ := NewFileStore(blockDir, "")
-	if err := blocks.SetCodec(wirecodec.LZName); err != nil {
-		t.Fatal(err)
+// corruptAtRest rewrites the at-rest bytes of the store's bucket flat
+// in place, in whichever backing holds it.
+func corruptAtRest(t *testing.T, s *Store, flat string, corrupt func([]byte) []byte) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ar, ok := s.mem[flat]; ok {
+		old := len(ar.data)
+		ar.data = corrupt(append([]byte(nil), ar.data...))
+		s.mem[flat] = ar
+		s.memBytes += int64(len(ar.data) - old)
+		return
 	}
-	blocks.SetBlockSize(1 << 10)
-	if _, err := blocks.Put("ds1/t0/s0", in); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(blockDir, "ds1_t0_s0"+BlockExt+wirecodec.LZExt)
+	path := s.files[flat]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xFF // inside the last block's payload
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, corrupt(data), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	blockSrv := serveStore(blocks)
-	defer blockSrv.Close()
-
-	// A legacy flate bucket that decompresses to whole records up to a
-	// sync flush, then hits a corrupt flate block (BTYPE 11).
-	fzDir := t.TempDir()
-	fz, _ := NewFileStore(fzDir, "")
-	fz.SetCompress(true)
-	if _, err := fz.Put("ds1/t0/s0", in); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-	kw := kvio.NewWriter(fw)
-	for _, p := range in[:100] {
-		if err := kw.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := kw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(0x07)
-	if err := os.WriteFile(filepath.Join(fzDir, "ds1_t0_s0"+CompressExt), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fzSrv := serveStore(fz)
-	defer fzSrv.Close()
-
-	for _, arm := range []struct {
-		name    string
-		url     string
-		headers map[string]string
-	}{
-		{"block-transcode", blockSrv.URL, map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName}},
-		{"block-to-records", blockSrv.URL, nil},
-		{"block-to-records-deflate", blockSrv.URL, map[string]string{"Accept-Encoding": "deflate"}},
-		{"legacy-fz-decompress", fzSrv.URL, nil},
-	} {
-		t.Run(arm.name, func(t *testing.T) {
-			n, err := fetch(arm.url+"/data/ds1_t0_s0", arm.headers)
-			if err == nil {
-				t.Fatalf("corrupt bucket served cleanly: %d of %d records, no error", n, len(in))
-			}
-		})
 	}
 }

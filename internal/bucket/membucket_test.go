@@ -24,7 +24,6 @@ var dataPlaneConfigs = []struct {
 	setup func(*Store) error
 }{
 	{"legacy", func(*Store) error { return nil }},
-	{"legacy+compress", func(s *Store) error { s.SetCompress(true); return nil }},
 	{"identity", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) }},
 	{"deflate", func(s *Store) error { return s.SetCodec(wirecodec.DeflateName) }},
 	{"lz", func(s *Store) error { return s.SetCodec(wirecodec.LZName) }},
@@ -176,27 +175,30 @@ func TestRAMBucketMatchesFileBytes(t *testing.T) {
 	}
 }
 
-// Every ServeBucket negotiation arm sends the same response for a RAM
-// bucket as for the same bucket held in a file.
+// ServeBucket sends every at-rest form verbatim, with Content-Length
+// and no content coding, from RAM and from a file alike, whatever
+// negotiation headers an older client sends.
 func TestServeBucketRAMMatchesFile(t *testing.T) {
-	all := wirecodec.AcceptHeader()
-	arms := []struct {
+	oldHeaders := map[string]string{
+		"X-Mrs-Accept-Codec": "lz,deflate,identity",
+		"Accept-Encoding":    "deflate",
+	}
+	rows := []struct {
 		name    string
-		setup   func(*Store) error
+		form    int // index into dataPlaneConfigs
 		headers map[string]string
 	}{
-		{"verbatim", dataPlaneConfigs[4].setup,
-			map[string]string{wirecodec.RequestHeader: all}},
-		{"block-transcode", dataPlaneConfigs[4].setup,
-			map[string]string{wirecodec.RequestHeader: wirecodec.IdentityName}},
-		{"legacy-deflate", dataPlaneConfigs[1].setup,
-			map[string]string{"Accept-Encoding": "deflate"}},
-		{"legacy-identity", dataPlaneConfigs[0].setup, nil},
-		{"block-to-records-deflate", dataPlaneConfigs[4].setup,
-			map[string]string{"Accept-Encoding": "deflate"}},
-		{"block-to-records", dataPlaneConfigs[4].setup, nil},
+		{"legacy-identity", 0, nil},
+		{"legacy-old-headers", 0, oldHeaders},
+		{"identity", 1, nil},
+		{"identity-old-headers", 1, oldHeaders},
+		{"deflate", 2, nil},
+		{"deflate-old-headers", 2, oldHeaders},
+		{"lz", 3, nil},
+		{"verbatim", 3, oldHeaders}, // lz, asked for as a negotiating client did
 	}
 	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	defer client.CloseIdleConnections()
 	get := func(t *testing.T, url string, headers map[string]string) (http.Header, []byte) {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -220,37 +222,49 @@ func TestServeBucketRAMMatchesFile(t *testing.T) {
 		}
 		return resp.Header, body
 	}
-	for _, arm := range arms {
-		t.Run(arm.name, func(t *testing.T) {
-			ram, ramSrv := servedStore(t, true, arm.setup)
-			file, fileSrv := servedStore(t, false, arm.setup)
-			if _, err := ram.Put("ds1/t0/s0", smallPairs()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := file.Put("ds1/t0/s0", smallPairs()); err != nil {
-				t.Fatal(err)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			setup := dataPlaneConfigs[row.form].setup
+			ram, ramSrv := servedStore(t, true, setup)
+			file, fileSrv := servedStore(t, false, setup)
+			var bodies [2][]byte
+			for i, side := range []struct {
+				s   *Store
+				url string
+			}{{ram, ramSrv.URL}, {file, fileSrv.URL}} {
+				if _, err := side.s.Put("ds1/t0/s0", smallPairs()); err != nil {
+					t.Fatal(err)
+				}
+				rc, err := side.s.OpenLocal("ds1/t0/s0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				atRest, err := io.ReadAll(rc)
+				rc.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, body := get(t, side.url+"/data/ds1_t0_s0", row.headers)
+				if !bytes.Equal(body, atRest) {
+					t.Errorf("ram=%v: body (%d bytes) differs from the at-rest bytes (%d)", i == 0, len(body), len(atRest))
+				}
+				if got, want := h.Get("Content-Length"), fmt.Sprint(len(atRest)); got != want {
+					t.Errorf("ram=%v: Content-Length %q, want %q", i == 0, got, want)
+				}
+				for _, name := range []string{"Content-Encoding", "X-Mrs-Codec"} {
+					if v := h.Get(name); v != "" {
+						t.Errorf("ram=%v: %s: %q, want none", i == 0, name, v)
+					}
+				}
+				bodies[i] = body
 			}
 			if len(filesIn(t, ram.Dir())) != 0 {
 				t.Fatal("RAM-side bucket went to a file")
 			}
-			rh, rb := get(t, ramSrv.URL+"/data/ds1_t0_s0", arm.headers)
-			fh, fb := get(t, fileSrv.URL+"/data/ds1_t0_s0", arm.headers)
-			if !bytes.Equal(rb, fb) {
-				t.Errorf("RAM body (%d bytes) differs from file body (%d bytes)", len(rb), len(fb))
+			if !bytes.Equal(bodies[0], bodies[1]) {
+				t.Errorf("RAM body (%d bytes) differs from file body (%d bytes)", len(bodies[0]), len(bodies[1]))
 			}
-			for _, h := range []string{wirecodec.CodecHeader, "Content-Encoding", "Content-Length"} {
-				if rh.Get(h) != fh.Get(h) {
-					t.Errorf("%s: RAM %q, file %q", h, rh.Get(h), fh.Get(h))
-				}
-			}
-			// And the body decodes to the original records.
-			var r io.Reader = bytes.NewReader(rb)
-			if rh.Get("Content-Encoding") == "deflate" {
-				fr := deflateCodec().NewReader(r)
-				defer fr.Close()
-				r = fr
-			}
-			kr := kvio.NewAnyReader(r)
+			kr := kvio.NewAnyReader(bytes.NewReader(bodies[0]))
 			got, err := kr.ReadAll()
 			kr.Release()
 			if err != nil {
@@ -632,7 +646,7 @@ func TestCloseDropsRAMBuckets(t *testing.T) {
 // Concurrent writers, readers, the data server and removals on one
 // store, with buckets on both sides of the threshold. Run under -race.
 func TestStoreConcurrentStress(t *testing.T) {
-	s, srv := servedStore(t, true, dataPlaneConfigs[4].setup)
+	s, srv := servedStore(t, true, dataPlaneConfigs[3].setup)
 	fetcher := NewMemStore()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

@@ -54,17 +54,10 @@ type Options struct {
 	// Prefetch is the per-slave input-fetch window (0 = default,
 	// 1 = sequential streaming).
 	Prefetch int
-	// Compress makes every node write (and therefore serve) its buckets
-	// flate-compressed.
-	Compress bool
 	// Codec selects the compression codec every node writes its
 	// block-framed buckets with ("identity", "deflate", "lz"; "" keeps
-	// the legacy per-record framing). When both Codec and Compress are
-	// set, Codec wins. Unknown names fail Start.
+	// the legacy per-record framing). Unknown names fail Start.
 	Codec string
-	// BlockSize overrides the record-block flush threshold in bytes
-	// (0 = default).
-	BlockSize int
 	// MaxConcurrentJobs bounds how many managed jobs the master runs at
 	// once (0 = master default). Jobs past the bound queue in
 	// submission order.
@@ -98,9 +91,7 @@ type Cluster struct {
 	chaos        *fault.Injector
 	obs          *obs.Runtime
 	prefetch     int
-	compress     bool
 	codec        string
-	blockSize    int
 	slaveCon     int
 	resident     int64
 	heartbeatIvl time.Duration
@@ -147,9 +138,7 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 		DisableAffinity:       opts.DisableAffinity,
 		TaskLease:             opts.TaskLease,
 		Obs:                   opts.Obs,
-		Compress:              opts.Compress,
 		Codec:                 opts.Codec,
-		BlockSize:             opts.BlockSize,
 		MaxConcurrentJobs:     opts.MaxConcurrentJobs,
 		SpeculationFactor:     opts.SpeculationFactor,
 		SpeculationMinRuntime: opts.SpeculationMinRuntime,
@@ -158,7 +147,7 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, compress: opts.Compress, codec: opts.Codec, blockSize: opts.BlockSize, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
+	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, codec: opts.Codec, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < opts.SubMasters; i++ {
@@ -361,9 +350,7 @@ func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, cont
 		SharedDir:      sharedDir,
 		Obs:            c.obs,
 		Prefetch:       c.prefetch,
-		Compress:       c.compress,
 		Codec:          c.codec,
-		BlockSize:      c.blockSize,
 		Concurrency:    c.slaveCon,
 		ResidentBudget: c.resident,
 	}

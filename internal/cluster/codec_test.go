@@ -11,24 +11,19 @@ import (
 )
 
 // TestCodecGridByteIdentical is the block data plane's correctness
-// gate: the same shuffle-heavy job under legacy framing (plain and
-// old-style whole-stream deflate) and under every registered block
-// codec, each at prefetch width 1 and 8, over the direct HTTP data
-// plane — every output must be byte-identical. The grid deliberately
-// mixes the pre-block wire format with the registry codecs, so a fleet
-// upgraded one binary at a time keeps producing the same answers.
+// gate: the same shuffle-heavy job under legacy per-record framing and
+// under every registered block codec, each at prefetch width 1 and 8,
+// over the direct HTTP data plane — every output must be
+// byte-identical. Cell names keep their "compress=false" field so
+// their ids stay those of the grid's earlier, wider form.
 func TestCodecGridByteIdentical(t *testing.T) {
 	type config struct {
 		codec    string
-		compress bool
 		prefetch int
 	}
 	var configs []config
 	for _, p := range []int{1, 8} {
-		configs = append(configs,
-			config{codec: "", compress: false, prefetch: p}, // legacy plain
-			config{codec: "", compress: true, prefetch: p},  // old-style deflate
-		)
+		configs = append(configs, config{prefetch: p}) // legacy plain
 		for _, name := range wirecodec.Names() {
 			configs = append(configs, config{codec: name, prefetch: p})
 		}
@@ -36,16 +31,15 @@ func TestCodecGridByteIdentical(t *testing.T) {
 	var want []kvio.Pair
 	for _, cfg := range configs {
 		cfg := cfg
-		name := fmt.Sprintf("codec=%s,compress=%v,prefetch=%d", cfg.codec, cfg.compress, cfg.prefetch)
+		name := fmt.Sprintf("codec=%s,compress=false,prefetch=%d", cfg.codec, cfg.prefetch)
 		if cfg.codec == "" {
-			name = fmt.Sprintf("legacy,compress=%v,prefetch=%d", cfg.compress, cfg.prefetch)
+			name = fmt.Sprintf("legacy,compress=false,prefetch=%d", cfg.prefetch)
 		}
 		t.Run(name, func(t *testing.T) {
 			rt := obs.New(nil)
 			c, err := Start(testRegistry(), Options{
 				Slaves:   3,
 				Prefetch: cfg.prefetch,
-				Compress: cfg.compress,
 				Codec:    cfg.codec,
 				Obs:      rt,
 			})
@@ -66,23 +60,16 @@ func TestCodecGridByteIdentical(t *testing.T) {
 			if cfg.codec == "" {
 				return
 			}
-			// Homogeneous block fleet: every direct-path wire byte moved
-			// under the configured codec, so the per-codec counter must
-			// equal the per-path wire counter; and a compressing codec
-			// must actually undercut the decoded payload.
+			// Buckets travel as they rest, so a compressing codec must
+			// undercut the decoded payload on the wire.
 			snap := rt.M().Snapshot()
 			raw := snap[obs.MetricShuffleBytesDirect]
 			wire := snap[obs.MetricWireBytesDirect]
-			perCodec := snap[obs.MetricWireBytesCodec(cfg.codec)]
 			if raw == 0 {
 				t.Fatal("no direct-path shuffle bytes recorded")
 			}
 			if wire == 0 {
 				t.Fatal("no direct-path wire bytes recorded")
-			}
-			if perCodec != wire {
-				t.Errorf("per-codec wire bytes = %d, want %d (all traffic under %s)",
-					perCodec, wire, cfg.codec)
 			}
 			if cfg.codec == wirecodec.IdentityName {
 				// Identity blocks add framing on top of the payload.

@@ -112,21 +112,12 @@ func (e *LocalExecutor) SetResidentBudget(n int64) {
 	}
 }
 
-// SetCompress makes the executor's store write compressed buckets.
-// Only meaningful for file-backed stores (MockParallel); memory stores
-// ignore it. Must be called before the first Submit.
-func (e *LocalExecutor) SetCompress(on bool) { e.env.Store.SetCompress(on) }
-
 // SetCodec selects the registered compression codec the executor's
 // store writes block-framed buckets with ("" disables block framing;
-// unknown names error). Like SetCompress, only file-backed stores write
+// unknown names error). Only file-backed stores (MockParallel) write
 // at rest; memory stores ignore it. Must be called before the first
 // Submit.
 func (e *LocalExecutor) SetCodec(name string) error { return e.env.Store.SetCodec(name) }
-
-// SetBlockSize overrides the record-block flush threshold in bytes
-// (0 = default). Must be called before the first Submit.
-func (e *LocalExecutor) SetBlockSize(n int) { e.env.Store.SetBlockSize(n) }
 
 // SetObserver wires the executor into an observability runtime: worker
 // start/finish events go to its tracer (lanes named worker-0..N-1), the

@@ -744,7 +744,7 @@ func consumeStream(r io.Reader, format string, sink recordSink) error {
 
 // consumeKVStream reads a KV bucket stream in either framing — the
 // sniffing reader accepts legacy per-record streams and block streams
-// alike, so mixed-version inputs within one task are fine. When the
+// alike, so inputs of both framings within one task are fine. When the
 // stream is block-framed and the sink takes blocks, whole decoded
 // blocks are handed over without touching individual records.
 func consumeKVStream(r io.Reader, sink recordSink) error {

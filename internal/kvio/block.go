@@ -26,8 +26,7 @@ package kvio
 // first five bytes decode as a uvarint key length far above
 // MaxRecordLen, which legacy writers never produce and legacy readers
 // reject. NewAnyReader uses this to take byte streams of either framing
-// and pick the right reader, which is what keeps mixed-version fleets
-// and pre-block at-rest files readable.
+// and pick the right reader, so legacy and block buckets read alike.
 
 import (
 	"bufio"
@@ -168,26 +167,6 @@ func (w *BlockWriter) emitBlock() error {
 	w.raw = w.raw[:0]
 	w.recs = 0
 	return err
-}
-
-// WriteBlock emits a pre-framed record run (records in legacy framing,
-// e.g. a payload handed over by BlockReader.NextBlock) as one block,
-// flushing any pending per-record writes first so order is preserved.
-// This is the transcoding path: a server re-encoding an at-rest block
-// file under a different codec never parses individual records.
-func (w *BlockWriter) WriteBlock(payload []byte, recs int) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.err = w.emitBlock(); w.err != nil {
-		return w.err
-	}
-	if w.err = w.emit(payload, recs); w.err != nil {
-		return w.err
-	}
-	w.n += int64(recs)
-	w.bytes += int64(len(payload)) // includes record framing; close enough for accounting
-	return nil
 }
 
 // Flush emits the pending partial block (and the stream magic, so even
@@ -578,59 +557,10 @@ type RecordReader interface {
 	Release()
 }
 
-// TranscodeBlocks rewrites a block stream from src onto dst with every
-// block re-compressed under codec c, block boundaries and record counts
-// preserved. Payloads move block-at-a-time; no record is parsed.
-func TranscodeBlocks(dst io.Writer, src io.Reader, c wirecodec.Codec) error {
-	br, err := NewBlockReader(src)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	bw := NewBlockWriter(dst, c, 0)
-	for {
-		payload, recs, err := br.nextRaw(nil)
-		if err == io.EOF {
-			return bw.Close()
-		}
-		if err != nil {
-			return err
-		}
-		if err := bw.WriteBlock(payload, recs); err != nil {
-			return err
-		}
-	}
-}
-
-// TranscodeToRecords flattens a block stream from src into a legacy
-// per-record stream on dst. Block payloads already are legacy-framed
-// record runs and are concatenated without parsing. It is how a block-file server talks to a
-// pre-block client.
-func TranscodeToRecords(dst io.Writer, src io.Reader) error {
-	br, err := NewBlockReader(src)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	for {
-		payload, _, err := br.NextBlock()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := dst.Write(payload); err != nil {
-			return err
-		}
-	}
-}
-
 // NewAnyReader sniffs the stream's framing and returns the matching
 // reader: block framing if the stream opens with BlockMagic (which no
 // valid legacy stream can), the legacy per-record reader otherwise.
-// This is how every consumer stays compatible with both at-rest forms
-// and with peers from before the block data plane.
+// This is how every consumer reads both at-rest forms.
 func NewAnyReader(r io.Reader) RecordReader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)

@@ -96,16 +96,9 @@ type Options struct {
 	// and serves it at /debug. Nil creates a private metrics-only
 	// runtime so /debug/metrics always works.
 	Obs *obs.Runtime
-	// Compress makes the master's own buckets (job input staging)
-	// flate-compressed at rest and on the wire to accepting slaves.
-	Compress bool
 	// Codec selects the compression codec for the master's block-framed
-	// buckets ("" keeps the legacy framing; wins over Compress when
-	// set). Unknown names fail New.
+	// buckets ("" keeps the legacy framing). Unknown names fail New.
 	Codec string
-	// BlockSize overrides the record-block flush threshold in bytes
-	// (0 = default).
-	BlockSize int
 	// MaxConcurrentJobs bounds the JobManager's admission: at most this
 	// many managed jobs run at once, the rest queue in submission order
 	// (default DefaultMaxConcurrentJobs).
@@ -342,7 +335,6 @@ func New(opts Options) (*Master, error) {
 		}
 		return nil, err
 	}
-	store.SetCompress(opts.Compress)
 	if err := store.SetCodec(opts.Codec); err != nil {
 		ln.Close()
 		if m.journal != nil {
@@ -350,7 +342,6 @@ func New(opts Options) (*Master, error) {
 		}
 		return nil, fmt.Errorf("master: %w", err)
 	}
-	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	m.store = store
 

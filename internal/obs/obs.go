@@ -98,16 +98,6 @@ const (
 	MetricWireBytesShared    = "mrs_shuffle_wire_bytes_shared_total"
 )
 
-// MetricWireBytesCodec names the per-codec wire-byte counter: how many
-// wire bytes moved under each negotiated compression codec ("identity",
-// "deflate", "lz", ...). Summed across codecs it equals the per-path
-// wire totals above; the split shows which codec the fleet actually
-// negotiated, which is how a mixed-version identity fallback becomes
-// visible in /debug/metrics.
-func MetricWireBytesCodec(codec string) string {
-	return "mrs_shuffle_wire_bytes_codec_" + codec + "_total"
-}
-
 // Text-input metric names: files and splits of every whole-file text
 // source the driver materializes. files/splits is the packing ratio.
 const (

@@ -71,18 +71,11 @@ type Options struct {
 	// Prefetch is the input-fetch window for this slave's tasks
 	// (0 = default, 1 = sequential).
 	Prefetch int
-	// Compress makes the slave write its buckets flate-compressed; the
-	// data server then serves compressed bytes to peers that accept
-	// deflate. Purely local — peers with any setting interoperate.
-	Compress bool
 	// Codec selects the compression codec for block-framed buckets
-	// ("" keeps the legacy framing; wins over Compress when set). Like
-	// Compress it is purely local: the data server negotiates per
-	// request, so mixed-codec fleets interoperate.
+	// ("" keeps the legacy framing). It is purely local: the data
+	// server sends buckets as they rest and block headers name their
+	// codec, so mixed-codec fleets interoperate.
 	Codec string
-	// BlockSize overrides the record-block flush threshold in bytes
-	// (0 = default).
-	BlockSize int
 	// Concurrency is how many tasks the slave runs at once (default 1,
 	// the classic sequential worker). With a multi-job master, slots
 	// above 1 let one slave serve several jobs' tasks concurrently.
@@ -195,14 +188,12 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	if opts.DataClient != nil {
 		store.SetHTTPClient(opts.DataClient)
 	}
-	store.SetCompress(opts.Compress)
 	if err := store.SetCodec(opts.Codec); err != nil {
 		if s.ln != nil {
 			s.ln.Close()
 		}
 		return nil, fmt.Errorf("slave: %w", err)
 	}
-	store.SetBlockSize(opts.BlockSize)
 	store.SetMetrics(opts.Obs.M())
 	// The runtime may be shared by several slaves (the in-process
 	// cluster), so slaves contribute counters, which sum, rather than

@@ -6,13 +6,10 @@ import (
 	"sync"
 )
 
-// DeflateName is the wire name of the DEFLATE codec. It matches the
-// HTTP Content-Encoding token so the legacy whole-stream negotiation
-// and the block-header codec name agree.
+// DeflateName is the wire name of the DEFLATE codec.
 const DeflateName = "deflate"
 
-// DeflateExt marks at-rest data compressed with deflate. This is the
-// historical ".fz" bucket suffix, now owned by the codec.
+// DeflateExt marks at-rest data compressed with deflate.
 const DeflateExt = ".fz"
 
 // flate writers and readers carry megabyte-scale dictionaries and

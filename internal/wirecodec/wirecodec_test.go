@@ -143,41 +143,6 @@ type badName struct{ identityCodec }
 
 func (badName) Name() string { return "" }
 
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		accept string
-		want   string
-	}{
-		{"lz,deflate,identity", LZName},
-		{"deflate,identity", DeflateName},
-		{"identity", IdentityName},
-		{"zstd-from-the-future", IdentityName}, // unknown name → identity
-		{"", IdentityName},
-		{" deflate ; q=0.5 , lz ", LZName}, // whitespace and q-params tolerated
-		{"deflate,zstd9000", DeflateName},  // best mutual among known names
-	}
-	for _, tc := range cases {
-		got := Negotiate(ParseAccept(tc.accept))
-		if got.Name() != tc.want {
-			t.Errorf("Negotiate(%q) = %s, want %s", tc.accept, got.Name(), tc.want)
-		}
-	}
-}
-
-func TestAcceptHeaderPreferenceOrder(t *testing.T) {
-	h := AcceptHeader()
-	names := ParseAccept(h)
-	if len(names) < 3 {
-		t.Fatalf("AcceptHeader %q lists %d codecs; want >= 3", h, len(names))
-	}
-	if names[len(names)-1] != IdentityName {
-		t.Errorf("identity must be the last-resort codec in %q", h)
-	}
-	if names[0] != LZName {
-		t.Errorf("lz should lead the preference order in %q", h)
-	}
-}
-
 func FuzzLZRoundTrip(f *testing.F) {
 	f.Add([]byte("hello"))
 	f.Add(bytes.Repeat([]byte("ab"), 5000))

@@ -140,21 +140,13 @@ type Options struct {
 	// the default width; 1 restores sequential streaming (ablation).
 	// Output is byte-identical at any width.
 	Prefetch int
-	// Compress writes intermediate buckets flate-compressed, and the
-	// data servers send the compressed bytes to peers that accept them
-	// (wire compression). Output is byte-identical either way.
-	Compress bool
 	// Codec selects the compression codec intermediate buckets are
 	// written with in the block-framed data plane ("identity",
 	// "deflate", "lz"; "" keeps the legacy per-record framing). Data
-	// servers negotiate per request, so nodes running different codecs
-	// — or none — interoperate, and output is byte-identical under
-	// every setting. Wins over Compress when both are set.
+	// servers send buckets as they rest and block headers name their
+	// codec, so nodes running different codecs — or none — interoperate,
+	// and output is byte-identical under every setting.
 	Codec string
-	// BlockSize overrides the record-block flush threshold in bytes
-	// (0 = default, 64 KiB). Larger blocks compress better; smaller
-	// blocks cost less memory per stream.
-	BlockSize int
 	// ResidentBudget is the per-worker resident dataset cache budget in
 	// bytes: input splits of operations queued with OpOpts.Resident are
 	// fetched once and served from worker memory on later iterations
@@ -219,11 +211,9 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
 		if err := exec.SetCodec(opts.Codec); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
-		exec.SetBlockSize(opts.BlockSize)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "mock":
@@ -234,11 +224,9 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
 		if err := exec.SetCodec(opts.Codec); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
-		exec.SetBlockSize(opts.BlockSize)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "threads":
@@ -246,11 +234,9 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		exec.SetCompress(opts.Compress)
 		if err := exec.SetCodec(opts.Codec); err != nil {
 			return fmt.Errorf("mrs: %w", err)
 		}
-		exec.SetBlockSize(opts.BlockSize)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "local":
@@ -261,9 +247,7 @@ func Run(p Program, opts Options) error {
 			SharedDir:         opts.SharedDir,
 			Obs:               rt,
 			Prefetch:          opts.Prefetch,
-			Compress:          opts.Compress,
 			Codec:             opts.Codec,
-			BlockSize:         opts.BlockSize,
 			ResidentBudget:    opts.ResidentBudget,
 		})
 		if err != nil {
@@ -279,9 +263,7 @@ func Run(p Program, opts Options) error {
 			SharedDir:         opts.SharedDir,
 			SpeculationFactor: opts.Speculation,
 			Obs:               rt,
-			Compress:          opts.Compress,
 			Codec:             opts.Codec,
-			BlockSize:         opts.BlockSize,
 		})
 		if err != nil {
 			return err
@@ -324,9 +306,7 @@ func Run(p Program, opts Options) error {
 			SharedDir:      opts.SharedDir,
 			Obs:            rt,
 			Prefetch:       opts.Prefetch,
-			Compress:       opts.Compress,
 			Codec:          opts.Codec,
-			BlockSize:      opts.BlockSize,
 			ResidentBudget: opts.ResidentBudget,
 		})
 		if err != nil {

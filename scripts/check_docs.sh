@@ -47,9 +47,7 @@ for f in $(grep -ohE -- '-mrs-[a-z0-9-]+' README.md DESIGN.md docs/*.md | sed 's
 done
 
 # Every mrs_* metric the docs name must come from a Go string literal
-# (test files excluded). A doc name matches a literal exactly; extends a
-# literal that ends in "_" (a name built as prefix + label + suffix,
-# e.g. mrs_shuffle_wire_bytes_codec_<codec>_total); or is itself a
+# (test files excluded). A doc name matches a literal exactly or is a
 # prefix of one (a family, e.g. `mrs_shuffle_bytes_*` or `grep mrs_sched`).
 lits="$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'; find internal cmd -name '*.go' ! -name '*_test.go')"
 missing="$(
@@ -63,7 +61,7 @@ missing="$(
 		{
 			for (i = 1; i <= n; i++) {
 				l = lit[i]
-				if ($0 == l || index(l, $0) == 1 || (l ~ /_$/ && index($0, l) == 1)) next
+				if ($0 == l || index(l, $0) == 1) next
 			}
 			print
 		}'

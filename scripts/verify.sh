@@ -37,13 +37,13 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused' \
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
-	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff, codec negotiation)"
+	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|Negotiation|TranscodeBetween|BlockMagicIsLegacyPoison|ForeignStreams|Fold' \
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold' \
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
-		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|Republish|UnlinkCounts|RemoveFile' \
+		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|CorruptBucket|Republish|UnlinkCounts|RemoveFile' \
 		./internal/bucket
 	go test -race -count=2 \
 		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC|SharedDirFree' \
