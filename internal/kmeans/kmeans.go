@@ -111,9 +111,10 @@ func DecodeCentroids(data []byte) ([][]float64, error) {
 	return out, nil
 }
 
-// encodePartial packs a (count, sum-vector) aggregation value.
-func encodePartial(count int64, sum []float64) []byte {
-	out := binary.AppendVarint(make([]byte, 0, binary.MaxVarintLen64+8*len(sum)), count)
+// appendPartial appends a packed (count, sum-vector) aggregation value
+// to out.
+func appendPartial(out []byte, count int64, sum []float64) []byte {
+	out = binary.AppendVarint(out, count)
 	for _, x := range sum {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
 	}
@@ -193,25 +194,32 @@ func Register(reg *core.Registry) {
 		}, nil
 	})
 
-	// Update sums partials; it is its own combiner.
-	reg.RegisterReduce(UpdateName, func(key []byte, values [][]byte, emit kvio.Emitter) error {
-		var total int64
+	// Update sums partials; it is its own combiner. Like the assign map
+	// it serves one task, so its sum vector and encoded partial are
+	// reused from call to call.
+	reg.RegisterReduceFactory(UpdateName, func([]byte) (core.ReduceFunc, error) {
 		var sum []float64
-		for _, v := range values {
-			count, raw, err := splitPartial(v)
-			if err != nil {
-				return err
+		var partial []byte
+		return func(key []byte, values [][]byte, emit kvio.Emitter) error {
+			var total int64
+			sum = sum[:0]
+			for i, v := range values {
+				count, raw, err := splitPartial(v)
+				if err != nil {
+					return err
+				}
+				if i == 0 {
+					sum = append(sum, make([]float64, len(raw)/8)...)
+				}
+				if len(raw) != 8*len(sum) {
+					return fmt.Errorf("kmeans: dimension mismatch in partials")
+				}
+				addFloats(sum, raw)
+				total += count
 			}
-			if sum == nil {
-				sum = make([]float64, len(raw)/8)
-			}
-			if len(raw) != 8*len(sum) {
-				return fmt.Errorf("kmeans: dimension mismatch in partials")
-			}
-			addFloats(sum, raw)
-			total += count
-		}
-		return emit.Emit(key, encodePartial(total, sum))
+			partial = appendPartial(partial[:0], total, sum)
+			return emit.Emit(key, partial)
+		}, nil
 	})
 }
 

@@ -37,7 +37,7 @@ func TestCentroidsDecodeErrors(t *testing.T) {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	count, sum, err := decodePartial(encodePartial(7, []float64{1.5, -2}))
+	count, sum, err := decodePartial(appendPartial(nil, 7, []float64{1.5, -2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestAssignEmitsPointPartials(t *testing.T) {
 			}
 		}
 		got := e.Pairs[i]
-		if !bytes.Equal(got.Key, codec.EncodeVarint(int64(best))) || !bytes.Equal(got.Value, encodePartial(1, p)) {
+		if !bytes.Equal(got.Key, codec.EncodeVarint(int64(best))) || !bytes.Equal(got.Value, appendPartial(nil, 1, p)) {
 			t.Fatalf("point %d: emitted %x=%x, want cluster %d and its partial", i, got.Key, got.Value, best)
 		}
 	}
@@ -363,6 +363,68 @@ func BenchmarkKMeansAssign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		if err := assign(p.Key, p.Value, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// updateFunc resolves the update reduce as a task does.
+func updateFunc(tb testing.TB) core.ReduceFunc {
+	tb.Helper()
+	reg := core.NewRegistry()
+	Register(reg)
+	fn, err := reg.Reduce(UpdateName, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
+}
+
+// The update reuses its sum vector from call to call, but each call's
+// dimension check is against that call's first partial: a call of 2-D
+// partials after one of 3-D ones is fine, a mixed call is not.
+func TestUpdateChecksDimensionPerCall(t *testing.T) {
+	update := updateFunc(t)
+	var e kvio.SliceEmitter
+	three := [][]byte{appendPartial(nil, 1, []float64{1, 2, 3}), appendPartial(nil, 2, []float64{4, 5, 6})}
+	two := [][]byte{appendPartial(nil, 1, []float64{1, 2}), appendPartial(nil, 1, []float64{3, 4})}
+	for _, vals := range [][][]byte{three, two, nil} {
+		if err := update([]byte("k"), vals, &e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range [][]byte{appendPartial(nil, 3, []float64{5, 7, 9}), appendPartial(nil, 2, []float64{4, 6}), appendPartial(nil, 0, nil)} {
+		if !bytes.Equal(e.Pairs[i].Value, want) {
+			t.Errorf("call %d emitted %x, want %x", i, e.Pairs[i].Value, want)
+		}
+	}
+	if err := update([]byte("k"), [][]byte{two[0], three[0]}, &e); err == nil {
+		t.Error("mixed 2-D and 3-D partials in one call: no error")
+	}
+}
+
+// BenchmarkKMeansUpdate combines eight 32-dimensional partials per op
+// through the map-side combine adapter: no allocation once the task's
+// scratch is warm.
+func BenchmarkKMeansUpdate(b *testing.B) {
+	cfg := Config{K: 8, Dims: 32, Seed: 1}
+	points, _, err := GeneratePoints(cfg, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := make([][]byte, len(points))
+	for i, p := range points {
+		vals[i] = appendPartial(nil, 1, p)
+	}
+	combine := core.CombineAdapter(updateFunc(b))
+	key := codec.EncodeVarint(3)
+	if _, err := combine(key, vals); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := combine(key, vals); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,23 +13,30 @@
 // equal keys form a group after the sort. With a combiner, heavy key
 // repeats favour grouping records in a hash table as they arrive, and
 // the kernel sorts one entry per distinct key. Either way the groups
-// are those of a stable sort of every record. Record bytes alias an
-// adopted block (AddBlock) or are copied into a chunked arena, so a
-// spill releases the whole slab at once.
+// are those of a stable sort of every record. The index's record bytes
+// alias an adopted block (AddBlock) or are copied into a chunked arena,
+// so a spill releases the whole slab at once.
 //
-// The hash form also folds as it goes: values wait in a second, reused
-// arena, and once they reach foldBytes every group touched since the
-// last fold is combined over its values in arrival order, so a
+// The hash form holds no pointers between calls: an open-addressed
+// table of hash tags and group numbers, groups that locate their key
+// and folded values by offset, and pending values copied, block or no
+// block, into one reused buffer. It folds as it goes: once the pending
+// values reach foldBytes, every group touched since the last fold is
+// combined over its values in arrival order and the result appended to
+// a fold arena, compacted when its dead bytes pass its live ones. So a
 // combining sorter holds about one value per distinct key, not one per
-// record.
+// record, and a warm one allocates nothing.
 package shuffle
 
 import (
 	"bytes"
 	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"unsafe"
@@ -66,8 +73,8 @@ type Options struct {
 // that a mostly-empty final chunk wastes little.
 const arenaChunk = 256 << 10
 
-// foldBytes bounds the hash form's unfolded values, payload plus a
-// slice header each, before it folds them through the combiner.
+// foldBytes bounds the hash form's unfolded values, payload plus
+// headerBytes each, before it folds them through the combiner.
 const foldBytes = 256 << 10
 
 // arenaFirst is the first chunk's size. Chunks double from it up to
@@ -95,14 +102,6 @@ func (a *arena) grow(n int) bool {
 	return true
 }
 
-// copy appends b to the arena and returns the arena-owned copy.
-func (a *arena) copy(b []byte) []byte {
-	a.grow(len(b))
-	n := len(a.buf)
-	a.buf = append(a.buf, b...)
-	return a.buf[n:len(a.buf):len(a.buf)]
-}
-
 // reset forgets everything allocated, reusing the current chunk. The
 // caller must have dropped every reference into the arena since the
 // last reset.
@@ -121,7 +120,8 @@ type entry struct {
 }
 
 // Per-record bookkeeping charged against SpillBytes on top of the
-// payload: an index entry, or a hash group's value slice header.
+// payload: an index entry, or for a hash-form value the slice header
+// it once cost, kept as the budget unit so fold and spill points hold.
 const entryBytes, headerBytes = int64(unsafe.Sizeof(entry{})), int64(unsafe.Sizeof([]byte(nil)))
 
 func keyPrefix(key []byte) uint64 {
@@ -184,18 +184,37 @@ func equalKeys(a, b entry, key func(entry) []byte) bool {
 		(a.klen <= 8 || bytes.Equal(key(a)[8:], key(b)[8:]))
 }
 
-// hashGroup is one distinct key of the hash form. Its values are the
-// folded ones, then its entries in Sorter.pend in arrival order.
+// hashGroup is one distinct key of the hash form, held as offsets: its
+// key in Sorter.keys and its folded values in Sorter.foldAr. Its values
+// are the folded ones, then its entries in Sorter.pend in arrival order.
 type hashGroup struct {
-	key    []byte
-	folded [][]byte // earlier folds' combiner output, or a lone value's heap copy
-	lo, hi int      // during a gather, its values in Sorter.gathered; hi == 0 otherwise
+	koff, klen uint32
+	foff, flen uint32 // earlier folds' output, or a lone value: uvarint length, then bytes, each
+	nf         uint32 // how many values foldAr holds for the group
+	lo, hi     uint32 // during a gather, its values in Sorter.gathered; hi == 0 otherwise
 }
 
-// pendingValue is a value of group that arrived since the last fold.
+// pendingValue is a value of group that arrived since the last fold,
+// copied to Sorter.pendBuf[off:off+len].
 type pendingValue struct {
-	group int
-	value []byte
+	group, off, len uint32
+}
+
+// hashSeed seeds the group table's hash. Only the table's probe order
+// depends on it; groups keep first-seen order and leave sorted.
+var hashSeed = maphash.MakeSeed()
+
+// errBufferFull fails an add that would take one of the hash form's
+// buffers past what a uint32 offset addresses.
+var errBufferFull = errors.New("shuffle: combining sorter buffer would pass 4 GiB; set SpillBytes")
+
+// fits reports errBufferFull if more bytes would take a buffer of used
+// bytes past 4 GiB.
+func fits(used int, more int64) error {
+	if int64(used)+more > math.MaxUint32 {
+		return errBufferFull
+	}
+	return nil
 }
 
 // Sorter accumulates pairs and then yields key groups in sorted order.
@@ -214,15 +233,22 @@ type Sorter struct {
 	arBuf int     // bufs slot of the current arena chunk, or -1
 	index []entry // one per record, in insertion order
 
-	// The hash form (a combiner).
-	groups    []hashGroup    // one entry per distinct key, in first-seen order
-	idx       map[string]int // key -> index into groups
-	pend      []pendingValue // values since the last fold, in arrival order
-	pendAr    arena          // Add's copies of pending values, reused after a fold
-	pendBytes int64          // pending payload plus slice headers, against foldBytes
-	touched   []int          // gather: the groups with pending values
-	gathered  [][]byte       // gather: each touched group's values, contiguous
-	folds     int64
+	// The hash form (a combiner). Nothing in it points into record
+	// bytes between calls: groups, pending values and the table are
+	// offsets into the three byte buffers.
+	table       []uint64       // open-addressed: hash tag<<32 | group+1; 0 is free
+	groups      []hashGroup    // one entry per distinct key, in first-seen order
+	keys        []byte         // the groups' keys, back to back
+	pend        []pendingValue // values since the last fold, in arrival order
+	pendBuf     []byte         // the pending values' bytes, reused after a fold
+	pendBytes   int64          // pending payload plus headerBytes each, against foldBytes
+	foldAr      []byte         // folds append here; compaction rewrites it
+	spare       []byte         // compaction's target, swapped with foldAr
+	foldLive    int            // bytes of foldAr some group still spans
+	touched     []uint32       // gather: the groups with pending values
+	gathered    [][]byte       // gather: each touched group's values, contiguous; cleared after
+	folds       int64
+	compactions int
 }
 
 // NewSorter returns an empty Sorter.
@@ -254,8 +280,8 @@ func (s *Sorter) Add(p kvio.Pair) error {
 // buffers every record in it by aliasing into the block buffer — the
 // zero-copy handoff from the block data plane: one decode, no
 // per-record arena copies. The block is retained until the next spill
-// or Close drops the references, or in the hash form until its values
-// are folded (keys are copied there). recs is the block header's record
+// or Close drops the references. The hash form does not keep it: it
+// copies keys and values as Add does. recs is the block header's record
 // count and is verified against the scan; pass -1 to skip the check.
 // Returns the summed key+value payload bytes the block contributed,
 // which is what callers charge to their raw-byte input accounting.
@@ -272,7 +298,7 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 		payload += int64(len(key) + len(value))
 		s.added++
 		if !s.Indexed() {
-			return s.addHash(key, value, true)
+			return s.addHash(key, value)
 		}
 		// key and value are subslices of block, so each one's offset
 		// is the capacity it lost.
@@ -300,7 +326,7 @@ func (s *Sorter) maybeSpill() error {
 // into the arena: key and value side by side for the index.
 func (s *Sorter) addCopy(key, value []byte) error {
 	if !s.Indexed() {
-		return s.addHash(key, value, false)
+		return s.addHash(key, value)
 	}
 	if s.ar.grow(len(key)+len(value)) || s.arBuf < 0 {
 		s.arBuf = len(s.bufs)
@@ -331,92 +357,122 @@ func (s *Sorter) indexValue(e entry) []byte {
 	return s.bufs[e.buf][e.voff : e.voff+e.vlen : e.voff+e.vlen]
 }
 
-// groupIndex returns the index of key's hash group, creating an empty
-// one on first sight. The map lookup with a string(key) conversion is
-// allocation free; a new key's map string is its arena copy, which
-// stays unchanged until a spill clears the map and resets the arena.
-func (s *Sorter) groupIndex(key []byte) int {
-	if s.idx == nil {
-		s.idx = map[string]int{}
-	}
-	if i, ok := s.idx[string(key)]; ok {
-		return i
-	}
-	key = s.ar.copy(key)
-	s.groups = append(s.groups, hashGroup{key: key})
-	s.idx[unsafe.String(unsafe.SliceData(key), len(key))] = len(s.groups) - 1
-	s.bufSize += int64(len(key))
-	return len(s.groups) - 1
+func (s *Sorter) groupKey(g *hashGroup) []byte {
+	return s.keys[g.koff : g.koff+g.klen : g.koff+g.klen]
 }
 
-// addHash queues value for key's group, first folding what is pending
-// if the value would take it past foldBytes. owned means the value
-// bytes already belong to the sorter (an adopted block).
-func (s *Sorter) addHash(key, value []byte, owned bool) error {
+// groupIndex returns the index of key's hash group, creating an empty
+// one on first sight. The table is probed linearly from the hash's low
+// bits; its high 32 bits, kept in the slot, spare most key compares.
+func (s *Sorter) groupIndex(key []byte) (uint32, error) {
+	if 4*(len(s.groups)+1) > 3*len(s.table) {
+		s.growTable()
+	}
+	h := maphash.Bytes(hashSeed, key)
+	mask := uint64(len(s.table) - 1)
+	i := h & mask
+	for ; s.table[i] != 0; i = (i + 1) & mask {
+		if slot := s.table[i]; slot>>32 == h>>32 && bytes.Equal(s.groupKey(&s.groups[uint32(slot)-1]), key) {
+			return uint32(slot) - 1, nil
+		}
+	}
+	if err := fits(len(s.keys), int64(len(key))); err != nil {
+		return 0, err
+	}
+	g := uint32(len(s.groups))
+	s.table[i] = h>>32<<32 | uint64(g+1)
+	s.groups = append(s.groups, hashGroup{koff: uint32(len(s.keys)), klen: uint32(len(key))})
+	s.keys = append(s.keys, key...)
+	s.bufSize += int64(len(key))
+	return g, nil
+}
+
+// growTable doubles the group table and re-inserts every group.
+func (s *Sorter) growTable() {
+	s.table = make([]uint64, max(2*len(s.table), 8))
+	mask := uint64(len(s.table) - 1)
+	for g := range s.groups {
+		h := maphash.Bytes(hashSeed, s.groupKey(&s.groups[g]))
+		i := h & mask
+		for ; s.table[i] != 0; i = (i + 1) & mask {
+		}
+		s.table[i] = h>>32<<32 | uint64(g+1)
+	}
+}
+
+// addHash queues a copy of value for key's group, first folding what is
+// pending if the value would take it past foldBytes.
+func (s *Sorter) addHash(key, value []byte) error {
 	n := int64(len(value)) + headerBytes
 	if s.pendBytes > 0 && s.pendBytes+n > foldBytes {
 		if err := s.fold(); err != nil {
 			return err
 		}
 	}
-	i := s.groupIndex(key)
-	if !owned {
-		value = s.pendAr.copy(value)
+	if err := fits(len(s.pendBuf), int64(len(value))); err != nil {
+		return err
 	}
-	s.pend = append(s.pend, pendingValue{group: i, value: value})
+	i, err := s.groupIndex(key)
+	if err != nil {
+		return err
+	}
+	s.pend = append(s.pend, pendingValue{group: i, off: uint32(len(s.pendBuf)), len: uint32(len(value))})
+	s.pendBuf = append(s.pendBuf, value...)
 	s.pendBytes += n
 	s.bufSize += n
 	return nil
 }
 
-// gather lays out the values of every group with pending ones in
-// s.gathered, each group's folded values then its pending ones in
-// arrival order, and lists those groups in s.touched.
-func (s *Sorter) gather() {
+// gather lays out in s.gathered the values of every group with pending
+// ones, or of every group if all, each group's folded values then its
+// pending ones in arrival order, and lists those groups in s.touched.
+func (s *Sorter) gather(all bool) {
 	s.touched = s.touched[:0]
 	for _, p := range s.pend {
 		g := &s.groups[p.group]
-		if g.hi == 0 {
+		if g.hi == 0 && !all {
 			s.touched = append(s.touched, p.group)
 		}
 		g.hi++
 	}
-	total := 0
+	if all {
+		for i := range s.groups {
+			s.touched = append(s.touched, uint32(i))
+		}
+	}
+	total := uint32(0)
 	for _, i := range s.touched {
 		g := &s.groups[i]
 		g.lo = total
-		total += len(g.folded) + g.hi
+		total += g.nf + g.hi
 	}
-	s.gathered = slices.Grow(s.gathered[:0], total)[:total]
+	s.gathered = slices.Grow(s.gathered[:0], int(total))[:total]
 	for _, i := range s.touched {
 		g := &s.groups[i]
-		g.hi = g.lo + copy(s.gathered[g.lo:], g.folded)
+		g.hi = g.lo
+		for v := s.foldAr[g.foff : g.foff+g.flen]; len(v) > 0; g.hi++ {
+			n, k := binary.Uvarint(v)
+			end := k + int(n)
+			s.gathered[g.hi] = v[k:end:end]
+			v = v[end:]
+		}
 	}
 	for _, p := range s.pend {
 		g := &s.groups[p.group]
-		s.gathered[g.hi] = p.value
+		s.gathered[g.hi] = s.pendBuf[p.off : p.off+p.len : p.off+p.len]
 		g.hi++
 	}
 }
 
-// values returns group g's values: gathered ones if it has any pending,
-// else its folded ones.
-func (s *Sorter) values(g *hashGroup) [][]byte {
-	if g.hi == 0 {
-		return g.folded
-	}
-	return s.gathered[g.lo:g.hi]
-}
-
 // fold combines the values of every group touched since the last fold
-// and keeps a heap copy of the result, so the pending values' arena and
-// adopted blocks can be let go. A lone value is copied, not combined.
+// and appends the result to the fold arena, so the pending values'
+// buffer can be reused. A lone value is copied, not combined.
 func (s *Sorter) fold() error {
-	s.gather()
+	s.gather(false)
 	var err error
 	for _, i := range s.touched {
 		g := &s.groups[i]
-		vals := s.values(g)
+		vals := s.gathered[g.lo:g.hi]
 		g.hi = 0 // every touched group leaves the gather, even after an error
 		if err == nil {
 			err = s.foldGroup(g, vals)
@@ -427,26 +483,53 @@ func (s *Sorter) fold() error {
 	}
 	s.bufSize -= s.pendBytes
 	clear(s.gathered)
-	clear(s.pend)
-	s.pend = s.pend[:0]
-	s.pendAr.reset()
-	s.pendBytes = 0
+	s.pend, s.pendBuf, s.pendBytes = s.pend[:0], s.pendBuf[:0], 0
 	s.folds++
+	if len(s.foldAr)-s.foldLive > s.foldLive {
+		s.compact()
+	}
 	return nil
 }
 
-// foldGroup replaces g's folded values with a heap copy of vals
-// combined, or of vals itself if it is a lone value.
+// foldGroup replaces g's folded values with vals combined, or with vals
+// itself if it is a lone value, appended to the fold arena. vals starts
+// with g's folded values, which the combiner's output may alias: the
+// append writes only past them, or copies them into a larger arena.
 func (s *Sorter) foldGroup(g *hashGroup, vals [][]byte) error {
+	old := liveBytes(vals[:g.nf])
 	if len(vals) > 1 {
 		var err error
-		if vals, err = s.opts.Combine(g.key, vals); err != nil {
+		if vals, err = s.opts.Combine(s.groupKey(g), vals); err != nil {
 			return err
 		}
 	}
-	s.bufSize += liveBytes(vals) - liveBytes(g.folded)
-	g.folded = appendCopies(g.folded[:0], vals)
+	live := liveBytes(vals)
+	if err := fits(len(s.foldAr), live); err != nil { // a length prefix is shorter than headerBytes
+		return err
+	}
+	s.bufSize += live - old
+	off := len(s.foldAr)
+	for _, v := range vals {
+		s.foldAr = append(binary.AppendUvarint(s.foldAr, uint64(len(v))), v...)
+	}
+	s.foldLive += len(s.foldAr) - off - int(g.flen)
+	g.foff, g.flen, g.nf = uint32(off), uint32(len(s.foldAr)-off), uint32(len(vals))
 	return nil
+}
+
+// compact copies every group's folded values, in group order, to the
+// spare arena and swaps the two, dropping the spans earlier folds left
+// behind.
+func (s *Sorter) compact() {
+	buf := s.spare[:0]
+	for i := range s.groups {
+		g := &s.groups[i]
+		off := len(buf)
+		buf = append(buf, s.foldAr[g.foff:g.foff+g.flen]...)
+		g.foff = uint32(off)
+	}
+	s.foldAr, s.spare = buf, s.foldAr[:0]
+	s.compactions++
 }
 
 // liveBytes is what vals charge against SpillBytes.
@@ -456,20 +539,6 @@ func liveBytes(vals [][]byte) int64 {
 		n += int64(len(v))
 	}
 	return n
-}
-
-// appendCopies appends to dst copies of vals, backed by one allocation.
-func appendCopies(dst, vals [][]byte) [][]byte {
-	n := 0
-	for _, v := range vals {
-		n += len(v)
-	}
-	buf := make([]byte, 0, n)
-	for _, v := range vals {
-		buf = append(buf, v...)
-		dst = append(dst, buf[len(buf)-len(v):len(buf):len(buf)])
-	}
-	return dst
 }
 
 // AddStream drains a record stream into the sorter. Records are read
@@ -523,21 +592,23 @@ func (s *Sorter) forEachMemGroup(fn func(key []byte, values [][]byte) error) err
 
 // forEachHashGroup sorts one entry per distinct key, its buffer number
 // naming its group, and combines each group's folded and pending
-// values once more; the hash index itself is left undisturbed.
+// values once more; the group table itself is left undisturbed.
 func (s *Sorter) forEachHashGroup(fn func(key []byte, values [][]byte) error) error {
-	s.gather()
+	s.gather(true)
 	es := make([]entry, len(s.groups))
-	for i, g := range s.groups {
-		es[i] = entry{prefix: keyPrefix(g.key), buf: uint32(i), klen: uint32(len(g.key))}
+	for i := range s.groups {
+		g := &s.groups[i]
+		es[i] = entry{prefix: keyPrefix(s.groupKey(g)), buf: uint32(i), klen: g.klen}
 	}
-	for _, e := range radixSort(es, func(e entry) []byte { return s.groups[e.buf].key }) {
+	for _, e := range radixSort(es, func(e entry) []byte { return s.groupKey(&s.groups[e.buf]) }) {
 		g := &s.groups[e.buf]
-		vals, err := s.combine(g.key, s.values(g))
+		key := s.groupKey(g)
+		vals, err := s.combine(key, s.gathered[g.lo:g.hi])
 		g.hi = 0
 		if err != nil {
 			return err
 		}
-		if err := fn(g.key, vals); err != nil {
+		if err := fn(key, vals); err != nil {
 			return err
 		}
 	}
@@ -575,17 +646,15 @@ func (s *Sorter) spill() error {
 	}
 	s.runs = append(s.runs, f.Name())
 	s.spills++
-	// Drop every reference into the arenas and adopted blocks before
-	// reusing the arenas.
-	clear(s.groups)
-	clear(s.idx)
+	// Drop every reference into the arena and adopted blocks before
+	// reusing the arena.
 	clear(s.bufs)
-	clear(s.pend)
 	clear(s.gathered)
-	s.groups, s.bufs, s.index, s.pend = s.groups[:0], s.bufs[:0], s.index[:0], s.pend[:0]
-	s.arBuf, s.bufSize, s.pendBytes = -1, 0, 0
+	clear(s.table)
+	s.bufs, s.index, s.groups, s.pend = s.bufs[:0], s.index[:0], s.groups[:0], s.pend[:0]
+	s.keys, s.pendBuf, s.foldAr = s.keys[:0], s.pendBuf[:0], s.foldAr[:0]
+	s.arBuf, s.bufSize, s.pendBytes, s.foldLive = -1, 0, 0, 0
 	s.ar.reset()
-	s.pendAr.reset()
 	return nil
 }
 
@@ -624,11 +693,10 @@ func (s *Sorter) Close() error {
 		}
 	}
 	s.runs = nil
-	s.groups = nil
-	s.idx = nil
 	s.bufs, s.index = nil, nil
-	s.pend, s.touched, s.gathered = nil, nil, nil
-	s.ar, s.pendAr = arena{}, arena{}
+	s.table, s.groups, s.keys, s.pend, s.pendBuf = nil, nil, nil, nil, nil
+	s.foldAr, s.spare, s.touched, s.gathered = nil, nil, nil, nil
+	s.ar = arena{}
 	return first
 }
 

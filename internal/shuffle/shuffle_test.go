@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -347,6 +348,18 @@ func TestSpillChargesBookkeeping(t *testing.T) {
 			t.Errorf("combine=%v: first spill after %d records, want at most %d", combine != nil, n, max)
 		}
 		s.Close()
+	}
+}
+
+// TestHashFormOffsetsCannotWrap: the hash form addresses its buffers
+// with uint32 offsets, so an add that would take one past 4 GiB fails
+// rather than wrap.
+func TestHashFormOffsetsCannotWrap(t *testing.T) {
+	if err := fits(math.MaxUint32-3, 3); err != nil {
+		t.Errorf("a buffer ending at 4 GiB: %v", err)
+	}
+	if err := fits(math.MaxUint32-3, 4); !errors.Is(err, errBufferFull) {
+		t.Errorf("a buffer passing 4 GiB: error %v, want errBufferFull", err)
 	}
 }
 

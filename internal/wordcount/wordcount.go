@@ -7,6 +7,7 @@
 package wordcount
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"unicode"
@@ -61,23 +62,30 @@ func Map(key, value []byte, emit kvio.Emitter) error {
 	return nil
 }
 
-// Reduce sums counts; it is also the combiner.
-func Reduce(key []byte, values [][]byte, emit kvio.Emitter) error {
-	var total int64
-	for _, v := range values {
-		n, err := codec.DecodeVarint(v)
-		if err != nil {
-			return fmt.Errorf("wordcount: bad count for %q: %w", key, err)
+// newReduce returns the reduce, which sums counts; it is also the
+// combiner. It encodes each total into one buffer, reused from call to
+// call (the emitter copies), so one reduce serves one task.
+func newReduce() core.ReduceFunc {
+	var count []byte
+	return func(key []byte, values [][]byte, emit kvio.Emitter) error {
+		var total int64
+		for _, v := range values {
+			n, err := codec.DecodeVarint(v)
+			if err != nil {
+				return fmt.Errorf("wordcount: bad count for %q: %w", key, err)
+			}
+			total += n
 		}
-		total += n
+		count = binary.AppendVarint(count[:0], total)
+		return emit.Emit(key, count)
 	}
-	return emit.Emit(key, codec.EncodeVarint(total))
 }
 
-// Register adds the WordCount functions to a registry.
+// Register adds the WordCount functions to a registry. The reduce is a
+// factory, so each task and each task's combiner gets its own buffer.
 func Register(reg *core.Registry) {
 	reg.RegisterMap(MapName, Map)
-	reg.RegisterReduce(ReduceName, Reduce)
+	reg.RegisterReduceFactory(ReduceName, func([]byte) (core.ReduceFunc, error) { return newReduce(), nil })
 }
 
 // Options tunes a WordCount run.

@@ -43,7 +43,7 @@ func TestMapEmptyLine(t *testing.T) {
 func TestReduceSums(t *testing.T) {
 	var e kvio.SliceEmitter
 	values := [][]byte{codec.EncodeVarint(3), codec.EncodeVarint(4), codec.EncodeVarint(1)}
-	if err := Reduce([]byte("w"), values, &e); err != nil {
+	if err := newReduce()([]byte("w"), values, &e); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.Pairs) != 1 {
@@ -57,7 +57,7 @@ func TestReduceSums(t *testing.T) {
 
 func TestReduceBadValue(t *testing.T) {
 	var e kvio.SliceEmitter
-	if err := Reduce([]byte("w"), [][]byte{[]byte("junk-that-is-long")}, &e); err == nil {
+	if err := newReduce()([]byte("w"), [][]byte{[]byte("junk-that-is-long")}, &e); err == nil {
 		t.Error("expected error for malformed count")
 	}
 }
@@ -263,5 +263,37 @@ func BenchmarkWordcountMap(b *testing.B) {
 	}
 	if e.Records != 10*int64(b.N) {
 		b.Fatalf("%d words from %d lines", e.Records, b.N)
+	}
+}
+
+// BenchmarkWordcountCombine sums eight counts per op through the
+// map-side combine adapter, as a combining sorter's fold calls it: no
+// allocation once the task's count buffer is warm.
+func BenchmarkWordcountCombine(b *testing.B) {
+	reg := core.NewRegistry()
+	Register(reg)
+	fn, err := reg.Reduce(ReduceName, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	combine := core.CombineAdapter(fn)
+	vals := make([][]byte, 8)
+	for i := range vals {
+		vals[i] = codec.EncodeVarint(int64(1 + 40*i))
+	}
+	key := []byte("the")
+	if _, err := combine(key, vals); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := combine(key, vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != 1 {
+			b.Fatalf("%d values", len(out))
+		}
 	}
 }

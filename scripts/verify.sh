@@ -39,7 +39,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold' \
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena' \
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
@@ -63,10 +63,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
-	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall|BenchmarkSortGroupCombineHeavy' \
+	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall|BenchmarkSortGroupCombineHeavy|BenchmarkSorterCombineZipf' \
 		-benchmem -benchtime 100x ./internal/shuffle/
-	go test -run '^$' -bench 'BenchmarkKMeansAssign' -benchmem -benchtime 1000x ./internal/kmeans/
-	go test -run '^$' -bench 'BenchmarkWordcountMap' -benchmem -benchtime 1000x ./internal/wordcount/
+	go test -run '^$' -bench 'BenchmarkKMeansAssign|BenchmarkKMeansUpdate' -benchmem -benchtime 1000x ./internal/kmeans/
+	go test -run '^$' -bench 'BenchmarkWordcountMap|BenchmarkWordcountCombine' -benchmem -benchtime 1000x ./internal/wordcount/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
 		-benchmem -benchtime 1000x ./internal/kvio/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
