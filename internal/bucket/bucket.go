@@ -26,7 +26,9 @@
 //
 // A bucket crosses the wire exactly as it rests: the data server sends
 // its at-rest bytes verbatim, and readers sniff the framing (legacy
-// per-record or self-describing blocks) to decode it.
+// per-record or self-describing blocks) to decode it. Fetch reads a
+// bucket whole: an own RAM bucket as its read-only published bytes, a
+// file in one read of its size, an http body of known length exactly.
 package bucket
 
 import (
@@ -859,33 +861,48 @@ var httpClient = &http.Client{Timeout: HTTPTimeout, Transport: DefaultTransport}
 // framing, which kvio.NewAnyReader decodes — so wire-byte counters see
 // the compressed size and record consumers the decoded size.
 func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
+	if ar, ok, err := s.resolveLocal(rawURL); ok {
+		if err != nil {
+			return nil, err
+		}
+		return ar.open()
+	}
 	switch {
-	case strings.HasPrefix(rawURL, "mem:"):
-		rest := strings.TrimPrefix(rawURL, "mem:")
-		slash := strings.IndexByte(rest, '/')
-		if slash < 0 {
-			return nil, fmt.Errorf("bucket: malformed mem URL %q", rawURL)
-		}
-		if fmt.Sprintf("%d", s.id) != rest[:slash] {
-			return nil, fmt.Errorf("bucket: mem URL %q belongs to another store", rawURL)
-		}
-		return s.OpenLocal(rest[slash+1:])
 	case strings.HasPrefix(rawURL, "file://"):
-		path := strings.TrimPrefix(rawURL, "file://")
-		f, err := os.Open(path)
+		f, err := os.Open(strings.TrimPrefix(rawURL, "file://"))
 		if err != nil {
 			return nil, err
 		}
 		return s.counting(f, obs.MetricWireBytesShared), nil
 	case strings.HasPrefix(rawURL, "http://"), strings.HasPrefix(rawURL, "https://"):
-		if name, ok := s.localName(rawURL); ok {
-			// Our own bucket: no loopback round trip, and no wire bytes.
-			s.counter(obs.MetricBucketLocalOpens).Add(1)
-			return s.OpenLocal(name)
-		}
 		return s.openHTTP(rawURL)
 	}
 	return nil, fmt.Errorf("bucket: unsupported URL %q", rawURL)
+}
+
+// resolveLocal resolves a URL the store reads in-process: a mem: URL,
+// which must be its own, or an http URL under its own base URL, which
+// counts as a local open. ok is false for any other URL.
+func (s *Store) resolveLocal(rawURL string) (ar atRest, ok bool, err error) {
+	if rest, mem := strings.CutPrefix(rawURL, "mem:"); mem {
+		slash := strings.IndexByte(rest, '/')
+		if slash < 0 {
+			return ar, true, fmt.Errorf("bucket: malformed mem URL %q", rawURL)
+		}
+		if strconv.Itoa(s.id) != rest[:slash] {
+			return ar, true, fmt.Errorf("bucket: mem URL %q belongs to another store", rawURL)
+		}
+		ar, err = s.lookup(flatten(rest[slash+1:]))
+		return ar, true, err
+	}
+	name, ok := s.localName(rawURL)
+	if !ok {
+		return ar, false, nil
+	}
+	// Our own bucket: no loopback round trip, and no wire bytes.
+	s.counter(obs.MetricBucketLocalOpens).Add(1)
+	ar, err = s.lookup(flatten(name))
+	return ar, true, err
 }
 
 // FetchRetries is how many times an http bucket fetch is attempted.
@@ -980,46 +997,81 @@ func (c *countingReadCloser) Read(p []byte) (int, error) {
 
 func (c *countingReadCloser) Close() error { return c.rc.Close() }
 
-// remote reports whether Open fetches rawURL over the network.
-func (s *Store) remote(rawURL string) bool {
-	return (strings.HasPrefix(rawURL, "http://") || strings.HasPrefix(rawURL, "https://")) && !s.Local(rawURL)
-}
-
 // Fetch reads an entire bucket into memory. Unlike Open, a remote fetch
 // that dies mid-stream is retried whole — the caller gets either the
 // complete payload or an error, which is what the parallel prefetcher
-// needs (a half-delivered bucket cannot be resumed).
+// needs (a half-delivered bucket cannot be resumed). A file bucket, the
+// store's own or a file:// one, is read in one read of its size.
 //
-// The returned slice is freshly allocated and owned by the caller: it is
-// never pooled or reused by the store, so callers may retain it
-// indefinitely (the resident dataset cache depends on this).
+// The returned slice is read-only and may be shared: an own RAM
+// bucket's published bytes come back as they are, and a fresh buffer
+// may be cached for later tasks (the resident dataset cache does). The
+// store never pools, reuses or writes either, so callers may retain
+// them indefinitely.
 func (s *Store) Fetch(rawURL string) ([]byte, error) {
-	remote := s.remote(rawURL)
-	retry := s.retries(hash.FNV1a64String(rawURL) + 2)
-	var lastErr error
-	for attempt := 1; attempt <= FetchRetries; attempt++ {
-		retry.wait(attempt)
-		rc, err := s.Open(rawURL)
-		if err != nil {
-			return nil, err // Open already retried transport errors
-		}
-		data, err := readAll(rc)
-		rc.Close()
-		if err == nil {
-			return data, nil
-		}
-		lastErr = fmt.Errorf("bucket: fetching %s: %w", rawURL, err)
-		if !remote {
-			return nil, lastErr // local reads don't heal by retrying
-		}
-	}
-	return nil, lastErr
+	data, _, err := s.fetch(rawURL)
+	return data, err
 }
 
-// readAll reads a freshly opened bucket stream to the end in one
-// exact-size allocation when it knows its length (a RAM bucket opened
-// locally, or an HTTP body with a Content-Length), and by io.ReadAll
-// otherwise.
+// fetch is Fetch, also reporting whether data are an own RAM bucket's
+// published bytes rather than a buffer of the caller's.
+func (s *Store) fetch(rawURL string) (data []byte, shared bool, err error) {
+	var path string
+	ar, local, err := s.resolveLocal(rawURL)
+	switch {
+	case local && (err != nil || ar.data != nil):
+		return ar.data, true, err
+	case local:
+		path = ar.path
+	case strings.HasPrefix(rawURL, "file://"):
+		path = strings.TrimPrefix(rawURL, "file://")
+	}
+	if path != "" {
+		if data, err = readFile(path); err != nil {
+			return nil, false, fmt.Errorf("bucket: fetching %s: %w", rawURL, err)
+		}
+		if !local {
+			s.counter(obs.MetricWireBytesShared).Add(int64(len(data)))
+		}
+		return data, false, nil
+	}
+	retry := s.retries(hash.FNV1a64String(rawURL) + 2)
+	for attempt := 1; attempt <= FetchRetries; attempt++ {
+		retry.wait(attempt)
+		rc, oerr := s.Open(rawURL)
+		if oerr != nil {
+			return nil, false, oerr // Open already retried transport errors
+		}
+		data, err = readAll(rc)
+		rc.Close()
+		if err == nil {
+			return data, false, nil
+		}
+		err = fmt.Errorf("bucket: fetching %s: %w", rawURL, err)
+	}
+	return nil, false, err
+}
+
+// readFile reads a bucket file in one read of the size Stat reports.
+func readFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// readAll reads a fetched HTTP body to the end, in one exact-size
+// allocation when it has a Content-Length and by io.ReadAll otherwise.
 func readAll(r io.Reader) ([]byte, error) {
 	if l, ok := r.(interface{ Size() int64 }); ok {
 		data := make([]byte, l.Size())
@@ -1063,34 +1115,27 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 	io.CopyN(w, rs, n)
 }
 
-// ReadAll opens a URL and decodes every record. Remote fetches that die
-// mid-stream (connection dropped partway through the body) are retried
-// whole, since a partial record stream is useless to the caller.
+// ReadAll fetches a bucket whole and decodes every record; on an error
+// it returns no records. The pairs alias one buffer per bucket, which
+// the caller owns: the fetched one, or a copy of an own RAM bucket's
+// published bytes.
 func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
-	remote := s.remote(rawURL)
-	retry := s.retries(hash.FNV1a64String(rawURL) + 1)
-	var lastErr error
-	for attempt := 1; attempt <= FetchRetries; attempt++ {
-		retry.wait(attempt)
-		rc, err := s.Open(rawURL)
-		if err != nil {
-			return nil, err // Open already retried transport errors
-		}
-		// Sniffing reader: the stream may be either framing depending on
-		// the producer's codec setting.
-		r := kvio.NewAnyReader(rc)
-		pairs, err := r.ReadAll()
-		r.Release()
-		rc.Close()
-		if err == nil {
-			return pairs, nil
-		}
-		lastErr = fmt.Errorf("bucket: reading %s: %w", rawURL, err)
-		if !remote {
-			return nil, lastErr // local reads don't heal by retrying
-		}
+	data, shared, err := s.fetch(rawURL)
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	if shared {
+		data = bytes.Clone(data)
+	}
+	var pairs []kvio.Pair
+	err = kvio.Walk(data, func(k, v []byte) error {
+		pairs = append(pairs, kvio.Pair{Key: k[:len(k):len(k)], Value: v[:len(v):len(v)]})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bucket: reading %s: %w", rawURL, err)
+	}
+	return pairs, nil
 }
 
 // ReadAllMulti concatenates the records of several buckets in order.

@@ -52,7 +52,7 @@ type Options struct {
 	// the master a private metrics-only runtime.
 	Obs *obs.Runtime
 	// Prefetch is the per-slave input-fetch window (0 = default,
-	// 1 = sequential streaming).
+	// 1 = one bucket at a time).
 	Prefetch int
 	// Codec selects the compression codec every node writes its
 	// block-framed buckets with ("identity", "deflate", "lz"; "" keeps

@@ -42,7 +42,7 @@ func runTwiceOverInput(t *testing.T, exec core.Executor, rt *obs.Runtime, reside
 // TestDataPlaneGridByteIdentical is the data plane's correctness gate
 // for how buckets move, at the default bucket format
 // (TestCodecGridByteIdentical covers the formats): direct HTTP serving
-// or a shared directory read through file:// URLs, sequential streaming
+// or a shared directory read through file:// URLs, one fetch at a time
 // or a prefetch window of 8, and the resident cache off or on. Every
 // cell, and the mock executor's file buckets, must produce output
 // byte-identical to the serial executor's memory buckets.

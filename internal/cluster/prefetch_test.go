@@ -60,7 +60,7 @@ func runShuffleJobOn(t *testing.T, exec core.Executor, rt *obs.Runtime) []kvio.P
 }
 
 // TestParallelFetchByteIdentical is the tentpole's correctness gate:
-// the same job at prefetch width 1 (sequential streaming) and width 8
+// the same job at prefetch width 1 (one fetch at a time) and width 8
 // over the direct HTTP data plane — both outputs must be
 // byte-identical. (Compressed wire bytes are TestCodecGridByteIdentical's
 // to check; cell names keep their "compress=false" field so their ids

@@ -26,12 +26,15 @@ import (
 
 // MapFunc is a map function: called once per input record; emits any
 // number of output records. emit.Emit copies, so the function may reuse
-// the key and value it passed once Emit returns (kvio.Emitter).
+// the key and value it passed once Emit returns (kvio.Emitter). Its
+// key and value are read-only and valid for the call: they may alias a
+// published bucket or a resident cache entry that other tasks read.
 type MapFunc func(key, value []byte, emit kvio.Emitter) error
 
 // ReduceFunc is a reduce function: called once per key with all values;
 // emits any number of output records (commonly one). As for MapFunc,
-// emit.Emit copies, so emitted slices may be reused once it returns.
+// emit.Emit copies, so emitted slices may be reused once it returns,
+// and the key and values are read-only and valid for the call.
 type ReduceFunc func(key []byte, values [][]byte, emit kvio.Emitter) error
 
 // ErrNotRegistered reports a map/reduce name that the registry lacks.

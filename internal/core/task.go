@@ -38,8 +38,8 @@ type TaskEnv struct {
 	Obs *obs.Runtime
 	// Prefetch is the input-fetch window: while bucket i is being
 	// consumed, buckets i+1..i+Prefetch-1 are fetched concurrently.
-	// 0 selects DefaultPrefetch; 1 disables overlap (sequential
-	// streaming, the pre-prefetch behavior).
+	// 0 selects DefaultPrefetch; 1 disables overlap (one whole-bucket
+	// fetch at a time).
 	Prefetch int
 	// Resident is the worker-local resident dataset cache serving
 	// Resident-marked input splits from memory (nil disables). Slaves
@@ -228,30 +228,6 @@ type inputStats struct {
 	// lookup (at most one per task; both zero off the resident path).
 	residentHits   int64
 	residentMisses int64
-}
-
-// timedReader wraps an input stream, charging each Read's wall time to
-// st. Granularity is one Read call (typically a bufio fill, ~64 KiB),
-// which keeps clock overhead negligible relative to the I/O being
-// measured. count adds stream bytes to st.bytes as well; it is set for
-// line-oriented formats, where the stream is the payload. KV formats
-// count decoded key+value payload at the record layer instead, so the
-// raw-byte stats stay framing- and codec-independent.
-type timedReader struct {
-	r     io.Reader
-	clk   clock.Clock
-	st    *inputStats
-	count bool
-}
-
-func (t *timedReader) Read(p []byte) (int, error) {
-	begin := t.clk.Now()
-	n, err := t.r.Read(p)
-	t.st.readNS += t.clk.Now().Sub(begin).Nanoseconds()
-	if t.count {
-		t.st.bytes += int64(n)
-	}
-	return n, err
 }
 
 // shuffleMetric classifies an input URL by data path: direct
@@ -448,15 +424,19 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 		Combine:    combine,
 	})
 	defer sorter.Close()
-	// Legacy-framed inputs: Add copies into the sorter's arena, so the
-	// iterator's shared buffers can be handed over directly.
-	// Block-framed inputs: the whole decoded block is adopted by the
-	// sorter and records alias into it — one decode, zero copies.
+	// KV inputs are read in place: the sorter adopts each record run, a
+	// legacy bucket whole or a block's records, and points into it.
 	err = forEachInput(env, spec, st, recordSink{
 		fn: func(key, value []byte) error {
 			return sorter.Add(kvio.Pair{Key: key, Value: value})
 		},
-		block: sorter.AddBlock,
+		run: func(run []byte, recs int) error {
+			added := sorter.Added()
+			n, err := sorter.AddBlock(run, recs)
+			st.records += sorter.Added() - added
+			st.bytes += n
+			return err
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: reduce task %d of ds%d (input): %w", spec.TaskIndex, op.Dataset, err)
@@ -532,122 +512,79 @@ func (e *combineEmitter) Emit(key, value []byte) error {
 	return nil
 }
 
-// forEachInputRecord streams every record of the task's input split,
-// accounting records, bytes, and read-blocked time into st. The
-// key/value slices passed to fn are only valid during the call; fn must
-// not retain them.
-//
-// When the fetch window is wider than 1 and the split spans several
-// buckets, upcoming buckets are fetched concurrently while the current
-// one is consumed. Delivery stays strictly in URL order — parallelism
-// changes only *when* bytes move, never the record sequence fn sees —
-// so serial, threaded, and distributed runs remain byte-identical, and
-// the narrow-reduce alignment checks are untouched.
+// forEachInputRecord feeds every record of the task's input split to
+// fn, accounting records, bytes, and fetch-blocked time into st. The
+// key/value slices passed to fn are read-only, since they may alias a
+// published bucket or a resident payload, and valid only during the
+// call.
 func forEachInputRecord(env *TaskEnv, spec *TaskSpec, st *inputStats, fn func(key, value []byte) error) error {
 	return forEachInput(env, spec, st, recordSink{fn: fn})
 }
 
-// recordSink is how a task consumes one input stream. fn receives every
-// record, with the usual shared-buffer lifetime. block, when non-nil
-// and the stream arrives block-framed, receives whole decoded record
-// blocks instead — ownership of the buffer transfers to the sink
-// (kvio.BlockReader.NextBlock's contract) and it returns the summed
-// key+value payload bytes it consumed. That is the zero-copy handoff
-// into the shuffle sorter; streams in any other framing fall back to
-// fn, so a sink always sees every record exactly once either way.
+// recordSink is how a task consumes its input. fn receives every
+// record, read-only and valid during the call. run, when non-nil,
+// takes each KV record run instead, as kvio.WalkRuns hands it over
+// (the shuffle sorter's AddBlock adopts it), and charges its records
+// and payload bytes to the task's inputStats itself.
 type recordSink struct {
-	fn    func(key, value []byte) error
-	block func(block []byte, recs int) (int64, error)
+	fn  func(key, value []byte) error
+	run func(run []byte, recs int) error
 }
 
-// forEachInput streams every input split of the task into sink,
-// accounting records, payload bytes, and read-blocked time into st.
+// forEachInput feeds every bucket of the task's input split to sink in
+// URL order, accounting records, payload bytes, and fetch-blocked time
+// into st. Each bucket is fetched whole and read where it lies.
+// Delivery order never depends on how many fetches are in flight, so
+// serial, threaded, and distributed runs remain byte-identical, and
+// the narrow-reduce alignment checks are untouched.
 func forEachInput(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink) error {
-	// KV streams count decoded key+value payload here at the record
-	// layer — identical across legacy framing, block framing, and every
-	// codec — while line formats count stream bytes in the timedReader.
+	// KV inputs count decoded key+value payload at the record layer —
+	// identical across framings and codecs — and line formats the
+	// bucket bytes.
 	countPayload := spec.InputFormat == "" || spec.InputFormat == FormatKV
-	inner := sink
+	fn := sink.fn
 	sink.fn = func(key, value []byte) error {
 		st.records++
 		if countPayload {
 			st.bytes += int64(len(key) + len(value))
 		}
-		return inner.fn(key, value)
+		return fn(key, value)
 	}
-	if inner.block != nil {
-		sink.block = func(block []byte, recs int) (int64, error) {
-			n, err := inner.block(block, recs)
-			st.records += int64(recs)
-			if countPayload {
-				st.bytes += n
-			}
-			return n, err
-		}
-	}
-	clk := env.clk()
-	if spec.Op.Resident && env.Resident != nil && spec.InputFormat != FormatLinesRange {
-		return forEachInputResident(env, spec, st, sink, countPayload)
-	}
-	if w := env.prefetchWidth(); w > 1 && len(spec.InputURLs) > 1 && spec.InputFormat != FormatLinesRange {
-		_, err := forEachInputPrefetched(env, spec, st, sink, w, countPayload, false)
-		return err
-	}
-	for _, u := range spec.InputURLs {
-		if spec.InputFormat == FormatLinesRange {
-			// Ranged text inputs open their own file handle to seek;
-			// their bytes are charged to compute, not shuffle.
+	if spec.InputFormat == FormatLinesRange {
+		// Ranged text inputs open their own file handle to seek;
+		// their bytes are charged to compute, not shuffle.
+		for _, u := range spec.InputURLs {
 			if err := forEachLineRange(u, sink.fn); err != nil {
 				return err
 			}
-			continue
 		}
-		// The Open itself blocks on the remote request round trip, so it
-		// is shuffle wait just like the Reads that follow (and just like
-		// the prefetched path, which charges whole-fetch waits).
-		begin := clk.Now()
-		rc, err := env.Store.Open(u)
-		st.readNS += clk.Now().Sub(begin).Nanoseconds()
-		if err != nil {
-			return fmt.Errorf("opening input %s: %w", u, err)
-		}
-		before := st.bytes
-		tr := &timedReader{r: rc, clk: clk, st: st, count: !countPayload}
-		ferr := consumeStream(tr, spec.InputFormat, sink)
-		cerr := rc.Close()
-		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
-		if ferr != nil {
-			return ferr
-		}
-		if cerr != nil {
-			return cerr
-		}
+		return nil
 	}
-	return nil
+	if spec.Op.Resident && env.Resident != nil {
+		return forEachInputResident(env, spec, st, sink)
+	}
+	_, err := fetchInputs(env, spec, st, sink, false)
+	return err
 }
 
-// fetched is one prefetched bucket payload (decoded record-stream
-// bytes) or the error that fetching it produced.
+// fetched is one fetched bucket payload or the error that fetching it
+// produced.
 type fetched struct {
 	data []byte
 	err  error
 }
 
-// forEachInputPrefetched is the parallel-fetch path: a window of
-// width whole-bucket fetches is kept in flight, each delivering into
-// its own single-slot channel so results arrive in URL order. The time
-// spent waiting for bucket i (its fetch not yet complete) is charged to
-// st.readNS — the same "blocked on input" semantics the streaming path
-// measures — while the raw byte and per-path metrics accounting is
-// unchanged. Each fetch runs through Store.Fetch, so per-fetch retries
-// and fault-injection hooks apply exactly as they do when streaming;
-// a fetch that dies mid-body is retried whole rather than surfacing a
-// truncated stream. With retain set it also returns every fetched
-// payload in URL order (the resident cache's miss path); otherwise a
-// payload is released as soon as it is consumed.
-func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, width int, countPayload, retain bool) ([][]byte, error) {
+// fetchInputs fetches the task's input buckets whole (Store.Fetch,
+// with its whole-fetch retries) and consumes them in URL order. While
+// bucket i is consumed, buckets i+1..i+w-1 of the fetch window w are in
+// flight, each delivering into its own single-slot channel; w = 1
+// fetches one bucket at a time. Time spent waiting for a fetch is
+// charged to st.readNS. With retain set it also returns every fetched
+// payload in URL order (the resident cache's miss path).
+func fetchInputs(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, retain bool) ([][]byte, error) {
 	clk := env.clk()
 	urls := spec.InputURLs
+	width := env.prefetchWidth()
 	results := make([]chan fetched, len(urls))
 	launch := func(i int) {
 		// Buffered: if the consumer aborts early, in-flight fetches park
@@ -672,9 +609,6 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 		res := <-results[i]
 		st.readNS += clk.Now().Sub(begin).Nanoseconds()
 		results[i] = nil
-		if next := i + width; next < len(urls) {
-			launch(next)
-		}
 		if res.err != nil {
 			return nil, fmt.Errorf("opening input %s: %w", u, res.err)
 		}
@@ -682,13 +616,13 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 			retained = append(retained, res.data)
 		}
 		before := st.bytes
-		// The timedReader keeps accounting identical to the streaming
-		// path; reads from memory add ~nothing to readNS.
-		tr := &timedReader{r: bytes.NewReader(res.data), clk: clk, st: st, count: !countPayload}
-		ferr := consumeStream(tr, spec.InputFormat, sink)
+		err := consume(res.data, spec.InputFormat, sink, st)
 		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
-		if ferr != nil {
-			return nil, ferr
+		if err != nil {
+			return nil, err
+		}
+		if next := i + width; next < len(urls) {
+			launch(next)
 		}
 	}
 	return retained, nil
@@ -696,25 +630,23 @@ func forEachInputPrefetched(env *TaskEnv, spec *TaskSpec, st *inputStats, sink r
 
 // forEachInputResident serves a Resident-marked input split through the
 // worker-local cache. A hit replays the previously fetched bucket
-// payloads from memory — no store traffic, near-zero shuffle wait, and
-// the identical byte stream the fetch produced, so record order and
-// results cannot differ from a cold read. A miss runs the windowed
-// whole-bucket fetch of the prefetched path, retaining the payloads,
-// and inserts them after the task consumed every bucket successfully (a
-// failed task caches nothing). The cache key is (job, input dataset,
-// split); the fetch plan (URL list) is stored alongside and must match
-// exactly on lookup, so a changed plan — re-executed producers after a
-// slave loss, say — invalidates rather than serves stale bytes.
-func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, countPayload bool) error {
-	clk := env.clk()
+// payloads from memory, read in place like a fresh fetch — no store
+// traffic, near-zero shuffle wait, and the identical bytes, so record
+// order and results cannot differ from a cold read. A miss fetches as
+// fetchInputs does, retaining the payloads, and inserts them after the
+// task consumed every bucket successfully (a failed task caches
+// nothing). The cache key is (job, input dataset, split); the fetch
+// plan (URL list) is stored alongside and must match exactly on
+// lookup, so a changed plan — re-executed producers after a slave
+// loss, say — invalidates rather than serves stale bytes.
+func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink) error {
 	urls := spec.InputURLs
 	key := ResidentKey{Job: spec.Job, Dataset: spec.InputDataset, Split: spec.TaskIndex}
 	if payloads, ok := env.Resident.Get(key, urls); ok {
 		st.residentHits++
 		env.Obs.M().Add(obs.MetricResidentHits, 1)
 		for _, data := range payloads {
-			tr := &timedReader{r: bytes.NewReader(data), clk: clk, st: st, count: !countPayload}
-			if err := consumeStream(tr, spec.InputFormat, sink); err != nil {
+			if err := consume(data, spec.InputFormat, sink, st); err != nil {
 				return err
 			}
 		}
@@ -722,7 +654,7 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 	}
 	st.residentMisses++
 	env.Obs.M().Add(obs.MetricResidentMisses, 1)
-	retained, err := forEachInputPrefetched(env, spec, st, sink, env.prefetchWidth(), countPayload, true)
+	retained, err := fetchInputs(env, spec, st, sink, true)
 	if err != nil {
 		return err
 	}
@@ -730,55 +662,21 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 	return nil
 }
 
-// consumeStream dispatches one bucket stream to the format's iterator.
-func consumeStream(r io.Reader, format string, sink recordSink) error {
+// consume feeds one whole bucket payload to sink where it lies: KV in
+// either framing through the kvio walker, lines through forEachLine,
+// whose bucket bytes it charges to st.
+func consume(data []byte, format string, sink recordSink, st *inputStats) error {
 	switch format {
 	case "", FormatKV:
-		return consumeKVStream(r, sink)
+		if sink.run != nil {
+			return kvio.WalkRuns(data, sink.run)
+		}
+		return kvio.Walk(data, sink.fn)
 	case FormatLines:
-		return forEachLine(r, sink.fn)
-	default:
-		return fmt.Errorf("core: unknown input format %q", format)
+		st.bytes += int64(len(data))
+		return forEachLine(bytes.NewReader(data), sink.fn)
 	}
-}
-
-// consumeKVStream reads a KV bucket stream in either framing — the
-// sniffing reader accepts legacy per-record streams and block streams
-// alike, so inputs of both framings within one task are fine. When the
-// stream is block-framed and the sink takes blocks, whole decoded
-// blocks are handed over without touching individual records.
-func consumeKVStream(r io.Reader, sink recordSink) error {
-	kr := kvio.NewAnyReader(r)
-	defer kr.Release()
-	if br, ok := kr.(*kvio.BlockReader); ok && sink.block != nil {
-		for {
-			blk, recs, err := br.NextBlock()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if _, err := sink.block(blk, recs); err != nil {
-				return err
-			}
-		}
-	}
-	for {
-		// Records go through the reader's shared buffer: the sink does
-		// not retain its arguments, and this halves per-record
-		// allocations.
-		p, err := kr.ReadShared()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := sink.fn(p.Key, p.Value); err != nil {
-			return err
-		}
-	}
+	return fmt.Errorf("core: unknown input format %q", format)
 }
 
 // forEachLine yields (varint line number, line) records; line numbers

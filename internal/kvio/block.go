@@ -264,10 +264,17 @@ type blockHdr struct {
 	crc        uint32
 }
 
+// byteReader is what header parsing reads from: the BlockReader's
+// bufio.Reader, or a bytes.Reader over a whole payload (Walk).
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // u reads one bounds-checked header uvarint. An io.EOF at a block start
 // is the clean end of stream; anywhere else the stream tore mid-header.
-func (r *BlockReader) u(atStart bool) (int, error) {
-	v, uerr := binary.ReadUvarint(r.br)
+func u(r byteReader, atStart bool) (int, error) {
+	v, uerr := binary.ReadUvarint(r)
 	if uerr != nil {
 		if uerr == io.EOF && !atStart {
 			return 0, io.ErrUnexpectedEOF
@@ -283,14 +290,14 @@ func (r *BlockReader) u(atStart bool) (int, error) {
 // readHeader parses one block header. Its first uvarint is the record
 // count, bounded by MaxBlockLen; an io.EOF before that first byte is
 // the clean end of stream.
-func (r *BlockReader) readHeader() (h blockHdr, err error) {
-	if h.recs, err = r.u(true); err != nil {
+func readHeader(r byteReader) (h blockHdr, err error) {
+	if h.recs, err = u(r, true); err != nil {
 		return
 	}
-	if h.rawLen, err = r.u(false); err != nil {
+	if h.rawLen, err = u(r, false); err != nil {
 		return
 	}
-	nameLen, err := r.u(false)
+	nameLen, err := u(r, false)
 	if err != nil {
 		return
 	}
@@ -299,7 +306,7 @@ func (r *BlockReader) readHeader() (h blockHdr, err error) {
 		return
 	}
 	var nameBuf [64]byte
-	if _, err = io.ReadFull(r.br, nameBuf[:nameLen]); err != nil {
+	if _, err = io.ReadFull(r, nameBuf[:nameLen]); err != nil {
 		err = noEOF(err)
 		return
 	}
@@ -309,51 +316,36 @@ func (r *BlockReader) readHeader() (h blockHdr, err error) {
 		err = fmt.Errorf("%w: unknown codec %q", ErrBlockCorrupt, name)
 		return
 	}
-	if h.payloadLen, err = r.u(false); err != nil {
+	if h.payloadLen, err = u(r, false); err != nil {
 		return
 	}
 	var crcBuf [4]byte
-	if _, err = io.ReadFull(r.br, crcBuf[:]); err != nil {
+	if _, err = io.ReadFull(r, crcBuf[:]); err != nil {
 		err = noEOF(err)
 		return
 	}
 	h.crc = binary.LittleEndian.Uint32(crcBuf[:])
+	if h.codec.Name() == wirecodec.IdentityName && h.payloadLen != h.rawLen {
+		err = fmt.Errorf("%w: identity payload %d != raw %d", ErrBlockCorrupt, h.payloadLen, h.rawLen)
+	}
 	return
 }
 
-// decodePayload reads a block's stored payload, verifies its CRC, and
-// decodes it into dst (grown as needed; pass nil for a fresh,
+// decode checks a block's stored payload against the header CRC and
+// returns its record run: payload itself for an identity block, else
+// payload decoded into dst (grown as needed; nil for a fresh,
 // caller-owned allocation).
-func (r *BlockReader) decodePayload(h blockHdr, dst []byte) ([]byte, error) {
-	identity := h.codec.Name() == wirecodec.IdentityName
-	if identity && h.payloadLen != h.rawLen {
-		return nil, fmt.Errorf("%w: identity payload %d != raw %d", ErrBlockCorrupt, h.payloadLen, h.rawLen)
+func (h blockHdr) decode(payload, dst []byte) ([]byte, error) {
+	if crc32.ChecksumIEEE(payload) != h.crc {
+		return nil, ErrBlockChecksum
+	}
+	if h.codec.Name() == wirecodec.IdentityName {
+		return payload, nil
 	}
 	if cap(dst) < h.rawLen {
 		dst = make([]byte, h.rawLen)
 	}
 	dst = dst[:h.rawLen]
-	if identity {
-		// Identity stores the raw bytes verbatim: read and CRC them in
-		// place, no staging.
-		if _, err := io.ReadFull(r.br, dst); err != nil {
-			return nil, noEOF(err)
-		}
-		if crc32.ChecksumIEEE(dst) != h.crc {
-			return nil, ErrBlockChecksum
-		}
-		return dst, nil
-	}
-	if cap(r.payload) < h.payloadLen {
-		r.payload = make([]byte, h.payloadLen)
-	}
-	payload := r.payload[:h.payloadLen]
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		return nil, noEOF(err)
-	}
-	if crc32.ChecksumIEEE(payload) != h.crc {
-		return nil, ErrBlockChecksum
-	}
 	cr := h.codec.NewReader(bytes.NewReader(payload))
 	_, err := io.ReadFull(cr, dst)
 	if err == nil {
@@ -373,12 +365,31 @@ func (r *BlockReader) decodePayload(h blockHdr, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// decodePayload reads a block's stored payload and decodes it into dst
+// (grown as needed; pass nil for a fresh, caller-owned allocation).
+func (r *BlockReader) decodePayload(h blockHdr, dst []byte) ([]byte, error) {
+	buf := &r.payload
+	if h.codec.Name() == wirecodec.IdentityName {
+		// Identity stores the raw bytes verbatim: read them straight
+		// into dst and check them in place, no staging.
+		buf = &dst
+	}
+	if cap(*buf) < h.payloadLen {
+		*buf = make([]byte, h.payloadLen)
+	}
+	payload := (*buf)[:h.payloadLen]
+	if _, err := io.ReadFull(r.br, payload); err != nil {
+		return nil, noEOF(err)
+	}
+	return h.decode(payload, dst)
+}
+
 // nextRaw reads the next non-empty block and returns its decompressed
 // legacy-framed payload (decoded into dst, grown as needed) without
 // record parsing. io.EOF means a clean end of stream.
 func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
 	for {
-		h, err := r.readHeader()
+		h, err := readHeader(r.br)
 		if err != nil {
 			return nil, 0, err
 		}

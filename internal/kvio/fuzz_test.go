@@ -145,49 +145,61 @@ func blockSeed(pairs []Pair, codecName string, blockSize int) []byte {
 	return buf.Bytes()
 }
 
-// FuzzBlockReader throws arbitrary bytes at the block reader via
-// NewAnyReader: no panics, no infinite loops, and a valid prefix of
-// records before any error. The corpus seeds both framings, blocks in
-// the retired columnar layout (whole, torn and corrupt), and the
+// blockReaderSeeds is FuzzBlockReader's corpus: both framings, blocks
+// in the retired columnar layout (whole, torn and corrupt), and the
 // torn/corrupt/zero-record shapes named in the block format's contract.
-func FuzzBlockReader(f *testing.F) {
+func blockReaderSeeds() [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
 	pairs := []Pair{StrPair("hello", "world"), {}, StrPair("", "x"), StrPair("x", "")}
 	legacy := Marshal(pairs)
-	f.Add(legacy)                                           // legacy framing
-	f.Add(blockSeed(pairs, wirecodec.IdentityName, 0))      // identity blocks
-	f.Add(blockSeed(pairs, wirecodec.DeflateName, 8))       // multi-block deflate
-	f.Add(blockSeed(pairs, wirecodec.LZName, 8))            // multi-block lz
-	f.Add(BlockMagic[:])                                    // empty block stream
-	f.Add(append(append([]byte{}, BlockMagic[:]...), 0x00)) // torn header
+	add(legacy)                                           // legacy framing
+	add(blockSeed(pairs, wirecodec.IdentityName, 0))      // identity blocks
+	add(blockSeed(pairs, wirecodec.DeflateName, 8))       // multi-block deflate
+	add(blockSeed(pairs, wirecodec.LZName, 8))            // multi-block lz
+	add(BlockMagic[:])                                    // empty block stream
+	add(append(append([]byte{}, BlockMagic[:]...), 0x00)) // torn header
 	torn := blockSeed(pairs, wirecodec.LZName, 8)
-	f.Add(torn[:len(torn)-2]) // torn payload
+	add(torn[:len(torn)-2]) // torn payload
 	crc := append([]byte(nil), blockSeed(pairs, wirecodec.IdentityName, 0)...)
 	crc[len(crc)-1] ^= 0xFF
-	f.Add(crc) // corrupt checksum
+	add(crc) // corrupt checksum
 	// Zero-record block followed by a real one (see TestBlockZeroRecordBlock).
-	f.Add(blockSeed(nil, wirecodec.IdentityName, 0))
+	add(blockSeed(nil, wirecodec.IdentityName, 0))
 	// Blocks in the retired columnar layout (see retiredColumnar): every
 	// key encoding, plus one per codec.
 	for _, keyEnc := range []int{keyColRaw, keyColDict, keyColDelta} {
-		f.Add(retiredColumnar(pairs, wirecodec.IdentityName, 0, keyEnc))
+		add(retiredColumnar(pairs, wirecodec.IdentityName, 0, keyEnc))
 	}
-	f.Add(retiredColumnar(pairs, wirecodec.DeflateName, 8, keyColAuto))
-	f.Add(retiredColumnar(pairs, wirecodec.LZName, 8, keyColAuto))
+	add(retiredColumnar(pairs, wirecodec.DeflateName, 8, keyColAuto))
+	add(retiredColumnar(pairs, wirecodec.LZName, 8, keyColAuto))
 	// Truncated column segments: cut mid key column and mid value column.
 	col := retiredColumnar(pairs, wirecodec.IdentityName, 0, keyColRaw)
 	var valLen int
 	for _, p := range pairs {
 		valLen += varintLen(len(p.Value)) + len(p.Value)
 	}
-	f.Add(col[:len(col)-valLen-2]) // ends inside the key column payload
-	f.Add(col[:len(col)-1])        // ends inside the value column payload
+	add(col[:len(col)-valLen-2]) // ends inside the key column payload
+	add(col[:len(col)-1])        // ends inside the value column payload
 	// Mismatched per-column CRCs: flip one byte in each column payload.
 	badKey := append([]byte(nil), col...)
 	badKey[len(col)-valLen-2] ^= 0x5A
-	f.Add(badKey)
+	add(badKey)
 	badVal := append([]byte(nil), col...)
 	badVal[len(col)-1] ^= 0x5A
-	f.Add(badVal)
+	add(badVal)
+	return seeds
+}
+
+// FuzzBlockReader throws arbitrary bytes at the block reader via
+// NewAnyReader: no panics, no infinite loops, and a valid prefix of
+// records before any error. The corpus seeds both framings, blocks in
+// the retired columnar layout (whole, torn and corrupt), and the
+// torn/corrupt/zero-record shapes named in the block format's contract.
+func FuzzBlockReader(f *testing.F) {
+	for _, seed := range blockReaderSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewAnyReader(bytes.NewReader(data))
 		defer r.Release()

@@ -7,6 +7,8 @@
 //
 // terminated by EOF. The format is self-delimiting, streamable, and
 // independent of the key/value codecs (which live in internal/codec).
+// Tasks read a whole fetched bucket of either framing in place (Walk,
+// WalkRuns); the Readers stream.
 package kvio
 
 import (
@@ -287,10 +289,8 @@ func (r *Reader) readLen(atRecordStart bool) (int, error) {
 		if atRecordStart && size == blockMagicLen {
 			// The "record" is the block-framing magic: fail with the
 			// version and the minimum reader instead of a size complaint.
-			if ver, verr := r.r.ReadByte(); verr == nil {
-				return 0, fmt.Errorf("%w (stream version 0x%02x)", ErrBlockStream, ver)
-			}
-			return 0, ErrBlockStream
+			ver, _ := r.r.Peek(1) // the version byte, if the stream has one
+			return 0, blockStreamErr(ver)
 		}
 		return 0, ErrRecordTooLarge
 	}

@@ -7,15 +7,15 @@
 // k-way merged on read — the classic external sort, so a reduce split
 // can exceed memory.
 //
-// One sort kernel, a stable radix sort of pointer-free entries on each
-// key's 8-byte prefix, sits under two grouping front-ends. Without a
+// One sort kernel, a stable MSD radix sort of pointer-free entries on
+// each key's 8-byte prefix, sits under two grouping front-ends. Without a
 // combiner every record gets an entry (the prefix index) and adjacent
 // equal keys form a group after the sort. With a combiner, heavy key
 // repeats favour grouping records in a hash table as they arrive, and
 // the kernel sorts one entry per distinct key. Either way the groups
 // are those of a stable sort of every record. The index's record bytes
-// alias an adopted block (AddBlock) or are copied into a chunked arena,
-// so a spill releases the whole slab at once.
+// alias an adopted run, a fetched bucket or block (AddBlock), or are
+// copied into a chunked arena, so a spill releases the whole slab.
 //
 // The hash form holds no pointers between calls: an open-addressed
 // table of hash tags and group numbers, groups that locate their key
@@ -51,7 +51,8 @@ import (
 // answer to be independent of fold and spill boundaries; this mirrors
 // the requirement on MapReduce combiners. The returned values may alias
 // the input values, or buffers of the combiner's own that its next call
-// reuses: the sorter copies what it keeps before combining again.
+// reuses: the sorter copies what it keeps before combining again. The
+// key and values are read-only and valid for the call.
 type CombineFunc func(key []byte, values [][]byte) ([][]byte, error)
 
 // Options configures a Sorter.
@@ -131,50 +132,66 @@ func keyPrefix(key []byte) uint64 {
 }
 
 // radixSort orders es by full key, stably, and returns the sorted
-// entries, which may be es itself. An LSD byte radix sort over the
-// prefixes, skipping every pass whose digit is the same for all
-// entries, does the bulk of the work; within a run of equal prefixes
-// ("a" and "a\x00" pad alike) a stable compare of key(e) finishes it.
+// entries. A most-significant-digit byte radix sort over the prefixes
+// does the bulk of the work; within a run of equal prefixes ("a" and
+// "a\x00" pad alike) a stable compare of key(e) finishes it.
 func radixSort(es []entry, key func(entry) []byte) []entry {
-	if len(es) < 2 {
-		return es
-	}
-	var counts [8][256]int
-	for _, e := range es {
-		for d := range counts {
-			counts[d][byte(e.prefix>>(8*d))]++
-		}
-	}
-	src, dst := es, make([]entry, len(es))
-	for d := range counts {
-		shift := 8 * d
-		c := &counts[d]
-		if c[byte(src[0].prefix>>shift)] == len(src) {
-			continue
-		}
-		sum := 0
-		for b, n := range c {
-			c[b] = sum
-			sum += n
-		}
-		for _, e := range src {
-			b := byte(e.prefix >> shift)
-			dst[c[b]] = e
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	for i := 0; i < len(src); {
+	msdSort(es, make([]entry, len(es)), 56)
+	for i := 0; i < len(es); {
 		j, same := i+1, true
-		for ; j < len(src) && src[j].prefix == src[i].prefix; j++ {
-			same = same && equalKeys(src[i], src[j], key)
+		for ; j < len(es) && es[j].prefix == es[i].prefix; j++ {
+			same = same && equalKeys(es[i], es[j], key)
 		}
 		if !same {
-			slices.SortStableFunc(src[i:j], func(a, b entry) int { return bytes.Compare(key(a), key(b)) })
+			slices.SortStableFunc(es[i:j], func(a, b entry) int { return bytes.Compare(key(a), key(b)) })
 		}
 		i = j
 	}
-	return src
+	return es
+}
+
+// insertionMax is the bucket size msdSort finishes by insertion sort.
+const insertionMax = 32
+
+// msdSort stably sorts es by the prefix bytes at shift and below, with
+// tmp, as long as es, as scratch: it distributes es by the byte at
+// shift, unless every entry shares it, and descends into the buckets
+// holding more than one entry. Small runs it insertion-sorts.
+func msdSort(es, tmp []entry, shift uint) {
+	if len(es) <= insertionMax {
+		for i := 1; i < len(es); i++ {
+			e, j := es[i], i
+			for ; j > 0 && es[j-1].prefix > e.prefix; j-- {
+				es[j] = es[j-1]
+			}
+			es[j] = e
+		}
+		return
+	}
+	var ends [256]int
+	for _, e := range es {
+		ends[byte(e.prefix>>shift)]++
+	}
+	if ends[byte(es[0].prefix>>shift)] == len(es) {
+		if shift > 0 {
+			msdSort(es, tmp, shift-8)
+		}
+		return
+	}
+	for b, sum := 0, 0; b < len(ends); b++ {
+		sum, ends[b] = sum+ends[b], sum // bucket b's start; the scatter moves it to its end
+	}
+	for _, e := range es {
+		b := byte(e.prefix >> shift)
+		tmp[ends[b]] = e
+		ends[b]++
+	}
+	copy(es, tmp)
+	for lo, b := 0, 0; shift > 0 && b < len(ends); lo, b = ends[b], b+1 {
+		if ends[b]-lo > 1 {
+			msdSort(es[lo:ends[b]], tmp[lo:ends[b]], shift-8)
+		}
+	}
 }
 
 // equalKeys reports whether a and b have equal keys, reading key bytes
@@ -275,30 +292,34 @@ func (s *Sorter) Add(p kvio.Pair) error {
 	return s.maybeSpill()
 }
 
-// AddBlock adopts a decoded record block whose ownership has been
-// transferred to the sorter (kvio.BlockReader.NextBlock's contract) and
-// buffers every record in it by aliasing into the block buffer — the
-// zero-copy handoff from the block data plane: one decode, no
-// per-record arena copies. The block is retained until the next spill
-// or Close drops the references. The hash form does not keep it: it
-// copies keys and values as Add does. recs is the block header's record
-// count and is verified against the scan; pass -1 to skip the check.
-// Returns the summed key+value payload bytes the block contributed,
-// which is what callers charge to their raw-byte input accounting.
+// AddBlock buffers every record of a run in the per-record framing: a
+// decoded block, or a whole legacy bucket, handed over by the caller
+// (kvio.BlockReader.NextBlock) or shared read-only (kvio.WalkRuns walks
+// fetched and cached bytes where they lie). The prefix index adopts the
+// run, never writing it, and points into it until the next spill or
+// Close; the hash form copies keys and values as Add does. recs is the
+// block header's record count, which presizes the index and is checked
+// against the scan; pass -1 to skip both. Returns the summed key+value
+// payload bytes of the run, which callers charge to their raw-byte
+// input accounting.
 func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shuffle: AddBlock after Close")
 	}
 	var payload int64
 	bi, end := len(s.bufs), cap(block)
-	if s.Indexed() {
+	// An entry's uint32 offsets cannot address a run past 4 GiB, so the
+	// index copies such a run into its arena.
+	adopt := s.Indexed() && int64(end) <= math.MaxUint32
+	if adopt {
 		s.bufs = append(s.bufs, block)
+		s.reserve(recs)
 	}
 	n, err := kvio.ScanRecords(block, func(key, value []byte) error {
 		payload += int64(len(key) + len(value))
 		s.added++
-		if !s.Indexed() {
-			return s.addHash(key, value)
+		if !adopt {
+			return s.addCopy(key, value)
 		}
 		// key and value are subslices of block, so each one's offset
 		// is the capacity it lost.
@@ -338,9 +359,19 @@ func (s *Sorter) addCopy(key, value []byte) error {
 	return nil
 }
 
+// reserve makes room in the index for n more entries, at least
+// doubling it from 16, where append's smaller steps would allocate
+// several times its final size in all; a few-record sort stays small.
+func (s *Sorter) reserve(n int) {
+	if need := len(s.index) + n; need > cap(s.index) {
+		s.index = append(make([]entry, 0, max(need, 2*cap(s.index), 16)), s.index...)
+	}
+}
+
 // push appends an index entry for a record whose key starts at koff and
 // whose value starts at voff in s.bufs[buf].
 func (s *Sorter) push(key []byte, buf, koff, voff, vlen int) {
+	s.reserve(1)
 	s.index = append(s.index, entry{
 		prefix: keyPrefix(key),
 		buf:    uint32(buf),
@@ -539,23 +570,6 @@ func liveBytes(vals [][]byte) int64 {
 		n += int64(len(v))
 	}
 	return n
-}
-
-// AddStream drains a record stream into the sorter. Records are read
-// through the reader's shared buffer — Add copies them anyway.
-func (s *Sorter) AddStream(r *kvio.Reader) error {
-	for {
-		p, err := r.ReadShared()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.Add(p); err != nil {
-			return err
-		}
-	}
 }
 
 // Added returns the number of records added.

@@ -266,12 +266,18 @@ func TestGroupsPropertyAgainstReferenceModel(t *testing.T) {
 	// Prefix collisions: each row's keys arrive three times, last key
 	// first, so a kernel that sorts or groups by the padded prefix alone
 	// misorders or merges them.
+	var all []string
 	for _, keys := range [][]string{
 		{"", "\x00", "a", "a\x00", "a\x00\x00"},
 		{"abcdefgh", "abcdefg\x00", "\x00\x00\x00\x00\x00\x00\x00\x00", "\xff\xff\xff\xff\xff\xff\xff\xff", "abcdefgi"},
 		{"abcdefgh2", "abcdefgh10", "abcdefgh1", "abcdefghij\x00", "abcdefghij"},
 		{"abcdefgh\x00", "abcdefgh", "abcdefgha", "abcdefg"},
+		nil, // every key above, in numbers past the kernel's insertion sort
 	} {
+		if keys == nil {
+			keys = slices.Concat(all, all, all, all)
+		}
+		all = append(all, keys...)
 		var pairs []kvio.Pair
 		for i := 0; i < 3*len(keys); i++ {
 			pairs = append(pairs, kvio.StrPair(keys[len(keys)-1-i%len(keys)], fmt.Sprintf("v%d", i)))
@@ -413,18 +419,6 @@ func TestGroupsErrorPropagation(t *testing.T) {
 	sentinel := fmt.Errorf("stop")
 	if err := s.Groups(func([]byte, [][]byte) error { return sentinel }); err != sentinel {
 		t.Errorf("got %v, want sentinel", err)
-	}
-}
-
-func TestAddStream(t *testing.T) {
-	data := kvio.Marshal([]kvio.Pair{kvio.StrPair("a", "1"), kvio.StrPair("a", "2")})
-	s := NewSorter(Options{})
-	defer s.Close()
-	if err := s.AddStream(kvio.NewReader(bytes.NewReader(data))); err != nil {
-		t.Fatal(err)
-	}
-	if s.Added() != 2 {
-		t.Errorf("Added = %d, want 2", s.Added())
 	}
 }
 
@@ -809,5 +803,56 @@ func TestAddBlockRejectsGarbage(t *testing.T) {
 	defer s.Close()
 	if _, err := s.AddBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, -1); err == nil {
 		t.Fatal("AddBlock accepted a malformed record run")
+	}
+}
+
+// TestAdoptedRunStaysUnwritten feeds whole legacy payloads through
+// kvio.WalkRuns into AddBlock, spilling and not: the groups must be
+// those of Add, and every byte the sorter adopted must be as it was.
+func TestAdoptedRunStaysUnwritten(t *testing.T) {
+	var pairs []kvio.Pair
+	for i := 0; i < 500; i++ {
+		pairs = append(pairs, kvio.StrPair(fmt.Sprintf("key-%03d", (i*37)%101), fmt.Sprintf("value-%d", i)))
+	}
+	payloads := [][]byte{kvio.Marshal(pairs[:250]), kvio.Marshal(pairs[250:])}
+	orig := [][]byte{bytes.Clone(payloads[0]), bytes.Clone(payloads[1])}
+	groups := func(s *Sorter) (out []string) {
+		t.Helper()
+		err := s.Groups(func(key []byte, values [][]byte) error {
+			out = append(out, fmt.Sprintf("%q: %q", key, values))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, spill := range []int64{0, 2 << 10} {
+		want := NewSorter(Options{SpillBytes: spill, TempDir: t.TempDir()})
+		for _, p := range pairs {
+			if err := want.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := NewSorter(Options{SpillBytes: spill, TempDir: t.TempDir()})
+		for _, p := range payloads {
+			err := kvio.WalkRuns(p, func(run []byte, recs int) error {
+				_, err := s.AddBlock(run, recs)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := groups(s), groups(want); !slices.Equal(got, want) {
+			t.Errorf("spill=%d: adopted payloads grouped as %.200q, Add as %.200q", spill, got, want)
+		}
+		s.Close()
+		want.Close()
+		for i := range payloads {
+			if !bytes.Equal(payloads[i], orig[i]) {
+				t.Fatalf("spill=%d: the sorter wrote into adopted payload %d", spill, i)
+			}
+		}
 	}
 }

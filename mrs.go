@@ -137,7 +137,7 @@ type Options struct {
 	DebugAddr string
 	// Prefetch is the input-fetch window: while one input bucket is
 	// consumed, the next Prefetch-1 are fetched concurrently. 0 selects
-	// the default width; 1 restores sequential streaming (ablation).
+	// the default width; 1 fetches one bucket at a time (ablation).
 	// Output is byte-identical at any width.
 	Prefetch int
 	// Codec selects the compression codec intermediate buckets are

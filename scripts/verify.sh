@@ -37,9 +37,9 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused' \
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
-	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff)"
+	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff, in-place reads and adoption)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena' \
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
@@ -54,6 +54,8 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
+	echo "== tier 2: in-place walker fuzz (kvio.Walk vs the streaming readers: same records, same error identity; corpus + 10s)"
+	go test -run '^$' -fuzz 'FuzzInPlaceMatchesStream' -fuzztime 10s ./internal/kvio
 	echo "== tier 2: control-plane fuzz (scanner vs encoding/xml reference, rpcproto decoders; corpus + 10s each)"
 	go test -run '^$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/xmlrpc
 	echo "== tier 2: sorter fuzz (both in-memory forms, Add and AddBlock, spilled, vs a stable-sort reference; corpus + 10s)"
@@ -67,8 +69,9 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		-benchmem -benchtime 100x ./internal/shuffle/
 	go test -run '^$' -bench 'BenchmarkKMeansAssign|BenchmarkKMeansUpdate' -benchmem -benchtime 1000x ./internal/kmeans/
 	go test -run '^$' -bench 'BenchmarkWordcountMap|BenchmarkWordcountCombine' -benchmem -benchtime 1000x ./internal/wordcount/
-	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock' \
+	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock|BenchmarkScanInPlace' \
 		-benchmem -benchtime 1000x ./internal/kvio/
+	go test -run '^$' -bench 'BenchmarkReduceInputInPlace' -benchmem -benchtime 20x ./internal/core/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
 		-benchmem -benchtime 1000x ./internal/rpcproto/)"
 	echo "$bench"
