@@ -188,13 +188,21 @@ func (Float64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("codec: []float64 codec got %T", v)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	var buf [8]byte
-	for _, f := range s {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		dst = append(dst, buf[:]...)
+	return appendFloat64Slice(dst, s), nil
+}
+
+// appendFloat64Slice appends the encoding of s to dst, growing dst at
+// most once, to the exact size.
+func appendFloat64Slice(dst []byte, s []float64) []byte {
+	n := UvarintLen(uint64(len(s))) + 8*len(s)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
-	return dst, nil
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	for _, f := range s {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	return dst
 }
 
 func (Float64SliceCodec) Decode(data []byte) (any, error) {
@@ -263,10 +271,31 @@ func DecodeVarint(data []byte) (int64, error) {
 	return n, nil
 }
 
-// EncodeFloat64Slice returns the Float64SliceCodec encoding of s.
+// EncodeFloat64Slice returns the Float64SliceCodec encoding of s, in
+// one allocation of exactly its size.
 func EncodeFloat64Slice(s []float64) []byte {
-	b, _ := Float64SliceCodec{}.Encode(nil, s)
-	return b
+	return appendFloat64Slice(nil, s)
+}
+
+// UvarintLen returns the length of the uvarint encoding of x, as
+// binary.AppendUvarint writes it. Encoders use it to allocate their
+// output once, at its exact size.
+func UvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// VarintLen returns the length of the varint encoding of x, as
+// binary.AppendVarint writes it.
+func VarintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return UvarintLen(ux)
 }
 
 // DecodeFloat64Slice parses a Float64SliceCodec encoding.

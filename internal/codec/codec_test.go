@@ -2,7 +2,9 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -169,6 +171,67 @@ func TestFloat64SliceEmpty(t *testing.T) {
 	}
 	if len(dec) != 0 {
 		t.Errorf("want empty slice, got %v", dec)
+	}
+}
+
+// refFloat64Slice is the encoding written element by element with
+// append, the reference the exact-size encoder must match byte for byte.
+func refFloat64Slice(dst []byte, s []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	for _, f := range s {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	return dst
+}
+
+// The []float64 encoders allocate once, at the exact size, and write
+// the same bytes as the append-grown reference; the four-a-step decoder
+// reads them back whatever the length's remainder.
+func TestFloat64SliceExactSize(t *testing.T) {
+	var dec []float64
+	for _, n := range []int{0, 1, 3, 5, 16, 127, 128, 300} {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64(i)*0.75 - 3
+		}
+		want := refFloat64Slice(nil, s)
+		enc := EncodeFloat64Slice(s)
+		if !bytes.Equal(enc, want) {
+			t.Errorf("n=%d: EncodeFloat64Slice differs from the reference", n)
+		}
+		var err error
+		if dec, err = DecodeFloat64SliceInto(dec, enc); err != nil || !slices.Equal(dec, s) {
+			t.Errorf("n=%d: decoded %v, %v", n, dec, err)
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("n=%d: EncodeFloat64Slice cap %d, len %d", n, cap(enc), len(enc))
+		}
+		if a := testing.AllocsPerRun(20, func() { enc = EncodeFloat64Slice(s) }); a != 1 {
+			t.Errorf("n=%d: EncodeFloat64Slice %v allocs, want 1", n, a)
+		}
+		out, err := Float64SliceCodec{}.Encode([]byte("pre"), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, refFloat64Slice([]byte("pre"), s)) || cap(out) != len(out) {
+			t.Errorf("n=%d: Encode after a prefix gave %d bytes (cap %d), want %d", n, len(out), cap(out), len(want)+3)
+		}
+		room := make([]byte, 0, len(want))
+		if a := testing.AllocsPerRun(20, func() { _, _ = Float64SliceCodec{}.Encode(room, s) }); a > 1 {
+			t.Errorf("n=%d: Encode into a buffer with room %v allocs, want only the boxing", n, a)
+		}
+	}
+}
+
+func TestVarintLen(t *testing.T) {
+	for _, x := range []int64{0, 1, -1, 63, -64, 64, -65, 127, 128, 1 << 20, -(1 << 20), 1<<62 + 5, math.MaxInt64, math.MinInt64} {
+		if got, want := VarintLen(x), len(binary.AppendVarint(nil, x)); got != want {
+			t.Errorf("VarintLen(%d) = %d, want %d", x, got, want)
+		}
+		ux := uint64(x)
+		if got, want := UvarintLen(ux), len(binary.AppendUvarint(nil, ux)); got != want {
+			t.Errorf("UvarintLen(%d) = %d, want %d", ux, got, want)
+		}
 	}
 }
 

@@ -151,7 +151,8 @@ type OpKind int
 
 // Operation kinds.
 const (
-	// OpLocal materializes literal pairs supplied by the program.
+	// OpLocal is literal pairs supplied by the program, encoded into
+	// buckets when the operation is queued.
 	OpLocal OpKind = iota
 	// OpFile declares text files as a source dataset (whole files
 	// packed into splits of up to FileSplitBytes; records are (line
@@ -201,8 +202,6 @@ type Operation struct {
 	Partition string
 	// Paths lists input files (OpFile only).
 	Paths []string
-	// LocalPairs carries literal data (OpLocal only).
-	LocalPairs []kvio.Pair
 	// Params is opaque per-operation state handed to map/reduce
 	// factories (the broadcast channel for iteration-varying state
 	// such as k-means centroids). It travels with every task.

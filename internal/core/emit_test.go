@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bucket"
@@ -180,23 +181,68 @@ func TestEmittersCopy(t *testing.T) {
 	})
 }
 
-// LocalData copies the caller's pairs: overwriting them after the call
-// must not change what the dataset holds.
+// LocalData holds no reference to the caller's pairs: overwriting every
+// key and value after the call must not change what the dataset holds,
+// on every local executor and in both scheduling modes. In the
+// barriered mode the source is queued behind a map that is still
+// running, so it is not scheduled until after the overwrite; the pairs
+// must be encoded by the time LocalData returns all the same.
 func TestLocalDataCopiesPairs(t *testing.T) {
-	var pairs, want []kvio.Pair
+	executors := map[string]func(*Registry) (*LocalExecutor, error){
+		"serial":  func(r *Registry) (*LocalExecutor, error) { return NewSerial(r), nil },
+		"threads": func(r *Registry) (*LocalExecutor, error) { return NewThreads(r, 3), nil },
+		"mock":    func(r *Registry) (*LocalExecutor, error) { return NewMockParallel(r, t.TempDir()) },
+	}
+	for name, newExec := range executors {
+		for _, pipeline := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/pipeline=%v", name, pipeline), func(t *testing.T) {
+				testLocalDataCopiesPairs(t, newExec, pipeline)
+			})
+		}
+	}
+}
+
+func testLocalDataCopiesPairs(t *testing.T, newExec func(*Registry) (*LocalExecutor, error), pipeline bool) {
+	const splits = 3
+	var pairs []kvio.Pair
 	for i := 0; i < 100; i++ {
 		p := kvio.Pair{Key: fmt.Appendf(nil, "k%03d", i), Value: fmt.Appendf(nil, "value %d", i)}
 		if i%10 == 0 {
 			p.Value = nil
 		}
 		pairs = append(pairs, p)
-		want = append(want, p.Clone())
 	}
-	exec := NewSerial(testRegistry())
+	// Round-robin puts pair i in split i%splits, and Collect reads the
+	// splits in order, each in input order.
+	var want []kvio.Pair
+	for s := 0; s < splits; s++ {
+		for i := s; i < len(pairs); i += splits {
+			want = append(want, pairs[i].Clone())
+		}
+	}
+	reg := testRegistry()
+	gate := make(chan struct{})
+	reg.RegisterMap("gate", func(key, value []byte, emit kvio.Emitter) error {
+		<-gate
+		return emit.Emit(key, value)
+	})
+	exec, err := newExec(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer exec.Close()
-	job := NewJob(exec)
+	job := NewJobWith(exec, JobOptions{Pipeline: pipeline})
 	defer job.Close()
-	ds, err := job.LocalData(pairs, OpOpts{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	first, err := job.LocalData([]kvio.Pair{{Key: []byte("a")}}, OpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Map(first, "gate", OpOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := job.LocalData(pairs, OpOpts{Splits: splits, Partition: "roundrobin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +254,7 @@ func TestLocalDataCopiesPairs(t *testing.T) {
 			p.Value[i] = 'Y'
 		}
 	}
+	release()
 	got, err := ds.Collect()
 	if err != nil {
 		t.Fatal(err)

@@ -181,6 +181,16 @@ func (j *Job) Pipelined() bool { return j.pipeline }
 func (j *Job) enqueue(op *Operation, splits int) (*Dataset, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if _, err := j.addLocked(op); err != nil {
+		return nil, err
+	}
+	j.scheduleLocked()
+	return &Dataset{job: j, id: op.Dataset, splits: splits}, nil
+}
+
+// addLocked validates op and appends its dataset to the queue, without
+// scheduling anything.
+func (j *Job) addLocked(op *Operation) (*dsState, error) {
 	if j.closed {
 		return nil, fmt.Errorf("core: job is closed")
 	}
@@ -204,8 +214,7 @@ func (j *Job) enqueue(op *Operation, splits int) (*Dataset, error) {
 		st.out = NewMaterialized(op.Splits, FormatKV)
 	}
 	j.states = append(j.states, st)
-	j.scheduleLocked()
-	return &Dataset{job: j, id: op.Dataset, splits: splits}, nil
+	return st, nil
 }
 
 // narrowReduce decides whether op is a narrow (split-aligned) reduce
@@ -244,6 +253,7 @@ func normPartName(name string) string {
 // re-run after each enqueue and each task completion; it must be called
 // with j.mu held.
 func (j *Job) scheduleLocked() {
+	var prev *dsState // the last dataset this pass did not find complete
 	for id := 0; id < len(j.states); id++ {
 		d := j.states[id]
 		if d.complete {
@@ -253,11 +263,15 @@ func (j *Job) scheduleLocked() {
 			j.failLocked(d, fmt.Errorf("core: dataset %d skipped: upstream failure", id))
 			continue
 		}
-		if !j.pipeline && id > 0 && !j.states[id-1].complete {
+		if !j.pipeline && prev != nil && !prev.complete {
 			// Barriered ablation: strict queue order, one operation at
-			// a time to full materialization.
+			// a time to full materialization. The check is against the
+			// first unfinished dataset, not the one just before: a
+			// LocalData source completes when it is queued, so it may
+			// sit complete behind a running operation.
 			break
 		}
+		prev = d
 		if d.op.Input < 0 {
 			if !d.started {
 				j.runSourceLocked(d)
@@ -360,21 +374,17 @@ func (j *Job) inputReadyLocked(in *dsState, t int) bool {
 	return in.narrow && t < len(in.taskDone) && in.taskDone[t]
 }
 
-// runSourceLocked materializes a source operation driver-side.
+// runSourceLocked materializes a file source driver-side (LocalData
+// materializes its pairs when it is queued).
 func (j *Job) runSourceLocked(d *dsState) {
 	d.started = true
 	var m *Materialized
 	var err error
-	switch {
-	case d.op.Kind == OpLocal:
-		m, err = MaterializeLocal(j.exec.Store(), d.op, j.id)
-	case d.op.rangeFormat:
+	if d.op.rangeFormat {
 		m, err = materializeRangedFiles(d.op)
-	default:
-		if m, err = MaterializeFiles(d.op); err == nil {
-			j.obs.M().Add(obs.MetricInputFiles, int64(len(d.op.Paths)))
-			j.obs.M().Add(obs.MetricInputSplits, int64(m.NumSplits()))
-		}
+	} else if m, err = MaterializeFiles(d.op); err == nil {
+		j.obs.M().Add(obs.MetricInputFiles, int64(len(d.op.Paths)))
+		j.obs.M().Add(obs.MetricInputSplits, int64(m.NumSplits()))
 	}
 	if err != nil {
 		j.failLocked(d, err)
@@ -566,39 +576,30 @@ func (o OpOpts) splitsOr(def int) int {
 	return def
 }
 
-// LocalData queues literal pairs as a source dataset.
+// LocalData queues literal pairs as a source dataset. The pairs are
+// encoded into the dataset's split buckets before LocalData returns, so
+// the caller may reuse them at once and the job keeps no copy of its
+// own, whatever the scheduling mode. A job that already failed skips
+// the source, as it skips every dataset not yet started.
 func (j *Job) LocalData(pairs []kvio.Pair, opts OpOpts) (*Dataset, error) {
 	splits := opts.splitsOr(1)
-	return j.enqueue(&Operation{
-		Kind:       OpLocal,
-		Input:      -1,
-		Splits:     splits,
-		Partition:  opts.Partition,
-		LocalPairs: clonePairs(pairs),
-	}, splits)
-}
-
-// clonePairs copies pairs into one []Pair whose keys and values share
-// one byte buffer, so the copy costs two allocations, not two per pair.
-// Empty slices stay nil, as Pair.Clone leaves them.
-func clonePairs(pairs []kvio.Pair) []kvio.Pair {
-	n := 0
-	for _, p := range pairs {
-		n += len(p.Key) + len(p.Value)
+	op := &Operation{Kind: OpLocal, Input: -1, Splits: splits, Partition: opts.Partition}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st, err := j.addLocked(op)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 0, n)
-	clone := func(b []byte) []byte {
-		if len(b) == 0 {
-			return nil
+	if j.err == nil {
+		st.started = true
+		if st.out, err = MaterializeLocal(j.exec.Store(), op, j.id, pairs); err != nil {
+			j.failLocked(st, err)
+		} else {
+			j.completeLocked(st)
 		}
-		buf = append(buf, b...)
-		return buf[len(buf)-len(b) : len(buf) : len(buf)]
 	}
-	cp := make([]kvio.Pair, len(pairs))
-	for i, p := range pairs {
-		cp[i] = kvio.Pair{Key: clone(p.Key), Value: clone(p.Value)}
-	}
-	return cp
+	j.scheduleLocked()
+	return &Dataset{job: j, id: op.Dataset, splits: splits}, nil
 }
 
 // FileSplitBytes is the size TextFileData packs whole files up to per
@@ -852,15 +853,23 @@ func (d *Dataset) Free() error {
 // ---------------------------------------------------------------------------
 // Source materialization (shared by all executors)
 
-// MaterializeLocal partitions literal pairs into splits and stores them
-// as buckets in the given store, under job's bucket namespace.
-func MaterializeLocal(store *bucket.Store, op *Operation, job JobID) (*Materialized, error) {
+// MaterializeLocal partitions literal pairs into op's splits and
+// encodes them as buckets in the given store, under job's bucket
+// namespace; each split holds its pairs in input order. The per-split
+// lists share the caller's key and value bytes, so the bucket encoding
+// is the only copy.
+func MaterializeLocal(store *bucket.Store, op *Operation, job JobID, pairs []kvio.Pair) (*Materialized, error) {
 	parter, err := partition.ByName(op.Partition)
 	if err != nil {
 		return nil, err
 	}
+	// Sized for an even spread, so a balanced partitioner never grows a
+	// list and the allocation count does not depend on len(pairs).
 	perSplit := make([][]kvio.Pair, op.Splits)
-	for serial, p := range op.LocalPairs {
+	for s := range perSplit {
+		perSplit[s] = make([]kvio.Pair, 0, len(pairs)/op.Splits+1)
+	}
+	for serial, p := range pairs {
 		s := parter(p.Key, int64(serial), op.Splits)
 		if s < 0 || s >= op.Splits {
 			return nil, fmt.Errorf("core: partitioner returned split %d of %d", s, op.Splits)

@@ -25,22 +25,24 @@ import (
 // public mrs package dispatches it before a Job exists.
 //
 // All three modes share one asynchronous runner: an unbounded FIFO task
-// queue drained by `workers` goroutines. Submit never blocks and never
-// invokes the completion callback synchronously — the same contract the
-// distributed master provides — so every executor drives the Job's
-// pipelined DAG scheduler through the identical code path.
+// queue drained by up to `workers` goroutines. Submit never blocks and
+// never invokes the completion callback synchronously — the same
+// contract the distributed master provides — so every executor drives
+// the Job's pipelined DAG scheduler through the identical code path.
+//
+// Workers start on demand and exit as soon as the queue is empty, so an
+// idle executor holds no goroutine: one nobody closed is collected with
+// its store like any other value.
 type LocalExecutor struct {
 	env     *TaskEnv
-	workers int
 	ownsDir string // temp dir to remove on Close ("" if none)
 	obs     *obs.Runtime
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []localTask // unbounded pending set
-	started bool
-	closed  bool
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	idle  *sync.Cond  // signalled when the last worker exits
+	queue []localTask // unbounded pending set
+	lanes []int       // trace lanes of the workers not running, next last
+	busy  int         // running workers
 }
 
 type localTask struct {
@@ -49,8 +51,11 @@ type localTask struct {
 }
 
 func newLocal(env *TaskEnv, workers int, ownsDir string) *LocalExecutor {
-	e := &LocalExecutor{env: env, workers: workers, ownsDir: ownsDir}
-	e.cond = sync.NewCond(&e.mu)
+	e := &LocalExecutor{env: env, ownsDir: ownsDir, lanes: make([]int, workers)}
+	for i := range e.lanes {
+		e.lanes[i] = workers - 1 - i // worker-0 first
+	}
+	e.idle = sync.NewCond(&e.mu)
 	return e
 }
 
@@ -142,39 +147,36 @@ func (e *LocalExecutor) SetObserver(rt *obs.Runtime) {
 	})
 }
 
-// Submit implements Executor: the task joins the FIFO queue and is
-// executed by one of the worker goroutines (started lazily on first
-// use).
+// Submit implements Executor: the task joins the FIFO queue, and a
+// worker starts for it if fewer than `workers` are running.
 func (e *LocalExecutor) Submit(spec *TaskSpec, done func(*TaskResult, error)) {
 	e.mu.Lock()
-	if !e.started {
-		e.started = true
-		for w := 0; w < e.workers; w++ {
-			e.wg.Add(1)
-			go e.worker(w)
-		}
-	}
 	e.queue = append(e.queue, localTask{spec: spec, done: done})
-	e.cond.Signal()
+	if n := len(e.lanes); n > 0 {
+		lane := e.lanes[n-1]
+		e.lanes = e.lanes[:n-1]
+		e.busy++
+		go e.worker(lane)
+	}
 	e.mu.Unlock()
 }
 
-// worker drains the queue until Close; the queue is fully drained even
-// when Close races with late submissions, so every Submit's callback
-// fires exactly once.
-func (e *LocalExecutor) worker(idx int) {
-	defer e.wg.Done()
-	name := fmt.Sprintf("worker-%d", idx)
+// worker drains the queue and exits once it is empty, handing its lane
+// back; a later Submit starts a new worker on it.
+func (e *LocalExecutor) worker(lane int) {
+	name := fmt.Sprintf("worker-%d", lane)
 	for {
 		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if len(e.queue) == 0 && e.closed {
+		if len(e.queue) == 0 {
+			e.lanes = append(e.lanes, lane)
+			if e.busy--; e.busy == 0 {
+				e.idle.Broadcast()
+			}
 			e.mu.Unlock()
 			return
 		}
 		t := e.queue[0]
+		e.queue[0] = localTask{}
 		e.queue = e.queue[1:]
 		e.mu.Unlock()
 		// Local executors run each task exactly once, so the span is
@@ -198,13 +200,14 @@ func (e *LocalExecutor) Free(m *Materialized) {
 }
 
 // Close implements Executor: waits for in-flight and queued tasks to
-// finish, then releases resources.
+// finish, then releases resources. A Submit after Close still runs its
+// task, so its callback fires exactly once.
 func (e *LocalExecutor) Close() error {
 	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
+	for e.busy > 0 {
+		e.idle.Wait()
+	}
 	e.mu.Unlock()
-	e.wg.Wait()
 	if e.ownsDir != "" {
 		return os.RemoveAll(e.ownsDir)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,6 +239,63 @@ func TestBarrieredAblationAgrees(t *testing.T) {
 		}
 	}
 	checkCounts(t, pipelined)
+}
+
+// TestBarrieredWaitsBehindCallTimeSource: a LocalData source is
+// complete as soon as it is queued, so in the barriered ablation a map
+// over it, queued behind a map that is still running, must still wait
+// for that map: strict queue order is against the first unfinished
+// operation, not the one just before.
+func TestBarrieredWaitsBehindCallTimeSource(t *testing.T) {
+	reg := testRegistry()
+	gate := make(chan struct{})
+	reg.RegisterMap("gate", func(key, value []byte, emit kvio.Emitter) error {
+		<-gate
+		return emit.Emit(key, value)
+	})
+	exec := NewThreads(reg, 4)
+	defer exec.Close()
+	job := NewJobWith(exec, JobOptions{Pipeline: false})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	first, err := job.LocalData([]kvio.Pair{{Key: []byte("a")}}, OpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := job.Map(first, "gate", OpOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := job.LocalData(linesAsPairs(), OpOpts{Splits: 2, Partition: "roundrobin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := job.Map(src, "split", OpOpts{Splits: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job.mu.Lock()
+	started := job.states[words.id].started
+	job.mu.Unlock()
+	if started {
+		t.Fatal("map over a call-time source started while an earlier map was still running")
+	}
+	release()
+	if _, err := gated.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := job.Reduce(words, "sum", OpOpts{Splits: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := out.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, pairs)
 }
 
 // TestCollectParallelPreservesOrder: the bounded-pool Collect must

@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -335,6 +336,85 @@ func TestAssignEmitsPointPartials(t *testing.T) {
 		got := e.Pairs[i]
 		if !bytes.Equal(got.Key, codec.EncodeVarint(int64(best))) || !bytes.Equal(got.Value, appendPartial(nil, 1, p)) {
 			t.Fatalf("point %d: emitted %x=%x, want cluster %d and its partial", i, got.Key, got.Value, best)
+		}
+	}
+}
+
+// nearest's four-a-step distances are sqDist's to the bit, for every
+// remainder of the dimension, and it picks the first of equal centroids.
+func TestNearestMatchesSqDist(t *testing.T) {
+	for dims := 1; dims <= 9; dims++ {
+		cfg := Config{K: 6, Dims: dims, Seed: uint64(dims)}
+		points, _, err := GeneratePoints(cfg, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		centroids := append(points[:cfg.K:cfg.K], points[0])
+		for _, p := range points {
+			best, bestDist := 0, math.Inf(1)
+			for i, c := range centroids {
+				if d := sqDist(p, c); d < bestDist {
+					best, bestDist = i, d
+				}
+			}
+			i, d := nearest(p, centroids)
+			if i != best || math.Float64bits(d) != math.Float64bits(bestDist) {
+				t.Fatalf("dims %d: nearest gave %d at %v, sqDist %d at %v", dims, i, d, best, bestDist)
+			}
+		}
+	}
+}
+
+// A point whose dimension differs from the centroids' is an error: a
+// longer one would index past each centroid, a shorter one would get a
+// partial distance and a partial of the wrong length.
+func TestAssignRejectsDimensionMismatch(t *testing.T) {
+	assign := assignFunc(t, [][]float64{{0, 0, 0}, {5, 5, 5}})
+	var e kvio.SliceEmitter
+	for _, point := range [][]float64{{1, 2, 3, 4}, {1, 2}, nil} {
+		if err := assign(codec.EncodeVarint(0), codec.EncodeFloat64Slice(point), &e); err == nil {
+			t.Errorf("%d-D point against 3-D centroids: no error", len(point))
+		}
+	}
+	if err := assign(codec.EncodeVarint(1), codec.EncodeFloat64Slice([]float64{4, 4, 4}), &e); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Pairs) != 1 || !bytes.Equal(e.Pairs[0].Key, codec.EncodeVarint(1)) {
+		t.Errorf("after the rejected points, emitted %v, want one pair for cluster 1", e.Pairs)
+	}
+}
+
+// EncodeCentroids allocates once, at the exact size, and writes the
+// bytes of the append-grown encoding it replaced.
+func TestEncodeCentroidsExactSize(t *testing.T) {
+	ref := func(cs [][]float64) []byte {
+		dims := 0
+		if len(cs) > 0 {
+			dims = len(cs[0])
+		}
+		out := binary.AppendVarint(binary.AppendVarint(nil, int64(len(cs))), int64(dims))
+		for _, c := range cs {
+			for _, x := range c {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+			}
+		}
+		return out
+	}
+	cfg := Config{K: 70, Dims: 32, Seed: 5}
+	points, _, err := GeneratePoints(cfg, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range [][][]float64{nil, points[:1], points[:8], points} {
+		enc := EncodeCentroids(cs)
+		if !bytes.Equal(enc, ref(cs)) {
+			t.Errorf("k=%d: encoding differs from the reference", len(cs))
+		}
+		if cap(enc) != len(enc) {
+			t.Errorf("k=%d: cap %d, len %d", len(cs), cap(enc), len(enc))
+		}
+		if a := testing.AllocsPerRun(20, func() { enc = EncodeCentroids(cs) }); a != 1 {
+			t.Errorf("k=%d: %v allocs, want 1", len(cs), a)
 		}
 	}
 }

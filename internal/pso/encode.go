@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/codec"
 )
 
 // Wire tags distinguishing the two value types that flow through the
@@ -13,11 +15,13 @@ const (
 	tagBest  = 1
 )
 
+func putFloat(dst []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+}
+
 func putFloats(dst []byte, xs []float64) []byte {
-	var buf [8]byte
 	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		dst = append(dst, buf[:]...)
+		dst = putFloat(dst, x)
 	}
 	return dst
 }
@@ -81,13 +85,30 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-// EncodeSwarm serializes a full subswarm state (tagState).
+// EncodeSwarm serializes a full subswarm state (tagState), in one
+// allocation of exactly its size.
 func EncodeSwarm(s *Swarm) []byte {
 	dims := 0
 	if len(s.Particles) > 0 {
 		dims = len(s.Particles[0].Pos)
 	}
-	out := []byte{tagState}
+	best := min(len(s.BestPos), dims)
+	if len(s.BestPos) == 0 {
+		// BestPos always has dims entries once any particle exists;
+		// encode zeros for the degenerate empty swarm.
+		best = dims
+	}
+	floats := 1 + best // BestVal, BestPos
+	for i := range s.Particles {
+		p := &s.Particles[i]
+		floats += len(p.Pos) + len(p.Vel) + len(p.PBestPos) + 2
+	}
+	if s.ExtPos != nil {
+		floats += 1 + len(s.ExtPos)
+	}
+	n := 2 + codec.VarintLen(s.ID) + codec.VarintLen(s.Iter) +
+		codec.VarintLen(int64(len(s.Particles))) + codec.VarintLen(int64(dims)) + 8*floats
+	out := append(make([]byte, 0, n), tagState)
 	out = binary.AppendVarint(out, s.ID)
 	out = binary.AppendVarint(out, s.Iter)
 	out = binary.AppendVarint(out, int64(len(s.Particles)))
@@ -97,18 +118,16 @@ func EncodeSwarm(s *Swarm) []byte {
 		out = putFloats(out, p.Pos)
 		out = putFloats(out, p.Vel)
 		out = putFloats(out, p.PBestPos)
-		out = putFloats(out, []float64{p.Val, p.PBestVal})
+		out = putFloat(putFloat(out, p.Val), p.PBestVal)
 	}
-	out = putFloats(out, []float64{s.BestVal})
+	out = putFloat(out, s.BestVal)
 	out = putFloats(out, s.BestPos[:min(len(s.BestPos), dims)])
-	if len(s.BestPos) == 0 {
-		// BestPos always has dims entries once any particle exists;
-		// encode zeros for the degenerate empty swarm.
-		out = putFloats(out, make([]float64, dims))
+	for i := len(s.BestPos); i < best; i++ {
+		out = putFloat(out, 0)
 	}
 	if s.ExtPos != nil {
 		out = append(out, 1)
-		out = putFloats(out, []float64{s.ExtVal})
+		out = putFloat(out, s.ExtVal)
 		out = putFloats(out, s.ExtPos)
 	} else {
 		out = append(out, 0)
@@ -163,13 +182,14 @@ func DecodeSwarm(data []byte) (*Swarm, error) {
 	return s, nil
 }
 
-// EncodeBest serializes a migrated best message (tagBest).
+// EncodeBest serializes a migrated best message (tagBest), in one
+// allocation of exactly its size.
 func EncodeBest(val float64, pos []float64) []byte {
-	out := []byte{tagBest}
+	n := 1 + codec.VarintLen(int64(len(pos))) + 8*(1+len(pos))
+	out := append(make([]byte, 0, n), tagBest)
 	out = binary.AppendVarint(out, int64(len(pos)))
-	out = putFloats(out, []float64{val})
-	out = putFloats(out, pos)
-	return out
+	out = putFloat(out, val)
+	return putFloats(out, pos)
 }
 
 // DecodeBest parses a tagBest payload.

@@ -33,9 +33,9 @@ fi
 if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	echo "== tier 2: go test -race -count=2 ./..."
 	go test -race -count=2 ./...
-	echo "== tier 2: pipelined-scheduler stress (race, repeated; fused narrow chains included)"
+	echo "== tier 2: pipelined-scheduler stress (race, repeated; fused narrow chains, call-time LocalData and on-demand local workers included)"
 	go test -race -count=4 \
-		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused' \
+		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused|LocalDataCopies|IdleLocalExecutor|SubmitAfterClose|UnclosedExecutor' \
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff, in-place reads and adoption)"
 	go test -race -count=2 \
@@ -71,7 +71,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -bench 'BenchmarkWordcountMap|BenchmarkWordcountCombine' -benchmem -benchtime 1000x ./internal/wordcount/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock|BenchmarkScanInPlace' \
 		-benchmem -benchtime 1000x ./internal/kvio/
-	go test -run '^$' -bench 'BenchmarkReduceInputInPlace' -benchmem -benchtime 20x ./internal/core/
+	go test -run '^$' -bench 'BenchmarkReduceInputInPlace|BenchmarkLocalData' -benchmem -benchtime 20x ./internal/core/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
 		-benchmem -benchtime 1000x ./internal/rpcproto/)"
 	echo "$bench"
