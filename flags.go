@@ -40,8 +40,6 @@ func BindFlags(fs *flag.FlagSet) *Options {
 		"serve /debug/status, /debug/metrics, /debug/pprof on this address")
 	fs.IntVar(&o.Prefetch, "mrs-prefetch", 0,
 		"input-fetch window per task (0 = default, 1 = one bucket at a time)")
-	fs.StringVar(&o.Codec, "mrs-codec", "",
-		"block data-plane codec: identity|deflate|lz (empty = legacy per-record framing)")
 	fs.Int64Var(&o.ResidentBudget, "mrs-resident-budget", core.DefaultResidentBudget,
 		"per-worker resident dataset cache budget in bytes (0 disables)")
 	return o

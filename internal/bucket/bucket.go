@@ -24,9 +24,11 @@
 // to exact at-rest path), so removing a RAM bucket or a name it never
 // wrote costs no syscall and removing one of its files costs one unlink.
 //
-// A bucket crosses the wire exactly as it rests: the data server sends
-// its at-rest bytes verbatim, and readers sniff the framing (legacy
-// per-record or self-describing blocks) to decode it. Fetch reads a
+// Every store writes a bucket in one form, kvio identity row blocks,
+// and a bucket crosses the wire exactly as it rests: the data server
+// sends its at-rest bytes verbatim and the reader checks each block's
+// CRC. Readers still sniff for the legacy per-record framing that
+// stores once wrote, so such buckets stay readable. Fetch reads a
 // bucket whole: an own RAM bucket as its read-only published bytes, a
 // file in one read of its size, an http body of known length exactly.
 package bucket
@@ -48,13 +50,11 @@ import (
 	"repro/internal/hash"
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/wirecodec"
 )
 
-// BlockExt marks a bucket file stored in kvio block framing. The full
-// at-rest suffix is BlockExt plus the block codec's extension —
-// ".mrb" (identity blocks), ".mrb.fz" (deflate blocks), ".mrb.lz" —
-// so a bucket's at-rest form is known without opening the file.
+// BlockExt is the at-rest suffix of a bucket file in kvio block
+// framing, the form every store writes. A file without it is a legacy
+// per-record bucket, which stores no longer write but still read.
 const BlockExt = ".mrb"
 
 // MemBucketMax is the largest bucket an HTTP-serving store keeps in RAM.
@@ -108,7 +108,6 @@ type Store struct {
 	memBytes int64             // total payload of mem
 	files    map[string]string // file buckets by flat name: exact at-rest path
 	client   *http.Client      // overrides the shared fetch client (fault injection)
-	codec    wirecodec.Codec   // if set, write new file buckets block-framed with this codec
 	metrics  *obs.Metrics      // wire-byte counters (nil-safe)
 	// sleep waits between fetch retries (nil = time.Sleep); tests set
 	// it to observe retry delays.
@@ -204,33 +203,6 @@ func (s *Store) CloseIdle() {
 	s.fetchClient().CloseIdleConnections()
 }
 
-// SetCodec switches new file buckets to kvio block framing with the
-// named registered codec ("identity", "deflate", "lz"). An empty name
-// reverts to the legacy per-record forms. Mem buckets are unaffected:
-// they never leave the process, so framing buys them nothing.
-func (s *Store) SetCodec(name string) error {
-	if name == "" {
-		s.mu.Lock()
-		s.codec = nil
-		s.mu.Unlock()
-		return nil
-	}
-	c, ok := wirecodec.Lookup(name)
-	if !ok {
-		return fmt.Errorf("bucket: unknown codec %q (have %s)", name, strings.Join(wirecodec.Names(), ", "))
-	}
-	s.mu.Lock()
-	s.codec = c
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Store) codecOn() wirecodec.Codec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.codec
-}
-
 // SetMetrics wires the registry that receives the store's wire-byte and
 // publish counters. A nil registry (the default) discards them.
 func (s *Store) SetMetrics(m *obs.Metrics) {
@@ -266,8 +238,7 @@ type Writer struct {
 	form  atRest // at-rest form: file path, suffix included
 	sink  sink
 
-	w      *kvio.Writer      // legacy per-record framing
-	bw     *kvio.BlockWriter // block framing (when the store has a codec)
+	bw     *kvio.BlockWriter
 	closed bool
 }
 
@@ -358,57 +329,31 @@ func (k *sink) abort() {
 	}
 }
 
-// CreateOpts carries per-bucket overrides of the store's data-plane
-// defaults; zero values inherit the store settings. This is how a
-// per-dataset codec pin (core.OpOpts) reaches the buckets a task
-// writes.
-type CreateOpts struct {
-	// Codec overrides the store's block codec by registered name.
-	Codec string
-}
-
-// Create starts a new bucket with the given store-relative name. Name
-// components are sanitized into a flat, safe file name. With a block
-// codec set the bucket is written block-framed and published with the
-// BlockExt+codec suffix. A RAM bucket holds exactly the bytes its file
-// would. Record counts and payload bytes in the descriptor are always
-// pre-compression.
+// Create starts a new bucket with the given store-relative name, in
+// block framing. Name components are sanitized into a flat, safe file
+// name, published with the BlockExt suffix. Every store writes the
+// same bytes for the same records: a memory store's bucket, an
+// HTTP-serving store's RAM bucket and a bucket file are identical.
 func (s *Store) Create(name string) (*Writer, error) {
-	return s.CreateOpts(name, CreateOpts{})
-}
-
-// CreateOpts is Create with per-bucket data-plane overrides.
-func (s *Store) CreateOpts(name string, opts CreateOpts) (*Writer, error) {
 	if name == "" {
 		return nil, fmt.Errorf("bucket: empty bucket name")
 	}
 	flat := flatten(name)
 	w := &Writer{store: s, name: name, sink: sink{store: s, flat: flat}}
-	if s.dir == "" {
+	switch {
+	case s.dir == "":
 		w.sink.buf = new(bytes.Buffer)
-		w.w = kvio.NewWriter(&w.sink)
-		return w, nil
-	}
-	c := s.codecOn()
-	if opts.Codec != "" {
-		oc, ok := wirecodec.Lookup(opts.Codec)
-		if !ok {
-			return nil, fmt.Errorf("bucket: unknown codec %q (have %s)", opts.Codec, strings.Join(wirecodec.Names(), ", "))
-		}
-		c = oc
-	}
-	if s.baseURL != "" {
+	case s.baseURL != "":
 		w.sink.buf = bufPool.Get().(*bytes.Buffer)
-	} else if err := w.sink.openFile(); err != nil {
-		return nil, err
+	default:
+		if err := w.sink.openFile(); err != nil {
+			return nil, err
+		}
 	}
-	w.form.path = filepath.Join(s.dir, flat)
-	if c != nil {
-		w.form.path += BlockExt + c.Ext()
-		w.bw = kvio.NewBlockWriter(&w.sink, c, kvio.DefaultBlockSize)
-	} else {
-		w.w = kvio.NewWriter(&w.sink)
+	if s.dir != "" {
+		w.form.path = filepath.Join(s.dir, flat) + BlockExt
 	}
+	w.bw = kvio.NewBlockWriter(&w.sink, kvio.DefaultBlockSize)
 	return w, nil
 }
 
@@ -417,10 +362,7 @@ func (w *Writer) Write(p kvio.Pair) error {
 	if w.closed {
 		return fmt.Errorf("bucket: write after close")
 	}
-	if w.bw != nil {
-		return w.bw.Write(p)
-	}
-	return w.w.Write(p)
+	return w.bw.Write(p)
 }
 
 // Emit implements kvio.Emitter.
@@ -434,18 +376,8 @@ func (w *Writer) Close() (Descriptor, error) {
 		return Descriptor{}, fmt.Errorf("bucket: double close")
 	}
 	w.closed = true
-	var (
-		d   Descriptor
-		err error
-	)
-	if w.bw != nil {
-		d = Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
-		err = w.bw.Close()
-	} else {
-		d = Descriptor{Name: w.name, Records: w.w.Count(), Bytes: w.w.Bytes()}
-		err = w.w.Flush()
-		w.w.Release()
-	}
+	d := Descriptor{Name: w.name, Records: w.bw.Count(), Bytes: w.bw.Bytes()}
+	err := w.bw.Close()
 	if err == nil {
 		err = w.publish()
 	}
@@ -713,15 +645,12 @@ type nopCloser struct{ *bytes.Reader }
 
 func (nopCloser) Close() error { return nil }
 
-// resolveAtRest finds which at-rest form exists for the plain path:
-// the plain legacy file or a block file (any registered codec's suffix).
+// resolveAtRest finds which at-rest form exists for the plain path of a
+// bucket file no store has indexed: the block file first, then the
+// plain legacy file.
 func resolveAtRest(path string) (atRest, error) {
-	if statOK(path) {
-		return atRest{path: path}, nil
-	}
-	for _, name := range wirecodec.Names() {
-		c, _ := wirecodec.Lookup(name)
-		if p := path + BlockExt + c.Ext(); statOK(p) {
+	for _, p := range []string{path + BlockExt, path} {
+		if statOK(p) {
 			return atRest{path: p}, nil
 		}
 	}
@@ -733,11 +662,16 @@ func statOK(path string) bool {
 	return err == nil
 }
 
-// lookup resolves a flat bucket name: RAM first, then the at-rest file.
-// It is the one resolution every reader of the store goes through.
+// lookup resolves a flat bucket name: RAM first, then the file the
+// store indexed when it published or found it, then a probe of the
+// directory for a file it has not indexed. It is the one resolution
+// every reader of the store goes through.
 func (s *Store) lookup(flat string) (atRest, error) {
 	s.mu.Lock()
 	ar, ok := s.mem[flat]
+	if path, indexed := s.files[flat]; !ok && indexed {
+		ar, ok = atRest{path: path}, true
+	}
 	s.mu.Unlock()
 	if ok {
 		return ar, nil
@@ -762,8 +696,8 @@ func lookupPath(path string) (atRest, error) {
 }
 
 // OpenLocal returns the at-rest bytes of a bucket created by this store.
-// Block compression lives inside the self-describing framing, so record
-// consumers go through kvio.NewAnyReader.
+// Record consumers go through kvio.NewAnyReader, which also reads a
+// legacy bucket.
 func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 	ar, err := s.lookup(flatten(name))
 	if err != nil {
@@ -857,9 +791,8 @@ var httpClient = &http.Client{Timeout: HTTPTimeout, Transport: DefaultTransport}
 // file:// URLs are opened directly; http:// URLs are fetched with
 // bounded retries (transient fetch failures are expected during slave
 // churn and must not kill a reduce task immediately). Every stream
-// comes back as the bucket rests — block compression lives inside the
-// framing, which kvio.NewAnyReader decodes — so wire-byte counters see
-// the compressed size and record consumers the decoded size.
+// comes back as the bucket rests, which kvio.NewAnyReader decodes, so
+// wire-byte counters see the at-rest size, framing included.
 func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 	if ar, ok, err := s.resolveLocal(rawURL); ok {
 		if err != nil {
@@ -1084,8 +1017,8 @@ func readAll(r io.Reader) ([]byte, error) {
 // ServeBucket writes the bucket at path (as resolved by ServeName) to an
 // HTTP response: its at-rest bytes verbatim, with Content-Length, in
 // whichever backing the serving store's lookup finds it. Every reader
-// decodes both framings, and block headers name their codec, so no
-// request header changes the response. Integrity is the client's to
+// decodes both framings, so no request header changes the response.
+// Integrity is the client's to
 // check: a block stream's CRCs and a legacy stream's record framing
 // catch a corrupt or truncated body when it is decoded.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestHTTPFetch(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		http.ServeFile(w, r, path)
+		ServeBucket(w, r, path)
 	}))
 	defer srv.Close()
 
@@ -281,5 +282,48 @@ func BenchmarkMemBucketWrite(b *testing.B) {
 		}
 		w.Close()
 		s.Remove(fmt.Sprintf("bench-%d", i))
+	}
+}
+
+// TestSmallBucketAllocatesLittle: writing a 3-record bucket on a memory
+// store and on an HTTP-serving store (which keeps it in RAM) allocates
+// well under one block's pending buffer: the block writer's buffer is
+// pooled, as the legacy writer's bufio was. A fresh 64 KiB buffer per
+// bucket would cost every task output split that much.
+func TestSmallBucketAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	served, err := NewFileStore(t.TempDir(), "http://127.0.0.1:1/data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	for _, s := range []*Store{NewMemStore(), served} {
+		put := func() {
+			w, err := s.Create("ds1/t0/s0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range samplePairs {
+				if err := w.Write(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put() // warm the pools
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			put()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 8<<10 {
+			t.Errorf("in-memory=%v: %d bytes allocated per 3-record bucket, want < 8 KiB", s.InMemory(), per)
+		}
 	}
 }

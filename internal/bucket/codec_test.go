@@ -7,113 +7,81 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/wirecodec"
 )
 
+// TestBlockBucketRoundTripLocal: a file store publishes a bucket as a
+// BlockExt file whose descriptor counts the records and payload, and
+// it reads back through its URL and through OpenLocal. The case is
+// named for the one at-rest form a store writes.
 func TestBlockBucketRoundTripLocal(t *testing.T) {
-	for _, name := range wirecodec.Names() {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := NewFileStore(dir, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SetCodec(name); err != nil {
-				t.Fatal(err)
-			}
-			in := compressiblePairs()
-			d, err := s.Put("ds1/t0/s0", in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, _ := wirecodec.Lookup(name)
-			wantSuffix := BlockExt + c.Ext()
-			if !strings.HasSuffix(d.URL, wantSuffix) {
-				t.Fatalf("block file URL %q should carry %s", d.URL, wantSuffix)
-			}
-			if d.Bytes != payloadBytes(in) || d.Records != int64(len(in)) {
-				t.Errorf("descriptor %d records / %d bytes, want %d / %d",
-					d.Records, d.Bytes, len(in), payloadBytes(in))
-			}
-			if name != wirecodec.IdentityName {
-				fi, err := os.Stat(strings.TrimPrefix(d.URL, "file://"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fi.Size() >= d.Bytes {
-					t.Errorf("%s at-rest size %d not smaller than payload %d", name, fi.Size(), d.Bytes)
-				}
-			}
-			// Via the URL and via OpenLocal + sniffing reader.
-			got, err := s.ReadAll(d.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, in) {
-				t.Fatal("block round trip via URL lost data")
-			}
-			rc, err := s.OpenLocal("ds1/t0/s0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rc.Close()
-			r := kvio.NewAnyReader(rc)
-			defer r.Release()
-			got, err = r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, in) {
-				t.Fatal("block round trip via OpenLocal lost data")
-			}
-		})
-	}
-}
-
-func TestSetCodecRejectsUnknown(t *testing.T) {
-	s := NewMemStore()
-	if err := s.SetCodec("zstd-from-the-future"); err == nil {
-		t.Fatal("SetCodec accepted an unregistered codec")
-	}
-	if err := s.SetCodec(""); err != nil {
-		t.Fatalf("SetCodec(\"\") should clear the codec: %v", err)
-	}
+	t.Run("identity", func(t *testing.T) {
+		s, err := NewFileStore(t.TempDir(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := compressiblePairs()
+		d, err := s.Put("ds1/t0/s0", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(d.URL, BlockExt) {
+			t.Fatalf("block file URL %q should carry %s", d.URL, BlockExt)
+		}
+		if d.Bytes != payloadBytes(in) || d.Records != int64(len(in)) {
+			t.Errorf("descriptor %d records / %d bytes, want %d / %d",
+				d.Records, d.Bytes, len(in), payloadBytes(in))
+		}
+		// Via the URL and via OpenLocal + sniffing reader.
+		got, err := s.ReadAll(d.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pairsEqual(got, in) {
+			t.Fatal("block round trip via URL lost data")
+		}
+		rc, err := s.OpenLocal("ds1/t0/s0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		r := kvio.NewAnyReader(rc)
+		defer r.Release()
+		got, err = r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pairsEqual(got, in) {
+			t.Fatal("block round trip via OpenLocal lost data")
+		}
+	})
 }
 
 func TestRemoveBlockBucket(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := NewFileStore(dir, "")
-	for _, name := range wirecodec.Names() {
-		if err := s.SetCodec(name); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Put("ds1/t0/s0", compressiblePairs()); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Remove("ds1/t0/s0"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, err := s.OpenLocal("ds1/t0/s0"); err == nil {
-			t.Fatalf("%s bucket survived Remove", name)
-		}
+	s, _ := NewFileStore(t.TempDir(), "")
+	if _, err := s.Put("ds1/t0/s0", compressiblePairs()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("ds1/t0/s0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenLocal("ds1/t0/s0"); err == nil {
+		t.Fatal("block bucket survived Remove")
 	}
 }
 
 // TestBlockBucketServedVerbatim: a client gets the file bytes
-// untouched — the zero-CPU path — and the wire counters see the
-// compressed size.
+// untouched — the zero-CPU path — and the wire counters see exactly
+// the at-rest size.
 func TestBlockBucketServedVerbatim(t *testing.T) {
 	dir := t.TempDir()
 	server, _ := NewFileStore(dir, "")
-	if err := server.SetCodec(wirecodec.LZName); err != nil {
-		t.Fatal(err)
-	}
 	in := compressiblePairs()
 	if _, err := server.Put("ds1/t0/s0", in); err != nil {
 		t.Fatal(err)
@@ -132,7 +100,7 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atRestBytes, err := os.ReadFile(dir + "/ds1_t0_s0" + BlockExt + wirecodec.LZExt)
+	atRestBytes, err := os.ReadFile(dir + "/ds1_t0_s0" + BlockExt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,41 +119,65 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	if !pairsEqual(got, in) {
 		t.Fatal("block HTTP round trip lost data")
 	}
-	wire := m.Get(obs.MetricWireBytesDirect)
-	if wire == 0 || wire >= payloadBytes(in) {
-		t.Errorf("wire bytes = %d, want 0 < wire < raw %d", wire, payloadBytes(in))
+	if wire := m.Get(obs.MetricWireBytesDirect); wire != int64(len(atRestBytes)) {
+		t.Errorf("wire bytes = %d, want the at-rest size %d", wire, len(atRestBytes))
 	}
 }
 
-func TestCreateOptsOverrides(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := NewFileStore(dir, "")
-	in := compressiblePairs()
-
-	// Plain store, bucket pinned to lz.
-	w, err := s.CreateOpts("ds1/t0/s0", CreateOpts{Codec: wirecodec.LZName})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLegacyBucketStaysReadable: stores write only blocks, but a legacy
+// per-record bucket file (left in a store directory by a store that
+// wrote that form) still reads through every path: its file:// URL
+// with ReadAll, Fetch then kvio.Walk, OpenLocal then kvio.NewAnyReader
+// (the plain-path probe), and served over HTTP.
+func TestLegacyBucketStaysReadable(t *testing.T) {
+	in := smallPairs()
+	var legacy bytes.Buffer
+	w := kvio.NewWriter(&legacy)
 	for _, p := range in {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d, err := w.Close()
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.Release()
+	// Written after the store opened its directory, so the store has not
+	// indexed it and finds it only by probing.
+	s, srv := servedStore(t, false)
+	path := filepath.Join(s.Dir(), "ds1_t0_s0")
+	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, got []kvio.Pair, err error) {
+		t.Helper()
+		if err != nil || !pairsEqual(got, in) {
+			t.Errorf("%s: %d of %d records, %v", how, len(got), len(in), err)
+		}
+	}
+	got, err := s.ReadAll("file://" + path)
+	check("ReadAll", got, err)
+	data, err := s.Fetch("file://" + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := BlockExt + wirecodec.LZExt; !strings.HasSuffix(d.URL, want) {
-		t.Fatalf("pinned bucket URL %q should carry %s", d.URL, want)
+	got = nil
+	err = kvio.Walk(data, func(k, v []byte) error {
+		got = append(got, kvio.Pair{Key: k, Value: v})
+		return nil
+	})
+	check("Fetch+Walk", got, err)
+	rc, err := s.OpenLocal("ds1/t0/s0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := s.ReadAll(d.URL); err != nil || !pairsEqual(got, in) {
-		t.Fatalf("pinned lz bucket round trip: %v", err)
-	}
-
-	if _, err := s.CreateOpts("ds1/t0/s2", CreateOpts{Codec: "zstd-from-the-future"}); err == nil {
-		t.Fatal("CreateOpts accepted an unknown codec")
-	}
+	r := kvio.NewAnyReader(rc)
+	got, err = r.ReadAll()
+	r.Release()
+	rc.Close()
+	check("OpenLocal+NewAnyReader", got, err)
+	got, err = NewMemStore().ReadAll(srv.URL + "/data/ds1_t0_s0")
+	check("served", got, err)
 }
 
 // TestCorruptBucketFailsClientDecode: the data server sends at-rest
@@ -195,24 +187,26 @@ func TestCreateOptsOverrides(t *testing.T) {
 // of its records. A block bucket with one flipped payload byte fails
 // its CRC; a legacy bucket cut mid-record fails its framing. (A legacy
 // bucket cut exactly at a record boundary is a valid shorter stream
-// and cannot be detected; see DESIGN.md §5.)
+// and cannot be detected; see DESIGN.md §5. Stores no longer write
+// legacy buckets, so that case puts one at rest in place of the
+// block bucket.)
 func TestCorruptBucketFailsClientDecode(t *testing.T) {
 	in := smallPairs()
+	legacy := kvio.Marshal(in)
 	forms := []struct {
 		name    string
-		setup   func(*Store) error
 		corrupt func([]byte) []byte
 		want    error // nil: any decode error
 	}{
-		{"block-flipped-byte", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) },
+		{"block-flipped-byte",
 			func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }, kvio.ErrBlockChecksum},
-		{"legacy-cut-mid-record", func(*Store) error { return nil },
-			func(b []byte) []byte { return b[:len(b)-1] }, nil},
+		{"legacy-cut-mid-record",
+			func([]byte) []byte { return legacy[:len(legacy)-1] }, nil},
 	}
 	for _, form := range forms {
 		for _, ram := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/ram=%v", form.name, ram), func(t *testing.T) {
-				s, srv := servedStore(t, ram, form.setup)
+				s, srv := servedStore(t, ram)
 				if _, err := s.Put("ds1/t0/s0", in); err != nil {
 					t.Fatal(err)
 				}

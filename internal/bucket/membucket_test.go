@@ -15,22 +15,12 @@ import (
 
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/wirecodec"
 )
 
-// dataPlaneConfigs is the at-rest forms a store can write.
-var dataPlaneConfigs = []struct {
-	name  string
-	setup func(*Store) error
-}{
-	{"legacy", func(*Store) error { return nil }},
-	{"identity", func(s *Store) error { return s.SetCodec(wirecodec.IdentityName) }},
-	{"deflate", func(s *Store) error { return s.SetCodec(wirecodec.DeflateName) }},
-	{"lz", func(s *Store) error { return s.SetCodec(wirecodec.LZName) }},
-}
+// The store tests below run as a case named "identity": identity row
+// blocks are the one at-rest form a store writes.
 
-// smallPairs is a bucket well under MemBucketMax with enough repetition
-// for every codec to do real work.
+// smallPairs is a bucket well under MemBucketMax.
 func smallPairs() []kvio.Pair {
 	var out []kvio.Pair
 	for i := 0; i < 200; i++ {
@@ -39,8 +29,8 @@ func smallPairs() []kvio.Pair {
 	return out
 }
 
-// bigPairs is a bucket past MemBucketMax under every codec: its values
-// are pseudorandom letters, which no codec shrinks below the threshold.
+// bigPairs is a bucket past MemBucketMax: 64 values of 2 KiB of
+// pseudorandom letters.
 func bigPairs() []kvio.Pair {
 	var out []kvio.Pair
 	x := uint32(1)
@@ -58,7 +48,7 @@ func bigPairs() []kvio.Pair {
 // servedStore starts a data server the way a slave runs one (ServeName
 // then ServeBucket) and returns its store: HTTP-serving when ram is
 // set, file-only otherwise.
-func servedStore(t *testing.T, ram bool, setup func(*Store) error) (*Store, *httptest.Server) {
+func servedStore(t *testing.T, ram bool) (*Store, *httptest.Server) {
 	t.Helper()
 	var s *Store
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -79,9 +69,6 @@ func servedStore(t *testing.T, ram bool, setup func(*Store) error) (*Store, *htt
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	if err := setup(s); err != nil {
-		t.Fatal(err)
-	}
 	return s, srv
 }
 
@@ -102,82 +89,77 @@ func filesIn(t *testing.T, dir string) []string {
 }
 
 // A small bucket holds exactly the same at-rest bytes under the same
-// at-rest name whichever store writes it, for every at-rest form: an
-// HTTP-serving store's RAM, the same kind of store once its RAM budget
-// is full (the bucket spills to a file), and a file-only store. Memory
-// stores always write the plain per-record form, so they join the
-// comparison for that form.
+// at-rest name whichever store writes it: an HTTP-serving store's RAM,
+// the same kind of store once its RAM budget is full (the bucket spills
+// to a file), and a file-only store; a memory store holds the same
+// bytes too. All of them are identity row blocks.
 func TestRAMBucketMatchesFileBytes(t *testing.T) {
-	for _, cfg := range dataPlaneConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			ram, _ := servedStore(t, true, cfg.setup)
-			spilled, _ := servedStore(t, true, cfg.setup)
-			file, _ := servedStore(t, false, cfg.setup)
-			// A RAM bucket the size of the whole budget leaves no room, so
-			// every bucket the store writes after it goes to a file.
-			if !spilled.insertMem("filler", atRest{}, make([]byte, MemStoreBudget)) {
-				t.Fatal("could not fill the RAM budget")
-			}
-			for _, s := range []*Store{ram, spilled, file} {
-				if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := filesIn(t, ram.Dir()); len(got) != 0 {
-				t.Fatalf("small bucket reached the disk: %v", got)
-			}
-			ar, err := ram.lookup("ds1_t0_s0")
-			if err != nil || ar.data == nil {
-				t.Fatalf("no RAM bucket: %v", err)
-			}
-			names := filesIn(t, file.Dir())
-			if len(names) != 1 {
-				t.Fatalf("file store holds %v, want one bucket", names)
-			}
-			if filepath.Base(ar.path) != names[0] {
-				t.Errorf("RAM bucket form %q, file form %q", filepath.Base(ar.path), names[0])
-			}
-			want, err := os.ReadFile(filepath.Join(file.Dir(), names[0]))
-			if err != nil {
+	t.Run("identity", func(t *testing.T) {
+		ram, _ := servedStore(t, true)
+		spilled, _ := servedStore(t, true)
+		file, _ := servedStore(t, false)
+		mem := NewMemStore()
+		// A RAM bucket the size of the whole budget leaves no room, so every
+		// bucket the store writes after it goes to a file.
+		if !spilled.insertMem("filler", atRest{}, make([]byte, MemStoreBudget)) {
+			t.Fatal("could not fill the RAM budget")
+		}
+		for _, s := range []*Store{ram, spilled, file, mem} {
+			if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(ar.data, want) {
-				t.Errorf("RAM bytes (%d) differ from file bytes (%d)", len(ar.data), len(want))
-			}
-			spilledNames := filesIn(t, spilled.Dir())
-			if len(spilledNames) != 1 || spilledNames[0] != names[0] {
-				t.Fatalf("spilled store holds %v, want [%s]", spilledNames, names[0])
-			}
-			if sr, err := spilled.lookup("ds1_t0_s0"); err != nil || sr.data != nil {
-				t.Fatalf("spilled bucket still resolves to RAM (err %v)", err)
-			}
-			got, err := os.ReadFile(filepath.Join(spilled.Dir(), spilledNames[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("spilled bytes (%d) differ from file bytes (%d)", len(got), len(want))
-			}
-			if cfg.name == "legacy" {
-				mem := NewMemStore()
-				if _, err := mem.Put("ds1/t0/s0", smallPairs()); err != nil {
-					t.Fatal(err)
-				}
-				mr, err := mem.lookup("ds1_t0_s0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mr.data, want) {
-					t.Errorf("memory-store bytes (%d) differ from file bytes (%d)", len(mr.data), len(want))
-				}
-			}
-		})
-	}
+		}
+		if got := filesIn(t, ram.Dir()); len(got) != 0 {
+			t.Fatalf("small bucket reached the disk: %v", got)
+		}
+		ar, err := ram.lookup("ds1_t0_s0")
+		if err != nil || ar.data == nil {
+			t.Fatalf("no RAM bucket: %v", err)
+		}
+		names := filesIn(t, file.Dir())
+		if len(names) != 1 || names[0] != "ds1_t0_s0"+BlockExt {
+			t.Fatalf("file store holds %v, want [ds1_t0_s0%s]", names, BlockExt)
+		}
+		if filepath.Base(ar.path) != names[0] {
+			t.Errorf("RAM bucket form %q, file form %q", filepath.Base(ar.path), names[0])
+		}
+		want, err := os.ReadFile(filepath.Join(file.Dir(), names[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(want, kvio.BlockMagic[:]) {
+			t.Errorf("bucket file starts %x, want the block magic", want[:min(len(want), 8)])
+		}
+		if !bytes.Equal(ar.data, want) {
+			t.Errorf("RAM bytes (%d) differ from file bytes (%d)", len(ar.data), len(want))
+		}
+		spilledNames := filesIn(t, spilled.Dir())
+		if len(spilledNames) != 1 || spilledNames[0] != names[0] {
+			t.Fatalf("spilled store holds %v, want [%s]", spilledNames, names[0])
+		}
+		if sr, err := spilled.lookup("ds1_t0_s0"); err != nil || sr.data != nil {
+			t.Fatalf("spilled bucket still resolves to RAM (err %v)", err)
+		}
+		got, err := os.ReadFile(filepath.Join(spilled.Dir(), spilledNames[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("spilled bytes (%d) differ from file bytes (%d)", len(got), len(want))
+		}
+		mr, err := mem.lookup("ds1_t0_s0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mr.data, want) {
+			t.Errorf("memory-store bytes (%d) differ from file bytes (%d)", len(mr.data), len(want))
+		}
+	})
 }
 
-// ServeBucket sends every at-rest form verbatim, with Content-Length
-// and no content coding, from RAM and from a file alike, whatever
-// negotiation headers an older client sends.
+// ServeBucket sends a bucket verbatim, with Content-Length and no
+// content coding, from RAM and from a file alike, whatever negotiation
+// headers an older client sends.
 func TestServeBucketRAMMatchesFile(t *testing.T) {
 	oldHeaders := map[string]string{
 		"X-Mrs-Accept-Codec": "lz,deflate,identity",
@@ -185,17 +167,10 @@ func TestServeBucketRAMMatchesFile(t *testing.T) {
 	}
 	rows := []struct {
 		name    string
-		form    int // index into dataPlaneConfigs
 		headers map[string]string
 	}{
-		{"legacy-identity", 0, nil},
-		{"legacy-old-headers", 0, oldHeaders},
-		{"identity", 1, nil},
-		{"identity-old-headers", 1, oldHeaders},
-		{"deflate", 2, nil},
-		{"deflate-old-headers", 2, oldHeaders},
-		{"lz", 3, nil},
-		{"verbatim", 3, oldHeaders}, // lz, asked for as a negotiating client did
+		{"identity", nil},
+		{"identity-old-headers", oldHeaders},
 	}
 	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
 	defer client.CloseIdleConnections()
@@ -224,9 +199,8 @@ func TestServeBucketRAMMatchesFile(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			setup := dataPlaneConfigs[row.form].setup
-			ram, ramSrv := servedStore(t, true, setup)
-			file, fileSrv := servedStore(t, false, setup)
+			ram, ramSrv := servedStore(t, true)
+			file, fileSrv := servedStore(t, false)
 			var bodies [2][]byte
 			for i, side := range []struct {
 				s   *Store
@@ -280,41 +254,39 @@ func TestServeBucketRAMMatchesFile(t *testing.T) {
 // A bucket that passes MemBucketMax mid-write continues in a file and is
 // published there.
 func TestSpillPastThreshold(t *testing.T) {
-	for _, cfg := range dataPlaneConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			s, _ := servedStore(t, true, cfg.setup)
-			m := obs.NewMetrics()
-			s.SetMetrics(m)
-			d, err := s.Put("ds1/t0/s0", bigPairs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := len(filesIn(t, s.Dir())); n != 1 {
-				t.Fatalf("%d files after a spilled bucket, want 1", n)
-			}
-			if ar, err := s.lookup("ds1_t0_s0"); err != nil || ar.data != nil {
-				t.Error("spilled bucket still resolves to RAM")
-			}
-			snap := m.Snapshot()
-			if snap[obs.MetricBucketSpilled] != 1 || snap[obs.MetricBucketPublishedFile] != 1 || snap[obs.MetricBucketPublishedMem] != 0 {
-				t.Errorf("spilled=%d file=%d mem=%d, want 1/1/0", snap[obs.MetricBucketSpilled],
-					snap[obs.MetricBucketPublishedFile], snap[obs.MetricBucketPublishedMem])
-			}
-			got, err := s.ReadAll(d.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, bigPairs()) {
-				t.Error("spilled bucket lost data")
-			}
-		})
-	}
+	t.Run("identity", func(t *testing.T) {
+		s, _ := servedStore(t, true)
+		m := obs.NewMetrics()
+		s.SetMetrics(m)
+		d, err := s.Put("ds1/t0/s0", bigPairs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(filesIn(t, s.Dir())); n != 1 {
+			t.Fatalf("%d files after a spilled bucket, want 1", n)
+		}
+		if ar, err := s.lookup("ds1_t0_s0"); err != nil || ar.data != nil {
+			t.Error("spilled bucket still resolves to RAM")
+		}
+		snap := m.Snapshot()
+		if snap[obs.MetricBucketSpilled] != 1 || snap[obs.MetricBucketPublishedFile] != 1 || snap[obs.MetricBucketPublishedMem] != 0 {
+			t.Errorf("spilled=%d file=%d mem=%d, want 1/1/0", snap[obs.MetricBucketSpilled],
+				snap[obs.MetricBucketPublishedFile], snap[obs.MetricBucketPublishedMem])
+		}
+		got, err := s.ReadAll(d.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pairsEqual(got, bigPairs()) {
+			t.Error("spilled bucket lost data")
+		}
+	})
 }
 
 // Once the store's RAM is at MemStoreBudget, a bucket that fits the
 // per-bucket threshold still goes to a file; freeing RAM makes room.
 func TestSpillWhenBudgetFull(t *testing.T) {
-	s, _ := servedStore(t, true, dataPlaneConfigs[0].setup)
+	s, _ := servedStore(t, true)
 	m := obs.NewMetrics()
 	s.SetMetrics(m)
 	value := strings.Repeat("x", MemBucketMax/2)
@@ -354,7 +326,7 @@ func TestSpillWhenBudgetFull(t *testing.T) {
 // Duplicate attempts: the last publish wins in either backing, and a
 // reader holding an earlier RAM bucket reads it unaffected.
 func TestDuplicatePublishLastWins(t *testing.T) {
-	s, _ := servedStore(t, true, dataPlaneConfigs[0].setup)
+	s, _ := servedStore(t, true)
 	first := []kvio.Pair{kvio.StrPair("attempt", "one")}
 	second := []kvio.Pair{kvio.StrPair("attempt", "two")}
 	d, err := s.Put("ds1/t0/s0", first)
@@ -404,22 +376,27 @@ func TestDuplicatePublishLastWins(t *testing.T) {
 	}
 }
 
-// A file publish in another at-rest form than an earlier attempt's
-// (the codec changed between attempts) unlinks the earlier file, which
-// lookup would otherwise resolve first.
+// A block-file publish over a legacy bucket file of the same name (one
+// a store wrote before blocks were the only form, found when the store
+// reopened its directory) unlinks the legacy file, which the plain-path
+// probe would otherwise still find.
 func TestFileRepublishInAnotherFormUnlinksOld(t *testing.T) {
-	s, _ := servedStore(t, false, dataPlaneConfigs[0].setup)
-	if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ds1_t0_s0"), kvio.Marshal(smallPairs()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetCodec(wirecodec.IdentityName); err != nil {
+	s, err := NewFileStore(dir, "")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := s.ReadAll("file://" + filepath.Join(dir, "ds1_t0_s0")); err != nil || !pairsEqual(got, smallPairs()) {
+		t.Fatalf("legacy bucket reads back %d records (%v)", len(got), err)
 	}
 	second := []kvio.Pair{kvio.StrPair("attempt", "two")}
 	if _, err := s.Put("ds1/t0/s0", second); err != nil {
 		t.Fatal(err)
 	}
-	if got := filesIn(t, s.Dir()); len(got) != 1 || got[0] != "ds1_t0_s0"+BlockExt+wirecodec.Identity().Ext() {
+	if got := filesIn(t, s.Dir()); len(got) != 1 || got[0] != "ds1_t0_s0"+BlockExt {
 		t.Errorf("files after re-publishing as blocks: %v, want the block file alone", got)
 	}
 	rc, err := s.OpenLocal("ds1/t0/s0")
@@ -439,94 +416,90 @@ func TestFileRepublishInAnotherFormUnlinksOld(t *testing.T) {
 // owns), one unlink for a file bucket the store published or found on
 // reopening its directory.
 func TestRemoveUnlinkCounts(t *testing.T) {
-	for _, cfg := range dataPlaneConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			s, _ := servedStore(t, true, cfg.setup)
-			m := obs.NewMetrics()
-			s.SetMetrics(m)
-			unlinks := func() int64 { return m.Snapshot()[obs.MetricBucketUnlinks] }
-			if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+	t.Run("identity", func(t *testing.T) {
+		s, _ := servedStore(t, true)
+		m := obs.NewMetrics()
+		s.SetMetrics(m)
+		unlinks := func() int64 { return m.Snapshot()[obs.MetricBucketUnlinks] }
+		if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"ds1/t0/s0", "ds1/t0/s0", "ds9/t3/s1"} {
+			if err := s.Remove(name); err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range []string{"ds1/t0/s0", "ds1/t0/s0", "ds9/t3/s1"} {
-				if err := s.Remove(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := unlinks(); n != 0 {
-				t.Errorf("removing a RAM bucket and unknown names: %d unlinks, want 0", n)
-			}
-			for _, name := range []string{"ds2/t0/s0", "ds2/t1/s0"} {
-				if _, err := s.Put(name, bigPairs()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Remove("ds2/t0/s0"); err != nil {
+		}
+		if n := unlinks(); n != 0 {
+			t.Errorf("removing a RAM bucket and unknown names: %d unlinks, want 0", n)
+		}
+		for _, name := range []string{"ds2/t0/s0", "ds2/t1/s0"} {
+			if _, err := s.Put(name, bigPairs()); err != nil {
 				t.Fatal(err)
 			}
-			if n := unlinks(); n != 1 {
-				t.Errorf("removing an own file bucket: %d unlinks, want 1", n)
-			}
-			if err := s.Remove("ds2/t0/s0"); err != nil {
-				t.Fatal(err)
-			}
-			if n := unlinks(); n != 1 {
-				t.Errorf("removing it again: %d unlinks, want still 1", n)
-			}
+		}
+		if err := s.Remove("ds2/t0/s0"); err != nil {
+			t.Fatal(err)
+		}
+		if n := unlinks(); n != 1 {
+			t.Errorf("removing an own file bucket: %d unlinks, want 1", n)
+		}
+		if err := s.Remove("ds2/t0/s0"); err != nil {
+			t.Fatal(err)
+		}
+		if n := unlinks(); n != 1 {
+			t.Errorf("removing it again: %d unlinks, want still 1", n)
+		}
 
-			// A store reopened over the directory (a restarted node)
-			// removes the file it finds with one unlink too.
-			re, err := NewFileStore(s.Dir(), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m2 := obs.NewMetrics()
-			re.SetMetrics(m2)
-			if err := re.Remove("ds2/t1/s0"); err != nil {
-				t.Fatal(err)
-			}
-			if n := m2.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
-				t.Errorf("removing a reopened store's file: %d unlinks, want 1", n)
-			}
-			if got := filesIn(t, s.Dir()); len(got) != 0 {
-				t.Errorf("files left after removing both: %v", got)
-			}
-		})
-	}
+		// A store reopened over the directory (a restarted node)
+		// removes the file it finds with one unlink too.
+		re, err := NewFileStore(s.Dir(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2 := obs.NewMetrics()
+		re.SetMetrics(m2)
+		if err := re.Remove("ds2/t1/s0"); err != nil {
+			t.Fatal(err)
+		}
+		if n := m2.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
+			t.Errorf("removing a reopened store's file: %d unlinks, want 1", n)
+		}
+		if got := filesIn(t, s.Dir()); len(got) != 0 {
+			t.Errorf("files left after removing both: %v", got)
+		}
+	})
 }
 
 // RemoveFile deletes a shared-directory bucket by its file:// path,
 // whichever store wrote it.
 func TestRemoveFilePeerBucket(t *testing.T) {
-	for _, cfg := range dataPlaneConfigs {
-		t.Run(cfg.name, func(t *testing.T) {
-			peer, _ := servedStore(t, false, cfg.setup)
-			d, err := peer.Put("ds1/t0/s0", smallPairs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			master, err := NewFileStore(t.TempDir(), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := obs.NewMetrics()
-			master.SetMetrics(m)
-			if err := master.RemoveFile(strings.TrimPrefix(d.URL, "file://")); err != nil {
-				t.Fatal(err)
-			}
-			if got := filesIn(t, peer.Dir()); len(got) != 0 {
-				t.Errorf("files left after RemoveFile: %v", got)
-			}
-			if n := m.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
-				t.Errorf("RemoveFile: %d unlinks, want 1", n)
-			}
-		})
-	}
+	t.Run("identity", func(t *testing.T) {
+		peer, _ := servedStore(t, false)
+		d, err := peer.Put("ds1/t0/s0", smallPairs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		master, err := NewFileStore(t.TempDir(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := obs.NewMetrics()
+		master.SetMetrics(m)
+		if err := master.RemoveFile(strings.TrimPrefix(d.URL, "file://")); err != nil {
+			t.Fatal(err)
+		}
+		if got := filesIn(t, peer.Dir()); len(got) != 0 {
+			t.Errorf("files left after RemoveFile: %v", got)
+		}
+		if n := m.Snapshot()[obs.MetricBucketUnlinks]; n != 1 {
+			t.Errorf("RemoveFile: %d unlinks, want 1", n)
+		}
+	})
 }
 
 // Remove and RemoveJob clear a job's buckets from RAM and from files.
 func TestRemoveClearsBothBackings(t *testing.T) {
-	s, srv := servedStore(t, true, dataPlaneConfigs[0].setup)
+	s, srv := servedStore(t, true)
 	for _, b := range []struct {
 		name  string
 		pairs []kvio.Pair
@@ -628,7 +601,7 @@ func TestOpenOwnURLIsLocal(t *testing.T) {
 
 // A closed store's RAM buckets are gone, as on a dead node.
 func TestCloseDropsRAMBuckets(t *testing.T) {
-	s, srv := servedStore(t, true, dataPlaneConfigs[0].setup)
+	s, srv := servedStore(t, true)
 	if _, err := s.Put("ds1/t0/s0", smallPairs()); err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +619,7 @@ func TestCloseDropsRAMBuckets(t *testing.T) {
 // Concurrent writers, readers, the data server and removals on one
 // store, with buckets on both sides of the threshold. Run under -race.
 func TestStoreConcurrentStress(t *testing.T) {
-	s, srv := servedStore(t, true, dataPlaneConfigs[3].setup)
+	s, srv := servedStore(t, true)
 	fetcher := NewMemStore()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

@@ -54,10 +54,6 @@ type Options struct {
 	// Prefetch is the per-slave input-fetch window (0 = default,
 	// 1 = one bucket at a time).
 	Prefetch int
-	// Codec selects the compression codec every node writes its
-	// block-framed buckets with ("identity", "deflate", "lz"; "" keeps
-	// the legacy per-record framing). Unknown names fail Start.
-	Codec string
 	// MaxConcurrentJobs bounds how many managed jobs the master runs at
 	// once (0 = master default). Jobs past the bound queue in
 	// submission order.
@@ -91,7 +87,6 @@ type Cluster struct {
 	chaos        *fault.Injector
 	obs          *obs.Runtime
 	prefetch     int
-	codec        string
 	slaveCon     int
 	resident     int64
 	heartbeatIvl time.Duration
@@ -138,7 +133,6 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 		DisableAffinity:       opts.DisableAffinity,
 		TaskLease:             opts.TaskLease,
 		Obs:                   opts.Obs,
-		Codec:                 opts.Codec,
 		MaxConcurrentJobs:     opts.MaxConcurrentJobs,
 		SpeculationFactor:     opts.SpeculationFactor,
 		SpeculationMinRuntime: opts.SpeculationMinRuntime,
@@ -147,7 +141,7 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, codec: opts.Codec, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
+	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < opts.SubMasters; i++ {
@@ -350,7 +344,6 @@ func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, cont
 		SharedDir:      sharedDir,
 		Obs:            c.obs,
 		Prefetch:       c.prefetch,
-		Codec:          c.codec,
 		Concurrency:    c.slaveCon,
 		ResidentBudget: c.resident,
 	}

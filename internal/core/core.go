@@ -233,13 +233,6 @@ type Operation struct {
 	// anywhere, so residency never changes results, only data movement.
 	Resident bool
 
-	// Codec pins the wire codec of this operation's output buckets by
-	// registered name ("identity", "deflate", "lz"), overriding the
-	// executor-wide setting. Empty inherits. Like all data-plane
-	// settings it never changes results, only bytes at rest and on the
-	// wire.
-	Codec string
-
 	// rangeFormat marks an OpFile whose Paths are byte-range URLs
 	// (TextFileDataSplit). Master-side only; slaves see the range
 	// format through the task spec's InputFormat.

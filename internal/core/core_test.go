@@ -153,59 +153,6 @@ func TestWordCountMockParallel(t *testing.T) {
 	}
 }
 
-func TestPerOpDataPlanePins(t *testing.T) {
-	// One operation pins its output buckets to lz while the store keeps
-	// its legacy default: the pinned dataset's files must be lz blocks
-	// at rest, every other dataset legacy, and the answers unchanged.
-	dir := t.TempDir()
-	exec, err := NewMockParallel(testRegistry(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exec.Close()
-	job := NewJob(exec)
-	src, err := job.LocalData(linesAsPairs(), OpOpts{Splits: 3, Partition: "roundrobin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := job.MapReduce(src, "split", "sum",
-		OpOpts{Splits: 4, Codec: "lz"},
-		OpOpts{Splits: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := out.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := job.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkCounts(t, pairs)
-
-	var pinned, plain int
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if strings.HasSuffix(path, ".mrb.lz") {
-			pinned++
-		} else {
-			plain++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned == 0 {
-		t.Error("pinned map op left no lz block files at rest")
-	}
-	if plain == 0 {
-		t.Error("unpinned datasets left no legacy files; pin leaked store-wide")
-	}
-}
-
 func TestWordCountThreads(t *testing.T) {
 	exec := NewThreads(testRegistry(), 4)
 	defer exec.Close()

@@ -564,9 +564,6 @@ type OpOpts struct {
 	// re-shuffling. Purely a placement/data-movement hint; results are
 	// byte-identical with or without it.
 	Resident bool
-	// Codec pins this operation's output-bucket wire codec by name,
-	// overriding the executor-wide setting (see Operation.Codec).
-	Codec string
 }
 
 func (o OpOpts) splitsOr(def int) int {
@@ -664,7 +661,6 @@ func (j *Job) Map(src *Dataset, funcName string, opts OpOpts) (*Dataset, error) 
 		Partition:   opts.Partition,
 		Params:      append([]byte(nil), opts.Params...),
 		Resident:    opts.Resident,
-		Codec:       opts.Codec,
 	}, splits)
 }
 
@@ -683,7 +679,6 @@ func (j *Job) Reduce(src *Dataset, funcName string, opts OpOpts) (*Dataset, erro
 		Params:      append([]byte(nil), opts.Params...),
 		KeyAligned:  opts.KeyAligned,
 		Resident:    opts.Resident,
-		Codec:       opts.Codec,
 	}, splits)
 }
 

@@ -117,13 +117,6 @@ func (e *LocalExecutor) SetResidentBudget(n int64) {
 	}
 }
 
-// SetCodec selects the registered compression codec the executor's
-// store writes block-framed buckets with ("" disables block framing;
-// unknown names error). Only file-backed stores (MockParallel) write
-// at rest; memory stores ignore it. Must be called before the first
-// Submit.
-func (e *LocalExecutor) SetCodec(name string) error { return e.env.Store.SetCodec(name) }
-
 // SetObserver wires the executor into an observability runtime: worker
 // start/finish events go to its tracer (lanes named worker-0..N-1), the
 // task engine reports into its metrics, and a queue-depth gauge is

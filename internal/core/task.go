@@ -293,9 +293,8 @@ func sortingEmitter(parter partition.Func, sorters []*shuffle.Sorter) kvio.FuncE
 func makeWriters(env *TaskEnv, spec *TaskSpec) ([]*bucket.Writer, error) {
 	op := spec.Op
 	writers := make([]*bucket.Writer, op.Splits)
-	opts := bucket.CreateOpts{Codec: op.Codec}
 	for s := range writers {
-		w, err := env.Store.CreateOpts(BucketNameJob(spec.Job, op.Dataset, spec.TaskIndex, s), opts)
+		w, err := env.Store.Create(BucketNameJob(spec.Job, op.Dataset, spec.TaskIndex, s))
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
-	"repro/internal/wirecodec"
 )
 
 // benchStream builds one record stream of n copies of a moderate pair.
@@ -86,14 +84,10 @@ func BenchmarkNewReaderPooled(b *testing.B) {
 }
 
 // benchBlockStream builds one block-framed stream of n copies of a
-// moderate pair with the named codec.
-func benchBlockStream(n int, codecName string) []byte {
-	c, ok := wirecodec.Lookup(codecName)
-	if !ok {
-		panic("unknown codec " + codecName)
-	}
+// moderate pair.
+func benchBlockStream(n int) []byte {
 	var buf bytes.Buffer
-	w := NewBlockWriter(&buf, c, 0)
+	w := NewBlockWriter(&buf, 0)
 	p := StrPair("some-moderate-key", "some-moderate-value-payload")
 	for i := 0; i < n; i++ {
 		if err := w.Write(p); err != nil {
@@ -108,74 +102,67 @@ func benchBlockStream(n int, codecName string) []byte {
 
 func BenchmarkBlockWriterWrite(b *testing.B) {
 	p := StrPair("some-moderate-key", "some-moderate-value-payload")
-	for _, name := range []string{wirecodec.IdentityName, wirecodec.LZName} {
-		b.Run(name, func(b *testing.B) {
-			c, _ := wirecodec.Lookup(name)
-			b.SetBytes(int64(len(p.Key) + len(p.Value)))
-			b.ReportAllocs()
-			w := NewBlockWriter(io.Discard, c, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Write(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
+	b.Run(identityName, func(b *testing.B) {
+		b.SetBytes(int64(len(p.Key) + len(p.Value)))
+		b.ReportAllocs()
+		w := NewBlockWriter(io.Discard, 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := w.Write(p); err != nil {
 				b.Fatal(err)
 			}
-		})
-	}
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 func BenchmarkBlockReaderReadShared(b *testing.B) {
-	for _, name := range []string{wirecodec.IdentityName, wirecodec.LZName} {
-		b.Run(name, func(b *testing.B) {
-			data := benchBlockStream(b.N, name)
-			b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
-			b.ReportAllocs()
-			b.ResetTimer()
-			r, err := NewBlockReader(bytes.NewReader(data))
-			if err != nil {
+	b.Run(identityName, func(b *testing.B) {
+		data := benchBlockStream(b.N)
+		b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
+		b.ReportAllocs()
+		b.ResetTimer()
+		r, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Release()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.ReadShared(); err != nil {
 				b.Fatal(err)
 			}
-			defer r.Release()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.ReadShared(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkBlockNextBlock measures the zero-copy batch path: decode a
 // block and scan records in place, no per-record copies.
 func BenchmarkBlockNextBlock(b *testing.B) {
-	for _, name := range []string{wirecodec.IdentityName, wirecodec.LZName} {
-		b.Run(name, func(b *testing.B) {
-			data := benchBlockStream(b.N, name)
-			b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
-			b.ReportAllocs()
-			b.ResetTimer()
-			r, err := NewBlockReader(bytes.NewReader(data))
+	b.Run(identityName, func(b *testing.B) {
+		data := benchBlockStream(b.N)
+		b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
+		b.ReportAllocs()
+		b.ResetTimer()
+		r, err := NewBlockReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Release()
+		seen := 0
+		for seen < b.N {
+			blk, recs, err := r.NextBlock()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer r.Release()
-			seen := 0
-			for seen < b.N {
-				blk, recs, err := r.NextBlock()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ScanRecords(blk, func(k, v []byte) error { return nil }); err != nil {
-					b.Fatal(err)
-				}
-				seen += recs
+			if _, err := ScanRecords(blk, func(k, v []byte) error { return nil }); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			seen += recs
+		}
+	})
 }

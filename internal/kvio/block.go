@@ -1,26 +1,26 @@
 package kvio
 
-// Block framing: the batched record format that replaced per-record
-// wire framing. A block stream is
+// Block framing: the batched record format every bucket is written in.
+// A block stream is
 //
 //	magic | block*
 //
 // where each block is
 //
 //	uvarint records      record count (0 allowed)
-//	uvarint rawLen       uncompressed payload bytes
-//	uvarint nameLen|name compression codec wire name (internal/wirecodec)
-//	uvarint payloadLen   stored payload bytes
-//	crc32   (4 bytes LE) IEEE CRC of the stored payload
-//	payload              codec-compressed record run
+//	uvarint rawLen       payload bytes
+//	uvarint nameLen|name payload form; always "identity"
+//	uvarint payloadLen   stored payload bytes (= rawLen)
+//	crc32   (4 bytes LE) IEEE CRC of the payload
+//	payload              record run
 //
-// and the payload decompresses to `records` records in the classic
-// per-record framing (uvarint keyLen|key|uvarint valueLen|value).
-// Compression and integrity checking run once per ~BlockSize bytes
-// instead of once per record, the header makes every block
-// self-describing (a reader needs no out-of-band codec agreement), and
-// a decoded block can be handed to the shuffle sorter as one arena slab
-// (Sorter.AddBlock) without copying record bytes again.
+// and the payload holds `records` records in the classic per-record
+// framing (uvarint keyLen|key|uvarint valueLen|value). Integrity
+// checking runs once per ~BlockSize bytes instead of once per record,
+// and a block can be handed to the shuffle sorter as one arena slab
+// (Sorter.AddBlock) without copying record bytes again. A reader
+// refuses a block naming any payload form but "identity" (such as the
+// retired "deflate" and "lz") as corrupt rather than guess at its bytes.
 //
 // The magic is chosen so no valid legacy stream can begin with it: its
 // first five bytes decode as a uvarint key length far above
@@ -36,21 +36,23 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"repro/internal/wirecodec"
+	"sync"
 )
 
 // BlockMagic prefixes every block-framed stream.
 var BlockMagic = [6]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 0x01}
 
-// DefaultBlockSize is the target uncompressed payload per block.
-// 64 KiB amortizes codec and CRC setup over many records while keeping
-// the decode working set inside L2.
+// DefaultBlockSize is the target payload per block. 64 KiB amortizes
+// CRC setup over many records while keeping the decode working set
+// inside L2.
 const DefaultBlockSize = 64 << 10
 
 // MaxBlockLen bounds a single block's raw and stored payload,
 // protecting readers from corrupted or adversarial headers.
 const MaxBlockLen = 1 << 27
+
+// identityName is the payload-form name every block header carries.
+const identityName = "identity"
 
 // Block-framing errors. ErrBlockChecksum means the stored payload did
 // not match its header CRC; ErrBlockCorrupt covers every other
@@ -63,35 +65,50 @@ var (
 // ---------------------------------------------------------------------------
 // BlockWriter
 
+// blockHdrMax bounds an encoded block header: three uvarints, the name
+// and the CRC.
+const blockHdrMax = 3*binary.MaxVarintLen64 + 1 + len(identityName) + 4
+
+// headroom is the room a pending buffer keeps ahead of its records for
+// the stream magic and the block header, so a block leaves in one Write.
+const headroom = len(BlockMagic) + blockHdrMax
+
+// pendingPool recycles BlockWriter pending buffers, as writerPool does
+// the legacy Writer's bufio: a bucket per task output split would
+// otherwise allocate a whole block's buffer each.
+var pendingPool = sync.Pool{New: func() any {
+	b := make([]byte, headroom, headroom+DefaultBlockSize+1024)
+	return &b
+}}
+
+// maxPooledPending is the largest pending buffer returned to the pool;
+// one grown past it by an oversized record is left to the GC.
+const maxPooledPending = 4 * DefaultBlockSize
+
 // BlockWriter serializes pairs into a block-framed stream. Records
-// accumulate uncompressed until the target block size is reached, then
-// the whole run is compressed, checksummed, and emitted as one block.
+// accumulate until the target block size is reached, then the run is
+// checksummed and emitted, magic and header included, as one Write.
 // Close (or Flush) emits the final partial block.
 type BlockWriter struct {
 	w         io.Writer
-	codec     wirecodec.Codec
 	blockSize int
 
-	raw   []byte // pending records in per-record framing
-	recs  int    // records pending in raw
-	comp  bytes.Buffer
-	wrote bool // magic emitted
+	pending *[]byte // pooled: headroom, then the pending records
+	recs    int     // records pending
+	wrote   bool    // magic emitted
 
 	n     int64 // records written (total)
 	bytes int64 // payload bytes written (keys+values, no framing)
 	err   error
 }
 
-// NewBlockWriter returns a BlockWriter on w compressing each block with
-// codec (nil = identity). blockSize <= 0 selects DefaultBlockSize.
-func NewBlockWriter(w io.Writer, codec wirecodec.Codec, blockSize int) *BlockWriter {
-	if codec == nil {
-		codec = wirecodec.Identity()
-	}
+// NewBlockWriter returns a BlockWriter on w. blockSize <= 0 selects
+// DefaultBlockSize.
+func NewBlockWriter(w io.Writer, blockSize int) *BlockWriter {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	return &BlockWriter{w: w, codec: codec, blockSize: blockSize, raw: make([]byte, 0, blockSize+1024)}
+	return &BlockWriter{w: w, blockSize: blockSize, pending: pendingPool.Get().(*[]byte)}
 }
 
 // Write appends one record to the pending block, emitting a block when
@@ -100,72 +117,46 @@ func (w *BlockWriter) Write(p Pair) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.raw = binary.AppendUvarint(w.raw, uint64(len(p.Key)))
-	w.raw = append(w.raw, p.Key...)
-	w.raw = binary.AppendUvarint(w.raw, uint64(len(p.Value)))
-	w.raw = append(w.raw, p.Value...)
+	raw := binary.AppendUvarint(*w.pending, uint64(len(p.Key)))
+	raw = append(raw, p.Key...)
+	raw = binary.AppendUvarint(raw, uint64(len(p.Value)))
+	*w.pending = append(raw, p.Value...)
 	w.recs++
 	w.n++
 	w.bytes += int64(len(p.Key) + len(p.Value))
-	if len(w.raw) >= w.blockSize {
+	if len(*w.pending)-headroom >= w.blockSize {
 		w.err = w.emitBlock()
 	}
 	return w.err
 }
 
-// writeMagic emits the stream prefix once.
-func (w *BlockWriter) writeMagic() error {
-	if w.wrote {
-		return nil
-	}
-	w.wrote = true
-	_, err := w.w.Write(BlockMagic[:])
-	return err
-}
-
-// emit compresses, checksums, and writes one block of raw record
-// bytes.
-func (w *BlockWriter) emit(raw []byte, recs int) error {
-	if err := w.writeMagic(); err != nil {
-		return err
-	}
-	if recs == 0 {
-		return nil
-	}
-	name := w.codec.Name()
-	payload := raw
-	if name != wirecodec.IdentityName {
-		w.comp.Reset()
-		cw := w.codec.NewWriter(&w.comp)
-		if _, err := cw.Write(raw); err != nil {
-			cw.Close()
-			return err
-		}
-		if err := cw.Close(); err != nil {
-			return err
-		}
-		payload = w.comp.Bytes()
-	}
-	var hdr [4*binary.MaxVarintLen64 + 64]byte
-	n := binary.PutUvarint(hdr[:], uint64(recs))
-	n += binary.PutUvarint(hdr[n:], uint64(len(raw)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(name)))
-	n += copy(hdr[n:], name)
-	n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
-	n += 4
-	if _, err := w.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
-	return err
-}
-
-// emitBlock writes the pending records as one block.
+// emitBlock writes the pending records as one block, preceded by the
+// stream magic if it has not gone out yet, in a single Write.
 func (w *BlockWriter) emitBlock() error {
-	err := w.emit(w.raw, w.recs)
-	w.raw = w.raw[:0]
+	buf := *w.pending
+	start := headroom
+	if w.recs > 0 {
+		payload := buf[headroom:]
+		var hdr [blockHdrMax]byte
+		n := binary.PutUvarint(hdr[:], uint64(w.recs))
+		n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+		n += binary.PutUvarint(hdr[n:], uint64(len(identityName)))
+		n += copy(hdr[n:], identityName)
+		n += binary.PutUvarint(hdr[n:], uint64(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
+		n += 4
+		start -= copy(buf[start-n:], hdr[:n])
+	}
+	if !w.wrote {
+		w.wrote = true
+		start -= copy(buf[start-len(BlockMagic):], BlockMagic[:])
+	}
+	*w.pending = buf[:headroom]
 	w.recs = 0
+	if start == headroom {
+		return nil
+	}
+	_, err := w.w.Write(buf[start:])
 	return err
 }
 
@@ -179,32 +170,41 @@ func (w *BlockWriter) Flush() error {
 	return w.err
 }
 
-// Close flushes; the writer must not be used afterwards.
+// Close flushes and returns the pending buffer to its pool; the writer
+// must not be used afterwards.
 func (w *BlockWriter) Close() error {
-	return w.Flush()
+	err := w.Flush()
+	if w.pending != nil {
+		if cap(*w.pending) <= maxPooledPending {
+			pendingPool.Put(w.pending)
+		}
+		w.pending = nil
+	}
+	if w.err == nil {
+		w.err = ErrReleased
+	}
+	return err
 }
 
 // Count returns the number of records written so far.
 func (w *BlockWriter) Count() int64 { return w.n }
 
-// Bytes returns the payload bytes written so far (pre-compression).
+// Bytes returns the payload bytes written so far.
 func (w *BlockWriter) Bytes() int64 { return w.bytes }
 
 // ---------------------------------------------------------------------------
 // BlockReader
 
 // BlockReader parses a block-framed stream. It verifies each block's
-// CRC before decompressing, resolves the block's codec from the
-// wirecodec registry, and serves records either one at a time (Read /
-// ReadShared) or a whole decoded block at once (NextBlock, the
-// zero-copy path into the shuffle sorter).
+// CRC and serves records either one at a time (Read / ReadShared) or a
+// whole block at once (NextBlock, the zero-copy path into the shuffle
+// sorter).
 type BlockReader struct {
 	br       *bufio.Reader
 	ownsBuf  bool // br came from the shared pool
 	block    []byte
 	off      int
 	recsLeft int
-	payload  []byte // compressed-payload scratch
 	n        int64
 	rawBytes int64
 	err      error
@@ -242,7 +242,6 @@ func (r *BlockReader) Release() {
 	}
 	r.br = nil
 	r.block = nil
-	r.payload = nil
 	if r.err == nil {
 		r.err = ErrReleased
 	}
@@ -251,15 +250,14 @@ func (r *BlockReader) Release() {
 // Count returns the number of records read so far.
 func (r *BlockReader) Count() int64 { return r.n }
 
-// RawBytes returns the decoded (pre-compression) payload bytes
-// consumed so far, including blocks handed off via NextBlock.
+// RawBytes returns the payload bytes consumed so far, including blocks
+// handed off via NextBlock.
 func (r *BlockReader) RawBytes() int64 { return r.rawBytes }
 
 // blockHdr is one parsed block header.
 type blockHdr struct {
 	recs       int
 	rawLen     int
-	codec      wirecodec.Codec
 	payloadLen int
 	crc        uint32
 }
@@ -289,7 +287,8 @@ func u(r byteReader, atStart bool) (int, error) {
 
 // readHeader parses one block header. Its first uvarint is the record
 // count, bounded by MaxBlockLen; an io.EOF before that first byte is
-// the clean end of stream.
+// the clean end of stream. A header naming any payload form but
+// identity (a retired codec's, or a future one's) is corrupt.
 func readHeader(r byteReader) (h blockHdr, err error) {
 	if h.recs, err = u(r, true); err != nil {
 		return
@@ -310,9 +309,7 @@ func readHeader(r byteReader) (h blockHdr, err error) {
 		err = noEOF(err)
 		return
 	}
-	name := string(nameBuf[:nameLen])
-	var ok bool
-	if h.codec, ok = wirecodec.Lookup(name); !ok {
+	if name := nameBuf[:nameLen]; string(name) != identityName {
 		err = fmt.Errorf("%w: unknown codec %q", ErrBlockCorrupt, name)
 		return
 	}
@@ -325,68 +322,36 @@ func readHeader(r byteReader) (h blockHdr, err error) {
 		return
 	}
 	h.crc = binary.LittleEndian.Uint32(crcBuf[:])
-	if h.codec.Name() == wirecodec.IdentityName && h.payloadLen != h.rawLen {
+	if h.payloadLen != h.rawLen {
 		err = fmt.Errorf("%w: identity payload %d != raw %d", ErrBlockCorrupt, h.payloadLen, h.rawLen)
 	}
 	return
 }
 
-// decode checks a block's stored payload against the header CRC and
-// returns its record run: payload itself for an identity block, else
-// payload decoded into dst (grown as needed; nil for a fresh,
-// caller-owned allocation).
-func (h blockHdr) decode(payload, dst []byte) ([]byte, error) {
+// verify checks a block's payload against the header CRC.
+func (h blockHdr) verify(payload []byte) error {
 	if crc32.ChecksumIEEE(payload) != h.crc {
-		return nil, ErrBlockChecksum
+		return ErrBlockChecksum
 	}
-	if h.codec.Name() == wirecodec.IdentityName {
-		return payload, nil
-	}
-	if cap(dst) < h.rawLen {
-		dst = make([]byte, h.rawLen)
-	}
-	dst = dst[:h.rawLen]
-	cr := h.codec.NewReader(bytes.NewReader(payload))
-	_, err := io.ReadFull(cr, dst)
-	if err == nil {
-		// The payload must decode to exactly rawLen bytes.
-		var one [1]byte
-		if n, _ := cr.Read(one[:]); n != 0 {
-			err = fmt.Errorf("%w: payload longer than header rawLen", ErrBlockCorrupt)
-		}
-	}
-	cr.Close()
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: payload shorter than header rawLen", ErrBlockCorrupt)
-		}
-		return nil, err
-	}
-	return dst, nil
+	return nil
 }
 
-// decodePayload reads a block's stored payload and decodes it into dst
-// (grown as needed; pass nil for a fresh, caller-owned allocation).
-func (r *BlockReader) decodePayload(h blockHdr, dst []byte) ([]byte, error) {
-	buf := &r.payload
-	if h.codec.Name() == wirecodec.IdentityName {
-		// Identity stores the raw bytes verbatim: read them straight
-		// into dst and check them in place, no staging.
-		buf = &dst
+// readPayload reads a block's payload into dst (grown as needed; nil
+// for a fresh, caller-owned allocation) and checks it in place.
+func (r *BlockReader) readPayload(h blockHdr, dst []byte) ([]byte, error) {
+	if cap(dst) < h.payloadLen {
+		dst = make([]byte, h.payloadLen)
 	}
-	if cap(*buf) < h.payloadLen {
-		*buf = make([]byte, h.payloadLen)
-	}
-	payload := (*buf)[:h.payloadLen]
+	payload := dst[:h.payloadLen]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return nil, noEOF(err)
 	}
-	return h.decode(payload, dst)
+	return payload, h.verify(payload)
 }
 
-// nextRaw reads the next non-empty block and returns its decompressed
-// legacy-framed payload (decoded into dst, grown as needed) without
-// record parsing. io.EOF means a clean end of stream.
+// nextRaw reads the next non-empty block and returns its legacy-framed
+// record run (read into dst, grown as needed) without record parsing.
+// io.EOF means a clean end of stream.
 func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
 	for {
 		h, err := readHeader(r.br)
@@ -396,7 +361,7 @@ func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
 		if h.recs == 0 && h.rawLen == 0 && h.payloadLen == 0 {
 			continue // empty block: legal, carries nothing
 		}
-		if dst, err = r.decodePayload(h, dst); err != nil {
+		if dst, err = r.readPayload(h, dst); err != nil {
 			return nil, 0, err
 		}
 		r.rawBytes += int64(h.rawLen)
@@ -404,7 +369,7 @@ func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
 	}
 }
 
-// NextBlock returns the next block as a decoded legacy-framed payload
+// NextBlock returns the next block as its legacy-framed record run
 // and its record count, transferring ownership of the returned slice to
 // the caller (it is never reused by the reader) — the zero-copy handoff
 // into the shuffle sorter's AddBlock. It must not be mixed with
@@ -500,7 +465,7 @@ func noEOF(err error) error {
 }
 
 // ---------------------------------------------------------------------------
-// Record scanning within a decoded block
+// Record scanning within a block
 
 // scanOne parses one framed record at the head of data, returning
 // subslices (no copies) and the bytes consumed.
@@ -528,7 +493,7 @@ func scanOne(data []byte) (key, value []byte, used int, err error) {
 	return key, value, used, nil
 }
 
-// ScanRecords walks every record in a decoded block payload, passing
+// ScanRecords walks every record in a block payload, passing
 // subslices of data to fn (no copies). It is the parse half of the
 // zero-copy handoff: shuffle.Sorter.AddBlock adopts the block buffer
 // and scans pairs out of it in place.

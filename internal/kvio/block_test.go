@@ -9,20 +9,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/wirecodec"
 )
 
-// blockStream builds a block-framed stream of pairs with the named
-// codec and block size.
-func blockStream(t testing.TB, pairs []Pair, codecName string, blockSize int) []byte {
+// blockStream builds a block-framed stream of pairs with the given
+// block size.
+func blockStream(t testing.TB, pairs []Pair, blockSize int) []byte {
 	t.Helper()
-	c, ok := wirecodec.Lookup(codecName)
-	if !ok {
-		t.Fatalf("codec %q not registered", codecName)
-	}
 	var buf bytes.Buffer
-	w := NewBlockWriter(&buf, c, blockSize)
+	w := NewBlockWriter(&buf, blockSize)
 	for _, p := range pairs {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -42,12 +36,24 @@ func testPairs(n int) []Pair {
 	return out
 }
 
+// TestBlockRoundTripAllCodecs keeps the grid of the block round trip
+// from when the writer had codecs. At every block size, identity blocks
+// round trip, byte-identical to the stream the codec-era writer emitted
+// under identity; the same records as the retired deflate and lz
+// writers stored them are refused as corrupt.
 func TestBlockRoundTripAllCodecs(t *testing.T) {
 	pairs := testPairs(5000)
-	for _, name := range wirecodec.Names() {
+	for _, name := range blockCodecs {
 		for _, blockSize := range []int{1, 512, DefaultBlockSize} {
 			t.Run(name+"/bs="+strconv.Itoa(blockSize), func(t *testing.T) {
-				wire := blockStream(t, pairs, name, blockSize)
+				if name != identityName {
+					checkRefused(t, retiredBlockStream(pairs, name, blockSize), name)
+					return
+				}
+				wire := blockStream(t, pairs, blockSize)
+				if !bytes.Equal(wire, retiredBlockStream(pairs, identityName, blockSize)) {
+					t.Fatal("identity stream differs from the codec-era writer's")
+				}
 				r, err := NewBlockReader(bytes.NewReader(wire))
 				if err != nil {
 					t.Fatal(err)
@@ -69,7 +75,7 @@ func TestBlockRoundTripAllCodecs(t *testing.T) {
 }
 
 func TestBlockEmptyStream(t *testing.T) {
-	wire := blockStream(t, nil, wirecodec.IdentityName, 0)
+	wire := blockStream(t, nil, 0)
 	if !bytes.Equal(wire, BlockMagic[:]) {
 		t.Fatalf("empty stream = %x, want just the magic", wire)
 	}
@@ -87,14 +93,14 @@ func TestBlockEmptyStream(t *testing.T) {
 // the stream is legal and skipped.
 func TestBlockZeroRecordBlock(t *testing.T) {
 	pairs := testPairs(10)
-	wire := blockStream(t, pairs, wirecodec.IdentityName, 0)
+	wire := blockStream(t, pairs, 0)
 	// Splice an empty block (records=0, rawLen=0, name="identity",
 	// payloadLen=0, crc of empty) right after the magic.
 	var empty []byte
 	empty = binary.AppendUvarint(empty, 0)
 	empty = binary.AppendUvarint(empty, 0)
-	empty = binary.AppendUvarint(empty, uint64(len(wirecodec.IdentityName)))
-	empty = append(empty, wirecodec.IdentityName...)
+	empty = binary.AppendUvarint(empty, uint64(len(identityName)))
+	empty = append(empty, identityName...)
 	empty = binary.AppendUvarint(empty, 0)
 	empty = binary.LittleEndian.AppendUint32(empty, crc32.ChecksumIEEE(nil))
 	spliced := append(append(append([]byte(nil), wire[:len(BlockMagic)]...), empty...), wire[len(BlockMagic):]...)
@@ -113,30 +119,32 @@ func TestBlockZeroRecordBlock(t *testing.T) {
 	}
 }
 
+// TestBlockChecksumDetectsCorruption: one flipped payload byte fails
+// the block CRC, read and walked. The case is named for the one payload
+// form a block carries.
 func TestBlockChecksumDetectsCorruption(t *testing.T) {
-	pairs := testPairs(100)
-	for _, name := range []string{wirecodec.IdentityName, wirecodec.LZName, wirecodec.DeflateName} {
-		t.Run(name, func(t *testing.T) {
-			wire := blockStream(t, pairs, name, 0)
-			// Flip one payload byte near the end (past magic + header).
-			bad := append([]byte(nil), wire...)
-			bad[len(bad)-3] ^= 0x40
-			r, err := NewBlockReader(bytes.NewReader(bad))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Release()
-			_, err = r.ReadAll()
-			if !errors.Is(err, ErrBlockChecksum) {
-				t.Fatalf("flipped payload byte: got %v, want ErrBlockChecksum", err)
-			}
-		})
-	}
+	t.Run(identityName, func(t *testing.T) {
+		wire := blockStream(t, testPairs(100), 0)
+		// Flip one payload byte near the end (past magic + header).
+		bad := append([]byte(nil), wire...)
+		bad[len(bad)-3] ^= 0x40
+		r, err := NewBlockReader(bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Release()
+		if _, err = r.ReadAll(); !errors.Is(err, ErrBlockChecksum) {
+			t.Fatalf("flipped payload byte: got %v, want ErrBlockChecksum", err)
+		}
+		if err := Walk(bad, func(k, v []byte) error { return nil }); !errors.Is(err, ErrBlockChecksum) {
+			t.Fatalf("flipped payload byte, walked: got %v, want ErrBlockChecksum", err)
+		}
+	})
 }
 
 func TestBlockTornStream(t *testing.T) {
 	pairs := testPairs(2000)
-	wire := blockStream(t, pairs, wirecodec.LZName, 4096)
+	wire := blockStream(t, pairs, 4096)
 	for _, cut := range []int{len(BlockMagic) + 1, len(wire) / 2, len(wire) - 1} {
 		r, err := NewBlockReader(bytes.NewReader(wire[:cut]))
 		if err != nil {
@@ -151,11 +159,11 @@ func TestBlockTornStream(t *testing.T) {
 }
 
 func TestBlockUnknownCodecErrors(t *testing.T) {
-	wire := blockStream(t, testPairs(5), wirecodec.IdentityName, 0)
+	wire := blockStream(t, testPairs(5), 0)
 	// The codec name "identity" starts right after magic + 3 uvarints;
-	// corrupt its first letter so lookup fails.
+	// corrupt its first letter so the reader no longer knows it.
 	bad := append([]byte(nil), wire...)
-	i := bytes.Index(bad, []byte(wirecodec.IdentityName))
+	i := bytes.Index(bad, []byte(identityName))
 	if i < 0 {
 		t.Fatal("codec name not found in wire form")
 	}
@@ -174,14 +182,28 @@ func TestBlockUnknownCodecErrors(t *testing.T) {
 // retiredColumnar) holding the one record "k"->"v". Current readers
 // must refuse it as corrupt rather than guess at it.
 func columnarFrame() []byte {
-	return retiredColumnar([]Pair{StrPair("k", "v")}, wirecodec.IdentityName, 0, keyColRaw)
+	return retiredColumnar([]Pair{StrPair("k", "v")}, identityName, 0, keyColRaw)
+}
+
+// foreignBlock is one uncompressed row block of three records whose
+// header names codec.
+func foreignBlock(codec string) []byte {
+	payload := Marshal(testPairs(3))
+	wire := append([]byte(nil), BlockMagic[:]...)
+	wire = binary.AppendUvarint(wire, 3)
+	wire = binary.AppendUvarint(wire, uint64(len(payload)))
+	wire = binary.AppendUvarint(wire, uint64(len(codec)))
+	wire = append(wire, codec...)
+	wire = binary.AppendUvarint(wire, uint64(len(payload)))
+	wire = binary.LittleEndian.AppendUint32(wire, crc32.ChecksumIEEE(payload))
+	return append(wire, payload...)
 }
 
 // TestBlockReaderRejectsForeignStreams: a block reader handed a
-// per-record stream, a well-formed block naming a codec nobody
-// registered, or a block in the retired columnar layout fails with
-// ErrBlockCorrupt and a message saying which, rather than decoding
-// garbage records.
+// per-record stream, a well-formed block naming any codec but identity
+// (one nobody ever wrote, or a retired one), or a block in the retired
+// columnar layout fails with ErrBlockCorrupt and a message saying
+// which, rather than decoding garbage records.
 func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 	t.Run("per-record stream", func(t *testing.T) {
 		_, err := NewBlockReader(bytes.NewReader(Marshal(testPairs(10))))
@@ -189,42 +211,23 @@ func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 			t.Fatalf("per-record stream: got %v, want ErrBlockCorrupt naming the missing magic", err)
 		}
 	})
-	t.Run("unregistered codec", func(t *testing.T) {
-		// One uncompressed row block whose header names codec.
-		block := func(codec string) []byte {
-			payload := Marshal(testPairs(3))
-			wire := append([]byte(nil), BlockMagic[:]...)
-			wire = binary.AppendUvarint(wire, 3)
-			wire = binary.AppendUvarint(wire, uint64(len(payload)))
-			wire = binary.AppendUvarint(wire, uint64(len(codec)))
-			wire = append(wire, codec...)
-			wire = binary.AppendUvarint(wire, uint64(len(payload)))
-			wire = binary.LittleEndian.AppendUint32(wire, crc32.ChecksumIEEE(payload))
-			return append(wire, payload...)
-		}
-		// The same block naming identity decodes, so the name alone is
-		// what the reader rejects.
-		ok, err := NewBlockReader(bytes.NewReader(block(wirecodec.IdentityName)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := ok.ReadAll(); err != nil || !pairsEqual(got, testPairs(3)) {
-			t.Fatalf("identity control block: %d records, %v", len(got), err)
-		}
-		ok.Release()
-		r, err := NewBlockReader(bytes.NewReader(block("zstd")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Release()
-		got, err := r.ReadAll()
-		if !errors.Is(err, ErrBlockCorrupt) || !strings.Contains(err.Error(), `"zstd"`) {
-			t.Fatalf("unregistered codec: got %v, want ErrBlockCorrupt naming \"zstd\"", err)
-		}
-		if len(got) != 0 {
-			t.Fatalf("decoded %d records from a block it cannot read", len(got))
-		}
-	})
+	// The same block naming identity decodes, so the name alone is what
+	// the reader rejects in the rows below.
+	ok, err := NewBlockReader(bytes.NewReader(foreignBlock(identityName)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ok.ReadAll(); err != nil || !pairsEqual(got, testPairs(3)) {
+		t.Fatalf("identity control block: %d records, %v", len(got), err)
+	}
+	ok.Release()
+	for _, row := range []struct{ name, codec string }{
+		{"unregistered codec", "zstd"},
+		{"deflate", retiredDeflate},
+		{"lz", retiredLZ},
+	} {
+		t.Run(row.name, func(t *testing.T) { checkRefused(t, foreignBlock(row.codec), row.codec) })
+	}
 	t.Run("columnar block", func(t *testing.T) {
 		r, err := NewBlockReader(bytes.NewReader(columnarFrame()))
 		if err != nil {
@@ -260,7 +263,7 @@ func TestBlockMagicIsLegacyPoison(t *testing.T) {
 		data []byte
 	}{
 		{"bare magic", BlockMagic[:]},
-		{"row blocks", blockStream(t, testPairs(10), wirecodec.IdentityName, 0)},
+		{"row blocks", blockStream(t, testPairs(10), 0)},
 		{"columnar blocks", columnarFrame()},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
@@ -291,7 +294,7 @@ func TestBlockMagicIsLegacyPoison(t *testing.T) {
 func TestNewAnyReaderSniffsFraming(t *testing.T) {
 	pairs := testPairs(300)
 	legacy := Marshal(pairs)
-	block := blockStream(t, pairs, wirecodec.LZName, 1024)
+	block := blockStream(t, pairs, 1024)
 	for label, wire := range map[string][]byte{"legacy": legacy, "block": block} {
 		t.Run(label, func(t *testing.T) {
 			r := NewAnyReader(bytes.NewReader(wire))
@@ -318,7 +321,7 @@ func TestNewAnyReaderSniffsFraming(t *testing.T) {
 
 func TestBlockNextBlockOwnership(t *testing.T) {
 	pairs := testPairs(1000)
-	wire := blockStream(t, pairs, wirecodec.DeflateName, 2048)
+	wire := blockStream(t, pairs, 2048)
 	r, err := NewBlockReader(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +369,7 @@ func TestBlockNextBlockOwnership(t *testing.T) {
 }
 
 func TestBlockNextBlockMidBlockErrors(t *testing.T) {
-	wire := blockStream(t, testPairs(50), wirecodec.IdentityName, 0)
+	wire := blockStream(t, testPairs(50), 0)
 	r, err := NewBlockReader(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +390,7 @@ func TestBlockWriterCounters(t *testing.T) {
 		want += int64(len(p.Key) + len(p.Value))
 	}
 	var buf bytes.Buffer
-	w := NewBlockWriter(&buf, nil, 0)
+	w := NewBlockWriter(&buf, 0)
 	for _, p := range pairs {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
@@ -398,6 +401,45 @@ func TestBlockWriterCounters(t *testing.T) {
 	}
 	if w.Count() != int64(len(pairs)) || w.Bytes() != want {
 		t.Fatalf("counters: %d records / %d bytes, want %d / %d", w.Count(), w.Bytes(), len(pairs), want)
+	}
+}
+
+// writeCounter is a buffer that counts the Write calls it takes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestBlockWriterOneWritePerBlock: each block leaves the writer in one
+// Write, header and (on the first) stream magic included, so a spilled
+// file bucket costs one write call per block, not two or three.
+func TestBlockWriterOneWritePerBlock(t *testing.T) {
+	for _, n := range []int{0, 1, 3000} {
+		var out writeCounter
+		w := NewBlockWriter(&out, 4096)
+		for _, p := range testPairs(n) {
+			if err := w.Write(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blocks := 0
+		if err := WalkRuns(out.Bytes(), func([]byte, int) error { blocks++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if want := max(blocks, 1); out.writes != want {
+			t.Errorf("%d records in %d blocks took %d writes, want %d", n, blocks, out.writes, want)
+		}
+		if n > 1 && blocks < 2 {
+			t.Errorf("%d records made %d blocks; the case needs several", n, blocks)
+		}
 	}
 }
 

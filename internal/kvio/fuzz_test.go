@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
-	"repro/internal/wirecodec"
 )
 
 // FuzzReader throws arbitrary bytes — truncated, corrupt, over-length
@@ -53,8 +51,8 @@ func FuzzReader(f *testing.F) {
 
 // FuzzRoundTrip drives arbitrary pairs through Writer→Reader and checks
 // byte-exact recovery — for the legacy per-record framing (allocating
-// and shared read paths) and for block framing under every registered
-// codec at a small block size that forces multi-block streams.
+// and shared read paths) and for block framing at a small block size
+// that forces multi-block streams.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("key"), []byte("value"), []byte("k2"), []byte(""))
 	f.Add([]byte{}, []byte{}, []byte{0}, []byte{0xFF})
@@ -99,41 +97,24 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("want clean EOF, got %v", err)
 		}
 
-		// Block framing under every codec, decoded via the sniffing
-		// reader — the path every mixed-framing consumer takes.
-		for _, name := range wirecodec.Names() {
-			c, _ := wirecodec.Lookup(name)
-			var bbuf bytes.Buffer
-			bw := NewBlockWriter(&bbuf, c, 16)
-			for _, p := range in {
-				if err := bw.Write(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := bw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			br := NewAnyReader(bytes.NewReader(bbuf.Bytes()))
-			bout, err := br.ReadAll()
-			br.Release()
-			if err != nil {
-				t.Fatalf("%s block decode: %v", name, err)
-			}
-			if !pairsEqual(in, bout) {
-				t.Fatalf("%s block round trip mismatch: in %v out %v", name, in, bout)
-			}
+		// Block framing, decoded via the sniffing reader — the path
+		// every mixed-framing consumer takes.
+		br := NewAnyReader(bytes.NewReader(blockSeed(in, 16)))
+		bout, err := br.ReadAll()
+		br.Release()
+		if err != nil {
+			t.Fatalf("block decode: %v", err)
+		}
+		if !pairsEqual(in, bout) {
+			t.Fatalf("block round trip mismatch: in %v out %v", in, bout)
 		}
 	})
 }
 
 // blockSeed builds a block-framed stream for fuzz corpora.
-func blockSeed(pairs []Pair, codecName string, blockSize int) []byte {
-	c, ok := wirecodec.Lookup(codecName)
-	if !ok {
-		panic("unknown codec " + codecName)
-	}
+func blockSeed(pairs []Pair, blockSize int) []byte {
 	var buf bytes.Buffer
-	w := NewBlockWriter(&buf, c, blockSize)
+	w := NewBlockWriter(&buf, blockSize)
 	for _, p := range pairs {
 		if err := w.Write(p); err != nil {
 			panic(err)
@@ -146,35 +127,37 @@ func blockSeed(pairs []Pair, codecName string, blockSize int) []byte {
 }
 
 // blockReaderSeeds is FuzzBlockReader's corpus: both framings, blocks
-// in the retired columnar layout (whole, torn and corrupt), and the
-// torn/corrupt/zero-record shapes named in the block format's contract.
+// of the retired deflate and lz codecs and in the retired columnar
+// layout (whole, torn and corrupt), and the torn/corrupt/zero-record
+// shapes named in the block format's contract. The retired blocks are
+// byte for byte the streams their writers emitted for these pairs.
 func blockReaderSeeds() [][]byte {
 	var seeds [][]byte
 	add := func(b []byte) { seeds = append(seeds, b) }
 	pairs := []Pair{StrPair("hello", "world"), {}, StrPair("", "x"), StrPair("x", "")}
 	legacy := Marshal(pairs)
 	add(legacy)                                           // legacy framing
-	add(blockSeed(pairs, wirecodec.IdentityName, 0))      // identity blocks
-	add(blockSeed(pairs, wirecodec.DeflateName, 8))       // multi-block deflate
-	add(blockSeed(pairs, wirecodec.LZName, 8))            // multi-block lz
+	add(blockSeed(pairs, 0))                              // identity blocks
+	add(retiredBlockStream(pairs, retiredDeflate, 8))     // multi-block deflate
+	add(retiredBlockStream(pairs, retiredLZ, 8))          // multi-block lz
 	add(BlockMagic[:])                                    // empty block stream
 	add(append(append([]byte{}, BlockMagic[:]...), 0x00)) // torn header
-	torn := blockSeed(pairs, wirecodec.LZName, 8)
+	torn := retiredBlockStream(pairs, retiredLZ, 8)
 	add(torn[:len(torn)-2]) // torn payload
-	crc := append([]byte(nil), blockSeed(pairs, wirecodec.IdentityName, 0)...)
+	crc := append([]byte(nil), blockSeed(pairs, 0)...)
 	crc[len(crc)-1] ^= 0xFF
 	add(crc) // corrupt checksum
 	// Zero-record block followed by a real one (see TestBlockZeroRecordBlock).
-	add(blockSeed(nil, wirecodec.IdentityName, 0))
+	add(blockSeed(nil, 0))
 	// Blocks in the retired columnar layout (see retiredColumnar): every
 	// key encoding, plus one per codec.
 	for _, keyEnc := range []int{keyColRaw, keyColDict, keyColDelta} {
-		add(retiredColumnar(pairs, wirecodec.IdentityName, 0, keyEnc))
+		add(retiredColumnar(pairs, identityName, 0, keyEnc))
 	}
-	add(retiredColumnar(pairs, wirecodec.DeflateName, 8, keyColAuto))
-	add(retiredColumnar(pairs, wirecodec.LZName, 8, keyColAuto))
+	add(retiredColumnar(pairs, retiredDeflate, 8, keyColAuto))
+	add(retiredColumnar(pairs, retiredLZ, 8, keyColAuto))
 	// Truncated column segments: cut mid key column and mid value column.
-	col := retiredColumnar(pairs, wirecodec.IdentityName, 0, keyColRaw)
+	col := retiredColumnar(pairs, identityName, 0, keyColRaw)
 	var valLen int
 	for _, p := range pairs {
 		valLen += varintLen(len(p.Value)) + len(p.Value)
@@ -193,9 +176,7 @@ func blockReaderSeeds() [][]byte {
 
 // FuzzBlockReader throws arbitrary bytes at the block reader via
 // NewAnyReader: no panics, no infinite loops, and a valid prefix of
-// records before any error. The corpus seeds both framings, blocks in
-// the retired columnar layout (whole, torn and corrupt), and the
-// torn/corrupt/zero-record shapes named in the block format's contract.
+// records before any error. The corpus is blockReaderSeeds.
 func FuzzBlockReader(f *testing.F) {
 	for _, seed := range blockReaderSeeds() {
 		f.Add(seed)
@@ -220,8 +201,8 @@ func FuzzBlockReader(f *testing.F) {
 // sequence as the per-record path on arbitrary input.
 func FuzzBlockNextBlock(f *testing.F) {
 	pairs := []Pair{StrPair("k", "v"), StrPair("key2", "value2")}
-	f.Add(blockSeed(pairs, wirecodec.LZName, 8))
-	f.Add(blockSeed(pairs, wirecodec.IdentityName, 0))
+	f.Add(retiredBlockStream(pairs, retiredLZ, 8))
+	f.Add(blockSeed(pairs, 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recR, err := NewBlockReader(bytes.NewReader(data))

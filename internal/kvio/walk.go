@@ -43,8 +43,8 @@ func WalkRuns(data []byte, fn func(run []byte, recs int) error) error {
 			return io.ErrUnexpectedEOF
 		}
 		end := at + h.payloadLen
-		run, err := h.decode(rest[at:end:end], nil)
-		if err != nil {
+		run := rest[at:end:end]
+		if err := h.verify(run); err != nil {
 			return err
 		}
 		rest = rest[end:]
@@ -56,8 +56,7 @@ func WalkRuns(data []byte, fn func(run []byte, recs int) error) error {
 
 // Walk calls fn with every record of data, a whole bucket payload in
 // either framing, in stream order, reading it in place: key and value
-// are subslices of data, or of a compressed block's decode buffer, and
-// fn must not write into them. It gives what
+// are subslices of data, and fn must not write into them. It gives what
 // NewAnyReader(bytes.NewReader(data)).ReadAll does: the same records,
 // then nil or an error of the same identity.
 func Walk(data []byte, fn func(key, value []byte) error) error {

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	"repro/internal/wirecodec"
 )
 
 // errClass names the sentinel an error carries, so two readers' errors
@@ -115,11 +113,11 @@ func allocatesLarge(data []byte) bool {
 // a legacy one in place, and identity blocks whose runs are subslices
 // of it. Neither allocates per record.
 func BenchmarkScanInPlace(b *testing.B) {
-	for _, form := range []string{"legacy", wirecodec.IdentityName} {
+	for _, form := range []string{"legacy", identityName} {
 		b.Run(form, func(b *testing.B) {
 			data := benchStream(b.N)
 			if form != "legacy" {
-				data = benchBlockStream(b.N, form)
+				data = benchBlockStream(b.N)
 			}
 			b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
 			b.ReportAllocs()

@@ -96,9 +96,6 @@ type Options struct {
 	// and serves it at /debug. Nil creates a private metrics-only
 	// runtime so /debug/metrics always works.
 	Obs *obs.Runtime
-	// Codec selects the compression codec for the master's block-framed
-	// buckets ("" keeps the legacy framing). Unknown names fail New.
-	Codec string
 	// MaxConcurrentJobs bounds the JobManager's admission: at most this
 	// many managed jobs run at once, the rest queue in submission order
 	// (default DefaultMaxConcurrentJobs).
@@ -334,13 +331,6 @@ func New(opts Options) (*Master, error) {
 			m.journal.Close()
 		}
 		return nil, err
-	}
-	if err := store.SetCodec(opts.Codec); err != nil {
-		ln.Close()
-		if m.journal != nil {
-			m.journal.Close()
-		}
-		return nil, fmt.Errorf("master: %w", err)
 	}
 	store.SetMetrics(opts.Obs.M())
 	m.store = store

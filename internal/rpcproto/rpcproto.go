@@ -369,12 +369,6 @@ func encodeOp(out map[string]any, spec *core.TaskSpec) {
 	if op.Narrow {
 		out["narrow"] = true
 	}
-	// Per-op data-plane pins travel only when set, so assignments to
-	// older slaves (which ignore unknown keys) are unchanged without
-	// pins.
-	if op.Codec != "" {
-		out["codec"] = op.Codec
-	}
 	if op.Resident {
 		// Resident tasks also carry the consumed dataset id: it is one
 		// third of the slave's cache key, which the slave cannot derive
@@ -514,7 +508,6 @@ func decodeOp(st map[string]any) (*core.TaskSpec, error) {
 	op.Params, _ = st["params"].([]byte)
 	op.Narrow, _ = st["narrow"].(bool)
 	op.Resident, _ = st["resident"].(bool)
-	op.Codec, _ = st["codec"].(string)
 	if err := op.Validate(); err != nil {
 		return nil, err
 	}

@@ -103,35 +103,6 @@ func TestAssignmentRoundTrip(t *testing.T) {
 		op.CombineName != "sum" || op.Splits != 4 || op.Partition != "hash" {
 		t.Errorf("op: %+v", op)
 	}
-	if op.Codec != "" {
-		t.Errorf("unset data-plane pins should stay empty: %+v", op)
-	}
-}
-
-func TestAssignmentDataPlanePins(t *testing.T) {
-	a := taskAssignment()
-	a.Spec.Op.Codec = "lz"
-	enc, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeAssignment(wireTrip(t, enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Spec.Op.Codec != "lz" {
-		t.Errorf("pins did not round-trip: %+v", got.Spec.Op)
-	}
-
-	// An unpinned assignment stays wire-identical to a pre-pin build:
-	// the keys are simply absent.
-	enc2, err := taskAssignment().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := enc2["codec"]; ok {
-		t.Error("empty codec pin was encoded")
-	}
 }
 
 func TestIdleAndShutdownAssignments(t *testing.T) {

@@ -71,11 +71,6 @@ type Options struct {
 	// Prefetch is the input-fetch window for this slave's tasks
 	// (0 = default, 1 = sequential).
 	Prefetch int
-	// Codec selects the compression codec for block-framed buckets
-	// ("" keeps the legacy framing). It is purely local: the data
-	// server sends buckets as they rest and block headers name their
-	// codec, so mixed-codec fleets interoperate.
-	Codec string
 	// Concurrency is how many tasks the slave runs at once (default 1,
 	// the classic sequential worker). With a multi-job master, slots
 	// above 1 let one slave serve several jobs' tasks concurrently.
@@ -187,12 +182,6 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	s.store = store
 	if opts.DataClient != nil {
 		store.SetHTTPClient(opts.DataClient)
-	}
-	if err := store.SetCodec(opts.Codec); err != nil {
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		return nil, fmt.Errorf("slave: %w", err)
 	}
 	store.SetMetrics(opts.Obs.M())
 	// The runtime may be shared by several slaves (the in-process

@@ -48,7 +48,7 @@ func TestDataServerServesBuckets(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("GET %s: %s", d.URL, resp.Status)
 	}
-	pairs, err := kvio.NewReader(resp.Body).ReadAll()
+	pairs, err := kvio.NewAnyReader(resp.Body).ReadAll()
 	if err != nil || len(pairs) != 1 || string(pairs[0].Key) != "k" {
 		t.Errorf("served pairs %v, err %v", pairs, err)
 	}

@@ -140,13 +140,6 @@ type Options struct {
 	// the default width; 1 fetches one bucket at a time (ablation).
 	// Output is byte-identical at any width.
 	Prefetch int
-	// Codec selects the compression codec intermediate buckets are
-	// written with in the block-framed data plane ("identity",
-	// "deflate", "lz"; "" keeps the legacy per-record framing). Data
-	// servers send buckets as they rest and block headers name their
-	// codec, so nodes running different codecs — or none — interoperate,
-	// and output is byte-identical under every setting.
-	Codec string
 	// ResidentBudget is the per-worker resident dataset cache budget in
 	// bytes: input splits of operations queued with OpOpts.Resident are
 	// fetched once and served from worker memory on later iterations
@@ -211,9 +204,6 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "mock":
@@ -224,9 +214,6 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "threads":
@@ -234,9 +221,6 @@ func Run(p Program, opts Options) error {
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
 		exec.SetPrefetch(opts.Prefetch)
-		if err := exec.SetCodec(opts.Codec); err != nil {
-			return fmt.Errorf("mrs: %w", err)
-		}
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "local":
@@ -247,7 +231,6 @@ func Run(p Program, opts Options) error {
 			SharedDir:         opts.SharedDir,
 			Obs:               rt,
 			Prefetch:          opts.Prefetch,
-			Codec:             opts.Codec,
 			ResidentBudget:    opts.ResidentBudget,
 		})
 		if err != nil {
@@ -263,7 +246,6 @@ func Run(p Program, opts Options) error {
 			SharedDir:         opts.SharedDir,
 			SpeculationFactor: opts.Speculation,
 			Obs:               rt,
-			Codec:             opts.Codec,
 		})
 		if err != nil {
 			return err
@@ -306,7 +288,6 @@ func Run(p Program, opts Options) error {
 			SharedDir:      opts.SharedDir,
 			Obs:            rt,
 			Prefetch:       opts.Prefetch,
-			Codec:          opts.Codec,
 			ResidentBudget: opts.ResidentBudget,
 		})
 		if err != nil {

@@ -37,10 +37,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused|LocalDataCopies|IdleLocalExecutor|SubmitAfterClose|UnclosedExecutor' \
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
-	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, format grid, prefetch chaos, block handoff, in-place reads and adoption)"
+	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, prefetch-width grid, prefetch chaos, block handoff, in-place reads and adoption)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetchAndCompression|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
-		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/wirecodec
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
+		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
 		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|CorruptBucket|Republish|UnlinkCounts|RemoveFile' \
