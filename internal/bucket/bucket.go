@@ -27,10 +27,10 @@
 // Every store writes a bucket in one form, kvio identity row blocks,
 // and a bucket crosses the wire exactly as it rests: the data server
 // sends its at-rest bytes verbatim and the reader checks each block's
-// CRC. Readers still sniff for the legacy per-record framing that
-// stores once wrote, so such buckets stay readable. Fetch reads a
-// bucket whole: an own RAM bucket as its read-only published bytes, a
-// file in one read of its size, an http body of known length exactly.
+// CRC. A bucket is read in that form only; bytes without the block
+// magic are refused. Fetch reads a bucket whole: an own RAM bucket as
+// its read-only published bytes, a file in one read of its size, an
+// http body of known length exactly.
 package bucket
 
 import (
@@ -52,9 +52,9 @@ import (
 	"repro/internal/obs"
 )
 
-// BlockExt is the at-rest suffix of a bucket file in kvio block
-// framing, the form every store writes. A file without it is a legacy
-// per-record bucket, which stores no longer write but still read.
+// BlockExt is the at-rest suffix of a bucket file, which holds kvio
+// block framing, the one form every store writes. A store publishes,
+// indexes and resolves only files with it.
 const BlockExt = ".mrb"
 
 // MemBucketMax is the largest bucket an HTTP-serving store keeps in RAM.
@@ -143,8 +143,9 @@ func NewFileStore(dir, baseURL string) (*Store, error) {
 		mem: map[string]atRest{}, files: map[string]string{}}
 	for _, e := range entries {
 		// Temp files of unfinished writes are hidden and never published.
-		if name := e.Name(); !e.IsDir() && !strings.HasPrefix(name, ".") {
-			s.files[flatName(name)] = filepath.Join(dir, name)
+		name := e.Name()
+		if flat, ok := strings.CutSuffix(name, BlockExt); ok && !e.IsDir() && !strings.HasPrefix(name, ".") {
+			s.files[flat] = filepath.Join(dir, name)
 		}
 	}
 	if s.baseURL != "" {
@@ -391,7 +392,7 @@ func (w *Writer) Close() (Descriptor, error) {
 		d.URL = fmt.Sprintf("mem:%d/%s", s.id, w.name)
 	case s.baseURL != "":
 		// http URLs never carry the at-rest suffix: the data server
-		// resolves the at-rest form.
+		// adds it.
 		d.URL = s.baseURL + "/" + url.PathEscape(w.sink.flat)
 	default:
 		d.URL = "file://" + w.form.path
@@ -430,17 +431,13 @@ func (w *Writer) publish() error {
 		os.Remove(k.tmp)
 		return fmt.Errorf("bucket: publishing %s: %w", w.form.path, err)
 	}
-	// The file is now the last publish of this name; a RAM copy or an
-	// other-form file from an earlier attempt must not shadow it.
+	// The file is now the last publish of this name; a RAM copy from an
+	// earlier attempt must not shadow it.
 	s.mu.Lock()
 	s.dropMem(k.flat)
-	old := s.files[k.flat]
 	s.files[k.flat] = w.form.path
 	s.mu.Unlock()
 	s.counter(obs.MetricBucketPublishedFile).Add(1)
-	if old != "" && old != w.form.path {
-		_ = s.unlink(old) // the new file is published either way; GC retries
-	}
 	return nil
 }
 
@@ -522,7 +519,7 @@ func (s *Store) Remove(name string) error {
 // file:// URL carries it: one unlink, whichever store in a shared
 // directory published it.
 func (s *Store) RemoveFile(path string) error {
-	flat := flatName(filepath.Base(path))
+	flat := strings.TrimSuffix(filepath.Base(path), BlockExt)
 	s.mu.Lock()
 	if s.files[flat] == path {
 		delete(s.files, flat)
@@ -539,15 +536,6 @@ func (s *Store) unlink(path string) error {
 		return err
 	}
 	return nil
-}
-
-// flatName strips the at-rest suffix from a bucket file name, leaving
-// the flat bucket name it was published under.
-func flatName(file string) string {
-	if i := strings.Index(file, BlockExt); i >= 0 {
-		return file[:i]
-	}
-	return file
 }
 
 // jobPrefix is the flat-name prefix of one job's buckets (names
@@ -574,11 +562,11 @@ func (s *Store) jobFiles(job int64) ([]string, error) {
 }
 
 // RemoveJob deletes every local bucket in one job's namespace, from
-// both backings and in every at-rest form. This is the slave- and
-// master-side reclaim that runs when a job completes. The files are
-// listed from the directory, not the index: in a shared directory they
-// include the job's buckets every other node wrote. Returns how many
-// buckets were removed.
+// both backings. This is the slave- and master-side reclaim that runs
+// when a job completes. The files are listed from the directory, not
+// the index: in a shared directory they include the job's buckets every
+// other node wrote, and any file of the job's an older build left under
+// another suffix. Returns how many buckets were removed.
 func (s *Store) RemoveJob(job int64) (int, error) {
 	n, prefix := 0, jobPrefix(job)
 	s.mu.Lock()
@@ -645,21 +633,13 @@ type nopCloser struct{ *bytes.Reader }
 
 func (nopCloser) Close() error { return nil }
 
-// resolveAtRest finds which at-rest form exists for the plain path of a
-// bucket file no store has indexed: the block file first, then the
-// plain legacy file.
+// resolveAtRest finds the bucket file, path + BlockExt, of a plain
+// bucket path no store has indexed.
 func resolveAtRest(path string) (atRest, error) {
-	for _, p := range []string{path + BlockExt, path} {
-		if statOK(p) {
-			return atRest{path: p}, nil
-		}
+	if _, err := os.Stat(path + BlockExt); err != nil {
+		return atRest{}, fmt.Errorf("bucket: %s: %w", path, os.ErrNotExist)
 	}
-	return atRest{}, fmt.Errorf("bucket: %s: %w", path, os.ErrNotExist)
-}
-
-func statOK(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+	return atRest{path: path + BlockExt}, nil
 }
 
 // lookup resolves a flat bucket name: RAM first, then the file the
@@ -695,9 +675,8 @@ func lookupPath(path string) (atRest, error) {
 	return resolveAtRest(path)
 }
 
-// OpenLocal returns the at-rest bytes of a bucket created by this store.
-// Record consumers go through kvio.NewAnyReader, which also reads a
-// legacy bucket.
+// OpenLocal returns the at-rest bytes of a bucket created by this
+// store, a kvio block stream that kvio.NewAnyReader decodes.
 func (s *Store) OpenLocal(name string) (io.ReadCloser, error) {
 	ar, err := s.lookup(flatten(name))
 	if err != nil {
@@ -791,8 +770,8 @@ var httpClient = &http.Client{Timeout: HTTPTimeout, Transport: DefaultTransport}
 // file:// URLs are opened directly; http:// URLs are fetched with
 // bounded retries (transient fetch failures are expected during slave
 // churn and must not kill a reduce task immediately). Every stream
-// comes back as the bucket rests, which kvio.NewAnyReader decodes, so
-// wire-byte counters see the at-rest size, framing included.
+// comes back as the bucket rests, a kvio block stream, so wire-byte
+// counters see the at-rest size, framing included.
 func (s *Store) Open(rawURL string) (io.ReadCloser, error) {
 	if ar, ok, err := s.resolveLocal(rawURL); ok {
 		if err != nil {
@@ -1016,11 +995,10 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // ServeBucket writes the bucket at path (as resolved by ServeName) to an
 // HTTP response: its at-rest bytes verbatim, with Content-Length, in
-// whichever backing the serving store's lookup finds it. Every reader
-// decodes both framings, so no request header changes the response.
-// Integrity is the client's to
-// check: a block stream's CRCs and a legacy stream's record framing
-// catch a corrupt or truncated body when it is decoded.
+// whichever backing the serving store's lookup finds it; no request
+// header changes the response. Integrity is the client's to check: the
+// block CRCs and lengths catch a corrupt or truncated body when it is
+// decoded.
 func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 	ar, err := lookupPath(path)
 	if err != nil {

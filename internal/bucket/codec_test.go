@@ -38,7 +38,7 @@ func TestBlockBucketRoundTripLocal(t *testing.T) {
 			t.Errorf("descriptor %d records / %d bytes, want %d / %d",
 				d.Records, d.Bytes, len(in), payloadBytes(in))
 		}
-		// Via the URL and via OpenLocal + sniffing reader.
+		// Via the URL and via OpenLocal + kvio.NewAnyReader.
 		got, err := s.ReadAll(d.URL)
 		if err != nil {
 			t.Fatal(err)
@@ -124,16 +124,18 @@ func TestBlockBucketServedVerbatim(t *testing.T) {
 	}
 }
 
-// TestLegacyBucketStaysReadable: stores write only blocks, but a legacy
-// per-record bucket file (left in a store directory by a store that
-// wrote that form) still reads through every path: its file:// URL
-// with ReadAll, Fetch then kvio.Walk, OpenLocal then kvio.NewAnyReader
-// (the plain-path probe), and served over HTTP.
-func TestLegacyBucketStaysReadable(t *testing.T) {
-	in := smallPairs()
+// TestLegacyBucketRefused: stores read only block framing, so a
+// per-record stream at rest under the plain bucket name (left in a
+// store directory by an older build) is refused. Through its file://
+// URL, ReadAll, Fetch then kvio.Walk, and kvio.NewAnyReader on Open
+// fail with ErrBlockCorrupt naming the missing magic and no records;
+// OpenLocal and the HTTP URL, which resolve only BlockExt files, find
+// no bucket, and RemoveJob, which lists the directory, deletes such a
+// file of the job's.
+func TestLegacyBucketRefused(t *testing.T) {
 	var legacy bytes.Buffer
 	w := kvio.NewWriter(&legacy)
-	for _, p := range in {
+	for _, p := range smallPairs() {
 		if err := w.Write(p); err != nil {
 			t.Fatal(err)
 		}
@@ -143,20 +145,20 @@ func TestLegacyBucketStaysReadable(t *testing.T) {
 	}
 	w.Release()
 	// Written after the store opened its directory, so the store has not
-	// indexed it and finds it only by probing.
+	// indexed it and could find it only by probing.
 	s, srv := servedStore(t, false)
 	path := filepath.Join(s.Dir(), "ds1_t0_s0")
 	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	check := func(how string, got []kvio.Pair, err error) {
+	refused := func(how string, got []kvio.Pair, err error) {
 		t.Helper()
-		if err != nil || !pairsEqual(got, in) {
-			t.Errorf("%s: %d of %d records, %v", how, len(got), len(in), err)
+		if !errors.Is(err, kvio.ErrBlockCorrupt) || !strings.Contains(err.Error(), "missing block magic") || len(got) != 0 {
+			t.Errorf("%s: %d records, %v; want 0 and ErrBlockCorrupt naming the missing magic", how, len(got), err)
 		}
 	}
 	got, err := s.ReadAll("file://" + path)
-	check("ReadAll", got, err)
+	refused("ReadAll", got, err)
 	data, err := s.Fetch("file://" + path)
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +168,8 @@ func TestLegacyBucketStaysReadable(t *testing.T) {
 		got = append(got, kvio.Pair{Key: k, Value: v})
 		return nil
 	})
-	check("Fetch+Walk", got, err)
-	rc, err := s.OpenLocal("ds1/t0/s0")
+	refused("Fetch+Walk", got, err)
+	rc, err := s.Open("file://" + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +177,27 @@ func TestLegacyBucketStaysReadable(t *testing.T) {
 	got, err = r.ReadAll()
 	r.Release()
 	rc.Close()
-	check("OpenLocal+NewAnyReader", got, err)
-	got, err = NewMemStore().ReadAll(srv.URL + "/data/ds1_t0_s0")
-	check("served", got, err)
+	refused("Open+NewAnyReader", got, err)
+
+	if _, err := s.OpenLocal("ds1/t0/s0"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("OpenLocal: %v, want not-found", err)
+	}
+	client := NewMemStore()
+	client.sleep = func(time.Duration) {}
+	if got, err := client.ReadAll(srv.URL + "/data/ds1_t0_s0"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("served: %d records, %v; want 404 Not Found", len(got), err)
+	}
+	// RemoveJob lists the directory, so it still reclaims such a file.
+	jobFile := filepath.Join(s.Dir(), jobPrefix(7)+"ds1_t0_s0")
+	if err := os.WriteFile(jobFile, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.RemoveJob(7); err != nil || n != 1 {
+		t.Errorf("RemoveJob: %d buckets, %v; want the legacy file", n, err)
+	}
+	if _, err := os.Stat(jobFile); !os.IsNotExist(err) {
+		t.Errorf("legacy job file after RemoveJob: %v", err)
+	}
 }
 
 // TestCorruptBucketFailsClientDecode: the data server sends at-rest
@@ -185,23 +205,18 @@ func TestLegacyBucketStaysReadable(t *testing.T) {
 // the client's decode — from RAM and from a file, through ReadAll and
 // through Fetch followed by a decode — and never yield a clean prefix
 // of its records. A block bucket with one flipped payload byte fails
-// its CRC; a legacy bucket cut mid-record fails its framing. (A legacy
-// bucket cut exactly at a record boundary is a valid shorter stream
-// and cannot be detected; see DESIGN.md §5. Stores no longer write
-// legacy buckets, so that case puts one at rest in place of the
-// block bucket.)
+// its CRC; one cut mid-block is torn.
 func TestCorruptBucketFailsClientDecode(t *testing.T) {
 	in := smallPairs()
-	legacy := kvio.Marshal(in)
 	forms := []struct {
 		name    string
 		corrupt func([]byte) []byte
-		want    error // nil: any decode error
+		want    error
 	}{
 		{"block-flipped-byte",
 			func(b []byte) []byte { b[len(b)-1] ^= 0xFF; return b }, kvio.ErrBlockChecksum},
-		{"legacy-cut-mid-record",
-			func([]byte) []byte { return legacy[:len(legacy)-1] }, nil},
+		{"block-cut-mid-block",
+			func(b []byte) []byte { return b[:len(b)-1] }, io.ErrUnexpectedEOF},
 	}
 	for _, form := range forms {
 		for _, ram := range []bool{true, false} {
@@ -219,7 +234,7 @@ func TestCorruptBucketFailsClientDecode(t *testing.T) {
 					if err == nil {
 						t.Fatalf("%s: corrupt bucket decoded cleanly to %d of %d records", how, len(got), len(in))
 					}
-					if form.want != nil && !errors.Is(err, form.want) {
+					if !errors.Is(err, form.want) {
 						t.Errorf("%s: error %v, want %v", how, err, form.want)
 					}
 				}

@@ -376,41 +376,6 @@ func TestDuplicatePublishLastWins(t *testing.T) {
 	}
 }
 
-// A block-file publish over a legacy bucket file of the same name (one
-// a store wrote before blocks were the only form, found when the store
-// reopened its directory) unlinks the legacy file, which the plain-path
-// probe would otherwise still find.
-func TestFileRepublishInAnotherFormUnlinksOld(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "ds1_t0_s0"), kvio.Marshal(smallPairs()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewFileStore(dir, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.ReadAll("file://" + filepath.Join(dir, "ds1_t0_s0")); err != nil || !pairsEqual(got, smallPairs()) {
-		t.Fatalf("legacy bucket reads back %d records (%v)", len(got), err)
-	}
-	second := []kvio.Pair{kvio.StrPair("attempt", "two")}
-	if _, err := s.Put("ds1/t0/s0", second); err != nil {
-		t.Fatal(err)
-	}
-	if got := filesIn(t, s.Dir()); len(got) != 1 || got[0] != "ds1_t0_s0"+BlockExt {
-		t.Errorf("files after re-publishing as blocks: %v, want the block file alone", got)
-	}
-	rc, err := s.OpenLocal("ds1/t0/s0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	r := kvio.NewAnyReader(rc)
-	defer r.Release()
-	if got, err := r.ReadAll(); err != nil || !pairsEqual(got, second) {
-		t.Errorf("re-published bucket reads back %v (%v)", got, err)
-	}
-}
-
 // Removal costs what the bucket's backing costs: nothing for a RAM
 // bucket or a name the store never wrote (a freed bucket another node
 // owns), one unlink for a file bucket the store published or found on

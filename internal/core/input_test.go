@@ -10,11 +10,12 @@ import (
 )
 
 // BenchmarkReduceInputInPlace is shuffle-sort's reduce input: four
-// 1.5 MB legacy buckets of 10-byte keys and 90-byte values, published
-// in RAM, read through the task input path into an index-form sorter
-// that adopts each bucket whole, then out through Groups. Nothing is
-// allocated per record: the index's doublings, the adopted-run list and
-// the radix scratch grow with the log of the record count at most.
+// 1.5 MB buckets of 10-byte keys and 90-byte values, written as 64 KiB
+// identity blocks and published in RAM, read through the task input
+// path into an index-form sorter that adopts each block's run, then out
+// through Groups. Nothing is allocated per record or per block: the
+// index's doublings, the adopted-run list and the radix scratch grow
+// with the log of the record count at most.
 func BenchmarkReduceInputInPlace(b *testing.B) {
 	const buckets, perBucket = 4, 15000
 	store := bucket.NewMemStore()

@@ -423,8 +423,8 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 		Combine:    combine,
 	})
 	defer sorter.Close()
-	// KV inputs are read in place: the sorter adopts each record run, a
-	// legacy bucket whole or a block's records, and points into it.
+	// KV inputs are read in place: the sorter adopts each block's record
+	// run and points into it.
 	err = forEachInput(env, spec, st, recordSink{
 		fn: func(key, value []byte) error {
 			return sorter.Add(kvio.Pair{Key: key, Value: value})
@@ -661,9 +661,9 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 	return nil
 }
 
-// consume feeds one whole bucket payload to sink where it lies: KV in
-// either framing through the kvio walker, lines through forEachLine,
-// whose bucket bytes it charges to st.
+// consume feeds one whole bucket payload to sink where it lies: KV
+// blocks through the kvio walker, lines through forEachLine, whose
+// bucket bytes it charges to st.
 func consume(data []byte, format string, sink recordSink, st *inputStats) error {
 	switch format {
 	case "", FormatKV:

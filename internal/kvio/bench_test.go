@@ -124,45 +124,12 @@ func BenchmarkBlockReaderReadShared(b *testing.B) {
 		b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
 		b.ReportAllocs()
 		b.ResetTimer()
-		r, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := NewAnyReader(bytes.NewReader(data))
 		defer r.Release()
 		for i := 0; i < b.N; i++ {
 			if _, err := r.ReadShared(); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkBlockNextBlock measures the zero-copy batch path: decode a
-// block and scan records in place, no per-record copies.
-func BenchmarkBlockNextBlock(b *testing.B) {
-	b.Run(identityName, func(b *testing.B) {
-		data := benchBlockStream(b.N)
-		b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
-		b.ReportAllocs()
-		b.ResetTimer()
-		r, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Release()
-		seen := 0
-		for seen < b.N {
-			blk, recs, err := r.NextBlock()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ScanRecords(blk, func(k, v []byte) error { return nil }); err != nil {
-				b.Fatal(err)
-			}
-			seen += recs
 		}
 	})
 }

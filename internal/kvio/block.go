@@ -22,15 +22,13 @@ package kvio
 // refuses a block naming any payload form but "identity" (such as the
 // retired "deflate" and "lz") as corrupt rather than guess at its bytes.
 //
-// The magic is chosen so no valid legacy stream can begin with it: its
-// first five bytes decode as a uvarint key length far above
-// MaxRecordLen, which legacy writers never produce and legacy readers
-// reject. NewAnyReader uses this to take byte streams of either framing
-// and pick the right reader, so legacy and block buckets read alike.
+// Every bucket opens with the magic, and its readers (Walk, WalkRuns,
+// NewAnyReader) refuse a stream without it as corrupt: a bare
+// per-record stream, the sorter's spill-run format, is never a bucket.
+// The magic's first five bytes decode as a uvarint key length far above
+// MaxRecordLen, so the per-record Reader refuses a block stream too.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,7 +72,7 @@ const blockHdrMax = 3*binary.MaxVarintLen64 + 1 + len(identityName) + 4
 const headroom = len(BlockMagic) + blockHdrMax
 
 // pendingPool recycles BlockWriter pending buffers, as writerPool does
-// the legacy Writer's bufio: a bucket per task output split would
+// the per-record Writer's bufio: a bucket per task output split would
 // otherwise allocate a whole block's buffer each.
 var pendingPool = sync.Pool{New: func() any {
 	b := make([]byte, headroom, headroom+DefaultBlockSize+1024)
@@ -195,53 +193,44 @@ func (w *BlockWriter) Bytes() int64 { return w.bytes }
 // ---------------------------------------------------------------------------
 // BlockReader
 
-// BlockReader parses a block-framed stream. It verifies each block's
-// CRC and serves records either one at a time (Read / ReadShared) or a
-// whole block at once (NextBlock, the zero-copy path into the shuffle
-// sorter).
+// BlockReader serves the records of a block stream it holds whole, one
+// at a time, through Walk's run cursor: it checks and refuses what Walk
+// does, and its errors are sticky.
 type BlockReader struct {
-	br       *bufio.Reader
-	ownsBuf  bool // br came from the shared pool
-	block    []byte
-	off      int
-	recsLeft int
-	n        int64
-	rawBytes int64
-	err      error
+	rest []byte // the stream after the current run
+	run  []byte // the current run's unread records
+	recs int    // records the current run's header still owes
+	n    int64
+	err  error
 }
 
-// NewBlockReader returns a BlockReader on r, consuming and verifying
-// the stream magic.
-func NewBlockReader(r io.Reader) (*BlockReader, error) {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	got, err := br.Peek(len(BlockMagic))
-	if err != nil || !bytes.Equal(got, BlockMagic[:]) {
-		br.Reset(nil)
-		readerPool.Put(br)
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: missing block magic", ErrBlockCorrupt)
+// NewAnyReader reads r to the end and returns a BlockReader on its
+// bytes, read in one exact-size allocation when r reports its length
+// (a bytes.Reader does). A read error, or a stream without BlockMagic
+// (ErrBlockCorrupt), is the reader's first result.
+func NewAnyReader(r io.Reader) *BlockReader {
+	data, err := readWhole(r)
+	if err == nil {
+		data, err = blocks(data)
 	}
-	br.Discard(len(BlockMagic))
-	return &BlockReader{br: br, ownsBuf: true}, nil
+	return &BlockReader{rest: data, err: err}
 }
 
-// newBlockReaderAt wraps an existing bufio whose magic has already been
-// consumed; used by NewAnyReader after sniffing.
-func newBlockReaderAt(br *bufio.Reader, ownsBuf bool) *BlockReader {
-	return &BlockReader{br: br, ownsBuf: ownsBuf}
+// readWhole reads r to the end: in one exact-size allocation when r
+// reports its length, by io.ReadAll otherwise.
+func readWhole(r io.Reader) ([]byte, error) {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, l.Len())
+	_, err := io.ReadFull(r, data)
+	return data, err
 }
 
-// Release returns pooled state. Safe to call more than once.
+// Release drops the stream. Safe to call more than once.
 func (r *BlockReader) Release() {
-	if r.br != nil && r.ownsBuf {
-		r.br.Reset(nil)
-		readerPool.Put(r.br)
-	}
-	r.br = nil
-	r.block = nil
+	r.rest, r.run = nil, nil
 	if r.err == nil {
 		r.err = ErrReleased
 	}
@@ -249,10 +238,6 @@ func (r *BlockReader) Release() {
 
 // Count returns the number of records read so far.
 func (r *BlockReader) Count() int64 { return r.n }
-
-// RawBytes returns the payload bytes consumed so far, including blocks
-// handed off via NextBlock.
-func (r *BlockReader) RawBytes() int64 { return r.rawBytes }
 
 // blockHdr is one parsed block header.
 type blockHdr struct {
@@ -262,66 +247,61 @@ type blockHdr struct {
 	crc        uint32
 }
 
-// byteReader is what header parsing reads from: the BlockReader's
-// bufio.Reader, or a bytes.Reader over a whole payload (Walk).
-type byteReader interface {
-	io.Reader
-	io.ByteReader
+// uvarintAt reads the header uvarint at data[n:], bounded by
+// MaxBlockLen, and returns it with the offset past it.
+func uvarintAt(data []byte, n int) (int, int, error) {
+	v, k := binary.Uvarint(data[n:])
+	switch {
+	case k == 0:
+		return 0, 0, io.ErrUnexpectedEOF
+	case k < 0:
+		return 0, 0, fmt.Errorf("%w: header uvarint overflows 64 bits", ErrBlockCorrupt)
+	case v > MaxBlockLen:
+		return 0, 0, fmt.Errorf("%w: length %d exceeds MaxBlockLen", ErrBlockCorrupt, v)
+	}
+	return int(v), n + k, nil
 }
 
-// u reads one bounds-checked header uvarint. An io.EOF at a block start
-// is the clean end of stream; anywhere else the stream tore mid-header.
-func u(r byteReader, atStart bool) (int, error) {
-	v, uerr := binary.ReadUvarint(r)
-	if uerr != nil {
-		if uerr == io.EOF && !atStart {
-			return 0, io.ErrUnexpectedEOF
-		}
-		return 0, uerr
+// readHeader parses the block header at the head of data and returns
+// it with its encoded length. An empty data is the clean end of stream
+// (io.EOF); one that ends inside the header tore mid-block
+// (io.ErrUnexpectedEOF). A header naming any payload form but identity
+// (a retired codec's, or a future one's) is corrupt.
+func readHeader(data []byte) (h blockHdr, n int, err error) {
+	if len(data) == 0 {
+		return h, 0, io.EOF
 	}
-	if v > MaxBlockLen {
-		return 0, fmt.Errorf("%w: length %d exceeds MaxBlockLen", ErrBlockCorrupt, v)
-	}
-	return int(v), nil
-}
-
-// readHeader parses one block header. Its first uvarint is the record
-// count, bounded by MaxBlockLen; an io.EOF before that first byte is
-// the clean end of stream. A header naming any payload form but
-// identity (a retired codec's, or a future one's) is corrupt.
-func readHeader(r byteReader) (h blockHdr, err error) {
-	if h.recs, err = u(r, true); err != nil {
+	var nameLen int
+	if h.recs, n, err = uvarintAt(data, 0); err != nil {
 		return
 	}
-	if h.rawLen, err = u(r, false); err != nil {
+	if h.rawLen, n, err = uvarintAt(data, n); err != nil {
 		return
 	}
-	nameLen, err := u(r, false)
-	if err != nil {
+	if nameLen, n, err = uvarintAt(data, n); err != nil {
 		return
 	}
 	if nameLen > 64 {
 		err = fmt.Errorf("%w: codec name length %d", ErrBlockCorrupt, nameLen)
 		return
 	}
-	var nameBuf [64]byte
-	if _, err = io.ReadFull(r, nameBuf[:nameLen]); err != nil {
-		err = noEOF(err)
+	if len(data)-n < nameLen {
+		err = io.ErrUnexpectedEOF
 		return
 	}
-	if name := nameBuf[:nameLen]; string(name) != identityName {
+	if name := data[n : n+nameLen]; string(name) != identityName {
 		err = fmt.Errorf("%w: unknown codec %q", ErrBlockCorrupt, name)
 		return
 	}
-	if h.payloadLen, err = u(r, false); err != nil {
+	if h.payloadLen, n, err = uvarintAt(data, n+nameLen); err != nil {
 		return
 	}
-	var crcBuf [4]byte
-	if _, err = io.ReadFull(r, crcBuf[:]); err != nil {
-		err = noEOF(err)
+	if len(data)-n < 4 {
+		err = io.ErrUnexpectedEOF
 		return
 	}
-	h.crc = binary.LittleEndian.Uint32(crcBuf[:])
+	h.crc = binary.LittleEndian.Uint32(data[n:])
+	n += 4
 	if h.payloadLen != h.rawLen {
 		err = fmt.Errorf("%w: identity payload %d != raw %d", ErrBlockCorrupt, h.payloadLen, h.rawLen)
 	}
@@ -336,100 +316,30 @@ func (h blockHdr) verify(payload []byte) error {
 	return nil
 }
 
-// readPayload reads a block's payload into dst (grown as needed; nil
-// for a fresh, caller-owned allocation) and checks it in place.
-func (r *BlockReader) readPayload(h blockHdr, dst []byte) ([]byte, error) {
-	if cap(dst) < h.payloadLen {
-		dst = make([]byte, h.payloadLen)
-	}
-	payload := dst[:h.payloadLen]
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		return nil, noEOF(err)
-	}
-	return payload, h.verify(payload)
-}
-
-// nextRaw reads the next non-empty block and returns its legacy-framed
-// record run (read into dst, grown as needed) without record parsing.
-// io.EOF means a clean end of stream.
-func (r *BlockReader) nextRaw(dst []byte) ([]byte, int, error) {
-	for {
-		h, err := readHeader(r.br)
-		if err != nil {
-			return nil, 0, err
-		}
-		if h.recs == 0 && h.rawLen == 0 && h.payloadLen == 0 {
-			continue // empty block: legal, carries nothing
-		}
-		if dst, err = r.readPayload(h, dst); err != nil {
-			return nil, 0, err
-		}
-		r.rawBytes += int64(h.rawLen)
-		return dst, h.recs, nil
-	}
-}
-
-// NextBlock returns the next block as its legacy-framed record run
-// and its record count, transferring ownership of the returned slice to
-// the caller (it is never reused by the reader) — the zero-copy handoff
-// into the shuffle sorter's AddBlock. It must not be mixed with
-// Read/ReadShared on a partially consumed block. io.EOF signals a clean
-// end of stream.
-func (r *BlockReader) NextBlock() ([]byte, int, error) {
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if r.off != len(r.block) {
-		return nil, 0, fmt.Errorf("kvio: NextBlock mid-block")
-	}
-	rows, recs, err := r.nextRaw(nil)
-	if err != nil {
-		r.err = err
-		return nil, 0, err
-	}
-	r.n += int64(recs)
-	return rows, recs, nil
-}
-
-// advance ensures the current block has at least one unread record.
-func (r *BlockReader) advance() error {
-	for r.recsLeft == 0 {
-		if r.off != len(r.block) {
-			return fmt.Errorf("%w: %d payload bytes beyond last record", ErrBlockCorrupt, len(r.block)-r.off)
-		}
-		block, recs, err := r.nextRaw(r.block)
-		if err != nil {
-			return err
-		}
-		r.block, r.recsLeft, r.off = block, recs, 0
-	}
-	return nil
-}
-
-// next parses one record out of the current block, returning slices
-// into the block buffer (valid until the next read call).
+// next returns the next record as subslices of the stream, moving to
+// the next run when the current one has given its header's count.
 func (r *BlockReader) next() (Pair, error) {
+	for r.err == nil && r.recs == 0 {
+		if r.err = beyondLast(r.run); r.err == nil {
+			r.run, r.recs, r.rest, r.err = nextRun(r.rest)
+		}
+	}
 	if r.err != nil {
 		return Pair{}, r.err
 	}
-	if err := r.advance(); err != nil {
-		r.err = err
-		return Pair{}, err
-	}
-	rest := r.block[r.off:]
-	key, value, used, err := scanOne(rest)
+	key, value, used, err := scanOne(r.run)
 	if err != nil {
 		r.err = err
 		return Pair{}, err
 	}
-	r.off += used
-	r.recsLeft--
+	r.run = r.run[used:]
+	r.recs--
 	r.n++
 	return Pair{Key: key, Value: value}, nil
 }
 
 // ReadShared returns the next record; the slices alias the reader's
-// block buffer and are valid only until the next read call.
+// copy of the stream, which it never writes.
 func (r *BlockReader) ReadShared() (Pair, error) { return r.next() }
 
 // Read returns the next record as freshly allocated slices.
@@ -454,14 +364,6 @@ func (r *BlockReader) ReadAll() ([]Pair, error) {
 		}
 		out = append(out, p)
 	}
-}
-
-// noEOF maps io.EOF to io.ErrUnexpectedEOF (the stream tore mid-block).
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -511,39 +413,4 @@ func ScanRecords(data []byte, fn func(key, value []byte) error) (int, error) {
 		}
 	}
 	return recs, nil
-}
-
-// ---------------------------------------------------------------------------
-// Framing-agnostic reading
-
-// RecordReader is the read interface shared by the legacy per-record
-// Reader and the BlockReader, so consumers can take streams of either
-// framing.
-type RecordReader interface {
-	// Read returns the next record as retainable fresh allocations.
-	Read() (Pair, error)
-	// ReadShared returns the next record in internal buffers valid only
-	// until the next read call.
-	ReadShared() (Pair, error)
-	// ReadAll drains the stream.
-	ReadAll() ([]Pair, error)
-	// Count returns records read so far.
-	Count() int64
-	// Release recycles pooled state; the reader is unusable afterwards.
-	Release()
-}
-
-// NewAnyReader sniffs the stream's framing and returns the matching
-// reader: block framing if the stream opens with BlockMagic (which no
-// valid legacy stream can), the legacy per-record reader otherwise.
-// This is how every consumer reads both at-rest forms.
-func NewAnyReader(r io.Reader) RecordReader {
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	got, err := br.Peek(len(BlockMagic))
-	if err == nil && bytes.Equal(got, BlockMagic[:]) {
-		br.Discard(len(BlockMagic))
-		return newBlockReaderAt(br, true)
-	}
-	return &Reader{r: br}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,10 +55,7 @@ func TestBlockRoundTripAllCodecs(t *testing.T) {
 				if !bytes.Equal(wire, retiredBlockStream(pairs, identityName, blockSize)) {
 					t.Fatal("identity stream differs from the codec-era writer's")
 				}
-				r, err := NewBlockReader(bytes.NewReader(wire))
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := NewAnyReader(bytes.NewReader(wire))
 				defer r.Release()
 				got, err := r.ReadAll()
 				if err != nil {
@@ -79,10 +77,7 @@ func TestBlockEmptyStream(t *testing.T) {
 	if !bytes.Equal(wire, BlockMagic[:]) {
 		t.Fatalf("empty stream = %x, want just the magic", wire)
 	}
-	r, err := NewBlockReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewAnyReader(bytes.NewReader(wire))
 	defer r.Release()
 	if _, err := r.Read(); err != io.EOF {
 		t.Fatalf("want clean EOF on empty stream, got %v", err)
@@ -105,10 +100,7 @@ func TestBlockZeroRecordBlock(t *testing.T) {
 	empty = binary.LittleEndian.AppendUint32(empty, crc32.ChecksumIEEE(nil))
 	spliced := append(append(append([]byte(nil), wire[:len(BlockMagic)]...), empty...), wire[len(BlockMagic):]...)
 
-	r, err := NewBlockReader(bytes.NewReader(spliced))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewAnyReader(bytes.NewReader(spliced))
 	defer r.Release()
 	got, err := r.ReadAll()
 	if err != nil {
@@ -128,12 +120,9 @@ func TestBlockChecksumDetectsCorruption(t *testing.T) {
 		// Flip one payload byte near the end (past magic + header).
 		bad := append([]byte(nil), wire...)
 		bad[len(bad)-3] ^= 0x40
-		r, err := NewBlockReader(bytes.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewAnyReader(bytes.NewReader(bad))
 		defer r.Release()
-		if _, err = r.ReadAll(); !errors.Is(err, ErrBlockChecksum) {
+		if _, err := r.ReadAll(); !errors.Is(err, ErrBlockChecksum) {
 			t.Fatalf("flipped payload byte: got %v, want ErrBlockChecksum", err)
 		}
 		if err := Walk(bad, func(k, v []byte) error { return nil }); !errors.Is(err, ErrBlockChecksum) {
@@ -146,11 +135,8 @@ func TestBlockTornStream(t *testing.T) {
 	pairs := testPairs(2000)
 	wire := blockStream(t, pairs, 4096)
 	for _, cut := range []int{len(BlockMagic) + 1, len(wire) / 2, len(wire) - 1} {
-		r, err := NewBlockReader(bytes.NewReader(wire[:cut]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = r.ReadAll()
+		r := NewAnyReader(bytes.NewReader(wire[:cut]))
+		_, err := r.ReadAll()
 		r.Release()
 		if err == nil || err == io.EOF {
 			t.Fatalf("torn stream at %d decoded cleanly", cut)
@@ -168,10 +154,7 @@ func TestBlockUnknownCodecErrors(t *testing.T) {
 		t.Fatal("codec name not found in wire form")
 	}
 	bad[i] = 'X'
-	r, err := NewBlockReader(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewAnyReader(bytes.NewReader(bad))
 	defer r.Release()
 	if _, err := r.ReadAll(); !errors.Is(err, ErrBlockCorrupt) {
 		t.Fatalf("unknown codec: got %v, want ErrBlockCorrupt", err)
@@ -199,24 +182,31 @@ func foreignBlock(codec string) []byte {
 	return append(wire, payload...)
 }
 
-// TestBlockReaderRejectsForeignStreams: a block reader handed a
+// TestBlockReaderRejectsForeignStreams: the block readers handed a
 // per-record stream, a well-formed block naming any codec but identity
 // (one nobody ever wrote, or a retired one), or a block in the retired
-// columnar layout fails with ErrBlockCorrupt and a message saying
+// columnar layout fail with ErrBlockCorrupt and a message saying
 // which, rather than decoding garbage records.
 func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 	t.Run("per-record stream", func(t *testing.T) {
-		_, err := NewBlockReader(bytes.NewReader(Marshal(testPairs(10))))
-		if !errors.Is(err, ErrBlockCorrupt) || !strings.Contains(err.Error(), "missing block magic") {
-			t.Fatalf("per-record stream: got %v, want ErrBlockCorrupt naming the missing magic", err)
+		wire := Marshal(testPairs(10))
+		r := NewAnyReader(bytes.NewReader(wire))
+		got, err := r.ReadAll()
+		r.Release()
+		walked := 0
+		werr := Walk(wire, func(k, v []byte) error { walked++; return nil })
+		for how, res := range map[string]struct {
+			recs int
+			err  error
+		}{"ReadAll": {len(got), err}, "Walk": {walked, werr}} {
+			if !errors.Is(res.err, ErrBlockCorrupt) || !strings.Contains(res.err.Error(), "missing block magic") || res.recs != 0 {
+				t.Errorf("%s: %d records, %v; want 0 and ErrBlockCorrupt naming the missing magic", how, res.recs, res.err)
+			}
 		}
 	})
 	// The same block naming identity decodes, so the name alone is what
 	// the reader rejects in the rows below.
-	ok, err := NewBlockReader(bytes.NewReader(foreignBlock(identityName)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := NewAnyReader(bytes.NewReader(foreignBlock(identityName)))
 	if got, err := ok.ReadAll(); err != nil || !pairsEqual(got, testPairs(3)) {
 		t.Fatalf("identity control block: %d records, %v", len(got), err)
 	}
@@ -229,157 +219,43 @@ func TestBlockReaderRejectsForeignStreams(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) { checkRefused(t, foreignBlock(row.codec), row.codec) })
 	}
 	t.Run("columnar block", func(t *testing.T) {
-		r, err := NewBlockReader(bytes.NewReader(columnarFrame()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewAnyReader(bytes.NewReader(columnarFrame()))
 		got, err := r.ReadAll()
 		r.Release()
 		if !errors.Is(err, ErrBlockCorrupt) || len(got) != 0 {
 			t.Fatalf("ReadAll: %d records, %v; want 0 and ErrBlockCorrupt", len(got), err)
 		}
-		r, err = NewBlockReader(bytes.NewReader(columnarFrame()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Release()
-		blk, recs, err := r.NextBlock()
-		if !errors.Is(err, ErrBlockCorrupt) || recs != 0 || blk != nil {
-			t.Fatalf("NextBlock: %d records, %v; want 0 and ErrBlockCorrupt", recs, err)
-		}
-		if _, _, err2 := r.NextBlock(); err2 != err {
-			t.Fatalf("NextBlock error not sticky: %v then %v", err, err2)
-		}
 	})
 }
 
-func TestBlockMagicIsLegacyPoison(t *testing.T) {
-	// The design guarantee behind NewAnyReader: a legacy reader must
-	// reject a block stream deterministically — and, since the magic is
-	// recognizable, with a version-aware error naming the minimum reader
-	// instead of a generic size complaint.
-	for _, mk := range []struct {
-		name string
-		data []byte
-	}{
-		{"bare magic", BlockMagic[:]},
-		{"row blocks", blockStream(t, testPairs(10), 0)},
-		{"columnar blocks", columnarFrame()},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			r := NewReader(bytes.NewReader(mk.data))
-			defer r.Release()
-			_, err := r.Read()
-			if !errors.Is(err, ErrBlockStream) {
-				t.Fatalf("legacy read of block stream: got %v, want ErrBlockStream", err)
-			}
-			if !strings.Contains(err.Error(), "version 0x01") {
-				t.Fatalf("error is not version-aware: %v", err)
-			}
-			if !strings.Contains(err.Error(), "NewBlockReader") {
-				t.Fatalf("error does not name the minimum reader: %v", err)
-			}
-		})
+// TestReaderAllocationBoundedByInput: a 28-byte stream, the magic and
+// one header declaring a MaxBlockLen payload that never comes, is torn
+// for Walk and NewAnyReader alike, and the reader allocates about its
+// input, not the declared length.
+func TestReaderAllocationBoundedByInput(t *testing.T) {
+	wire := binary.AppendUvarint(append([]byte(nil), BlockMagic[:]...), 1)
+	wire = binary.AppendUvarint(wire, MaxBlockLen)
+	wire = binary.AppendUvarint(wire, uint64(len(identityName)))
+	wire = append(wire, identityName...)
+	wire = binary.AppendUvarint(wire, MaxBlockLen)
+	wire = binary.LittleEndian.AppendUint32(wire, 0)
+	if len(wire) != 28 {
+		t.Fatalf("stream is %d bytes, want 28", len(wire))
 	}
-	// A genuinely oversized record length (not the magic) still reports
-	// ErrRecordTooLarge.
-	big := binary.AppendUvarint(nil, uint64(MaxRecordLen)+1)
-	r := NewReader(bytes.NewReader(big))
-	defer r.Release()
-	if _, err := r.Read(); !errors.Is(err, ErrRecordTooLarge) {
-		t.Fatalf("oversized record: got %v, want ErrRecordTooLarge", err)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewAnyReader(bytes.NewReader(wire))
+	got, err := r.ReadAll()
+	r.Release()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF || len(got) != 0 {
+		t.Fatalf("ReadAll: %d records, %v; want 0 and io.ErrUnexpectedEOF", len(got), err)
 	}
-}
-
-func TestNewAnyReaderSniffsFraming(t *testing.T) {
-	pairs := testPairs(300)
-	legacy := Marshal(pairs)
-	block := blockStream(t, pairs, 1024)
-	for label, wire := range map[string][]byte{"legacy": legacy, "block": block} {
-		t.Run(label, func(t *testing.T) {
-			r := NewAnyReader(bytes.NewReader(wire))
-			defer r.Release()
-			got, err := r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(pairs, got) {
-				t.Fatalf("%s framing mis-decoded via NewAnyReader", label)
-			}
-		})
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("ReadAll allocated %d bytes on a %d-byte stream, want < 64 KiB", n, len(wire))
 	}
-	// Streams shorter than the magic must fall back to legacy framing.
-	t.Run("short", func(t *testing.T) {
-		r := NewAnyReader(bytes.NewReader(Marshal([]Pair{{}})))
-		defer r.Release()
-		got, err := r.ReadAll()
-		if err != nil || len(got) != 1 {
-			t.Fatalf("short legacy stream: %v, %d records", err, len(got))
-		}
-	})
-}
-
-func TestBlockNextBlockOwnership(t *testing.T) {
-	pairs := testPairs(1000)
-	wire := blockStream(t, pairs, 2048)
-	r, err := NewBlockReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	var (
-		blocks  [][]byte
-		decoded []Pair
-		total   int
-	)
-	for {
-		data, recs, err := r.NextBlock()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, data)
-		total += recs
-		n, err := ScanRecords(data, func(k, v []byte) error {
-			decoded = append(decoded, Pair{Key: k, Value: v}) // aliases data — ownership is ours
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != recs {
-			t.Fatalf("ScanRecords found %d records, header said %d", n, recs)
-		}
-	}
-	if total != len(pairs) {
-		t.Fatalf("NextBlock total %d records, want %d", total, len(pairs))
-	}
-	if !pairsEqual(pairs, decoded) {
-		t.Fatal("aliased pairs from adopted blocks diverge from input")
-	}
-	// Distinct blocks must be distinct allocations (ownership transfer,
-	// no internal reuse).
-	for i := 1; i < len(blocks); i++ {
-		if len(blocks[i]) > 0 && len(blocks[i-1]) > 0 && &blocks[i][0] == &blocks[i-1][0] {
-			t.Fatal("NextBlock reused a handed-off buffer")
-		}
-	}
-}
-
-func TestBlockNextBlockMidBlockErrors(t *testing.T) {
-	wire := blockStream(t, testPairs(50), 0)
-	r, err := NewBlockReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	if _, err := r.ReadShared(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.NextBlock(); err == nil {
-		t.Fatal("NextBlock mid-block succeeded; want error")
+	if err := Walk(wire, func(k, v []byte) error { return nil }); err != io.ErrUnexpectedEOF {
+		t.Fatalf("Walk: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -97,8 +97,8 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("want clean EOF, got %v", err)
 		}
 
-		// Block framing, decoded via the sniffing reader — the path
-		// every mixed-framing consumer takes.
+		// Block framing, the form every bucket takes, decoded by the
+		// block reader.
 		br := NewAnyReader(bytes.NewReader(blockSeed(in, 16)))
 		bout, err := br.ReadAll()
 		br.Release()
@@ -126,7 +126,8 @@ func blockSeed(pairs []Pair, blockSize int) []byte {
 	return buf.Bytes()
 }
 
-// blockReaderSeeds is FuzzBlockReader's corpus: both framings, blocks
+// blockReaderSeeds is FuzzBlockReader's corpus: a per-record stream
+// (refused), identity blocks, blocks
 // of the retired deflate and lz codecs and in the retired columnar
 // layout (whole, torn and corrupt), and the torn/corrupt/zero-record
 // shapes named in the block format's contract. The retired blocks are
@@ -136,7 +137,7 @@ func blockReaderSeeds() [][]byte {
 	add := func(b []byte) { seeds = append(seeds, b) }
 	pairs := []Pair{StrPair("hello", "world"), {}, StrPair("", "x"), StrPair("x", "")}
 	legacy := Marshal(pairs)
-	add(legacy)                                           // legacy framing
+	add(legacy)                                           // per-record framing: refused
 	add(blockSeed(pairs, 0))                              // identity blocks
 	add(retiredBlockStream(pairs, retiredDeflate, 8))     // multi-block deflate
 	add(retiredBlockStream(pairs, retiredLZ, 8))          // multi-block lz
@@ -174,9 +175,9 @@ func blockReaderSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzBlockReader throws arbitrary bytes at the block reader via
-// NewAnyReader: no panics, no infinite loops, and a valid prefix of
-// records before any error. The corpus is blockReaderSeeds.
+// FuzzBlockReader throws arbitrary bytes at NewAnyReader: no panics, no
+// infinite loops, and a valid prefix of records before a sticky error.
+// The corpus is blockReaderSeeds.
 func FuzzBlockReader(f *testing.F) {
 	for _, seed := range blockReaderSeeds() {
 		f.Add(seed)
@@ -193,66 +194,6 @@ func FuzzBlockReader(f *testing.F) {
 				}
 				break
 			}
-		}
-	})
-}
-
-// FuzzBlockNextBlock checks the zero-copy path decodes the same record
-// sequence as the per-record path on arbitrary input.
-func FuzzBlockNextBlock(f *testing.F) {
-	pairs := []Pair{StrPair("k", "v"), StrPair("key2", "value2")}
-	f.Add(retiredBlockStream(pairs, retiredLZ, 8))
-	f.Add(blockSeed(pairs, 0))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recR, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
-			return // not a block stream; nothing to compare
-		}
-		defer recR.Release()
-		blkR, err := NewBlockReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("second NewBlockReader disagreed: %v", err)
-		}
-		defer blkR.Release()
-
-		var fromBlocks []Pair
-		var blockErr error
-		for {
-			blk, _, err := blkR.NextBlock()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				blockErr = err
-				break
-			}
-			if _, err := ScanRecords(blk, func(k, v []byte) error {
-				fromBlocks = append(fromBlocks, Pair{Key: k, Value: v}.Clone())
-				return nil
-			}); err != nil {
-				blockErr = err
-				break
-			}
-		}
-		var fromRecords []Pair
-		var recErr error
-		for {
-			p, err := recR.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				recErr = err
-				break
-			}
-			fromRecords = append(fromRecords, p)
-		}
-		if (blockErr == nil) != (recErr == nil) {
-			t.Fatalf("paths disagree on validity: block %v, record %v", blockErr, recErr)
-		}
-		if blockErr == nil && !pairsEqual(fromBlocks, fromRecords) {
-			t.Fatalf("NextBlock path decoded %d records, Read path %d", len(fromBlocks), len(fromRecords))
 		}
 	})
 }

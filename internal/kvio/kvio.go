@@ -1,14 +1,14 @@
-// Package kvio defines the key-value pair type and the length-prefixed
-// binary record-stream format used for all intermediate data in mrs-go.
-//
-// The format of a record stream is a sequence of records:
+// Package kvio defines the key-value pair type and the record framing
+// of all intermediate data in mrs-go. A record is
 //
 //	uvarint keyLen | keyLen bytes | uvarint valueLen | valueLen bytes
 //
-// terminated by EOF. The format is self-delimiting, streamable, and
 // independent of the key/value codecs (which live in internal/codec).
-// Tasks read a whole fetched bucket of either framing in place (Walk,
-// WalkRuns); the Readers stream.
+// Every bucket is a block stream of record runs (BlockWriter); tasks
+// read a whole fetched bucket in place (Walk, WalkRuns), and a stream
+// without the block magic is refused. A bare sequence of records ended
+// by EOF is the shuffle sorter's spill-run format, written by Writer
+// and read back by Reader.
 package kvio
 
 import (
@@ -32,28 +32,14 @@ var ErrRecordTooLarge = errors.New("kvio: record exceeds MaxRecordLen")
 // ErrReleased is returned by operations on a released Reader or Writer.
 var ErrReleased = errors.New("kvio: use after Release")
 
-// ErrBlockStream is returned by the pre-block per-record Reader when
-// the stream opens with the block-framing magic: the data needs at
-// least kvio.NewBlockReader — or
-// kvio.NewAnyReader, which sniffs the framing — not this Reader.
-var ErrBlockStream = errors.New("kvio: stream is block-framed; minimum reader: kvio.NewBlockReader (or kvio.NewAnyReader)")
-
-// blockMagicLen is the uvarint the first bytes of BlockMagic decode to.
-// A legacy Reader that sees it at a record boundary is pointed at a
-// block stream, and the byte after it is the stream's version tag.
-var blockMagicLen = func() uint64 {
-	v, _ := binary.Uvarint(BlockMagic[:])
-	return v
-}()
-
 // bufSize is the bufio buffer size shared by readers and writers. 64 KiB
 // amortizes syscall and HTTP-body read costs over many small records.
 const bufSize = 64 << 10
 
-// Readers and writers churn through the runtime at one per bucket per
-// task, and each carries a 64 KiB bufio buffer; pooling the buffers
-// keeps the shuffle's steady-state allocation rate independent of
-// bucket count. Release returns a buffer to its pool.
+// Readers and writers churn through the sorter at one per spill run,
+// and each carries a 64 KiB bufio buffer; pooling the buffers keeps the
+// shuffle's steady-state allocation rate independent of run count.
+// Release returns a buffer to its pool.
 var (
 	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
 	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bufSize) }}
@@ -286,12 +272,6 @@ func (r *Reader) readLen(atRecordStart bool) (int, error) {
 		return 0, err
 	}
 	if size > MaxRecordLen {
-		if atRecordStart && size == blockMagicLen {
-			// The "record" is the block-framing magic: fail with the
-			// version and the minimum reader instead of a size complaint.
-			ver, _ := r.r.Peek(1) // the version byte, if the stream has one
-			return 0, blockStreamErr(ver)
-		}
 		return 0, ErrRecordTooLarge
 	}
 	return int(size), nil

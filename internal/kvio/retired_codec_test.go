@@ -100,8 +100,8 @@ func retiredBlockStream(pairs []Pair, codec string, blockSize int) []byte {
 }
 
 // checkRefused asserts that a block stream whose first block names a
-// foreign codec is refused by every block read path, ReadAll, NextBlock
-// and Walk, with ErrBlockCorrupt naming the codec and no records.
+// foreign codec is refused by both block read paths, NewAnyReader and
+// Walk, with ErrBlockCorrupt naming the codec and no records.
 func checkRefused(t *testing.T, wire []byte, codec string) {
 	t.Helper()
 	refused := func(how string, recs int, err error) {
@@ -110,25 +110,11 @@ func checkRefused(t *testing.T, wire []byte, codec string) {
 			t.Errorf("%s: %d records, %v; want 0 and ErrBlockCorrupt naming %q", how, recs, err, codec)
 		}
 	}
-	r, err := NewBlockReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewAnyReader(bytes.NewReader(wire))
 	got, err := r.ReadAll()
-	r.Release()
 	refused("ReadAll", len(got), err)
-
-	r, err = NewBlockReader(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, recs, err := r.NextBlock()
-	if blk != nil {
-		recs = max(recs, 1)
-	}
-	refused("NextBlock", recs, err)
-	if _, _, err2 := r.NextBlock(); err2 != err {
-		t.Errorf("NextBlock error not sticky: %v then %v", err, err2)
+	if _, err2 := r.ReadShared(); err2 != err {
+		t.Errorf("ReadAll error not sticky: %v then %v", err, err2)
 	}
 	r.Release()
 

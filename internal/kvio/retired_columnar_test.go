@@ -195,7 +195,7 @@ func keyColName(enc int) string {
 // TestColumnarRoundTripAllCodecsAllKeyEncodings keeps the grid of the
 // round-trip test of the retired columnar writer. For every data shape,
 // codec, key encoding and block size, the stream that writer produced
-// no longer round trips: ReadAll and NextBlock refuse it with
+// no longer round trips: NewAnyReader's ReadAll refuses it with
 // ErrBlockCorrupt and no records. The same records written as identity
 // row blocks at that block size do round trip; as row blocks of a
 // retired codec they are refused too.
@@ -214,33 +214,18 @@ func TestColumnarRoundTripAllCodecsAllKeyEncodings(t *testing.T) {
 					name := mk.name + "/" + codecName + "/" + keyColName(keyEnc) + "/bs=" + strconv.Itoa(blockSize)
 					t.Run(name, func(t *testing.T) {
 						wire := retiredColumnar(mk.pairs, codecName, blockSize, keyEnc)
-						r, err := NewBlockReader(bytes.NewReader(wire))
-						if err != nil {
-							t.Fatal(err)
-						}
+						r := NewAnyReader(bytes.NewReader(wire))
 						got, err := r.ReadAll()
 						r.Release()
 						if !errors.Is(err, ErrBlockCorrupt) || len(got) != 0 {
 							t.Fatalf("columnar ReadAll: %d records, %v; want 0 and ErrBlockCorrupt", len(got), err)
-						}
-						r, err = NewBlockReader(bytes.NewReader(wire))
-						if err != nil {
-							t.Fatal(err)
-						}
-						blk, recs, err := r.NextBlock()
-						r.Release()
-						if !errors.Is(err, ErrBlockCorrupt) || recs != 0 || blk != nil {
-							t.Fatalf("columnar NextBlock: %d records, %v; want 0 and ErrBlockCorrupt", recs, err)
 						}
 
 						if codecName != identityName {
 							checkRefused(t, retiredBlockStream(mk.pairs, codecName, blockSize), codecName)
 							return
 						}
-						r, err = NewBlockReader(bytes.NewReader(blockStream(t, mk.pairs, blockSize)))
-						if err != nil {
-							t.Fatal(err)
-						}
+						r = NewAnyReader(bytes.NewReader(blockStream(t, mk.pairs, blockSize)))
 						defer r.Release()
 						got, err = r.ReadAll()
 						if err != nil {

@@ -2,7 +2,6 @@ package kvio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -20,7 +19,6 @@ func errClass(err error) string {
 	}{
 		{"unexpected-eof", io.ErrUnexpectedEOF},
 		{"record-too-large", ErrRecordTooLarge},
-		{"block-stream", ErrBlockStream},
 		{"block-checksum", ErrBlockChecksum},
 		{"block-corrupt", ErrBlockCorrupt},
 	} {
@@ -33,7 +31,8 @@ func errClass(err error) string {
 
 // FuzzInPlaceMatchesStream: for any bytes, Walk yields the records
 // NewAnyReader(...).ReadAll does, then an error of the same identity,
-// and leaves the bytes it walked as they were.
+// and leaves the bytes it walked as they were. Per-record streams,
+// whole and cut, are in the corpus as input both must refuse.
 func FuzzInPlaceMatchesStream(f *testing.F) {
 	for _, seed := range blockReaderSeeds() {
 		f.Add(seed)
@@ -44,13 +43,10 @@ func FuzzInPlaceMatchesStream(f *testing.F) {
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})             // oversize key
 	f.Add([]byte{0x01, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})  // oversize value
-	f.Add(BlockMagic[:5])                                               // the magic as a legacy key length, no version
+	f.Add(BlockMagic[:5])                                               // a torn magic
 	f.Add(append(Marshal([]Pair{StrPair("k", "v")}), BlockMagic[:]...)) // the magic after a record
 	f.Add(bytes.Repeat([]byte{0x80}, 12))                               // uvarint overflow
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if allocatesLarge(data) {
-			return
-		}
 		r := NewAnyReader(bytes.NewReader(data))
 		want, wantErr := r.ReadAll()
 		r.Release()
@@ -72,64 +68,22 @@ func FuzzInPlaceMatchesStream(f *testing.F) {
 	})
 }
 
-// allocatesLarge reports whether the streaming readers would allocate
-// over 1 MiB at once for data: they size a key, value or block buffer
-// from its declared length before reading it, which lets a few fuzzed
-// bytes ask for up to a GiB.
-func allocatesLarge(data []byte) bool {
-	const limit = 1 << 20
-	if !bytes.HasPrefix(data, BlockMagic[:]) {
-		for len(data) > 0 {
-			n, k := binary.Uvarint(data)
-			if k <= 0 || n > MaxRecordLen {
-				return false
-			}
-			if n > limit {
-				return true
-			}
-			if uint64(len(data)-k) < n {
-				return false
-			}
-			data = data[k+int(n):]
-		}
-		return false
-	}
-	r := bytes.NewReader(data[len(BlockMagic):])
-	for {
-		h, err := readHeader(r)
-		if err != nil {
-			return false
-		}
-		if h.payloadLen > limit || h.rawLen > limit {
-			return true
-		}
-		if _, err := r.Seek(int64(h.payloadLen), io.SeekCurrent); err != nil {
-			return false
-		}
-	}
-}
-
-// BenchmarkScanInPlace walks a whole payload of b.N moderate records:
-// a legacy one in place, and identity blocks whose runs are subslices
-// of it. Neither allocates per record.
+// BenchmarkScanInPlace walks a whole payload of b.N moderate records in
+// identity blocks, whose runs are subslices of it. It allocates nothing
+// per record.
 func BenchmarkScanInPlace(b *testing.B) {
-	for _, form := range []string{"legacy", identityName} {
-		b.Run(form, func(b *testing.B) {
-			data := benchStream(b.N)
-			if form != "legacy" {
-				data = benchBlockStream(b.N)
-			}
-			b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
-			b.ReportAllocs()
-			b.ResetTimer()
-			n := 0
-			err := Walk(data, func(k, v []byte) error {
-				n++
-				return nil
-			})
-			if err != nil || n != b.N {
-				b.Fatalf("walked %d of %d records: %v", n, b.N, err)
-			}
+	b.Run(identityName, func(b *testing.B) {
+		data := benchBlockStream(b.N)
+		b.SetBytes(int64(len("some-moderate-key") + len("some-moderate-value-payload")))
+		b.ReportAllocs()
+		b.ResetTimer()
+		n := 0
+		err := Walk(data, func(k, v []byte) error {
+			n++
+			return nil
 		})
-	}
+		if err != nil || n != b.N {
+			b.Fatalf("walked %d of %d records: %v", n, b.N, err)
+		}
+	})
 }

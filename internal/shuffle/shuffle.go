@@ -292,16 +292,14 @@ func (s *Sorter) Add(p kvio.Pair) error {
 	return s.maybeSpill()
 }
 
-// AddBlock buffers every record of a run in the per-record framing: a
-// decoded block, or a whole legacy bucket, handed over by the caller
-// (kvio.BlockReader.NextBlock) or shared read-only (kvio.WalkRuns walks
-// fetched and cached bytes where they lie). The prefix index adopts the
-// run, never writing it, and points into it until the next spill or
-// Close; the hash form copies keys and values as Add does. recs is the
-// block header's record count, which presizes the index and is checked
-// against the scan; pass -1 to skip both. Returns the summed key+value
-// payload bytes of the run, which callers charge to their raw-byte
-// input accounting.
+// AddBlock buffers every record of a block's run in the per-record
+// framing, shared read-only: kvio.WalkRuns hands each run of a fetched
+// or cached bucket over where it lies. The prefix index adopts the run,
+// never writing it, and points into it until the next spill or Close;
+// the hash form copies keys and values as Add does. recs is the block
+// header's record count, which presizes the index and is checked
+// against the scan. Returns the summed key+value payload bytes of the
+// run, which callers charge to their raw-byte input accounting.
 func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("shuffle: AddBlock after Close")
@@ -329,7 +327,7 @@ func (s *Sorter) AddBlock(block []byte, recs int) (int64, error) {
 	if err != nil {
 		return payload, err
 	}
-	if recs >= 0 && n != recs {
+	if n != recs {
 		return payload, fmt.Errorf("shuffle: block scanned %d records, header said %d", n, recs)
 	}
 	return payload, s.maybeSpill()

@@ -618,6 +618,7 @@ func BenchmarkSortGroupUniqueKeys(b *testing.B) {
 	const recs, perBlock = 60000, 640
 	rng := rand.New(rand.NewSource(1))
 	var blocks [][]byte
+	var counts []int
 	for i := 0; i < recs; i += perBlock {
 		batch := make([]kvio.Pair, min(perBlock, recs-i))
 		for j := range batch {
@@ -627,13 +628,14 @@ func BenchmarkSortGroupUniqueKeys(b *testing.B) {
 			batch[j] = kvio.Pair{Key: key, Value: value}
 		}
 		blocks = append(blocks, blockPayload(b, batch))
+		counts = append(counts, len(batch))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewSorter(Options{})
-		for _, block := range blocks {
-			if _, err := s.AddBlock(block, -1); err != nil {
+		for j, block := range blocks {
+			if _, err := s.AddBlock(block, counts[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -665,8 +667,8 @@ func BenchmarkSortGroupExternal(b *testing.B) {
 	}
 }
 
-// blockPayload frames pairs as a per-record run — exactly the decoded
-// payload a kvio.BlockReader hands over via NextBlock.
+// blockPayload frames pairs as a per-record run — exactly the run of
+// one block that kvio.WalkRuns hands over.
 func blockPayload(tb testing.TB, pairs []kvio.Pair) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -765,14 +767,6 @@ func TestAddBlockRecordCountMismatch(t *testing.T) {
 	if _, err := s.AddBlock(payload, 3); err == nil {
 		t.Fatal("AddBlock accepted a wrong header record count")
 	}
-	s2 := NewSorter(Options{})
-	defer s2.Close()
-	if _, err := s2.AddBlock(payload, -1); err != nil {
-		t.Fatalf("AddBlock with recs=-1 should skip the check: %v", err)
-	}
-	if s2.Added() != 2 {
-		t.Errorf("Added = %d, want 2", s2.Added())
-	}
 }
 
 func TestAddBlockSpills(t *testing.T) {
@@ -801,20 +795,21 @@ func TestAddBlockAfterCloseFails(t *testing.T) {
 func TestAddBlockRejectsGarbage(t *testing.T) {
 	s := NewSorter(Options{})
 	defer s.Close()
-	if _, err := s.AddBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, -1); err == nil {
+	if _, err := s.AddBlock([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 1); err == nil {
 		t.Fatal("AddBlock accepted a malformed record run")
 	}
 }
 
-// TestAdoptedRunStaysUnwritten feeds whole legacy payloads through
-// kvio.WalkRuns into AddBlock, spilling and not: the groups must be
-// those of Add, and every byte the sorter adopted must be as it was.
+// TestAdoptedRunStaysUnwritten feeds whole block-framed payloads of
+// several runs each through kvio.WalkRuns into AddBlock, spilling and
+// not: the groups must be those of Add, and every byte the sorter
+// adopted must be as it was.
 func TestAdoptedRunStaysUnwritten(t *testing.T) {
 	var pairs []kvio.Pair
 	for i := 0; i < 500; i++ {
 		pairs = append(pairs, kvio.StrPair(fmt.Sprintf("key-%03d", (i*37)%101), fmt.Sprintf("value-%d", i)))
 	}
-	payloads := [][]byte{kvio.Marshal(pairs[:250]), kvio.Marshal(pairs[250:])}
+	payloads := [][]byte{blockStream(t, pairs[:250]), blockStream(t, pairs[250:])}
 	orig := [][]byte{bytes.Clone(payloads[0]), bytes.Clone(payloads[1])}
 	groups := func(s *Sorter) (out []string) {
 		t.Helper()
@@ -855,4 +850,21 @@ func TestAdoptedRunStaysUnwritten(t *testing.T) {
 			}
 		}
 	}
+}
+
+// blockStream frames pairs as a bucket rests: identity blocks of about
+// 1 KiB, so a payload of a few hundred records holds several runs.
+func blockStream(tb testing.TB, pairs []kvio.Pair) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := kvio.NewBlockWriter(&buf, 1<<10)
+	for _, p := range pairs {
+		if err := w.Write(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -39,11 +39,11 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, prefetch-width grid, prefetch chaos, block handoff, in-place reads and adoption)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|BlockMagicIsLegacyPoison|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
 		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
-		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|CorruptBucket|Republish|UnlinkCounts|RemoveFile' \
+		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|CorruptBucket|UnlinkCounts|RemoveFile' \
 		./internal/bucket
 	go test -race -count=2 \
 		-run 'PSOChainCreatesNoBucketFiles|LargeBucketsSpillToFiles|JobGC|SharedDirFree' \
@@ -54,7 +54,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 		./internal/core ./internal/cluster
 	echo "== tier 2: block framing fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzBlockReader' -fuzztime 10s ./internal/kvio
-	echo "== tier 2: in-place walker fuzz (kvio.Walk vs the streaming readers: same records, same error identity; corpus + 10s)"
+	echo "== tier 2: in-place walker fuzz (kvio.Walk vs kvio.NewAnyReader: same records, same error identity; corpus + 10s)"
 	go test -run '^$' -fuzz 'FuzzInPlaceMatchesStream' -fuzztime 10s ./internal/kvio
 	echo "== tier 2: control-plane fuzz (scanner vs encoding/xml reference, rpcproto decoders; corpus + 10s each)"
 	go test -run '^$' -fuzz 'FuzzUnmarshal' -fuzztime 10s ./internal/xmlrpc
