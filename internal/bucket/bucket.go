@@ -1027,37 +1027,30 @@ func ServeBucket(w http.ResponseWriter, r *http.Request, path string) {
 }
 
 // ReadAll fetches a bucket whole and decodes every record; on an error
-// it returns no records. The pairs alias one buffer per bucket, which
-// the caller owns: the fetched one, or a copy of an own RAM bucket's
-// published bytes.
+// it returns no records. It is AppendAll(nil, rawURL).
 func (s *Store) ReadAll(rawURL string) ([]kvio.Pair, error) {
+	return s.AppendAll(nil, rawURL)
+}
+
+// AppendAll fetches a bucket whole and appends every record to dst,
+// returning the extended slice; on an error it returns dst unextended.
+// The pairs alias one buffer per bucket, which the caller owns: the
+// fetched one, or a copy of an own RAM bucket's published bytes.
+func (s *Store) AppendAll(dst []kvio.Pair, rawURL string) ([]kvio.Pair, error) {
 	data, shared, err := s.fetch(rawURL)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if shared {
 		data = bytes.Clone(data)
 	}
-	var pairs []kvio.Pair
+	out := dst
 	err = kvio.Walk(data, func(k, v []byte) error {
-		pairs = append(pairs, kvio.Pair{Key: k[:len(k):len(k)], Value: v[:len(v):len(v)]})
+		out = append(out, kvio.Pair{Key: k[:len(k):len(k)], Value: v[:len(v):len(v)]})
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bucket: reading %s: %w", rawURL, err)
-	}
-	return pairs, nil
-}
-
-// ReadAllMulti concatenates the records of several buckets in order.
-func (s *Store) ReadAllMulti(urls []string) ([]kvio.Pair, error) {
-	var out []kvio.Pair
-	for _, u := range urls {
-		pairs, err := s.ReadAll(u)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pairs...)
+		return dst, fmt.Errorf("bucket: reading %s: %w", rawURL, err)
 	}
 	return out, nil
 }

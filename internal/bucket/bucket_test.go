@@ -236,16 +236,25 @@ func TestCreateEmptyNameFails(t *testing.T) {
 	}
 }
 
-func TestReadAllMulti(t *testing.T) {
+// TestAppendAll: AppendAll extends dst in URL order and record order,
+// and an error leaves dst as it was.
+func TestAppendAll(t *testing.T) {
 	s := NewMemStore()
 	d1, _ := s.Put("a", samplePairs[:1])
 	d2, _ := s.Put("b", samplePairs[1:])
-	got, err := s.ReadAllMulti([]string{d1.URL, d2.URL})
+	got, err := s.AppendAll(nil, d1.URL)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = s.AppendAll(got, d2.URL); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || string(got[0].Key) != "alpha" || string(got[2].Key) != "gamma" {
 		t.Errorf("got %v", got)
+	}
+	kept, err := s.AppendAll(got, "mem:nope")
+	if err == nil || len(kept) != len(got) {
+		t.Errorf("AppendAll of a missing bucket = %d pairs, %v; want the %d given and an error", len(kept), err, len(got))
 	}
 }
 

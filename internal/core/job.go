@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/bucket"
 	"repro/internal/clock"
@@ -738,8 +740,10 @@ const collectWorkers = 8
 
 // Collect waits for the dataset and fetches every record, splits in
 // order, each split's buckets in producer order. For reduce outputs
-// this yields records sorted by key within each split. Split fetches
-// run on a bounded worker pool; the returned order is unaffected.
+// this yields records sorted by key within each split. The result is
+// allocated once, at the total of the descriptors' record counts, and
+// split fetches on a bounded worker pool fill disjoint ranges of it; a
+// split whose buckets yield another count than its descriptors fails.
 func (d *Dataset) Collect() ([]kvio.Pair, error) {
 	m, err := d.job.wait(d.id)
 	if err != nil {
@@ -748,17 +752,25 @@ func (d *Dataset) Collect() ([]kvio.Pair, error) {
 	if d.job.freeRequested(d.id) {
 		return nil, fmt.Errorf("core: dataset %d was freed", d.id)
 	}
-	store := d.job.exec.Store()
 	n := m.NumSplits()
-	perSplit := make([][]kvio.Pair, n)
+	off := make([]int, n+1)
+	var total int64
+	for s, split := range m.Splits {
+		for _, bd := range split {
+			// Bytes excludes framing, so a record may have none: only
+			// the result's size can be checked before it is allocated.
+			if bd.Records < 0 || bd.Bytes < 0 || bd.Records > math.MaxInt/int64(unsafe.Sizeof(kvio.Pair{}))-total {
+				return nil, fmt.Errorf("core: dataset %d split %d: bucket %s describes an impossible %d records of %d bytes",
+					d.id, s, bd.URL, bd.Records, bd.Bytes)
+			}
+			total += bd.Records
+		}
+		off[s+1] = int(total)
+	}
+	out := make([]kvio.Pair, total)
+	store := d.job.exec.Store()
 	errs := make([]error, n)
-	workers := collectWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(collectWorkers, max(n, 1))
 	splitCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -766,7 +778,20 @@ func (d *Dataset) Collect() ([]kvio.Pair, error) {
 		go func() {
 			defer wg.Done()
 			for s := range splitCh {
-				perSplit[s], errs[s] = store.ReadAllMulti(m.URLs(s))
+				// The capacity stops at the split's end, so a bucket
+				// holding more records than described cannot write into
+				// the next split's range.
+				dst := out[off[s]:off[s]:off[s+1]]
+				var err error
+				for _, u := range m.URLs(s) {
+					if dst, err = store.AppendAll(dst, u); err != nil {
+						break
+					}
+				}
+				if want := off[s+1] - off[s]; err == nil && len(dst) != want {
+					err = fmt.Errorf("core: dataset %d split %d: buckets hold %d records, descriptors %d", d.id, s, len(dst), want)
+				}
+				errs[s] = err
 			}
 		}()
 	}
@@ -775,12 +800,10 @@ func (d *Dataset) Collect() ([]kvio.Pair, error) {
 	}
 	close(splitCh)
 	wg.Wait()
-	var out []kvio.Pair
-	for s := 0; s < n; s++ {
-		if errs[s] != nil {
-			return nil, errs[s]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, perSplit[s]...)
 	}
 	return out, nil
 }

@@ -322,11 +322,11 @@ func TestCollectParallelPreservesOrder(t *testing.T) {
 	}
 	var want []kvio.Pair
 	for s := range m.Splits {
-		pairs, err := exec.Store().ReadAllMulti(m.URLs(s))
-		if err != nil {
-			t.Fatal(err)
+		for _, u := range m.URLs(s) {
+			if want, err = exec.Store().AppendAll(want, u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want = append(want, pairs...)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("Collect returned %d records, sequential read %d", len(got), len(want))

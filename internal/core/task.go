@@ -1,15 +1,13 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/bucket"
 	"repro/internal/clock"
-	"repro/internal/codec"
 	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -673,26 +671,31 @@ func consume(data []byte, format string, sink recordSink, st *inputStats) error 
 		return kvio.Walk(data, sink.fn)
 	case FormatLines:
 		st.bytes += int64(len(data))
-		return forEachLine(bytes.NewReader(data), sink.fn)
+		return forEachLine(data, sink.fn)
 	}
 	return fmt.Errorf("core: unknown input format %q", format)
 }
 
-// forEachLine yields (varint line number, line) records; line numbers
-// start at 1 and lines exclude the trailing newline (and any '\r').
-func forEachLine(r io.Reader, fn func(key, value []byte) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	lineNo := int64(0)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
+// forEachLine yields (varint line number, line) records of a whole
+// text payload, split where it lies. Line numbers start at 1; a line
+// excludes its '\n' and up to two '\r' before it, and a final line
+// needs no '\n'. The key is encoded into one buffer reused for every
+// line, so it is valid only during fn.
+func forEachLine(data []byte, fn func(key, value []byte) error) error {
+	key := make([]byte, 0, binary.MaxVarintLen64)
+	for lineNo := int64(1); len(data) > 0; lineNo++ {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
 		}
-		if err := fn(codec.EncodeVarint(lineNo), line); err != nil {
+		for trim := 0; trim < 2 && len(line) > 0 && line[len(line)-1] == '\r'; trim++ {
+			line = line[:len(line)-1]
+		}
+		if err := fn(binary.AppendVarint(key[:0], lineNo), line[:len(line):len(line)]); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
+	return nil
 }

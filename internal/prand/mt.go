@@ -182,13 +182,22 @@ func (m *MT) Perm(n int) []int {
 // an unrelated stream. The base seed distinguishes programs so two
 // different programs using the same task indices do not share streams.
 func Random(baseSeed uint64, args ...uint64) *MT {
+	m := &MT{}
+	m.Reseed(baseSeed, args...)
+	return m
+}
+
+// Reseed resets m to the stream Random(baseSeed, args...) returns, so a
+// caller can derive a stream into a generator it already holds (on its
+// stack, say) instead of a fresh heap one. The key is built in a stack
+// array for up to six arguments.
+func (m *MT) Reseed(baseSeed uint64, args ...uint64) {
 	// Feed the full argument tuple through init_by_array so that every
 	// argument independently perturbs the 312-word state, then prepend
 	// the combined hash for good measure when args is empty.
-	key := make([]uint64, 0, len(args)+2)
-	key = append(key, baseSeed, hash.CombineSeeds(args...))
+	var buf [8]uint64
+	key := append(buf[:0], baseSeed, hash.CombineSeeds(args...))
 	key = append(key, args...)
-	m := &MT{}
 	m.SeedArray(key)
-	return m
+	m.haveSpare, m.spare = false, 0
 }

@@ -253,6 +253,44 @@ func TestSeedArrayMatchesQuickProperty(t *testing.T) {
 	}
 }
 
+// TestReseedMatchesRandom: a generator reseeded in place, after draws
+// that leave a spare normal variate cached, yields the same stream as a
+// fresh Random for the same arguments; up to six arguments reseed
+// without allocating.
+func TestReseedMatchesRandom(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 6, 9} {
+		args := make([]uint64, n)
+		for i := range args {
+			args[i] = uint64(i)*0x9E3779B97F4A7C15 + 7
+		}
+		var m MT
+		m.Reseed(99, 1, 2, 3)
+		m.Uint64()
+		m.NormFloat64() // caches a spare
+		m.Reseed(42, args...)
+		want := Random(42, args...)
+		for i := 0; i < 1000; i++ {
+			var got, exp float64
+			switch i % 3 {
+			case 0:
+				got, exp = float64(m.Uint64()>>11), float64(want.Uint64()>>11)
+			case 1:
+				got, exp = m.NormFloat64(), want.NormFloat64()
+			default:
+				got, exp = m.Float64(), want.Float64()
+			}
+			if got != exp {
+				t.Fatalf("%d args: draw %d = %v after Reseed, %v from Random", n, i, got, exp)
+			}
+		}
+		if n <= 6 {
+			if allocs := testing.AllocsPerRun(10, func() { m.Reseed(42, args...) }); allocs != 0 {
+				t.Errorf("%d args: Reseed made %v allocations, want 0", n, allocs)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	m := NewMT(1)
 	for i := 0; i < b.N; i++ {

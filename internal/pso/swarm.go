@@ -114,7 +114,8 @@ func (s *Swarm) neighborhoodBest(i int) ([]float64, float64) {
 // using a stream derived from (seed, swarm id, iteration) so that the
 // trajectory is identical in serial and distributed execution.
 func (s *Swarm) Step(f Function, seed uint64) {
-	rng := prand.Random(seed, uint64(s.ID), uint64(s.Iter)+1)
+	var rng prand.MT
+	rng.Reseed(seed, uint64(s.ID), uint64(s.Iter)+1)
 	n := len(s.Particles)
 	// Snapshot neighborhood bests first so the update order does not
 	// change the dynamics (synchronous PSO).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -40,7 +41,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "xmlrpc requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -71,8 +72,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeFault(w, &Fault{Code: 2, Message: "marshal error: " + err.Error()})
 		return
 	}
-	w.Header().Set("Content-Type", "text/xml")
-	w.Write(resp)
+	writeXML(w, resp)
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
@@ -81,8 +81,35 @@ func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
 		http.Error(w, f.Message, http.StatusInternalServerError)
 		return
 	}
+	writeXML(w, data)
+}
+
+// writeXML sends an XML-RPC response body with its Content-Length, so
+// the client can read it in one exact-size buffer.
+func writeXML(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "text/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
+}
+
+// maxBody caps the XML-RPC body either side reads.
+const maxBody = 64 << 20
+
+// readBody reads an XML-RPC body in one buffer of its declared length,
+// failing with io.ErrUnexpectedEOF if it ends short. A body of unknown
+// length, or one declared over maxBody, is read as far as maxBody.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	if length < 0 || length > maxBody {
+		return io.ReadAll(io.LimitReader(r, maxBody))
+	}
+	data := make([]byte, length)
+	if _, err := io.ReadFull(r, data); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return data, nil
 }
 
 // Intercept wraps an outgoing call. call performs the real round trip;
@@ -143,7 +170,7 @@ func (c *Client) call(method string, args []any) (any, error) {
 		return nil, fmt.Errorf("xmlrpc: %s: %w", method, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}

@@ -308,6 +308,59 @@ func TestServerMalformedBody(t *testing.T) {
 	}
 }
 
+// TestBodyReadAtDeclaredLength: both sides read a body in one buffer
+// of its Content-Length, which the server now sets on its responses; a
+// body that ends short fails with io.ErrUnexpectedEOF, and a length
+// that is unknown or over maxBody is read as far as maxBody, as before.
+func TestBodyReadAtDeclaredLength(t *testing.T) {
+	srv := NewServer()
+	srv.Register("echo", func(args []any) (any, error) { return args, nil })
+	call, err := MarshalCall("echo", []any{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RPCPath, bytes.NewReader(call)))
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Errorf("response Content-Length = %q, body is %s bytes", got, want)
+	}
+
+	short := httptest.NewRequest(http.MethodPost, RPCPath, bytes.NewReader(call))
+	short.ContentLength = int64(len(call)) + 10
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, short)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), io.ErrUnexpectedEOF.Error()) {
+		t.Errorf("short request body: status %d, %q; want 400 and %q", rec.Code, rec.Body, io.ErrUnexpectedEOF)
+	}
+	for _, length := range []int64{-1, maxBody + 1} {
+		req := httptest.NewRequest(http.MethodPost, RPCPath, bytes.NewReader(call))
+		req.ContentLength = length
+		rec = httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if v, err := UnmarshalResponse(rec.Body.Bytes()); err != nil || !reflect.DeepEqual(v, []any{"x"}) {
+			t.Errorf("request of declared length %d: %v, %v; want it read to the end", length, v, err)
+		}
+	}
+	for _, body := range []string{"", "<meth"} {
+		if _, err := readBody(strings.NewReader(body), 64); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("readBody of %d bytes declared 64: %v, want io.ErrUnexpectedEOF", len(body), err)
+		}
+	}
+	if data, err := readBody(strings.NewReader("abc"), maxBody+1); err != nil || string(data) != "abc" {
+		t.Errorf("readBody over the limit = %q, %v; want the body read to its end", data, err)
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1000")
+		w.Write([]byte("<?xml"))
+	}))
+	defer ts.Close()
+	if _, err := NewClient(ts.URL).Call("x"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short response body: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
 func TestDoubleSpecials(t *testing.T) {
 	for _, v := range []float64{math.MaxFloat64, math.SmallestNonzeroFloat64} {
 		got := roundTripValue(t, v)

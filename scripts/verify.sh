@@ -71,7 +71,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -bench 'BenchmarkWordcountMap|BenchmarkWordcountCombine' -benchmem -benchtime 1000x ./internal/wordcount/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock|BenchmarkScanInPlace' \
 		-benchmem -benchtime 1000x ./internal/kvio/
-	go test -run '^$' -bench 'BenchmarkReduceInputInPlace|BenchmarkLocalData' -benchmem -benchtime 20x ./internal/core/
+	go test -run '^$' -bench 'BenchmarkReduceInputInPlace|BenchmarkLocalData|BenchmarkCollect' -benchmem -benchtime 20x ./internal/core/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
 		-benchmem -benchtime 1000x ./internal/rpcproto/)"
 	echo "$bench"
