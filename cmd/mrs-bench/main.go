@@ -126,7 +126,7 @@ func main() {
 		run("EXP-RECOVERY: journal overhead and crash-replay latency", expRecovery)
 	}
 	if all || *exp == "fleet" {
-		run("EXP-FLEET: control-plane scaling and speculative straggler rescue", expFleet)
+		run("EXP-FLEET: flat-star scaling and speculative straggler rescue", expFleet)
 	}
 }
 
@@ -1229,14 +1229,13 @@ func fleetRegistry(taskCost, stall time.Duration) *core.Registry {
 	return reg
 }
 
-// fleetRun boots one fleet configuration, drives tasksPerSlave x
-// slaves one-record map tasks through it, and returns the job wall
-// time (boot and teardown excluded) plus the run's metric snapshot.
-func fleetRun(slaveN, subMasters int, specFactor float64, tasksPerSlave int, taskCost, stall time.Duration) (time.Duration, map[string]int64, error) {
+// fleetRun boots one flat fleet, drives tasksPerSlave x slaves
+// one-record map tasks through it, and returns the job wall time (boot
+// and teardown excluded) plus the run's metric snapshot.
+func fleetRun(slaveN int, specFactor float64, tasksPerSlave int, taskCost, stall time.Duration) (time.Duration, map[string]int64, error) {
 	rt := obs.New(nil)
 	c, err := cluster.Start(fleetRegistry(taskCost, stall), cluster.Options{
 		Slaves:                slaveN,
-		SubMasters:            subMasters,
 		SpeculationFactor:     specFactor,
 		SpeculationMinRuntime: 60 * time.Millisecond,
 		Obs:                   rt,
@@ -1281,28 +1280,18 @@ func fleetRun(slaveN, subMasters int, specFactor float64, tasksPerSlave int, tas
 	return wall, rt.M().Snapshot(), nil
 }
 
-// fleetSubMasters is the tree shape the sweep uses: one sub-master
-// per eight slaves, at least one.
-func fleetSubMasters(slaveN int) int {
-	if k := slaveN / 8; k > 1 {
-		return k
-	}
-	return 1
-}
-
-// expFleet measures what the hierarchical control plane and
-// speculative execution buy, on simulated (sleep-cost) slaves so the
+// expFleet measures how the flat master-slave star scales and what
+// speculative execution buys, on simulated (sleep-cost) slaves so the
 // fleet sizes stay laptop-runnable:
 //
-//   - Scaling sweep: {1,4,16,64} slaves x {flat star, sub-master tree}
-//     x {speculation off, on}, each pushing tasksPerSlave fixed-cost
-//     tasks per slave. Throughput should scale near-linearly with the
-//     tree (the acceptance bar is within 20% of linear from 16 to 64),
-//     and uniform-duration speculation should cost ~nothing.
-//   - Straggler rescue: a mid-size tree fleet where one task stalls
-//     ~10x the normal cost, speculation off vs on. Off pays the full
-//     stall; on re-executes the straggler elsewhere and the job
-//     finishes early.
+//   - Scaling sweep: {1,4,16,64} slaves x {speculation off, on}, each
+//     pushing tasksPerSlave fixed-cost tasks per slave. Throughput
+//     should scale near-linearly (the acceptance bar is within 20% of
+//     linear from 16 to 64), and uniform-duration speculation should
+//     cost ~nothing.
+//   - Straggler rescue: 16 slaves where one task stalls ~10x the
+//     normal cost, speculation off vs on. Off pays the full stall; on
+//     re-executes the straggler elsewhere and the job finishes early.
 func expFleet() error {
 	// taskCost is sized so the aggregate completion rate at 64 slaves
 	// (64/taskCost = 320 tasks/s) stays well inside what one core can
@@ -1316,108 +1305,78 @@ func expFleet() error {
 		specFactor    = 2.0
 	)
 	type rowT struct {
-		Slaves       int     `json:"slaves"`
-		SubMasters   int     `json:"submasters"`
-		Speculation  float64 `json:"speculation_factor"`
-		Tasks        int     `json:"tasks"`
-		WallMS       float64 `json:"wall_ms"`
-		TasksPerSec  float64 `json:"tasks_per_sec"`
-		BatchReports int64   `json:"batch_reports"`
-		Speculative  int64   `json:"speculative_attempts"`
+		Slaves      int     `json:"slaves"`
+		Speculation float64 `json:"speculation_factor"`
+		Tasks       int     `json:"tasks"`
+		WallMS      float64 `json:"wall_ms"`
+		TasksPerSec float64 `json:"tasks_per_sec"`
+		Speculative int64   `json:"speculative_attempts"`
+	}
+	run := func(n int, factor float64, stall time.Duration) (rowT, error) {
+		wall, snap, err := fleetRun(n, factor, tasksPerSlave, taskCost, stall)
+		if err != nil {
+			return rowT{}, err
+		}
+		row := rowT{
+			Slaves:      n,
+			Speculation: factor,
+			Tasks:       tasksPerSlave * n,
+			WallMS:      float64(wall) / float64(time.Millisecond),
+			Speculative: snap[obs.MetricSchedSpeculative],
+		}
+		if wall > 0 {
+			row.TasksPerSec = float64(row.Tasks) / wall.Seconds()
+		}
+		return row, nil
 	}
 	var rows []rowT
 
 	fmt.Printf("scaling sweep: %d tasks/slave x %s/task (sleep-cost, so slaves are cheap to simulate)\n\n",
 		tasksPerSlave, taskCost)
-	fmt.Printf("%-8s %-12s %-12s %8s %12s %12s\n",
-		"slaves", "submasters", "speculation", "tasks", "wall", "tasks/sec")
+	fmt.Printf("%-8s %-12s %8s %12s %12s\n", "slaves", "speculation", "tasks", "wall", "tasks/sec")
 	for _, n := range []int{1, 4, 16, 64} {
-		for _, tree := range []bool{false, true} {
-			for _, spec := range []bool{false, true} {
-				subs := 0
-				if tree {
-					subs = fleetSubMasters(n)
-				}
-				factor := 0.0
-				if spec {
-					factor = specFactor
-				}
-				wall, snap, err := fleetRun(n, subs, factor, tasksPerSlave, taskCost, 0)
-				if err != nil {
-					return err
-				}
-				tasks := tasksPerSlave * n
-				row := rowT{
-					Slaves:       n,
-					SubMasters:   subs,
-					Speculation:  factor,
-					Tasks:        tasks,
-					WallMS:       float64(wall) / float64(time.Millisecond),
-					BatchReports: snap[obs.MetricMasterBatchReports],
-					Speculative:  snap[obs.MetricSchedSpeculative],
-				}
-				if wall > 0 {
-					row.TasksPerSec = float64(tasks) / wall.Seconds()
-				}
-				rows = append(rows, row)
-				fmt.Printf("%-8d %-12d %-12.1f %8d %12s %12.1f\n",
-					n, subs, factor, tasks, wall.Round(time.Millisecond), row.TasksPerSec)
+		for _, factor := range []float64{0, specFactor} {
+			row, err := run(n, factor, 0)
+			if err != nil {
+				return err
 			}
+			rows = append(rows, row)
+			fmt.Printf("%-8d %-12.1f %8d %12.0fms %12.1f\n", n, factor, row.Tasks, row.WallMS, row.TasksPerSec)
 		}
 	}
 
 	// Headline: how close the 16 -> 64 throughput step is to the ideal
-	// 4x, with the tree and without (speculation off in both).
-	pick := func(n int, tree bool) rowT {
+	// 4x (speculation off).
+	pick := func(n int) rowT {
 		for _, r := range rows {
-			if r.Slaves == n && (r.SubMasters > 0) == tree && r.Speculation == 0 {
+			if r.Slaves == n && r.Speculation == 0 {
 				return r
 			}
 		}
 		return rowT{}
 	}
-	linFrac := func(tree bool) float64 {
-		lo, hi := pick(16, tree), pick(64, tree)
-		if lo.TasksPerSec == 0 {
-			return 0
-		}
-		return hi.TasksPerSec / lo.TasksPerSec / 4.0
+	linFrac := 0.0
+	if lo, hi := pick(16), pick(64); lo.TasksPerSec > 0 {
+		linFrac = hi.TasksPerSec / lo.TasksPerSec / 4.0
 	}
-	treeFrac, flatFrac := linFrac(true), linFrac(false)
-	fmt.Printf("\n16->64 slave throughput scaling (1.0 = perfectly linear): tree %.2f, flat %.2f (target: tree >= 0.80)\n",
-		treeFrac, flatFrac)
+	fmt.Printf("\n16->64 slave throughput scaling (1.0 = perfectly linear): %.2f (target: >= 0.80)\n", linFrac)
 
-	// Straggler rescue at 16 slaves under the tree: one task stalls
-	// 40x; speculation off waits it out, on re-executes it elsewhere.
+	// Straggler rescue: one task stalls 10x; speculation off waits it
+	// out, on re-executes it elsewhere.
 	const stragglerSlaves = 16
-	fmt.Printf("\nstraggler rescue (%d slaves, %d sub-masters, one task stalls %s):\n\n",
-		stragglerSlaves, fleetSubMasters(stragglerSlaves), stall)
+	fmt.Printf("\nstraggler rescue (%d slaves, one task stalls %s):\n\n", stragglerSlaves, stall)
 	specRows := map[string]rowT{}
-	for _, spec := range []bool{false, true} {
+	for _, key := range []string{"off", "on"} {
 		factor := 0.0
-		if spec {
+		if key == "on" {
 			factor = specFactor
 		}
-		wall, snap, err := fleetRun(stragglerSlaves, fleetSubMasters(stragglerSlaves), factor,
-			tasksPerSlave, taskCost, stall)
+		row, err := run(stragglerSlaves, factor, stall)
 		if err != nil {
 			return err
 		}
-		row := rowT{
-			Slaves:      stragglerSlaves,
-			SubMasters:  fleetSubMasters(stragglerSlaves),
-			Speculation: factor,
-			Tasks:       tasksPerSlave * stragglerSlaves,
-			WallMS:      float64(wall) / float64(time.Millisecond),
-			Speculative: snap[obs.MetricSchedSpeculative],
-		}
-		key := "off"
-		if spec {
-			key = "on"
-		}
 		specRows[key] = row
-		fmt.Printf("speculation %-4s wall %12s speculative attempts %d\n",
-			key, wall.Round(time.Millisecond), row.Speculative)
+		fmt.Printf("speculation %-4s wall %10.0fms speculative attempts %d\n", key, row.WallMS, row.Speculative)
 	}
 	rescue := 0.0
 	if on := specRows["on"]; on.WallMS > 0 {
@@ -1432,9 +1391,9 @@ func expFleet() error {
 			"task_cost_ms":               float64(taskCost) / float64(time.Millisecond),
 			"stall_ms":                   float64(stall) / float64(time.Millisecond),
 			"rows":                       rows,
-			"linear_16_to_64_tree":       treeFrac,
-			"linear_16_to_64_flat":       flatFrac,
+			"linear_16_to_64":            linFrac,
 			"linear_target":              0.80,
+			"straggler_slaves":           stragglerSlaves,
 			"straggler_wall_off_ms":      specRows["off"].WallMS,
 			"straggler_wall_on_ms":       specRows["on"].WallMS,
 			"straggler_rescue_speedup":   rescue,
@@ -1451,7 +1410,7 @@ func expFleet() error {
 	var csvRows [][]string
 	for _, r := range rows {
 		csvRows = append(csvRows, []string{
-			strconv.Itoa(r.Slaves), strconv.Itoa(r.SubMasters),
+			strconv.Itoa(r.Slaves),
 			strconv.FormatFloat(r.Speculation, 'g', 4, 64),
 			strconv.Itoa(r.Tasks),
 			strconv.FormatFloat(r.WallMS, 'g', 6, 64),
@@ -1459,7 +1418,7 @@ func expFleet() error {
 		})
 	}
 	return writeCSV("fleet", []string{
-		"slaves", "submasters", "speculation_factor", "tasks", "wall_ms", "tasks_per_sec",
+		"slaves", "speculation_factor", "tasks", "wall_ms", "tasks_per_sec",
 	}, csvRows)
 }
 

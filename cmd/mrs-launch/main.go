@@ -8,14 +8,6 @@
 //	go build -o /tmp/wc ./examples/wordcount
 //	mrs-launch -n 4 /tmp/wc -files 300
 //
-// With -submasters the launcher builds the hierarchical control plane
-// instead of the flat star: it starts that many sub-master processes
-// against the master, waits for each one's port file, and points the
-// slaves at the sub-masters round-robin, so the master only ever
-// talks to the middle tier:
-//
-//	mrs-launch -n 16 -submasters 4 /tmp/wc -files 300
-//
 // -drain speaks to an already-running master instead of launching
 // anything: it takes one node (by id or advertised address, as shown
 // by the master's /debug/status page) out of rotation, requeuing its
@@ -39,7 +31,6 @@ import (
 
 var (
 	n          = flag.Int("n", 2, "number of slave processes")
-	submasters = flag.Int("submasters", 0, "sub-master processes to interpose between master and slaves (0 = flat star)")
 	timeout    = flag.Duration("timeout", 30*time.Second, "how long to wait for each port file")
 	shared     = flag.String("shared", "", "shared directory for filesystem-staged data (optional)")
 	masterAddr = flag.String("master", "", "running master's host:port (for -drain)")
@@ -56,7 +47,7 @@ func main() {
 		return
 	}
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: mrs-launch [-n slaves] [-submasters k] <program> [program args...]")
+		fmt.Fprintln(os.Stderr, "usage: mrs-launch [-n slaves] <program> [program args...]")
 		fmt.Fprintln(os.Stderr, "       mrs-launch -master <host:port> -drain <node-id-or-addr>")
 		os.Exit(2)
 	}
@@ -91,17 +82,11 @@ func launch(bin string, args []string) error {
 	defer os.RemoveAll(dir)
 	portFile := filepath.Join(dir, "master.port")
 
-	// Start the master (the user's program in master mode). With a
-	// sub-master tier the master's direct children are the sub-masters,
-	// so that is what it waits for.
-	minSlaves := *n
-	if *submasters > 0 {
-		minSlaves = *submasters
-	}
+	// Start the master (the user's program in master mode).
 	masterArgs := append([]string{
 		"-mrs=master",
 		"-mrs-portfile=" + portFile,
-		fmt.Sprintf("-mrs-min-slaves=%d", minSlaves),
+		fmt.Sprintf("-mrs-min-slaves=%d", *n),
 	}, args...)
 	if *shared != "" {
 		masterArgs = append([]string{"-mrs-shared=" + *shared}, masterArgs...)
@@ -121,45 +106,12 @@ func launch(bin string, args []string) error {
 		return err
 	}
 
-	// With -submasters, interpose the middle tier: each sub-master
-	// signs in to the master, writes its own port file, and the slaves
-	// are dealt out round-robin below.
-	var procs []*exec.Cmd
-	controlAddrs := []string{addr}
-	if *submasters > 0 {
-		fmt.Fprintf(os.Stderr, "mrs-launch: master at %s; starting %d sub-masters\n", addr, *submasters)
-		controlAddrs = nil
-		for i := 0; i < *submasters; i++ {
-			smPort := filepath.Join(dir, fmt.Sprintf("submaster%d.port", i))
-			smArgs := append([]string{
-				"-mrs=submaster",
-				"-mrs-master=" + addr,
-				"-mrs-portfile=" + smPort,
-			}, args...)
-			sm := exec.Command(bin, smArgs...)
-			sm.Stdout = os.Stderr
-			sm.Stderr = os.Stderr
-			if err := sm.Start(); err != nil {
-				master.Process.Kill()
-				return fmt.Errorf("starting sub-master %d: %w", i, err)
-			}
-			procs = append(procs, sm)
-			smAddr, err := waitPortFile(smPort, *timeout)
-			if err != nil {
-				master.Process.Kill()
-				return fmt.Errorf("sub-master %d: %w", i, err)
-			}
-			controlAddrs = append(controlAddrs, smAddr)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mrs-launch: starting %d slaves\n", *n)
+	fmt.Fprintf(os.Stderr, "mrs-launch: master at %s; starting %d slaves\n", addr, *n)
 
 	// Start the slaves (Program 3, step 4 — pssh/pbsdsh equivalent).
-	// Each slave's control parent is the master, or its round-robin
-	// sub-master when a middle tier exists.
+	var procs []*exec.Cmd
 	for i := 0; i < *n; i++ {
-		parent := controlAddrs[i%len(controlAddrs)]
-		slaveArgs := append([]string{"-mrs=slave", "-mrs-master=" + parent}, args...)
+		slaveArgs := append([]string{"-mrs=slave", "-mrs-master=" + addr}, args...)
 		if *shared != "" {
 			slaveArgs = append([]string{"-mrs-shared=" + *shared}, slaveArgs...)
 		}
@@ -174,7 +126,7 @@ func launch(bin string, args []string) error {
 	}
 
 	masterErr := master.Wait()
-	// Slaves and sub-masters exit on their own when told to shut down.
+	// Slaves exit on their own when told to shut down.
 	for i, p := range procs {
 		if err := p.Wait(); err != nil && masterErr == nil {
 			fmt.Fprintf(os.Stderr, "mrs-launch: worker process %d: %v\n", i, err)

@@ -190,9 +190,7 @@ func printJobs() error {
 }
 
 // nodeTaskSummary renders a job's per-node completion counts, busiest
-// node first. Under a hierarchical control plane the node is the
-// reporting sub-master, so the line shows how work spread over the
-// shards rather than over individual slaves.
+// node first.
 func nodeTaskSummary(counts map[string]int64) string {
 	type nc struct {
 		node string

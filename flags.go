@@ -16,15 +16,13 @@ import (
 func BindFlags(fs *flag.FlagSet) *Options {
 	o := &Options{}
 	fs.StringVar(&o.Implementation, "mrs", "serial",
-		"execution mode: serial|mock|threads|local|master|submaster|slave|bypass")
+		"execution mode: serial|mock|threads|local|master|slave|bypass")
 	fs.IntVar(&o.Workers, "mrs-workers", 4, "worker goroutines for -mrs=threads")
 	fs.IntVar(&o.Slaves, "mrs-slaves", 2, "slave count for -mrs=local")
-	fs.IntVar(&o.SubMasters, "mrs-submasters", 0,
-		"sub-master count for -mrs=local (0 = flat master-slave star)")
 	fs.Float64Var(&o.Speculation, "mrs-speculation", 0,
 		"speculative-execution slowness factor (0 disables; e.g. 2 duplicates a task running 2x the op's median)")
-	fs.StringVar(&o.MasterAddr, "mrs-master", "", "master host:port (for -mrs=slave and -mrs=submaster)")
-	fs.StringVar(&o.Addr, "mrs-addr", "", "listen address (for -mrs=master and -mrs=submaster)")
+	fs.StringVar(&o.MasterAddr, "mrs-master", "", "master host:port (for -mrs=slave)")
+	fs.StringVar(&o.Addr, "mrs-addr", "", "listen address (for -mrs=master)")
 	fs.StringVar(&o.PortFile, "mrs-portfile", "", "file to write the master address to")
 	fs.StringVar(&o.SharedDir, "mrs-shared", "", "shared directory for filesystem-staged data")
 	fs.StringVar(&o.MockDir, "mrs-mockdir", "", "directory for -mrs=mock intermediate files")
@@ -32,14 +30,10 @@ func BindFlags(fs *flag.FlagSet) *Options {
 	fs.DurationVar(&o.MinSlavesTimeout, "mrs-slave-timeout", 60*time.Second,
 		"how long the master waits for -mrs-min-slaves")
 	fs.Uint64Var(&o.Seed, "mrs-seed", 42, "base seed for mrs.Random streams")
-	fs.BoolVar(&o.NoPipeline, "mrs-no-pipeline", false,
-		"disable split-level pipelining (barriered ablation)")
 	fs.StringVar(&o.TracePath, "mrs-trace", "",
 		"write a Chrome trace-event JSON task timeline to this file")
 	fs.StringVar(&o.DebugAddr, "mrs-debug-addr", "",
 		"serve /debug/status, /debug/metrics, /debug/pprof on this address")
-	fs.IntVar(&o.Prefetch, "mrs-prefetch", 0,
-		"input-fetch window per task (0 = default, 1 = one bucket at a time)")
 	fs.Int64Var(&o.ResidentBudget, "mrs-resident-budget", core.DefaultResidentBudget,
 		"per-worker resident dataset cache budget in bytes (0 disables)")
 	return o

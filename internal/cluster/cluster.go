@@ -18,7 +18,6 @@ import (
 	"repro/internal/master"
 	"repro/internal/obs"
 	"repro/internal/slave"
-	"repro/internal/submaster"
 )
 
 // Options configures a local cluster.
@@ -65,15 +64,10 @@ type Options struct {
 	// ResidentBudget is the per-slave resident dataset cache budget in
 	// bytes (<= 0 disables residency on the whole fleet).
 	ResidentBudget int64
-	// SubMasters > 0 boots a two-level control plane: that many
-	// sub-master nodes sign in to the master, and the slaves attach to
-	// them round-robin instead of to the master directly. 0 keeps the
-	// classic flat star.
-	SubMasters int
 	// SpeculationFactor enables straggler re-execution on the master's
-	// scheduler (and each sub-master's): a task running longer than
-	// factor × the job's median attempt duration gets a duplicate
-	// attempt, first completion wins. 0 disables.
+	// scheduler: a task running longer than factor × the job's median
+	// attempt duration gets a duplicate attempt, first completion wins.
+	// 0 disables.
 	SpeculationFactor float64
 	// SpeculationMinRuntime floors the speculation trigger (0 =
 	// default); only meaningful with SpeculationFactor set.
@@ -84,38 +78,26 @@ type Options struct {
 type Cluster struct {
 	M *master.Master
 
-	chaos        *fault.Injector
-	obs          *obs.Runtime
-	prefetch     int
-	slaveCon     int
-	resident     int64
-	heartbeatIvl time.Duration
-	heartbeatTO  time.Duration
-	specFactor   float64
+	chaos    *fault.Injector
+	obs      *obs.Runtime
+	prefetch int
+	slaveCon int
+	resident int64
 
 	mopts      master.Options // as built by Start, for RestartMaster
 	masterAddr string         // concrete listen address of the first master
 
-	mu         sync.Mutex
-	slaves     []*slaveHandle
-	submasters []*smHandle
-	timers     []*time.Timer // pending chaos events, stopped on Close
-	nextIdx    int
+	mu      sync.Mutex
+	slaves  []*slaveHandle
+	timers  []*time.Timer // pending chaos events, stopped on Close
+	nextIdx int
 }
 
 type slaveHandle struct {
 	s      *slave.Slave
-	addr   string // control-plane address the slave signs in to
 	cancel context.CancelFunc
 	err    error
 	done   chan struct{} // closed when Run returns; err is set before the close
-}
-
-type smHandle struct {
-	sm     *submaster.SubMaster
-	cancel context.CancelFunc
-	err    error
-	done   chan struct{}
 }
 
 // Start boots the master and slaves and waits until all slaves have
@@ -141,63 +123,21 @@ func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, heartbeatIvl: opts.HeartbeatInterval, heartbeatTO: opts.HeartbeatTimeout, specFactor: opts.SpeculationFactor, mopts: mopts, masterAddr: m.Addr()}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for i := 0; i < opts.SubMasters; i++ {
-		if _, err := c.AddSubMaster(); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	if opts.SubMasters > 0 {
-		// The master's fleet is the sub-masters; slaves are invisible to
-		// it. Wait for the tree's middle tier before hanging leaves on it.
-		if err := m.WaitForSlaves(ctx, opts.SubMasters); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
+	c := &Cluster{M: m, chaos: opts.Chaos, obs: opts.Obs, prefetch: opts.Prefetch, slaveCon: opts.SlaveConcurrency, resident: opts.ResidentBudget, mopts: mopts, masterAddr: m.Addr()}
 	for i := 0; i < opts.Slaves; i++ {
 		if _, err := c.AddSlave(reg, opts.SharedDir); err != nil {
 			c.Close()
 			return nil, err
 		}
 	}
-	if opts.SubMasters > 0 {
-		if err := c.waitForChildren(ctx, opts.Slaves); err != nil {
-			c.Close()
-			return nil, err
-		}
-	} else if err := m.WaitForSlaves(ctx, opts.Slaves); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.WaitForSlaves(ctx, opts.Slaves); err != nil {
 		c.Close()
 		return nil, err
 	}
 	c.scheduleChaos(opts.Slaves)
 	return c, nil
-}
-
-// waitForChildren blocks until the sub-masters hold n signed-in leaves
-// between them.
-func (c *Cluster) waitForChildren(ctx context.Context, n int) error {
-	for {
-		total := 0
-		c.mu.Lock()
-		for _, h := range c.submasters {
-			if h != nil {
-				total += h.sm.ChildCount()
-			}
-		}
-		c.mu.Unlock()
-		if total >= n {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: waiting for %d leaves (have %d): %w", n, total, ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
 }
 
 // slaveRole names the fault stream of slave i; the same naming is used
@@ -238,109 +178,22 @@ func (c *Cluster) scheduleChaos(nSlaves int) {
 	}
 }
 
-// AddSubMaster starts one more sub-master node (attached to the
-// master) and returns its index. Slaves added afterwards spread over
-// the sub-masters round-robin.
-func (c *Cluster) AddSubMaster() (int, error) {
-	sm, err := submaster.New(submaster.Options{
-		MasterAddr:        c.masterAddr,
-		Obs:               c.obs,
-		HeartbeatInterval: c.heartbeatIvl,
-		HeartbeatTimeout:  c.heartbeatTO,
-		SpeculationFactor: c.specFactor,
-	})
-	if err != nil {
-		return 0, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &smHandle{sm: sm, cancel: cancel, done: make(chan struct{})}
-	go func() {
-		h.err = sm.Run(ctx)
-		close(h.done)
-	}()
-	c.mu.Lock()
-	idx := len(c.submasters)
-	c.submasters = append(c.submasters, h)
-	c.mu.Unlock()
-	return idx, nil
-}
-
-// NumSubMasters returns how many sub-masters the harness ever started.
-func (c *Cluster) NumSubMasters() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.submasters)
-}
-
-// SubMaster returns the i-th sub-master.
-func (c *Cluster) SubMaster(i int) *submaster.SubMaster {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submasters[i].sm
-}
-
-// KillSubMaster abruptly stops sub-master i: its control server dies
-// with its Run loop, orphaning its children mid-job (they retry, fail,
-// and die; the master's heartbeat timeout requeues the shard's leases).
-func (c *Cluster) KillSubMaster(i int) error {
-	c.mu.Lock()
-	if i < 0 || i >= len(c.submasters) || c.submasters[i] == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: no submaster %d", i)
-	}
-	h := c.submasters[i]
-	c.mu.Unlock()
-	h.cancel()
-	select {
-	case <-h.done:
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("cluster: submaster %d did not stop", i)
-	}
-	return nil
-}
-
 // Drain asks the master to take a node (by id or advertised address)
 // out of rotation; see master.Drain.
 func (c *Cluster) Drain(target string) bool {
 	return c.Master().Drain(target)
 }
 
-// controlAddr picks the control plane a new slave signs in to: the
-// master in the flat topology, a sub-master (round-robin) in the tree.
-func (c *Cluster) controlAddr(idx int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.submasters) == 0 {
-		return c.masterAddr
-	}
-	return c.submasters[idx%len(c.submasters)].sm.Addr()
-}
-
 // AddSlave starts one more slave (usable mid-run, e.g. in elasticity
-// tests) and returns its index. With sub-masters running, the slave
-// attaches to one of them; it receives work immediately if a job is in
-// flight.
+// tests) and returns its index; it receives work immediately if a job
+// is in flight.
 func (c *Cluster) AddSlave(reg *core.Registry, sharedDir string) (int, error) {
 	c.mu.Lock()
 	idx := c.nextIdx
 	c.nextIdx++
 	c.mu.Unlock()
-	return c.addSlaveAt(reg, sharedDir, idx, c.controlAddr(idx))
-}
-
-// AddSlaveAt is AddSlave with an explicit control-plane address (a
-// specific sub-master, or the master itself for a mixed topology).
-func (c *Cluster) AddSlaveAt(reg *core.Registry, sharedDir, controlAddr string) (int, error) {
-	c.mu.Lock()
-	idx := c.nextIdx
-	c.nextIdx++
-	c.mu.Unlock()
-	return c.addSlaveAt(reg, sharedDir, idx, controlAddr)
-}
-
-func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, controlAddr string) (int, error) {
 	sopts := slave.Options{
-		MasterAddr:     controlAddr,
+		MasterAddr:     c.masterAddr,
 		SharedDir:      sharedDir,
 		Obs:            c.obs,
 		Prefetch:       c.prefetch,
@@ -363,7 +216,7 @@ func (c *Cluster) addSlaveAt(reg *core.Registry, sharedDir string, idx int, cont
 		return 0, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	h := &slaveHandle{s: s, addr: controlAddr, cancel: cancel, done: make(chan struct{})}
+	h := &slaveHandle{s: s, cancel: cancel, done: make(chan struct{})}
 	go func() {
 		h.err = s.Run(ctx)
 		close(h.done)
@@ -468,9 +321,8 @@ func (c *Cluster) KillSlave(i int) error {
 	return nil
 }
 
-// Close shuts down the whole cluster top-down: master first (which
-// tells its nodes to shut down via get_task), then sub-masters (which
-// relay the shutdown to their children), then force-cancels stragglers.
+// Close shuts down the whole cluster: master first (which tells its
+// slaves to shut down via get_task), then force-cancels stragglers.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	timers := c.timers
@@ -481,27 +333,8 @@ func (c *Cluster) Close() error {
 	}
 	err := c.Master().Close()
 	c.mu.Lock()
-	smHandles := append([]*smHandle(nil), c.submasters...)
 	handles := append([]*slaveHandle(nil), c.slaves...)
 	c.mu.Unlock()
-	for _, h := range smHandles {
-		if h == nil {
-			continue
-		}
-		select {
-		case <-h.done:
-		case <-time.After(3 * time.Second):
-			// A sub-master with no children holds no idle slot and never
-			// polls, so it cannot hear the shutdown; close it directly.
-			h.sm.Close()
-			select {
-			case <-h.done:
-			case <-time.After(3 * time.Second):
-				h.cancel()
-				<-h.done
-			}
-		}
-	}
 	for _, h := range handles {
 		if h == nil {
 			continue

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kvio"
 	"repro/internal/obs"
-	"repro/internal/rpcproto"
 )
 
 // serialWordCount computes the reference output for byte-identity
@@ -48,57 +47,13 @@ func checkByteIdentical(t *testing.T, want, got []kvio.Pair) {
 	}
 }
 
-func TestHierarchicalWordCount(t *testing.T) {
-	// Two sub-masters, three leaves: the master never sees a slave, yet
-	// the job's answer is the same as the flat topology's.
-	rt := obs.New(nil)
-	c, err := Start(testRegistry(), Options{Slaves: 3, SubMasters: 2, Obs: rt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	checkCounts(t, runWordCount(t, c))
-
-	nodes := c.Master().Nodes()
-	if len(nodes) != 2 {
-		t.Fatalf("master sees %d nodes, want 2 sub-masters: %+v", len(nodes), nodes)
-	}
-	for _, n := range nodes {
-		if n.Kind != rpcproto.NodeKindSubmaster {
-			t.Errorf("node %s kind = %q, want submaster", n.ID, n.Kind)
-		}
-	}
-	fetched := int64(0)
-	for i := 0; i < c.NumSubMasters(); i++ {
-		fetched += c.SubMaster(i).TasksFetched()
-	}
-	if fetched == 0 {
-		t.Error("no tasks flowed through the sub-masters")
-	}
-	if rt.M().Get(obs.MetricSubmasterBatches) == 0 {
-		t.Error("no report batches were sent upward")
-	}
-	if rt.M().Get(obs.MetricMasterBatchReports) == 0 {
-		t.Error("master counted no batch reports")
-	}
-}
-
-func TestHierarchicalSharedFS(t *testing.T) {
-	c, err := Start(testRegistry(), Options{Slaves: 2, SubMasters: 1, SharedDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	checkCounts(t, runWordCount(t, c))
-}
-
 func TestElasticJoinMidJobByteIdentical(t *testing.T) {
 	// A slave that joins mid-job starts pulling work immediately, and
 	// the output is byte-identical to the serial run.
 	want := serialWordCount(t)
 
 	reg := testRegistry()
-	c, err := Start(reg, Options{Slaves: 1, SubMasters: 1})
+	c, err := Start(reg, Options{Slaves: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,73 +208,5 @@ func TestSpeculativeDuplicateFirstWins(t *testing.T) {
 			t.Fatal("losing attempt's completion never counted late")
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func TestSubMasterCrashMidJob(t *testing.T) {
-	// Killing a sub-master orphans its shard; the master's heartbeat
-	// timeout requeues the shard's leases and the surviving sub-master's
-	// shard finishes the job.
-	c, err := Start(testRegistry(), Options{
-		Slaves:            4,
-		SubMasters:        2,
-		SharedDir:         t.TempDir(),
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  250 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	job := core.NewJob(c.Executor())
-	var pairs []kvio.Pair
-	for i := 0; i < 30; i++ {
-		pairs = append(pairs, kvio.Pair{Key: codec.EncodeVarint(int64(i)), Value: []byte("x y z")})
-	}
-	src, _ := job.LocalData(pairs, core.OpOpts{Splits: 30, Partition: "roundrobin"})
-	out, err := job.MapReduce(src, "slowsplit", "sum", core.OpOpts{Splits: 2}, core.OpOpts{Splits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	if err := c.KillSubMaster(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Wait(); err != nil {
-		t.Fatalf("job did not survive sub-master death: %v", err)
-	}
-	job.Close()
-}
-
-func TestSlaveResigninTargetsSubmasterAfterMasterRestart(t *testing.T) {
-	// A master restart invalidates the sub-master's upward identity but
-	// is invisible one level down: the sub-master re-signs in, its
-	// children never do, and the next job still computes exactly.
-	c, err := Start(testRegistry(), Options{
-		Slaves:     2,
-		SubMasters: 1,
-		SharedDir:  t.TempDir(),
-		JournalDir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	checkCounts(t, runWordCount(t, c))
-
-	c.CrashMaster()
-	if err := c.RestartMaster(); err != nil {
-		t.Fatal(err)
-	}
-
-	checkCounts(t, runWordCount(t, c))
-	if got := c.SubMaster(0).Resignins(); got == 0 {
-		t.Error("sub-master never re-signed in after the master restart")
-	}
-	for i := 0; i < c.NumSlaves(); i++ {
-		if got := c.Slave(i).Resignins(); got != 0 {
-			t.Errorf("slave %d re-signed in %d times; the restart should be invisible to leaves", i, got)
-		}
 	}
 }

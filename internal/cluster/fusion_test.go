@@ -105,25 +105,6 @@ func TestFusedChainAllExecutorsAgree(t *testing.T) {
 	}
 }
 
-// TestHierarchicalFusedChain: fused assignments and their reports pass
-// through the sub-master tier unchanged.
-func TestHierarchicalFusedChain(t *testing.T) {
-	wantL, wantR := fusedChainJob(t, core.NewSerial(testRegistry()), core.JobOptions{}, "identity")
-	rt := obs.New(nil)
-	c, err := Start(testRegistry(), Options{Slaves: 3, SubMasters: 2, Obs: rt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	gotL, gotR := fusedChainJob(t, c.Executor(), core.JobOptions{Pipeline: true, Obs: rt}, "identity")
-	if !samePairs(gotL, wantL) || !samePairs(gotR, wantR) {
-		t.Error("tree output differs from serial")
-	}
-	if rt.M().Get(obs.MetricTasksFused) == 0 {
-		t.Error("no task fused through the tree")
-	}
-}
-
 // gateRegistry adds "gatemap", an identity map that sleeps 100 ms per
 // record and signals entered on its first call: every attempt running
 // it stays in flight long enough for the test to crash its slave.

@@ -99,10 +99,6 @@ func (e *LocalExecutor) Store() *bucket.Store { return e.env.Store }
 // spill ablation bench).
 func (e *LocalExecutor) SetSpillBytes(n int64) { e.env.SpillBytes = n }
 
-// SetPrefetch sets the input-fetch window (0 = default, 1 = sequential).
-// Must be called before the first Submit.
-func (e *LocalExecutor) SetPrefetch(n int) { e.env.Prefetch = n }
-
 // SetResidentBudget installs a resident dataset cache with the given
 // byte budget (<= 0 removes it). Local executors are one process, so a
 // "warm worker" is just process memory — but the cache still spares

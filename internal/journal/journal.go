@@ -178,9 +178,8 @@ type JobRecord struct {
 	// never-crashed one would.
 	TasksDone    int64 `json:"tasks_done,omitempty"`
 	ShuffleBytes int64 `json:"shuffle_bytes,omitempty"`
-	// NodeTasks counts completions per reporting node (slave or
-	// sub-master), so mrs-submit -list-jobs can show how work spread
-	// over the fleet; empty for logs from pre-hierarchy masters.
+	// NodeTasks counts completions per reporting slave, so mrs-submit
+	// -list-jobs can show how work spread over the fleet.
 	NodeTasks map[string]int64 `json:"node_tasks,omitempty"`
 	// Tasks maps TaskKey(dataset, task) to the completion's output
 	// bucket manifests; cleared once the job finishes (its data is

@@ -143,16 +143,11 @@ func (o *Options) fill() {
 	}
 }
 
-// slaveInfo tracks one signed-in node. The master↔slave star
-// generalized into a master↔node tree: a node is either a leaf slave
-// or a sub-master fronting a whole worker group (internal/submaster),
-// and the master schedules, leases, reaps, and drains both kinds
-// identically — a sub-master just looks like one very wide slave.
+// slaveInfo tracks one signed-in slave.
 type slaveInfo struct {
 	id        string
-	kind      string // rpcproto.NodeKindSlave or NodeKindSubmaster
 	addr      string // advertised address ("" for anonymous slaves)
-	slots     int64  // offered task slots (aggregated for sub-masters)
+	slots     int64  // offered task slots
 	tasksDone int64  // completions this node reported
 	draining  bool   // next get_task answers shutdown and forgets it
 	shutDown  bool   // a poll was answered shutdown after Close began
@@ -216,7 +211,7 @@ type TaskStats struct {
 	SlavesSeen    int64
 	SlavesLost    int64
 	Blacklisted   int64 // get_task requests parked by the blacklist
-	IdlePolls     int64 // get_task/get_tasks polls answered idle
+	IdlePolls     int64 // get_task polls answered idle
 }
 
 // New starts a master listening on opts.Addr.
@@ -337,15 +332,10 @@ func New(opts Options) (*Master, error) {
 
 	rpc := xmlrpc.NewServer()
 	for method, h := range map[string]xmlrpc.Handler{
-		rpcproto.MethodSignin:      m.handleSignin,
-		rpcproto.MethodGetTask:     m.handleGetTask,
-		rpcproto.MethodGetTasks:    m.handleGetTasks,
-		rpcproto.MethodTaskDone:    m.handleTaskDone,
-		rpcproto.MethodTaskFailed:  m.handleTaskFailed,
-		rpcproto.MethodPing:        m.handlePing,
-		rpcproto.MethodReportBatch: m.handleReportBatch,
-		rpcproto.MethodDrain:       m.handleDrain,
-		rpcproto.MethodListNodes:   m.handleListNodes,
+		rpcproto.MethodSignin:  m.handleSignin,
+		rpcproto.MethodGetTask: m.handleGetTask,
+		rpcproto.MethodPing:    m.handlePing,
+		rpcproto.MethodDrain:   m.handleDrain,
 	} {
 		rpc.Register(method, obs.CountCalls(opts.Obs.M(), method, h))
 	}
@@ -526,8 +516,8 @@ func (m *Master) statusPage() string {
 			if n.Draining {
 				extra = " draining"
 			}
-			out += fmt.Sprintf("  %s (%s) addr=%s slots=%d done=%d%s\n",
-				n.ID, n.Kind, n.Addr, n.Slots, n.TasksDone, extra)
+			out += fmt.Sprintf("  %s addr=%s slots=%d done=%d%s\n",
+				n.ID, n.Addr, n.Slots, n.TasksDone, extra)
 		}
 	}
 	jobs := m.manager.List()
@@ -560,26 +550,18 @@ func (m *Master) serveData(w http.ResponseWriter, r *http.Request) {
 
 func (m *Master) handleSignin(args []any) (any, error) {
 	node := rpcproto.DecodeSigninArgs(args)
-	if node.Kind == "" {
-		node.Kind = rpcproto.NodeKindSlave
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("master: closed")
 	}
 	m.nextSlave++
-	prefix := "slave"
-	if node.Kind == rpcproto.NodeKindSubmaster {
-		prefix = "sm"
-	}
-	id := fmt.Sprintf("%s-%d", prefix, m.nextSlave)
+	id := fmt.Sprintf("slave-%d", m.nextSlave)
 	if m.incarnation > 1 {
-		id = fmt.Sprintf("%s-r%d-%d", prefix, m.incarnation, m.nextSlave)
+		id = fmt.Sprintf("slave-r%d-%d", m.incarnation, m.nextSlave)
 	}
 	m.slaves[id] = &slaveInfo{
 		id:       id,
-		kind:     node.Kind,
 		addr:     node.Addr,
 		slots:    node.Slots,
 		lastSeen: m.opts.Clock.Now(),
@@ -634,15 +616,15 @@ func (m *Master) handlePing(args []any) (any, error) {
 	return true, nil
 }
 
-// handleGetTask answers a node's poll: get_task(node[, reports]). The
-// optional reports are the outcomes of the node's previous tasks, in
-// report_batch's encoding, so a leaf pays one round trip per task: the
-// poll that asks for the next task delivers the last one's result.
-// They are applied before anything else — the unknown-node fault, the
-// drain or shutdown answer, the blacklist park — and applying one twice
-// is harmless (the scheduler ignores duplicates), so a node redelivers
-// a report until a poll is answered. A report the scheduler rejects is
-// final, as on task_done, and does not fail the poll.
+// handleGetTask answers a slave's poll: get_task(node[, reports]). The
+// optional reports are the outcomes of the slot's previous task, so a
+// slave pays one round trip per task: the poll that asks for the next
+// task delivers the last one's result. Reports are applied before
+// anything else — the unknown-node fault, the drain or shutdown answer,
+// the blacklist park — and applying one twice is harmless (the
+// scheduler ignores duplicates), so a slave redelivers a report until a
+// poll is answered. A report the scheduler rejects is final and does
+// not fail the poll.
 func (m *Master) handleGetTask(args []any) (any, error) {
 	id, err := slaveIDArg(args)
 	if err != nil {
@@ -660,48 +642,6 @@ func (m *Master) handleGetTask(args []any) (any, error) {
 		return nil, err
 	}
 	return encodeAssignment(a)
-}
-
-// handleGetTasks is the batched fetch of the sub-master tier: one
-// get_task long poll for the first assignment, then a non-blocking
-// drain of up to max-1 more ready tasks, all in one round trip. A
-// sub-master refilling a whole shard's worth of idle slots pays one
-// RPC instead of one per task. args: (node, max).
-func (m *Master) handleGetTasks(args []any) (any, error) {
-	if len(args) < 2 {
-		return nil, fmt.Errorf("master: get_tasks wants (node, max)")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	maxN, _ := args[1].(int64)
-	if maxN < 1 {
-		maxN = 1
-	}
-	first, err := m.assignOne(id)
-	if err != nil {
-		return nil, err
-	}
-	as := []rpcproto.Assignment{first}
-	if first.Status == rpcproto.StatusTask {
-		for int64(len(as)) < maxN {
-			task, attempt, err := m.sched.RequestAttempt(id, 0)
-			if err != nil || task == nil {
-				break
-			}
-			m.mu.Lock()
-			m.taskStats.TasksAssigned++
-			m.mu.Unlock()
-			as = append(as, rpcproto.Assignment{
-				Status:  rpcproto.StatusTask,
-				TaskID:  int64(task.ID),
-				Attempt: int64(attempt),
-				Spec:    task.Spec,
-			})
-		}
-	}
-	return rpcproto.EncodeAssignments(as)
 }
 
 // assignOne is the poll body: liveness bookkeeping, piggybacked
@@ -829,51 +769,9 @@ func encodeAssignment(a rpcproto.Assignment) (any, error) {
 	return enc, nil
 }
 
-func (m *Master) handleTaskDone(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("master: task_done wants (slave, job, task, outputs[, timing])")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	jobID, ok := args[1].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad job id %v", args[1])
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad task id %v", args[2])
-	}
-	outputs, err := rpcproto.DecodeDescriptors(args[3])
-	if err != nil {
-		return nil, err
-	}
-	result := &core.TaskResult{Outputs: outputs}
-	if len(args) >= 5 {
-		// Optional measured cost breakdown from the executing slave.
-		result.Timing = rpcproto.DecodeTiming(args[4])
-	}
-	known := m.touch(id)
-	// Accept the result even from a slave this master doesn't know (it
-	// may have outlived a master restart); the scheduler sorts accepted
-	// completions from duplicate or stale ones.
-	if err := m.applyTaskDone(id, jobID, taskID, result); err != nil {
-		return nil, err
-	}
-	if !known {
-		// Processed anyway (above), but tell the slave to re-sign-in so
-		// its leases reconcile against this master's state.
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
 // applyTaskDone feeds one completion into the scheduler and, if
 // accepted, into stats, metrics, and the journal — once for the task
-// and once for each fused member it carried. Shared between task_done
-// (one report per RPC) and report_batch (a sub-master's aggregated
-// reports).
+// and once for each fused member it carried.
 func (m *Master) applyTaskDone(id string, jobID, taskID int64, result *core.TaskResult) error {
 	spec, err := m.sched.CompleteTask(sched.TaskID(taskID), id, result)
 	if err != nil {
@@ -920,33 +818,6 @@ func (m *Master) recordDone(id string, jobID int64, spec *core.TaskSpec, result 
 	}
 }
 
-func (m *Master) handleTaskFailed(args []any) (any, error) {
-	if len(args) < 4 {
-		return nil, fmt.Errorf("master: task_failed wants (slave, job, task, message)")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	jobID, ok := args[1].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad job id %v", args[1])
-	}
-	taskID, ok := args[2].(int64)
-	if !ok {
-		return nil, fmt.Errorf("master: bad task id %v", args[2])
-	}
-	msg, _ := args[3].(string)
-	known := m.touch(id)
-	if err := m.applyTaskFailed(id, jobID, taskID, msg); err != nil {
-		return nil, err
-	}
-	if !known {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
 // applyTaskFailed is applyTaskDone's failure-path twin.
 func (m *Master) applyTaskFailed(id string, jobID, taskID int64, msg string) error {
 	m.mu.Lock()
@@ -957,36 +828,9 @@ func (m *Master) applyTaskFailed(id string, jobID, taskID int64, msg string) err
 	return m.sched.Fail(sched.TaskID(taskID), id, msg)
 }
 
-// handleReportBatch accepts a sub-master's aggregated task outcomes:
-// (node, reports). Like task_done, reports from an unknown node are
-// processed before the re-sign-in fault is returned.
-func (m *Master) handleReportBatch(args []any) (any, error) {
-	if len(args) < 2 {
-		return nil, fmt.Errorf("master: report_batch wants (node, reports)")
-	}
-	id, err := slaveIDArg(args)
-	if err != nil {
-		return nil, err
-	}
-	reports, err := rpcproto.DecodeReports(args[1])
-	if err != nil {
-		return nil, err
-	}
-	known := m.touch(id)
-	m.opts.Obs.M().Add(obs.MetricMasterBatchReports, 1)
-	if err := m.applyReports(id, reports); err != nil {
-		return nil, err
-	}
-	if !known {
-		return nil, unknownSlaveFault(id)
-	}
-	return true, nil
-}
-
-// applyReports applies a node's task outcomes, each naming its own job
-// (a batch may span jobs). Every report is applied even if one errors —
-// a batch is a transport optimization, not a transaction — and the
-// first error is returned.
+// applyReports applies a slave's task outcomes, each naming its own
+// job. Every report is applied even if one errors, and the first error
+// is returned.
 func (m *Master) applyReports(id string, reports []rpcproto.Report) error {
 	var firstErr error
 	for _, r := range reports {
@@ -1047,23 +891,14 @@ func (m *Master) Drain(target string) bool {
 	return true
 }
 
-func (m *Master) handleListNodes(args []any) (any, error) {
-	return rpcproto.EncodeNodeInfos(m.Nodes()), nil
-}
-
 // Nodes returns a snapshot of every signed-in node, sorted by id
-// (diagnostics, the status page, and the list_nodes RPC).
+// (diagnostics and the status page).
 func (m *Master) Nodes() []rpcproto.NodeInfo {
 	m.mu.Lock()
 	out := make([]rpcproto.NodeInfo, 0, len(m.slaves))
 	for _, si := range m.slaves {
-		kind := si.kind
-		if kind == "" {
-			kind = rpcproto.NodeKindSlave
-		}
 		out = append(out, rpcproto.NodeInfo{
 			ID:        si.id,
-			Kind:      kind,
 			Addr:      si.addr,
 			Slots:     si.slots,
 			TasksDone: si.tasksDone,

@@ -2,6 +2,7 @@ package master
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,14 +254,41 @@ func TestHandlerArgValidation(t *testing.T) {
 	}{
 		{rpcproto.MethodPing, nil},
 		{rpcproto.MethodPing, []any{int64(7)}},
-		{rpcproto.MethodTaskDone, []any{"slave-1"}},
-		{rpcproto.MethodTaskDone, []any{"slave-1", "not-an-int", []any{}}},
-		{rpcproto.MethodTaskFailed, []any{"slave-1", int64(1)}},
 	}
 	for _, tc := range cases {
 		if _, err := c.Call(tc.method, tc.args...); err == nil {
 			t.Errorf("%s(%v) accepted", tc.method, tc.args)
 		}
+	}
+}
+
+// The master serves exactly the flat star's protocol: the four methods
+// a slave or an operator calls answer, and the retired names of the
+// batched two-level tier and of per-task reports are not served.
+func TestMasterServesExactlyLeafProtocol(t *testing.T) {
+	m := newMaster(t, Options{LongPoll: 20 * time.Millisecond})
+	c := client(m)
+	for _, method := range []string{"get_tasks", "task_done", "task_failed", "report_batch", "list_nodes"} {
+		_, err := c.Call(method, "slave-1")
+		var f *xmlrpc.Fault
+		if !errors.As(err, &f) || f.Code != -32601 {
+			t.Errorf("%s: got %v, want the -32601 method-not-found fault", method, err)
+		}
+	}
+
+	id := signin(t, m).SlaveID
+	if _, err := c.Call(rpcproto.MethodPing, id); err != nil {
+		t.Errorf("ping: %v", err)
+	}
+	raw, err := c.Call(rpcproto.MethodGetTask, id)
+	if err != nil {
+		t.Fatalf("get_task: %v", err)
+	}
+	if a, err := rpcproto.DecodeAssignment(raw); err != nil || a.Status != rpcproto.StatusIdle {
+		t.Errorf("get_task answered %+v, %v; want idle", a, err)
+	}
+	if v, err := c.Call(rpcproto.MethodDrain, id); err != nil || v != true {
+		t.Errorf("drain: %v, %v", v, err)
 	}
 }
 

@@ -79,9 +79,6 @@ func TestPiggybackedReportRedeliveredIsAcceptedOnce(t *testing.T) {
 	if nodes := m.Nodes(); len(nodes) != 1 || nodes[0].TasksDone != 1 {
 		t.Errorf("nodes = %+v, want one node with 1 task done", nodes)
 	}
-	if n := m.opts.Obs.M().Get(obs.RPCSeries(rpcproto.MethodTaskDone)); n != 0 {
-		t.Errorf("%d task_done calls, want 0", n)
-	}
 }
 
 // A report riding on the poll of a node the master no longer knows is

@@ -3,7 +3,8 @@ package master
 // Deterministic crash-recovery tests: no real slaves, no real time. The
 // test is the fleet — it pulls tasks straight from the scheduler,
 // executes them with core.ExecTask against the shared-dir store, and
-// reports completions through the same handleTaskDone path slaves use.
+// reports completions through applyReports, the path a slave's
+// get_task-piggybacked reports take.
 // The fake clock freezes heartbeats and leases, so exactly the
 // completions the test delivers are the completions that happen.
 
@@ -57,8 +58,10 @@ func recoveryRegistry() *core.Registry {
 }
 
 // recoveryWordCount is the deterministic driver under test: 3 map
-// tasks, then 4 reduce tasks (barriered, so the task sequence is
-// stable), collecting inside the run as managed jobs must.
+// tasks, then 4 reduce tasks (each reduce is wide, so it waits for
+// every map even when pipelined and the task sequence is stable),
+// collecting inside the run as managed jobs must. Tests run it in the
+// shipped pipelined mode (recoveryOpts).
 func recoveryWordCount(out *[]kvio.Pair) func(*core.Job) error {
 	return func(job *core.Job) error {
 		pairs := make([]kvio.Pair, len(recoveryLines))
@@ -84,6 +87,11 @@ func recoveryWordCount(out *[]kvio.Pair) func(*core.Job) error {
 }
 
 const recoveryTotalTasks = 7 // 3 map + 4 reduce
+
+// recoveryOpts is the job mode every submit and resume here uses: the
+// default pipelined driver. The journal's spec hash covers the mode, so
+// submit and resume must agree.
+var recoveryOpts = core.JobOptions{Pipeline: true}
 
 // recoveryMaster starts a shared-dir, journaled, fake-clock master.
 func recoveryMaster(t *testing.T, sharedDir, journalDir string, rt *obs.Runtime) *Master {
@@ -146,10 +154,13 @@ func pump(t *testing.T, m *Master, env *core.TaskEnv, slaveID string, limit int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.handleTaskDone([]any{
-			slaveID, int64(task.Spec.Job), int64(task.ID),
-			rpcproto.EncodeDescriptors(res.Outputs), rpcproto.EncodeTiming(res.Timing),
-		}); err != nil {
+		reports, err := rpcproto.DecodeReports(rpcproto.EncodeReports([]rpcproto.Report{
+			rpcproto.DoneReport(int64(task.Spec.Job), int64(task.ID), res),
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.applyReports(slaveID, reports); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -186,7 +197,7 @@ func TestRecoveredManagerMatchesUncrashed(t *testing.T) {
 			ctrl := recoveryMaster(t, t.TempDir(), t.TempDir(), nil)
 			envC, sidC := recoveryEnv(t, ctrl)
 			var wantPairs []kvio.Pair
-			mjC, err := ctrl.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&wantPairs))
+			mjC, err := ctrl.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&wantPairs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +209,7 @@ func TestRecoveredManagerMatchesUncrashed(t *testing.T) {
 			mA := recoveryMaster(t, sharedDir, journalDir, nil)
 			envA, sidA := recoveryEnv(t, mA)
 			var lostPairs []kvio.Pair
-			mjA, err := mA.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&lostPairs))
+			mjA, err := mA.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&lostPairs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +234,7 @@ func TestRecoveredManagerMatchesUncrashed(t *testing.T) {
 				t.Fatalf("recovered JobStats.TasksDone = %d, want %d", got.TasksDone, k)
 			}
 			var gotPairs []kvio.Pair
-			mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&gotPairs))
+			mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&gotPairs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +282,7 @@ func TestSecondCrashDuringRecoveryIsSafe(t *testing.T) {
 	mA := recoveryMaster(t, sharedDir, journalDir, nil)
 	envA, sidA := recoveryEnv(t, mA)
 	var aPairs []kvio.Pair
-	mjA, err := mA.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&aPairs))
+	mjA, err := mA.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&aPairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestSecondCrashDuringRecoveryIsSafe(t *testing.T) {
 	// Second master: resume, make some progress, crash again.
 	mB := recoveryMaster(t, sharedDir, journalDir, nil)
 	var bPairs []kvio.Pair
-	mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&bPairs))
+	mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&bPairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +311,7 @@ func TestSecondCrashDuringRecoveryIsSafe(t *testing.T) {
 		t.Fatalf("third master recovered %d completions, want 4", got)
 	}
 	var cPairs []kvio.Pair
-	mjC, err := mC.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&cPairs))
+	mjC, err := mC.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&cPairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +322,7 @@ func TestSecondCrashDuringRecoveryIsSafe(t *testing.T) {
 	ctrl := recoveryMaster(t, t.TempDir(), t.TempDir(), nil)
 	envCt, sidCt := recoveryEnv(t, ctrl)
 	var wantPairs []kvio.Pair
-	mjCt, err := ctrl.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&wantPairs))
+	mjCt, err := ctrl.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&wantPairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +340,7 @@ func TestResumeValidation(t *testing.T) {
 	sharedDir, journalDir := t.TempDir(), t.TempDir()
 	mA := recoveryMaster(t, sharedDir, journalDir, nil)
 	var pairs []kvio.Pair
-	mjA, err := mA.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&pairs))
+	mjA, err := mA.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,22 +350,22 @@ func TestResumeValidation(t *testing.T) {
 	mjA.Wait()
 
 	mB := recoveryMaster(t, sharedDir, journalDir, nil)
-	if _, err := mB.Jobs().Resume(99, "wc", core.JobOptions{}, recoveryWordCount(&pairs)); err == nil {
+	if _, err := mB.Jobs().Resume(99, "wc", recoveryOpts, recoveryWordCount(&pairs)); err == nil {
 		t.Fatal("resumed a job the journal never saw")
 	}
 	// Wrong program shape: different name, and different pipelining.
-	if _, err := mB.Jobs().Resume(mjA.ID(), "other", core.JobOptions{}, recoveryWordCount(&pairs)); err == nil {
+	if _, err := mB.Jobs().Resume(mjA.ID(), "other", recoveryOpts, recoveryWordCount(&pairs)); err == nil {
 		t.Fatal("resumed under a different program name")
 	}
-	if _, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{Pipeline: true}, recoveryWordCount(&pairs)); err == nil {
+	if _, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{Pipeline: false}, recoveryWordCount(&pairs)); err == nil {
 		t.Fatal("resumed with a different pipelining mode")
 	}
-	mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&pairs))
+	mjB, err := mB.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Double resume of a live job.
-	if _, err := mB.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&pairs)); err == nil {
+	if _, err := mB.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&pairs)); err == nil {
 		t.Fatal("double resume succeeded")
 	}
 	envB, sidB := recoveryEnv(t, mB)
@@ -363,7 +374,7 @@ func TestResumeValidation(t *testing.T) {
 
 	// A done job cannot be resumed (its data was reclaimed).
 	mC := recoveryMaster(t, sharedDir, journalDir, nil)
-	if _, err := mC.Jobs().Resume(mjA.ID(), "wc", core.JobOptions{}, recoveryWordCount(&pairs)); err == nil {
+	if _, err := mC.Jobs().Resume(mjA.ID(), "wc", recoveryOpts, recoveryWordCount(&pairs)); err == nil {
 		t.Fatal("resumed a completed job")
 	}
 }
@@ -398,7 +409,7 @@ func TestCloseFlushesAndReleasesJournal(t *testing.T) {
 	m := recoveryMaster(t, sharedDir, journalDir, nil)
 	env, sid := recoveryEnv(t, m)
 	var pairs []kvio.Pair
-	mj, err := m.Jobs().Submit("wc", core.JobOptions{}, recoveryWordCount(&pairs))
+	mj, err := m.Jobs().Submit("wc", recoveryOpts, recoveryWordCount(&pairs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,38 +193,24 @@ const (
 	MetricPlanReuse               = "mrs_job_input_plan_reuse_total"
 )
 
-// Hierarchical-control-plane metric names. The sched counters cover
-// straggler handling: late reports are task_done/task_failed deliveries
-// arriving after the task's outcome was already settled (duplicate,
-// stale-assignee, or post-job-completion straggler reports — previously
-// dropped silently), speculative counts duplicate attempts launched by
-// the quantile trigger, and wins counts tasks whose accepted completion
+// Straggler, speculation and drain metric names. Late reports are task
+// outcomes arriving after the task's outcome was already settled
+// (duplicate, stale-assignee, or post-job-completion straggler
+// reports), speculative counts duplicate attempts launched by the
+// quantile trigger, and wins counts tasks whose accepted completion
 // came from a speculative attempt. Drain requeues count leases returned
-// by nodes leaving the fleet cleanly. The submaster counters measure
-// each tree level's aggregation work: tasks fetched from the parent,
-// reports forwarded upward, the batches carrying them (reports/batches
-// is the fan-in reduction), children signed in, local retries absorbed
-// without escalating to the root, and upward re-sign-ins after a parent
-// restart.
+// by nodes leaving the fleet cleanly.
 const (
-	MetricSchedLateReports      = "mrs_sched_late_reports_total"
-	MetricSchedSpeculative      = "mrs_sched_speculative_total"
-	MetricSchedSpeculativeWins  = "mrs_sched_speculative_wins_total"
-	MetricSchedDrainRequeued    = "mrs_sched_drain_requeued_total"
-	MetricSubmasterFetched      = "mrs_submaster_tasks_fetched_total"
-	MetricSubmasterReports      = "mrs_submaster_reports_forwarded_total"
-	MetricSubmasterBatches      = "mrs_submaster_report_batches_total"
-	MetricSubmasterChildSignins = "mrs_submaster_child_signins_total"
-	MetricSubmasterLocalRetries = "mrs_submaster_local_retries_total"
-	MetricSubmasterResignins    = "mrs_submaster_resignins_total"
-	MetricMasterDrains          = "mrs_master_drains_total"
-	MetricMasterBatchReports    = "mrs_master_batch_reports_total"
+	MetricSchedLateReports     = "mrs_sched_late_reports_total"
+	MetricSchedSpeculative     = "mrs_sched_speculative_total"
+	MetricSchedSpeculativeWins = "mrs_sched_speculative_wins_total"
+	MetricSchedDrainRequeued   = "mrs_sched_drain_requeued_total"
+	MetricMasterDrains         = "mrs_master_drains_total"
 )
 
 // MetricRPCCalls counts control-plane calls served, one series per
-// method (RPCSeries): the master and every sub-master count the calls
-// their handlers receive, so the family shows how many round trips
-// each task costs.
+// method (RPCSeries): the master counts the calls its handlers
+// receive, so the family shows how many round trips each task costs.
 const MetricRPCCalls = "mrs_rpc_calls_total"
 
 // RPCSeries returns the labeled series of MetricRPCCalls for a method.

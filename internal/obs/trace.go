@@ -13,7 +13,8 @@ import (
 
 // Timing is the per-task-attempt cost breakdown measured by the task
 // engine (core.ExecTask) on whichever process ran the task; in the
-// distributed runtime it travels back to the master with task_done.
+// distributed runtime it travels back to the master in the task's
+// report.
 type Timing struct {
 	// WallNS is the attempt's total execution wall time.
 	WallNS int64
@@ -122,12 +123,9 @@ func (t *Tracer) TaskSubmittedJob(job int64, dataset, task int, kind, fn string)
 }
 
 // TaskStarted records that attempt `attempt` of task `id` began
-// executing on the named worker (a local pool worker, a slave, or — in
-// a hierarchical fleet — the node a level of the tree dispatched it
-// to). Spans are keyed by (id, attempt, worker), so a root master and a
-// sub-master may each record their own span for the same attempt: the
-// root's span covers the task's residence at its node, the sub-master's
-// the execution on the leaf slave. Each level is its own trace lane.
+// executing on the named worker (a local pool worker or a slave).
+// Spans are keyed by (id, attempt, worker), and each worker is its own
+// trace lane.
 func (t *Tracer) TaskStarted(id int64, attempt int, worker string) {
 	if t == nil || id == 0 {
 		return

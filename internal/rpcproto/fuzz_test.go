@@ -91,11 +91,9 @@ func FuzzDecodeAssignment(f *testing.F) {
 	f.Add(mustMarshal(f, enc))
 	idle, _ := Assignment{Status: StatusIdle, GCJobs: []int64{2}}.Encode()
 	f.Add(mustMarshal(f, idle))
-	batch, err := EncodeAssignments([]Assignment{psoMoveAssignment(), psoMoveAssignment()})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mustMarshal(f, batch))
+	// A two-assignment array, as the retired batched fetch answered:
+	// the single-assignment decoder must refuse it without panicking.
+	f.Add(mustMarshal(f, []any{enc, enc}))
 	fused, err := psoFusedAssignment().Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -107,12 +105,11 @@ func FuzzDecodeAssignment(f *testing.F) {
 			return
 		}
 		DecodeAssignment(v)
-		DecodeAssignments(v)
 	})
 }
 
 // FuzzDecodeReports feeds arbitrary call documents through the
-// master's get_task/report_batch decode path: never a panic.
+// master's get_task report decode path: never a panic.
 func FuzzDecodeReports(f *testing.F) {
 	call, err := xmlrpc.MarshalCall(MethodGetTask, []any{"slave-1", EncodeReports(psoReports())})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSigninArgsRoundTrip(t *testing.T) {
-	a := SigninArgs{Kind: NodeKindSubmaster, Addr: "127.0.0.1:9001", Slots: 16}
+	a := SigninArgs{Addr: "127.0.0.1:9001", Slots: 16}
 	got := DecodeSigninArgs([]any{wireTrip(t, a.Encode())})
 	if got != a {
 		t.Errorf("got %+v, want %+v", got, a)
@@ -17,16 +17,15 @@ func TestSigninArgsRoundTrip(t *testing.T) {
 }
 
 func TestSigninArgsBackwardCompatible(t *testing.T) {
-	// The original flat protocol sends no argument at all; a tree-aware
-	// master must treat that as an anonymous slave.
+	// A slave may send no argument at all; the master treats that as
+	// an anonymous slave.
 	if got := DecodeSigninArgs(nil); got != (SigninArgs{}) {
 		t.Errorf("no-arg signin = %+v, want zero", got)
 	}
 	if got := DecodeSigninArgs([]any{"garbage"}); got != (SigninArgs{}) {
 		t.Errorf("malformed signin arg = %+v, want zero", got)
 	}
-	// An empty struct encodes to no keys (wire-identical to old peers
-	// that send an empty struct).
+	// An empty struct encodes to no keys.
 	if enc := (SigninArgs{}).Encode(); len(enc) != 0 {
 		t.Errorf("zero SigninArgs encoded keys: %v", enc)
 	}
@@ -86,28 +85,5 @@ func TestEmptyReports(t *testing.T) {
 	got, err := DecodeReports(wireTrip(t, EncodeReports(nil)))
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty batch = %v, %v", got, err)
-	}
-}
-
-func TestNodeInfosRoundTrip(t *testing.T) {
-	nodes := []NodeInfo{
-		{ID: "sm-1", Kind: NodeKindSubmaster, Addr: "127.0.0.1:9001", Slots: 8, TasksDone: 42},
-		{ID: "slave-2", Kind: NodeKindSlave, Slots: 2, Draining: true},
-	}
-	got, err := DecodeNodeInfos(wireTrip(t, EncodeNodeInfos(nodes)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, nodes) {
-		t.Errorf("got %+v, want %+v", got, nodes)
-	}
-}
-
-func TestNodeInfosErrors(t *testing.T) {
-	if _, err := DecodeNodeInfos(42); err == nil {
-		t.Error("non-array accepted")
-	}
-	if _, err := DecodeNodeInfos([]any{map[string]any{"kind": "slave"}}); err == nil {
-		t.Error("missing id accepted")
 	}
 }

@@ -1,6 +1,13 @@
 // Package rpcproto defines the typed messages exchanged between the
 // master and slaves over XML-RPC, and their conversions to and from
 // the generic XML-RPC value types.
+//
+// The control plane is a flat star, and the master serves four
+// methods. A slave calls three of them: signin once (and again after an
+// unknown-slave fault), ping on its heartbeat, and get_task in a loop —
+// each poll carries the outcome of the slot's previous task, so a task
+// costs one round trip. The fourth, drain, is the operator's call
+// (mrs-launch -drain) that takes a node out of rotation.
 package rpcproto
 
 import (
@@ -13,29 +20,19 @@ import (
 	"repro/internal/xmlrpc"
 )
 
-// Method names served by the master — and, because the master↔slave
-// star generalizes to a master↔node tree, by every sub-master: a
-// sub-master serves all of these to its children while speaking the
-// same methods upward as a client. MethodReportBatch, MethodDrain, and
-// MethodListNodes extend the protocol for the hierarchical control
-// plane; peers that never send them are unaffected.
+// Method names the master serves.
 const (
-	MethodSignin      = "signin"
-	MethodGetTask     = "get_task"
-	MethodGetTasks    = "get_tasks"
-	MethodTaskDone    = "task_done"
-	MethodTaskFailed  = "task_failed"
-	MethodPing        = "ping"
-	MethodReportBatch = "report_batch"
-	MethodDrain       = "drain"
-	MethodListNodes   = "list_nodes"
+	MethodSignin  = "signin"
+	MethodGetTask = "get_task"
+	MethodPing    = "ping"
+	MethodDrain   = "drain"
 )
 
-// Node kinds carried in SigninArgs.
-const (
-	NodeKindSlave     = "slave"
-	NodeKindSubmaster = "submaster"
-)
+// MethodTaskDone is served by no runtime node: slaves report on their
+// next get_task. It stays declared for the benchmark's control-codec
+// replay (bench/replay.go), which registers its own handler under this
+// name.
+const MethodTaskDone = "task_done"
 
 // GetTask response statuses.
 const (
@@ -53,9 +50,9 @@ const FaultUnknownSlave = 100
 
 // IsUnknownSlave reports whether an RPC error is the master's
 // unknown-slave fault — the signal to re-sign-in. It appears on
-// get_task after a reaping, and on task reports delivered to a master
-// that restarted from its journal (the restarted master still processes
-// the report; the fault just tells the slave to reconcile).
+// get_task and ping after a reaping, and on a master that restarted
+// from its journal (a get_task's piggybacked reports are still applied
+// first; the fault just tells the slave to reconcile).
 func IsUnknownSlave(err error) bool {
 	var f *xmlrpc.Fault
 	return errors.As(err, &f) && f.Code == FaultUnknownSlave
@@ -92,23 +89,17 @@ func DecodeSigninReply(v any) (SigninReply, error) {
 	return SigninReply{SlaveID: id, HeartbeatMillis: hb}, nil
 }
 
-// SigninArgs is the optional first argument of signin: what kind of
-// node is joining, where its data plane (or child-facing control
-// plane) listens, and how many task slots it offers. Nodes that omit
-// it — the original flat protocol — sign in as anonymous slaves, so
-// old peers keep working against a tree-aware master.
+// SigninArgs is the optional first argument of signin: where the
+// slave's data plane listens and how many task slots it offers. A
+// slave that omits it signs in anonymously.
 type SigninArgs struct {
-	Kind  string // NodeKindSlave or NodeKindSubmaster ("" = slave)
 	Addr  string // advertised address (diagnostics, drain-by-addr)
-	Slots int64  // concurrent task slots (aggregated for sub-masters)
+	Slots int64  // concurrent task slots
 }
 
 // Encode converts the args to an XML-RPC struct.
 func (a SigninArgs) Encode() map[string]any {
 	out := map[string]any{}
-	if a.Kind != "" {
-		out["kind"] = a.Kind
-	}
 	if a.Addr != "" {
 		out["addr"] = a.Addr
 	}
@@ -129,25 +120,22 @@ func DecodeSigninArgs(args []any) SigninArgs {
 	if !ok {
 		return a
 	}
-	a.Kind, _ = st["kind"].(string)
 	a.Addr, _ = st["addr"].(string)
 	a.Slots, _ = st["slots"].(int64)
 	return a
 }
 
-// Report is one task outcome inside a report_batch: a sub-master
-// forwards its children's task_done and task_failed reports upward in
-// batches instead of one RPC per task.
+// Report is one task outcome a slot piggybacks on its next get_task.
 type Report struct {
-	Done    bool  // true = task_done, false = task_failed
-	Job     int64 // the job the task belongs to (batches may span jobs)
+	Done    bool  // true = the task succeeded, false = it failed
+	Job     int64 // the job the task belongs to
 	TaskID  int64 // the parent's task id for the assignment
 	Outputs []bucket.Descriptor
 	Timing  obs.Timing
 	// Then holds the fused members' results (Outputs and Timing only),
 	// in the order of the assignment's TaskSpec.Then.
 	Then []*core.TaskResult
-	Err  string // task_failed error message
+	Err  string // the failed task's error message
 }
 
 // DoneReport is the report of a successful task and its fused members.
@@ -160,8 +148,8 @@ func (r Report) Result() *core.TaskResult {
 	return &core.TaskResult{Outputs: r.Outputs, Timing: r.Timing, Then: r.Then}
 }
 
-// EncodeReports converts a batch for the reports argument of
-// report_batch.
+// EncodeReports converts task outcomes for the reports argument of
+// get_task.
 func EncodeReports(reports []Report) []any {
 	out := make([]any, len(reports))
 	for i, r := range reports {
@@ -191,7 +179,7 @@ func EncodeReports(reports []Report) []any {
 	return out
 }
 
-// DecodeReports parses the reports argument of report_batch.
+// DecodeReports parses the reports argument of get_task.
 func DecodeReports(v any) ([]Report, error) {
 	arr, ok := v.([]any)
 	if !ok {
@@ -239,59 +227,14 @@ func DecodeReports(v any) ([]Report, error) {
 	return out, nil
 }
 
-// NodeInfo is one row of a list_nodes reply: a node the master (or a
-// sub-master) currently tracks, with its per-node task counters for
-// fleet diagnostics.
+// NodeInfo is a node the master currently tracks, with its per-node
+// task counter (Master.Nodes and /debug/status).
 type NodeInfo struct {
 	ID        string
-	Kind      string
 	Addr      string
 	Slots     int64
 	TasksDone int64
 	Draining  bool
-}
-
-// EncodeNodeInfos converts a node listing for list_nodes.
-func EncodeNodeInfos(nodes []NodeInfo) []any {
-	out := make([]any, len(nodes))
-	for i, n := range nodes {
-		out[i] = map[string]any{
-			"id":         n.ID,
-			"kind":       n.Kind,
-			"addr":       n.Addr,
-			"slots":      n.Slots,
-			"tasks_done": n.TasksDone,
-			"draining":   n.Draining,
-		}
-	}
-	return out
-}
-
-// DecodeNodeInfos parses a list_nodes reply.
-func DecodeNodeInfos(v any) ([]NodeInfo, error) {
-	arr, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("rpcproto: node list is %T", v)
-	}
-	out := make([]NodeInfo, len(arr))
-	for i, e := range arr {
-		st, ok := e.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("rpcproto: node %d is %T", i, e)
-		}
-		n := NodeInfo{}
-		n.ID, _ = st["id"].(string)
-		n.Kind, _ = st["kind"].(string)
-		n.Addr, _ = st["addr"].(string)
-		n.Slots, _ = st["slots"].(int64)
-		n.TasksDone, _ = st["tasks_done"].(int64)
-		n.Draining, _ = st["draining"].(bool)
-		if n.ID == "" {
-			return nil, fmt.Errorf("rpcproto: node %d missing id", i)
-		}
-		out[i] = n
-	}
-	return out, nil
 }
 
 // Assignment is the master's answer to get_task.
@@ -379,39 +322,6 @@ func encodeOp(out map[string]any, spec *core.TaskSpec) {
 	if spec.TraceID != 0 {
 		out["trace_id"] = spec.TraceID
 	}
-}
-
-// EncodeAssignments converts a get_tasks response — up to max
-// assignments fetched in one round trip — to an XML-RPC array. The
-// first element carries any piggybacked deletes/GC broadcasts and the
-// poll's status; later elements are always task assignments.
-func EncodeAssignments(as []Assignment) (any, error) {
-	out := make([]any, len(as))
-	for i := range as {
-		enc, err := as[i].Encode()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = enc
-	}
-	return out, nil
-}
-
-// DecodeAssignments parses a get_tasks response.
-func DecodeAssignments(v any) ([]Assignment, error) {
-	raw, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("rpcproto: assignments are %T", v)
-	}
-	as := make([]Assignment, 0, len(raw))
-	for _, r := range raw {
-		a, err := DecodeAssignment(r)
-		if err != nil {
-			return nil, err
-		}
-		as = append(as, a)
-	}
-	return as, nil
 }
 
 // DecodeAssignment parses a get_task response.
@@ -516,7 +426,7 @@ func decodeOp(st map[string]any) (*core.TaskSpec, error) {
 	return spec, nil
 }
 
-// EncodeDescriptors converts bucket descriptors for task_done.
+// EncodeDescriptors converts bucket descriptors for a report.
 func EncodeDescriptors(descs []bucket.Descriptor) []any {
 	out := make([]any, len(descs))
 	for i, d := range descs {
@@ -530,7 +440,7 @@ func EncodeDescriptors(descs []bucket.Descriptor) []any {
 	return out
 }
 
-// DecodeDescriptors parses the outputs argument of task_done.
+// DecodeDescriptors parses a report's outputs.
 func DecodeDescriptors(v any) ([]bucket.Descriptor, error) {
 	arr, ok := v.([]any)
 	if !ok {
@@ -556,7 +466,7 @@ func DecodeDescriptors(v any) ([]bucket.Descriptor, error) {
 }
 
 // EncodeTiming converts a task attempt's measured cost breakdown into
-// the optional timing argument of task_done.
+// a report's timing.
 func EncodeTiming(t obs.Timing) map[string]any {
 	return map[string]any{
 		"wall_ns":     t.WallNS,
@@ -570,9 +480,8 @@ func EncodeTiming(t obs.Timing) map[string]any {
 	}
 }
 
-// DecodeTiming parses the optional timing argument of task_done; any
-// malformed or missing field decodes as zero (older slaves simply
-// report no breakdown).
+// DecodeTiming parses a report's timing; any malformed or missing
+// field decodes as zero.
 func DecodeTiming(v any) obs.Timing {
 	st, ok := v.(map[string]any)
 	if !ok {

@@ -5,13 +5,6 @@
 // iteration to the next, cutting inter-iteration communication), and
 // it reassigns tasks when slaves fail or report errors.
 //
-// The scheduler is hierarchy-agnostic: a "slave" here is any node that
-// pulls work — a leaf worker process or a sub-master fronting a whole
-// group of workers (internal/submaster). Sub-masters run their own
-// sched instance over their children, so the same dispatch, lease,
-// retry, and drain machinery operates at every level of the control
-// tree.
-//
 // For Resident-marked tasks (Operation.Resident) there is a stronger
 // tier above index affinity: the scheduler remembers which slave's
 // resident dataset cache holds each (input dataset, split) pair and
@@ -606,7 +599,7 @@ func (s *Scheduler) BlacklistedEverywhere(slaveID string) bool {
 // quantile completed duration (floored at MinRuntime), with at least
 // MinSamples completions to quantile over. Returns how many duplicates
 // were queued; a no-op unless SetSpeculation enabled speculation. The
-// master calls this from its reaper tick, a sub-master from its own.
+// master calls this from its speculation ticker.
 func (s *Scheduler) Speculate() int {
 	s.mu.Lock()
 	cfg := s.spec
@@ -695,7 +688,7 @@ func (s *Scheduler) CompleteTask(id TaskID, slaveID string, result *core.TaskRes
 	s.mu.Lock()
 	entry, ok := s.running[id]
 	if !ok {
-		// Duplicate completion (e.g. a redelivered task_done, a
+		// Duplicate completion (e.g. a redelivered report, a
 		// speculative loser, or the task was reassigned after a
 		// presumed-dead slave came back). Count and ignore.
 		s.obs.M().Add(obs.MetricSchedLateReports, 1)

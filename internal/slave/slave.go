@@ -489,10 +489,9 @@ func (s *Slave) signin(ctx context.Context) (rpcproto.SigninReply, error) {
 			return rpcproto.SigninReply{}, ctx.Err()
 		default:
 		}
-		// Advertise kind, data address, and slot count; a pre-tree
-		// master ignores the argument, so both directions interoperate.
+		// Advertise the data address and slot count (diagnostics and
+		// drain by address).
 		node := rpcproto.SigninArgs{
-			Kind:  rpcproto.NodeKindSlave,
 			Addr:  s.DataAddr(),
 			Slots: int64(s.opts.Concurrency),
 		}

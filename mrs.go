@@ -14,9 +14,6 @@
 //   - master / slave: the distributed runtime — XML-RPC control plane,
 //     HTTP or shared-filesystem data plane, heartbeats, task affinity,
 //     and failure recovery.
-//   - submaster: a middle control tier for large fleets — signs in to
-//     the master as one aggregated worker and schedules its own shard
-//     of slaves (see docs/DESIGN.md, "Hierarchical control plane").
 //   - local: a convenience that boots a master plus N slaves inside
 //     one process over real localhost sockets.
 //   - bypass: calls the program's Bypass method, skipping mrs almost
@@ -39,7 +36,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prand"
 	"repro/internal/slave"
-	"repro/internal/submaster"
 )
 
 // Re-exported core types: these are the vocabulary of a mrs program.
@@ -88,18 +84,12 @@ type Options struct {
 	Workers int
 	// Slaves is the worker count for "local" (default 2).
 	Slaves int
-	// SubMasters, when positive, interposes this many sub-masters
-	// between the master and the slaves in "local" mode: the master
-	// sees only the sub-masters, each of which owns a shard of the
-	// fleet (see docs/DESIGN.md, "Hierarchical control plane"). 0
-	// keeps the flat star.
-	SubMasters int
 	// Speculation enables speculative straggler re-execution when
 	// positive: a task whose only running attempt has taken longer
 	// than Speculation times the operation's median attempt duration
 	// gets a duplicate attempt on another node; the first completion
 	// wins and output stays byte-identical. Applies to "local" and
-	// "master" (and sets the shard-local factor in "submaster").
+	// "master".
 	Speculation float64
 	// MasterAddr is the master's host:port (required for "slave").
 	MasterAddr string
@@ -120,11 +110,6 @@ type Options struct {
 	MinSlavesTimeout time.Duration
 	// Seed is the program's base random seed (see Random).
 	Seed uint64
-	// NoPipeline disables split-level pipelining, restoring the fully
-	// barriered driver (one operation materialized at a time, in queue
-	// order). Pipelining is on by default; this toggle exists as a
-	// performance ablation and a debugging aid.
-	NoPipeline bool
 	// TracePath, when set, records every task attempt and writes a
 	// Chrome trace-event JSON timeline there when the job finishes
 	// (open it in chrome://tracing or Perfetto). See
@@ -135,11 +120,6 @@ type Options struct {
 	// on this address, in every mode including slave. The master
 	// additionally always mounts the same surface on its own port.
 	DebugAddr string
-	// Prefetch is the input-fetch window: while one input bucket is
-	// consumed, the next Prefetch-1 are fetched concurrently. 0 selects
-	// the default width; 1 fetches one bucket at a time (ablation).
-	// Output is byte-identical at any width.
-	Prefetch int
 	// ResidentBudget is the per-worker resident dataset cache budget in
 	// bytes: input splits of operations queued with OpOpts.Resident are
 	// fetched once and served from worker memory on later iterations
@@ -203,7 +183,6 @@ func Run(p Program, opts Options) error {
 		exec := core.NewSerial(reg)
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "mock":
@@ -213,24 +192,20 @@ func Run(p Program, opts Options) error {
 		}
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "threads":
 		exec := core.NewThreads(reg, opts.Workers)
 		exec.SetObserver(rt)
 		exec.SetResidentBudget(opts.ResidentBudget)
-		exec.SetPrefetch(opts.Prefetch)
 		return runWithExecutor(p, exec, opts, rt)
 
 	case "local":
 		c, err := cluster.Start(reg, cluster.Options{
 			Slaves:            opts.Slaves,
-			SubMasters:        opts.SubMasters,
 			SpeculationFactor: opts.Speculation,
 			SharedDir:         opts.SharedDir,
 			Obs:               rt,
-			Prefetch:          opts.Prefetch,
 			ResidentBudget:    opts.ResidentBudget,
 		})
 		if err != nil {
@@ -258,27 +233,6 @@ func Run(p Program, opts Options) error {
 		}
 		return runManaged(p, m, opts, rt)
 
-	case "submaster":
-		// A middle-tier control node: signs in to the master upward as
-		// one aggregated worker, serves the same protocol downward to
-		// its own shard of slaves. Control plane only — no program
-		// functions run here, but Register still happens above so the
-		// binary is the same one the slaves run.
-		if opts.MasterAddr == "" {
-			return fmt.Errorf("mrs: submaster mode requires MasterAddr")
-		}
-		sm, err := submaster.New(submaster.Options{
-			MasterAddr:        opts.MasterAddr,
-			Addr:              opts.Addr,
-			PortFile:          opts.PortFile,
-			Obs:               rt,
-			SpeculationFactor: opts.Speculation,
-		})
-		if err != nil {
-			return err
-		}
-		return sm.Run(context.Background())
-
 	case "slave":
 		if opts.MasterAddr == "" {
 			return fmt.Errorf("mrs: slave mode requires MasterAddr")
@@ -287,7 +241,6 @@ func Run(p Program, opts Options) error {
 			MasterAddr:     opts.MasterAddr,
 			SharedDir:      opts.SharedDir,
 			Obs:            rt,
-			Prefetch:       opts.Prefetch,
 			ResidentBudget: opts.ResidentBudget,
 		})
 		if err != nil {
@@ -305,7 +258,7 @@ func runWithExecutor(p Program, exec core.Executor, opts Options, rt *obs.Runtim
 }
 
 func runJob(p Program, exec core.Executor, opts Options, rt *obs.Runtime) error {
-	job := core.NewJobWith(exec, core.JobOptions{Pipeline: !opts.NoPipeline, Obs: rt})
+	job := core.NewJobWith(exec, core.JobOptions{Pipeline: true, Obs: rt})
 	runErr := p.Run(job)
 	closeErr := job.Close()
 	// Every task is finished once Close returns, so the trace is complete.
@@ -324,7 +277,7 @@ func runJob(p Program, exec core.Executor, opts Options, rt *obs.Runtime) error 
 // resolves only after the job's driver has fully drained, so the trace
 // is complete when it returns.
 func runManaged(p Program, m *master.Master, opts Options, rt *obs.Runtime) error {
-	mj, err := m.Jobs().Submit("mrs", core.JobOptions{Pipeline: !opts.NoPipeline, Obs: rt}, p.Run)
+	mj, err := m.Jobs().Submit("mrs", core.JobOptions{Pipeline: true, Obs: rt}, p.Run)
 	if err != nil {
 		return err
 	}

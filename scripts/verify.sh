@@ -36,7 +36,7 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	echo "== tier 2: pipelined-scheduler stress (race, repeated; fused narrow chains, call-time LocalData and on-demand local workers included)"
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused|LocalDataCopies|IdleLocalExecutor|SubmitAfterClose|UnclosedExecutor' \
-		./internal/core ./internal/cluster ./internal/submaster ./internal/rpcproto
+		./internal/core ./internal/cluster ./internal/rpcproto
 	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, prefetch-width grid, prefetch chaos, block handoff, in-place reads and adoption)"
 	go test -race -count=2 \
 		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
@@ -107,14 +107,14 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=3 \
 		-run 'MasterCrash|PlannedMaster|Recover|Resume|Journal' \
 		./internal/cluster ./internal/master ./internal/journal ./internal/sched
-	echo "== tier 2: hierarchical control-plane stress (race, sub-master tree + drain + speculation)"
+	echo "== tier 2: elastic join + drain + speculation (race)"
 	go test -race -count=2 \
-		-run 'Hierarchical|SubMaster|Elastic|Drain|Speculat|Resignin|Tree|Escalates' \
-		./internal/cluster ./internal/submaster ./internal/sched
+		-run 'Elastic|Drain|Speculat|Resignin' \
+		./internal/cluster ./internal/sched
 	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts)"
 	go test -race -count=2 \
 		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster' \
-		./internal/master ./internal/submaster ./internal/cluster ./internal/slave
+		./internal/master ./internal/cluster ./internal/slave
 	echo "== tier 2: journal replay fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 10s ./internal/journal
 	echo "== tier 2: traced pipelined job end-to-end"
