@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -46,7 +47,17 @@ func Main(p Program) {
 	opts := BindFlags(flag.CommandLine)
 	flag.Parse()
 	if err := Run(p, *opts); err != nil {
-		fmt.Fprintf(os.Stderr, "mrs: %v\n", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line Main prints for an error of Run: the message
+// under one "mrs: " prefix, which Run's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "mrs: ") {
+		msg = "mrs: " + msg
+	}
+	return msg
 }

@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/kmeans"
+	"repro/internal/kvio"
 	"repro/internal/obs"
 	"repro/internal/pso"
 )
@@ -143,6 +146,86 @@ func TestResidentKMeansByteIdenticalOnCluster(t *testing.T) {
 	}
 	if warmSnap[obs.MetricSchedResidentPlacements] == 0 {
 		t.Error("scheduler never recorded a cache-affinity placement")
+	}
+}
+
+// TestResidentHitReadsColdRecordsOnCluster: on a live fleet, a
+// resident hit, which walks its cached payloads without their CRC,
+// hands the task exactly the records of the cold read. Three supersteps
+// of an identity map (per-record reads) and an emit-every-value reduce
+// (adopted runs) over one resident dataset must give, superstep by
+// superstep, the cache-off fleet's output byte for byte.
+func TestResidentHitReadsColdRecordsOnCluster(t *testing.T) {
+	reg := core.NewRegistry()
+	reg.RegisterMap("identity", func(key, value []byte, emit kvio.Emitter) error {
+		return emit.Emit(key, value)
+	})
+	reg.RegisterReduce("emitall", func(key []byte, values [][]byte, emit kvio.Emitter) error {
+		for _, v := range values {
+			if err := emit.Emit(key, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	pairs := make([]kvio.Pair, 6000)
+	for i := range pairs {
+		pairs[i] = kvio.Pair{
+			Key:   []byte(fmt.Sprintf("k%03d", i%97)),
+			Value: bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 40+i%23),
+		}
+	}
+	const splits, steps = 3, 3
+	run := func(budget int64) ([][]kvio.Pair, map[string]int64) {
+		rt := obs.New(nil)
+		c, err := Start(reg, Options{Slaves: 2, ResidentBudget: budget, Obs: rt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		job := core.NewJobWith(c.Executor(), core.JobOptions{Pipeline: true, Obs: rt})
+		defer job.Close()
+		src, err := job.LocalData(pairs, core.OpOpts{Splits: splits, Partition: "roundrobin"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outs [][]kvio.Pair
+		for i := 0; i < steps; i++ {
+			mapped, err := job.Map(src, "identity", core.OpOpts{Splits: splits, Resident: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reduced, err := job.Reduce(src, "emitall", core.OpOpts{Splits: splits, Resident: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []*core.Dataset{mapped, reduced} {
+				out, err := d.Collect()
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, out)
+				_ = d.Free()
+			}
+		}
+		return outs, rt.M().Snapshot()
+	}
+	cold, coldSnap := run(0)
+	warm, warmSnap := run(core.DefaultResidentBudget)
+	for i := range cold {
+		if len(cold[i]) != len(pairs) {
+			t.Fatalf("output %d has %d records, want %d", i, len(cold[i]), len(pairs))
+		}
+		if !samePairs(cold[i], warm[i]) {
+			t.Errorf("output %d (superstep %d, %s) differs between the resident hit and the cold read",
+				i, i/2, [2]string{"map", "reduce"}[i%2])
+		}
+	}
+	if hits := coldSnap[obs.MetricResidentHits]; hits != 0 {
+		t.Errorf("budget 0 recorded %d hits", hits)
+	}
+	if hits := warmSnap[obs.MetricResidentHits]; hits == 0 {
+		t.Error("the warm fleet never hit the resident cache")
 	}
 }
 

@@ -320,8 +320,18 @@ func DecodeFloat64SliceInto(dst []float64, data []byte) ([]float64, error) {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	// Four elements a step: the k-means assign decodes every point
+	// here, and a one-element loop's speed hinged on its placement.
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		v, b := dst[i:i+4:i+4], data[8*i:8*i+32:8*i+32]
+		v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+		v[1] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+		v[2] = math.Float64frombits(binary.LittleEndian.Uint64(b[16:]))
+		v[3] = math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
 	return dst, nil
 }

@@ -613,7 +613,7 @@ func fetchInputs(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, 
 			retained = append(retained, res.data)
 		}
 		before := st.bytes
-		err := consume(res.data, spec.InputFormat, sink, st)
+		err := consume(res.data, spec.InputFormat, sink, st, false)
 		env.Obs.M().Add(shuffleMetric(env.Store, u), st.bytes-before)
 		if err != nil {
 			return nil, err
@@ -632,10 +632,13 @@ func fetchInputs(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink, 
 // order and results cannot differ from a cold read. A miss fetches as
 // fetchInputs does, retaining the payloads, and inserts them after the
 // task consumed every bucket successfully (a failed task caches
-// nothing). The cache key is (job, input dataset, split); the fetch
-// plan (URL list) is stored alongside and must match exactly on
-// lookup, so a changed plan — re-executed producers after a slave
-// loss, say — invalidates rather than serves stale bytes.
+// nothing). An entry is therefore verified once, on the fetch that
+// fills it: its blocks passed their CRC there, and nothing writes a
+// cached payload, so a hit walks it with every check but the CRC. The
+// cache key is (job, input dataset, split); the fetch plan (URL list)
+// is stored alongside and must match exactly on lookup, so a changed
+// plan — re-executed producers after a slave loss, say — invalidates
+// rather than serves stale bytes.
 func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink recordSink) error {
 	urls := spec.InputURLs
 	key := ResidentKey{Job: spec.Job, Dataset: spec.InputDataset, Split: spec.TaskIndex}
@@ -643,7 +646,7 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 		st.residentHits++
 		env.Obs.M().Add(obs.MetricResidentHits, 1)
 		for _, data := range payloads {
-			if err := consume(data, spec.InputFormat, sink, st); err != nil {
+			if err := consume(data, spec.InputFormat, sink, st, true); err != nil {
 				return err
 			}
 		}
@@ -661,11 +664,19 @@ func forEachInputResident(env *TaskEnv, spec *TaskSpec, st *inputStats, sink rec
 
 // consume feeds one whole bucket payload to sink where it lies: KV
 // blocks through the kvio walker, lines through forEachLine, whose
-// bucket bytes it charges to st.
-func consume(data []byte, format string, sink recordSink, st *inputStats) error {
+// bucket bytes it charges to st. verified marks a resident entry's
+// payload, whose blocks all passed their CRC on the fetch that cached
+// it and have not been written since: it is walked with every check
+// but the CRC.
+func consume(data []byte, format string, sink recordSink, st *inputStats, verified bool) error {
 	switch format {
 	case "", FormatKV:
-		if sink.run != nil {
+		switch {
+		case verified && sink.run != nil:
+			return kvio.RewalkRuns(data, sink.run)
+		case verified:
+			return kvio.Rewalk(data, sink.fn)
+		case sink.run != nil:
 			return kvio.WalkRuns(data, sink.run)
 		}
 		return kvio.Walk(data, sink.fn)

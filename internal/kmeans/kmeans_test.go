@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -360,6 +361,58 @@ func TestNearestMatchesSqDist(t *testing.T) {
 			i, d := nearest(p, centroids)
 			if i != best || math.Float64bits(d) != math.Float64bits(bestDist) {
 				t.Fatalf("dims %d: nearest gave %d at %v, sqDist %d at %v", dims, i, d, best, bestDist)
+			}
+		}
+	}
+}
+
+// oddFloats returns n float64s drawn from ordinary values and every
+// awkward class: NaNs with distinct payloads (quiet and signalling, both
+// signs), ±0, ±Inf, subnormals and the extremes of the normal range.
+func oddFloats(rng *rand.Rand, n int) []float64 {
+	odd := []uint64{
+		0x7FF8000000000000, 0x7FF8DEADBEEF0001, 0x7FF0000000000001, 0xFFF4000000C0FFEE,
+		0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+		0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x000A5A5A5A5A5A5A, 0x7FEFFFFFFFFFFFFF,
+		0x0010000000000000, 0xFFEFFFFFFFFFFFFF,
+	}
+	out := make([]float64, n)
+	for i := range out {
+		if rng.Intn(3) == 0 {
+			out[i] = rng.NormFloat64() * 100
+		} else {
+			out[i] = math.Float64frombits(odd[rng.Intn(len(odd))])
+		}
+	}
+	return out
+}
+
+// TestAddFloatsMatchesOneElement: the four-a-step addFloats leaves every
+// sum bit-identical to the one-element loop it replaced, for lengths 0
+// to 67 (every tail length after several full steps) and sums and
+// addends drawn from NaN payloads, ±0, ±Inf and subnormals, over a run
+// of adds into the same sums as the update reduce makes.
+func TestAddFloatsMatchesOneElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			got := oddFloats(rng, n)
+			want := append([]float64(nil), got...)
+			for add := 0; add < 3; add++ {
+				raw := make([]byte, 0, 8*n)
+				for _, x := range oddFloats(rng, n) {
+					raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
+				}
+				addFloats(got, raw)
+				for d := range want {
+					want[d] += math.Float64frombits(binary.LittleEndian.Uint64(raw[8*d:]))
+				}
+			}
+			for d := range want {
+				if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+					t.Fatalf("n=%d: sum[%d] = %#x, one-element loop %#x",
+						n, d, math.Float64bits(got[d]), math.Float64bits(want[d]))
+				}
 			}
 		}
 	}

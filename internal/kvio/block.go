@@ -321,7 +321,7 @@ func (h blockHdr) verify(payload []byte) error {
 func (r *BlockReader) next() (Pair, error) {
 	for r.err == nil && r.recs == 0 {
 		if r.err = beyondLast(r.run); r.err == nil {
-			r.run, r.recs, r.rest, r.err = nextRun(r.rest)
+			r.run, r.recs, r.rest, r.err = nextRun(r.rest, true)
 		}
 	}
 	if r.err != nil {

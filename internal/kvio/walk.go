@@ -17,11 +17,12 @@ func blocks(data []byte) ([]byte, error) {
 
 // nextRun is the run cursor every bucket read goes through. It reads
 // the block at the head of rest, a block stream past its magic,
-// skipping empty blocks, and returns the block's record run, checked
-// against its CRC, the header's record count, and the stream after the
-// block. run is a subslice of rest. io.EOF means rest ended cleanly at
-// a block boundary.
-func nextRun(rest []byte) (run []byte, recs int, tail []byte, err error) {
+// skipping empty blocks, and returns the block's record run, the
+// header's record count, and the stream after the block. With crc set
+// the run is checked against its header's CRC; without it, every other
+// check still holds. run is a subslice of rest. io.EOF means rest ended
+// cleanly at a block boundary.
+func nextRun(rest []byte, crc bool) (run []byte, recs int, tail []byte, err error) {
 	for {
 		h, n, err := readHeader(rest)
 		if err != nil {
@@ -35,8 +36,10 @@ func nextRun(rest []byte) (run []byte, recs int, tail []byte, err error) {
 			return nil, 0, nil, io.ErrUnexpectedEOF
 		}
 		run = rest[:h.payloadLen:h.payloadLen]
-		if err := h.verify(run); err != nil {
-			return nil, 0, nil, err
+		if crc {
+			if err := h.verify(run); err != nil {
+				return nil, 0, nil, err
+			}
 		}
 		return run, h.recs, rest[h.payloadLen:], nil
 	}
@@ -50,12 +53,24 @@ func nextRun(rest []byte) (run []byte, recs int, tail []byte, err error) {
 // fn must not write into a run, which is a subslice of data. A payload
 // without BlockMagic is refused with ErrBlockCorrupt.
 func WalkRuns(data []byte, fn func(run []byte, recs int) error) error {
+	return walkRuns(data, true, fn)
+}
+
+// RewalkRuns is WalkRuns over bytes that already passed a whole
+// WalkRuns or Walk and have not been written since, such as a resident
+// cache entry: it skips each run's CRC, the one check whose answer
+// cannot have changed, and keeps every other.
+func RewalkRuns(data []byte, fn func(run []byte, recs int) error) error {
+	return walkRuns(data, false, fn)
+}
+
+func walkRuns(data []byte, crc bool, fn func(run []byte, recs int) error) error {
 	rest, err := blocks(data)
 	if err != nil {
 		return err
 	}
 	for {
-		run, recs, tail, err := nextRun(rest)
+		run, recs, tail, err := nextRun(rest, crc)
 		if err == io.EOF {
 			return nil
 		}
@@ -75,7 +90,19 @@ func WalkRuns(data []byte, fn func(run []byte, recs int) error) error {
 // NewAnyReader(bytes.NewReader(data)).ReadAll does: the same records,
 // then nil or an error of the same identity.
 func Walk(data []byte, fn func(key, value []byte) error) error {
-	return WalkRuns(data, func(run []byte, recs int) error {
+	return walkRuns(data, true, records(fn))
+}
+
+// Rewalk is Walk over bytes that already passed a whole Walk or
+// WalkRuns, with RewalkRuns' one skipped check.
+func Rewalk(data []byte, fn func(key, value []byte) error) error {
+	return walkRuns(data, false, records(fn))
+}
+
+// records adapts a per-record fn to a run walk: it scans each run's
+// header count of records and refuses bytes beyond the last.
+func records(fn func(key, value []byte) error) func(run []byte, recs int) error {
+	return func(run []byte, recs int) error {
 		for ; recs > 0; recs-- {
 			key, value, used, err := scanOne(run)
 			if err != nil {
@@ -87,7 +114,7 @@ func Walk(data []byte, fn func(key, value []byte) error) error {
 			}
 		}
 		return beyondLast(run)
-	})
+	}
 }
 
 // beyondLast refuses bytes left in a run after its header's records.

@@ -1039,10 +1039,17 @@ func (m *Master) SetJobWeight(id core.JobID, weight int) {
 
 // Free implements core.Executor. Buckets owned by the master (its own
 // store, or the shared directory) are removed directly; buckets served
-// by slaves are queued as piggybacked delete commands.
+// by slaves are queued as piggybacked delete commands, each on the node
+// that serves it.
 func (m *Master) Free(mat *core.Materialized) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	told := map[string]bool{} // live slaves queued a delete of the dataset
+	last := ""                // the dataset's last slave-served bucket
+	queue := func(id, name string) {
+		m.pendingDeletes[id] = append(m.pendingDeletes[id], name)
+		told[id] = true
+	}
 	for _, split := range mat.Splits {
 		for _, d := range split {
 			if d.Name == "" {
@@ -1056,11 +1063,34 @@ func (m *Master) Free(mat *core.Materialized) {
 			case strings.HasPrefix(d.URL, "http://"+m.addr+"/"):
 				_ = m.store.Remove(d.Name)
 			default:
-				// Ask every live slave to delete; removal is
-				// idempotent, so non-owners simply no-op.
-				for id := range m.slaves {
-					m.pendingDeletes[id] = append(m.pendingDeletes[id], d.Name)
+				// A slave's bucket URL names the data address it
+				// advertised at signin, so the delete goes to that node.
+				// When no live node claims the URL, every live slave is
+				// asked; removal is idempotent, so non-owners no-op.
+				last = d.Name
+				host, _, _ := strings.Cut(strings.TrimPrefix(d.URL, "http://"), "/")
+				owned := false
+				for id, info := range m.slaves {
+					if info.addr != "" && info.addr == host {
+						queue(id, d.Name)
+						owned = true
+					}
 				}
+				if !owned {
+					for id := range m.slaves {
+						queue(id, d.Name)
+					}
+				}
+			}
+		}
+	}
+	// A slave drops its resident-cache splits of a dataset on the delete
+	// of any one of its buckets, and it may have cached splits of one it
+	// serves no bucket of: each live slave not yet told gets one name.
+	if last != "" {
+		for id := range m.slaves {
+			if !told[id] {
+				queue(id, last)
 			}
 		}
 	}

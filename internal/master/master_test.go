@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bucket"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/rpcproto"
@@ -316,5 +318,60 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestFreeQueuesDeleteOnOwnerOnly: Free queues each slave-served
+// bucket's delete on the one node whose signin address serves it, and
+// falls back to every live slave for a URL no live node claims. A slave
+// that serves none of the dataset's buckets still gets one of its names,
+// which drops its resident-cache splits of the dataset.
+func TestFreeQueuesDeleteOnOwnerOnly(t *testing.T) {
+	m := newMaster(t, Options{LongPoll: 10 * time.Millisecond})
+	addrs := []string{"127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"}
+	ids := make([]string, len(addrs))
+	for i, addr := range addrs {
+		raw, err := client(m).Call(rpcproto.MethodSignin, rpcproto.SigninArgs{Addr: addr, Slots: 1}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := rpcproto.DecodeSigninReply(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = reply.SlaveID
+	}
+	desc := func(addr, name string) bucket.Descriptor {
+		return bucket.Descriptor{Name: name, URL: "http://" + addr + "/data/" + name}
+	}
+	poll := func(id string) []string {
+		raw, err := client(m).Call(rpcproto.MethodGetTask, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := rpcproto.DecodeAssignment(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Deletes
+	}
+	m.Free(&core.Materialized{Splits: [][]bucket.Descriptor{
+		{desc(addrs[0], "ds1_t0_s0"), desc(addrs[1], "ds1_t1_s0")},
+		{desc(addrs[1], "ds1_t0_s1"), desc(addrs[0], "ds1_t1_s1")},
+	}})
+	want := [][]string{{"ds1_t0_s0", "ds1_t1_s1"}, {"ds1_t1_s0", "ds1_t0_s1"}, {"ds1_t1_s1"}}
+	for i, id := range ids {
+		if got := poll(id); !slices.Equal(got, want[i]) {
+			t.Errorf("%s (serving %s) was asked to delete %v, want %v", id, addrs[i], got, want[i])
+		}
+	}
+	m.Free(&core.Materialized{Splits: [][]bucket.Descriptor{
+		{desc(addrs[2], "ds2_t0_s0"), desc("127.0.0.1:7999", "ds2_t1_s0")},
+	}})
+	want = [][]string{{"ds2_t1_s0"}, {"ds2_t1_s0"}, {"ds2_t0_s0", "ds2_t1_s0"}}
+	for i, id := range ids {
+		if got := poll(id); !slices.Equal(got, want[i]) {
+			t.Errorf("unclaimed URL: %s was asked to delete %v, want %v", id, got, want[i])
+		}
 	}
 }

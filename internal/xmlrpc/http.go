@@ -67,21 +67,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp, err := MarshalResponse(result)
-	if err != nil {
+	// The response is written from a pooled buffer: the ResponseWriter
+	// copies what it is given, so the buffer is free once it returns.
+	b := getBuf()
+	defer putBuf(b)
+	if err := writeResponse(b, result); err != nil {
 		s.writeFault(w, &Fault{Code: 2, Message: "marshal error: " + err.Error()})
 		return
 	}
-	writeXML(w, resp)
+	writeXML(w, b.Bytes())
 }
 
 func (s *Server) writeFault(w http.ResponseWriter, f *Fault) {
-	data, err := MarshalFault(f)
-	if err != nil {
+	b := getBuf()
+	defer putBuf(b)
+	if err := writeFault(b, f); err != nil {
 		http.Error(w, f.Message, http.StatusInternalServerError)
 		return
 	}
-	writeXML(w, data)
+	writeXML(w, b.Bytes())
 }
 
 // writeXML sends an XML-RPC response body with its Content-Length, so
@@ -157,6 +161,9 @@ func (c *Client) Call(method string, args ...any) (any, error) {
 }
 
 func (c *Client) call(method string, args []any) (any, error) {
+	// The body is an exact-size copy out of the pooled buffer, not the
+	// buffer itself: the transport may still read a request body after
+	// the response has come back.
 	body, err := MarshalCall(method, args)
 	if err != nil {
 		return nil, err

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 )
 
 // Fault is an XML-RPC fault response.
@@ -48,52 +49,111 @@ func (f *Fault) Error() string {
 // ---------------------------------------------------------------------------
 // Marshalling
 
+// bufs holds the buffers documents are written into, so that a
+// document lands in a buffer already grown by earlier ones instead of
+// doubling its way up from empty.
+var bufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf caps the buffers bufs keeps: one grown past it by a rare
+// huge document is dropped rather than held.
+const maxPooledBuf = 1 << 20
+
+func getBuf() *bytes.Buffer {
+	b := bufs.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		bufs.Put(b)
+	}
+}
+
 // MarshalCall encodes a method call document.
 func MarshalCall(method string, args []any) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	b.WriteString("<methodCall><methodName>")
-	if err := xml.EscapeText(&b, []byte(method)); err != nil {
+	b := getBuf()
+	defer putBuf(b)
+	if err := writeCall(b, method, args); err != nil {
 		return nil, err
 	}
-	b.WriteString("</methodName><params>")
-	for _, a := range args {
-		b.WriteString("<param>")
-		if err := writeValue(&b, a); err != nil {
-			return nil, err
-		}
-		b.WriteString("</param>")
-	}
-	b.WriteString("</params></methodCall>")
-	return b.Bytes(), nil
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // MarshalResponse encodes a successful method response with one result.
 func MarshalResponse(result any) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(xml.Header)
-	b.WriteString("<methodResponse><params><param>")
-	if err := writeValue(&b, result); err != nil {
+	b := getBuf()
+	defer putBuf(b)
+	if err := writeResponse(b, result); err != nil {
 		return nil, err
 	}
-	b.WriteString("</param></params></methodResponse>")
-	return b.Bytes(), nil
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // MarshalFault encodes a fault response.
 func MarshalFault(f *Fault) ([]byte, error) {
-	var b bytes.Buffer
+	b := getBuf()
+	defer putBuf(b)
+	if err := writeFault(b, f); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b.Bytes()), nil
+}
+
+func writeCall(b *bytes.Buffer, method string, args []any) error {
+	b.WriteString(xml.Header)
+	b.WriteString("<methodCall><methodName>")
+	if err := escapeText(b, method); err != nil {
+		return err
+	}
+	b.WriteString("</methodName><params>")
+	for _, a := range args {
+		b.WriteString("<param>")
+		if err := writeValue(b, a); err != nil {
+			return err
+		}
+		b.WriteString("</param>")
+	}
+	b.WriteString("</params></methodCall>")
+	return nil
+}
+
+func writeResponse(b *bytes.Buffer, result any) error {
+	b.WriteString(xml.Header)
+	b.WriteString("<methodResponse><params><param>")
+	if err := writeValue(b, result); err != nil {
+		return err
+	}
+	b.WriteString("</param></params></methodResponse>")
+	return nil
+}
+
+func writeFault(b *bytes.Buffer, f *Fault) error {
 	b.WriteString(xml.Header)
 	b.WriteString("<methodResponse><fault>")
-	err := writeValue(&b, map[string]any{
+	err := writeValue(b, map[string]any{
 		"faultCode":   f.Code,
 		"faultString": f.Message,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.WriteString("</fault></methodResponse>")
-	return b.Bytes(), nil
+	return nil
+}
+
+// escapeText writes s as xml.EscapeText does. Printable ASCII other
+// than the five markup characters is written as it is, which is every
+// name, id and URL the control plane sends, without the []byte copy
+// EscapeText needs.
+func escapeText(b *bytes.Buffer, s string) error {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7E || c == '<' || c == '>' || c == '&' || c == '\'' || c == '"' {
+			return xml.EscapeText(b, []byte(s))
+		}
+	}
+	b.WriteString(s)
+	return nil
 }
 
 func writeValue(b *bytes.Buffer, v any) error {
@@ -104,11 +164,11 @@ func writeValue(b *bytes.Buffer, v any) error {
 		b.WriteString("<string></string>")
 	case int:
 		b.WriteString("<int>")
-		b.WriteString(strconv.FormatInt(int64(x), 10))
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(x), 10))
 		b.WriteString("</int>")
 	case int64:
 		b.WriteString("<int>")
-		b.WriteString(strconv.FormatInt(x, 10))
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), x, 10))
 		b.WriteString("</int>")
 	case bool:
 		if x {
@@ -118,17 +178,17 @@ func writeValue(b *bytes.Buffer, v any) error {
 		}
 	case float64:
 		b.WriteString("<double>")
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		b.Write(strconv.AppendFloat(b.AvailableBuffer(), x, 'g', -1, 64))
 		b.WriteString("</double>")
 	case string:
 		b.WriteString("<string>")
-		if err := xml.EscapeText(b, []byte(x)); err != nil {
+		if err := escapeText(b, x); err != nil {
 			return err
 		}
 		b.WriteString("</string>")
 	case []byte:
 		b.WriteString("<base64>")
-		b.WriteString(base64.StdEncoding.EncodeToString(x))
+		b.Write(base64.StdEncoding.AppendEncode(b.AvailableBuffer(), x))
 		b.WriteString("</base64>")
 	case []any:
 		b.WriteString("<array><data>")
@@ -150,7 +210,7 @@ func writeValue(b *bytes.Buffer, v any) error {
 		b.WriteString("<struct>")
 		for _, k := range sortedKeys(x) {
 			b.WriteString("<member><name>")
-			if err := xml.EscapeText(b, []byte(k)); err != nil {
+			if err := escapeText(b, k); err != nil {
 				return err
 			}
 			b.WriteString("</name>")

@@ -1010,3 +1010,49 @@ func BenchmarkReferenceUnmarshalResponse(b *testing.B) {
 		}
 	}
 }
+
+// TestEscapeTextMatchesEncodingXML: the marshaller's escape writes what
+// xml.EscapeText does, for every single byte, markup, control and
+// non-ASCII text and invalid UTF-8.
+func TestEscapeTextMatchesEncodingXML(t *testing.T) {
+	cases := []string{"", "get_task", "http://n1:9000/data/ds1_t0_s0", "a<b>&'\"c", "tab\there\r\n", "café ☃", "\xff\xfe", "\x7f"}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)}), "x"+string([]byte{byte(c)})+"y")
+	}
+	for _, s := range cases {
+		var got, want bytes.Buffer
+		if err := escapeText(&got, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := xml.EscapeText(&want, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%q: escaped to %q, encoding/xml %q", s, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestMarshalFromPooledBufferIsExact: documents come out of the pooled
+// buffers byte-exact and owned by the caller, whatever the buffer held
+// before: a small document marshalled after a large one carries none of
+// its bytes, and a returned document is not changed by later ones.
+func TestMarshalFromPooledBufferIsExact(t *testing.T) {
+	small := `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
+		`<methodResponse><params><param><value><struct><member><name>n</name><value><int>-7</int></value></member>` +
+		`<member><name>x</name><value><double>0.5</double></value></member></struct></value></param></params></methodResponse>`
+	first, err := MarshalResponse(map[string]any{"n": int64(-7), "x": 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MarshalCall("big", []any{strings.Repeat("y", 100000), bytes.Repeat([]byte{1}, 5000)}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := MarshalResponse(map[string]any{"n": int64(-7), "x": 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first) != small || string(again) != small {
+		t.Errorf("marshalled\n%s\nthen\n%s\nwant\n%s", first, again, small)
+	}
+}

@@ -37,10 +37,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=4 \
 		-run 'Pipeline|Narrow|Barriered|AllExecutorsAgree|Chaos|Fused|LocalDataCopies|IdleLocalExecutor|SubmitAfterClose|UnclosedExecutor' \
 		./internal/core ./internal/cluster ./internal/rpcproto
-	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, prefetch-width grid, prefetch chaos, block handoff, in-place reads and adoption)"
+	echo "== tier 2: data-plane stress (race, HTTP/shared x prefetch x resident grid, prefetch-width grid, prefetch chaos, block handoff, in-place reads and adoption, CRC-free resident rewalks)"
 	go test -race -count=2 \
-		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt' \
-		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio
+		-run 'DataPlane|CodecGrid|CodecSerialMatchesCluster|ParallelFetchByteIdentical|ChaosWithPrefetch|AddBlock|HashPath|GroupsProperty|BlockBucket|ForeignStreams|Fold|HashForm|FoldCadence|FoldArena|InPlace|Adopt|Rewalk|ResidentHitReadsCold|ResidentFillRefusesCorrupt' \
+		./internal/cluster ./internal/bucket ./internal/shuffle ./internal/kvio ./internal/core
 	echo "== tier 2: two-backing bucket store stress (race, RAM + spilled buckets, serve, local open, GC)"
 	go test -race -count=4 \
 		-run 'StoreConcurrentStress|DuplicatePublish|RemoveClearsBoth|Spill|OpenOwnURL|RAMBucket|ServeBucketRAM|CorruptBucket|UnlinkCounts|RemoveFile' \
@@ -71,9 +71,11 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -bench 'BenchmarkWordcountMap|BenchmarkWordcountCombine' -benchmem -benchtime 1000x ./internal/wordcount/
 	go test -run '^$' -bench 'BenchmarkWriterWrite|BenchmarkReaderRead|BenchmarkBlock|BenchmarkScanInPlace' \
 		-benchmem -benchtime 1000x ./internal/kvio/
-	go test -run '^$' -bench 'BenchmarkReduceInputInPlace|BenchmarkLocalData|BenchmarkCollect' -benchmem -benchtime 20x ./internal/core/
+	go test -run '^$' -bench 'BenchmarkReduceInputInPlace|BenchmarkLocalData|BenchmarkCollect|BenchmarkResidentHit' -benchmem -benchtime 20x ./internal/core/
 	go test -run '^$' -bench 'BenchmarkUnmarshalAssignment' \
-		-benchmem -benchtime 1000x ./internal/rpcproto/)"
+		-benchmem -benchtime 1000x ./internal/rpcproto/
+	go test -run '^$' -bench 'BenchmarkCallRoundTrip|BenchmarkMarshalTaskStruct' \
+		-benchmem -benchtime 1000x ./internal/xmlrpc/)"
 	echo "$bench"
 	echo "$bench" | awk '
 		NR == FNR { if ($0 !~ /^#/ && NF == 2) limit[$1] = $2; next }
@@ -99,10 +101,10 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'ConcurrentJobs|FairShare|JobGC|AdmissionQueue|PerJob' \
 		./internal/cluster ./internal/sched
-	echo "== tier 2: resident-dataset stress (race, cache + affinity + chaos slave death)"
+	echo "== tier 2: resident-dataset stress (race, cache + affinity + chaos slave death, hits read without their CRC)"
 	go test -race -count=2 \
-		-run 'Resident' \
-		./internal/core ./internal/sched ./internal/slave ./internal/cluster
+		-run 'Resident|Rewalk' \
+		./internal/core ./internal/sched ./internal/slave ./internal/cluster ./internal/kvio
 	echo "== tier 2: crash-recovery stress (race, repeated master crash/restart cycles)"
 	go test -race -count=3 \
 		-run 'MasterCrash|PlannedMaster|Recover|Resume|Journal' \
