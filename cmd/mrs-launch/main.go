@@ -135,9 +135,13 @@ func launch(bin string, args []string) error {
 	return masterErr
 }
 
+// waitPortFile reads the master's port file as soon as it is written.
+// It checks at once, then backs off 1, 2, 4 … ms up to 50 ms between
+// checks, so a fast master costs a millisecond or two, not a fixed
+// 50 ms poll.
 func waitPortFile(path string, timeout time.Duration) (string, error) {
 	deadline := time.Now().Add(timeout)
-	for {
+	for wait := time.Millisecond; ; wait = min(2*wait, 50*time.Millisecond) {
 		data, err := os.ReadFile(path)
 		if err == nil && len(data) > 0 {
 			return strings.TrimSpace(string(data)), nil
@@ -145,6 +149,6 @@ func waitPortFile(path string, timeout time.Duration) (string, error) {
 		if time.Now().After(deadline) {
 			return "", fmt.Errorf("port file %s did not appear within %v", path, timeout)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(wait)
 	}
 }

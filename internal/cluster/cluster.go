@@ -100,8 +100,9 @@ type slaveHandle struct {
 	done   chan struct{} // closed when Run returns; err is set before the close
 }
 
-// Start boots the master and slaves and waits until all slaves have
-// signed in.
+// Start boots the master and slaves and waits until every slot of every
+// slave has polled for work, so a job submitted next is spread over the
+// whole fleet.
 func Start(reg *core.Registry, opts Options) (*Cluster, error) {
 	if opts.Slaves <= 0 {
 		opts.Slaves = 2

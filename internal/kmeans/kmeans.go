@@ -86,7 +86,10 @@ func EncodeCentroids(cs [][]float64) []byte {
 	return out
 }
 
-// DecodeCentroids unpacks broadcast params.
+// DecodeCentroids unpacks broadcast params. It sizes nothing until the
+// payload is known to hold exactly the k·dims floats the header claims,
+// and a centroid has at least one dimension, so what it allocates is
+// bounded by the bytes it is given.
 func DecodeCentroids(data []byte) ([][]float64, error) {
 	k, n := binary.Varint(data)
 	if n <= 0 {
@@ -98,7 +101,7 @@ func DecodeCentroids(data []byte) ([][]float64, error) {
 		return nil, fmt.Errorf("kmeans: bad centroid params")
 	}
 	data = data[n:]
-	if k < 0 || k > 1<<20 || dims < 0 || dims > 1<<20 {
+	if k < 0 || k > 1<<20 || dims < 0 || dims > 1<<20 || (k > 0 && dims == 0) {
 		return nil, fmt.Errorf("kmeans: implausible shape k=%d dims=%d", k, dims)
 	}
 	if int64(len(data)) != k*dims*8 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -561,4 +562,82 @@ func BenchmarkKMeansUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeAllocBound is what decoding n bytes may allocate: a centroid's
+// 24-byte slice header stands for at least its 8 bytes of floats.
+func decodeAllocBound(n int) uint64 { return 8*uint64(n) + 64<<10 }
+
+// FuzzDecodeCentroids: any params decode or fail within an allocation
+// bound proportional to their length, and whatever decodes re-encodes
+// to a fixed point.
+func FuzzDecodeCentroids(f *testing.F) {
+	f.Add(EncodeCentroids([][]float64{{1, 2}, {3, 4}, {5, 6}}))
+	f.Add(EncodeCentroids(nil))
+	f.Add(binary.AppendVarint(binary.AppendVarint(nil, 1<<20), 0))
+	f.Add(binary.AppendVarint(binary.AppendVarint(nil, 4), 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cs [][]float64
+		var err error
+		if n := allocated(func() { cs, err = DecodeCentroids(data) }); n > decodeAllocBound(len(data)) {
+			t.Fatalf("%d input bytes allocated %d B", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		enc := EncodeCentroids(cs)
+		again, err := DecodeCentroids(enc)
+		if err != nil {
+			t.Fatalf("re-encoded centroids do not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeCentroids(again), enc) {
+			t.Fatal("re-encoded centroids are not a fixed point")
+		}
+	})
+}
+
+// FuzzUpdatePartials: the update reduce over two arbitrary partials
+// allocates within the same bound and, when both are well formed and of
+// one dimension, emits their summed count and, to the bit, their summed
+// vectors.
+func FuzzUpdatePartials(f *testing.F) {
+	f.Add(appendPartial(nil, 1, []float64{1, 2, 3}), appendPartial(nil, 2, []float64{-1, 0.5, 7}))
+	f.Add(appendPartial(nil, 1, nil), appendPartial(nil, 1, nil))
+	f.Add(appendPartial(nil, 3, []float64{1}), appendPartial(nil, 1, []float64{1, 2}))
+	f.Add([]byte{}, []byte{0x80})
+	update := updateFunc(f)
+	key := codec.EncodeVarint(0)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var e kvio.SliceEmitter
+		var err error
+		if n := allocated(func() { err = update(key, [][]byte{a, b}, &e) }); n > decodeAllocBound(len(a)+len(b)) {
+			t.Fatalf("%d input bytes allocated %d B", len(a)+len(b), n)
+		}
+		ca, sa, errA := decodePartial(a)
+		cb, sb, errB := decodePartial(b)
+		if errA != nil || errB != nil || len(sa) != len(sb) {
+			if err == nil {
+				t.Fatal("update accepted partials decodePartial refuses or whose dimensions differ")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("update refused well-formed partials: %v", err)
+		}
+		for d := range sa {
+			sa[d] += sb[d]
+		}
+		if want := appendPartial(nil, ca+cb, sa); len(e.Pairs) != 1 || !bytes.Equal(e.Pairs[0].Value, want) {
+			t.Fatalf("update emitted %v, want one partial %x", e.Pairs, want)
+		}
+	})
 }

@@ -151,8 +151,12 @@ type slaveInfo struct {
 	tasksDone int64  // completions this node reported
 	draining  bool   // next get_task answers shutdown and forgets it
 	shutDown  bool   // a poll was answered shutdown after Close began
+	polls     int64  // get_task polls received, counted up to slots
 	lastSeen  time.Time
 }
+
+// polling reports whether every slot the node offered has polled.
+func (info *slaveInfo) polling() bool { return info.polls >= max(info.slots, 1) }
 
 // Master is the distributed executor.
 type Master struct {
@@ -188,6 +192,9 @@ type Master struct {
 	// so Close can stop waiting once the whole fleet has heard.
 	closing     chan struct{}
 	shutdownAck chan struct{}
+	// joined is closed and replaced once every slot of a node has
+	// polled (wakeWaiters), so WaitForSlaves recounts.
+	joined chan struct{}
 
 	reaperStop chan struct{}
 	reaperDone chan struct{}
@@ -226,6 +233,7 @@ func New(opts Options) (*Master, error) {
 		jobStats:       map[core.JobID]*JobTaskStats{},
 		closing:        make(chan struct{}),
 		shutdownAck:    make(chan struct{}, 1),
+		joined:         make(chan struct{}),
 		reaperStop:     make(chan struct{}),
 		reaperDone:     make(chan struct{}),
 	}
@@ -657,7 +665,13 @@ func (m *Master) assignOne(id string) (rpcproto.Assignment, error) {
 	delete(m.pendingGC, id)
 	closed := m.closed
 	draining := false
-	if info := m.slaves[id]; info != nil && info.draining {
+	info := m.slaves[id]
+	if info != nil && !info.polling() {
+		if info.polls++; info.polling() {
+			m.wakeWaiters()
+		}
+	}
+	if info != nil && info.draining {
 		// Drain completion: the node's leases were already requeued by
 		// Drain; this poll carries the shutdown answer and the node is
 		// forgotten. Late task reports from it still resolve through
@@ -979,18 +993,38 @@ func (m *Master) NumSlaves() int {
 	return len(m.slaves)
 }
 
-// WaitForSlaves blocks until at least n slaves are signed in.
+// WaitForSlaves blocks until at least n slaves are signed in and have
+// polled get_task from every slot they offered, so work submitted next
+// finds the whole fleet asking for it. A node's last first poll wakes
+// it to recount, so it returns on the poll that completes the count,
+// with no timer; it fails when ctx ends or the master stops.
 func (m *Master) WaitForSlaves(ctx context.Context, n int) error {
 	for {
-		if m.NumSlaves() >= n {
+		m.mu.Lock()
+		have, joined := 0, m.joined
+		for _, info := range m.slaves {
+			if info.polling() {
+				have++
+			}
+		}
+		m.mu.Unlock()
+		if have >= n {
 			return nil
 		}
 		select {
+		case <-joined:
+		case <-m.closing:
+			return fmt.Errorf("master: stopped while waiting for %d polling slaves (%d are)", n, have)
 		case <-ctx.Done():
-			return fmt.Errorf("master: waiting for %d slaves: %w", n, ctx.Err())
-		case <-time.After(10 * time.Millisecond):
+			return fmt.Errorf("master: waiting for %d polling slaves (%d are): %w", n, have, ctx.Err())
 		}
 	}
+}
+
+// wakeWaiters wakes every WaitForSlaves to recount; m.mu must be held.
+func (m *Master) wakeWaiters() {
+	close(m.joined)
+	m.joined = make(chan struct{})
 }
 
 // ---------------------------------------------------------------------------

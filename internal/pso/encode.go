@@ -57,18 +57,22 @@ func (d *decoder) float() float64 {
 	return v
 }
 
+// floats reads an n-float vector. It sizes nothing from n until the
+// bytes behind it are there, so a record that claims more than it holds
+// fails before it allocates.
 func (d *decoder) floats(n int) []float64 {
-	if n < 0 || n > 1<<24 {
-		d.err = fmt.Errorf("pso: implausible vector length %d", n)
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(d.data)/8 {
+		d.err = fmt.Errorf("pso: vector of %d floats in %d bytes", n, len(d.data))
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.float()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[8*i:]))
 	}
-	if d.err != nil {
-		return nil
-	}
+	d.data = d.data[8*n:]
 	return out
 }
 

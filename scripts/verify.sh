@@ -64,6 +64,11 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzMapMatchesFields' -fuzztime 10s ./internal/wordcount
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
+	echo "== tier 2: user-codec fuzz (PSO swarms and bests, k-means centroids and partials: allocation bounded by input; corpus + 10s each)"
+	go test -run '^$' -fuzz 'FuzzDecodeSwarm' -fuzztime 10s ./internal/pso
+	go test -run '^$' -fuzz 'FuzzDecodeBest' -fuzztime 10s ./internal/pso
+	go test -run '^$' -fuzz 'FuzzDecodeCentroids' -fuzztime 10s ./internal/kmeans
+	go test -run '^$' -fuzz 'FuzzUpdatePartials' -fuzztime 10s ./internal/kmeans
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
 	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall|BenchmarkSortGroupCombineHeavy|BenchmarkSorterCombineZipf' \
 		-benchmem -benchtime 100x ./internal/shuffle/
@@ -113,9 +118,9 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'Elastic|Drain|Speculat|Resignin' \
 		./internal/cluster ./internal/sched
-	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts)"
+	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts, fleet start)"
 	go test -race -count=2 \
-		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster' \
+		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|WaitFor|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster' \
 		./internal/master ./internal/cluster ./internal/slave
 	echo "== tier 2: journal replay fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 10s ./internal/journal
