@@ -24,6 +24,11 @@
 // to exact at-rest path), so removing a RAM bucket or a name it never
 // wrote costs no syscall and removing one of its files costs one unlink.
 //
+// A store given no directory owns a private one under os.TempDir: it is
+// named at construction, created only when the first bucket or scratch
+// directory needs it, and removed by Close if it was. A node whose
+// buckets all stayed in RAM touches no directory from start to stop.
+//
 // Every store writes a bucket in one form, kvio identity row blocks,
 // and a bucket crosses the wire exactly as it rests: the data server
 // sends its at-rest bytes verbatim and the reader checks each block's
@@ -37,6 +42,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"os"
@@ -102,6 +108,15 @@ type Store struct {
 	id      int
 	dir     string // if non-empty, buckets may be files under dir
 	baseURL string // if non-empty, buckets advertise baseURL/<name>
+	tag     string // random; names the private dir and scratch dirs
+	private bool   // dir is the store's own: made at first need, removed by Close
+
+	// dirMu guards the private directory's existence and the scratch
+	// directories made beneath dir.
+	dirMu   sync.Mutex
+	made    bool            // the private dir exists
+	closed  bool            // Close ran; the private dir is not made again
+	scratch map[string]bool // scratch dirs MkScratch created
 
 	mu       sync.Mutex
 	mem      map[string]atRest // RAM buckets by flat name
@@ -129,38 +144,125 @@ func NewMemStore() *Store {
 // baseURL/<name> and small ones are held in RAM (see MemBucketMax);
 // otherwise every bucket is a file advertised by a file:// URL, which is
 // correct when dir is on a shared filesystem that peers open directly.
-// Bucket files already in dir (a restarted node's) are indexed as the
-// store's own, so Remove deletes them.
+//
+// An empty dir gives the store a private directory under os.TempDir,
+// which nothing creates until the first bucket file or scratch
+// directory needs it, and which Close removes. A given dir is created
+// now if missing, and bucket files already in it (a restarted node's)
+// are indexed as the store's own, so Remove deletes them; Close leaves
+// it on disk.
 func NewFileStore(dir, baseURL string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("bucket: creating store dir: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("bucket: reading store dir: %w", err)
-	}
-	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/"),
-		mem: map[string]atRest{}, files: map[string]string{}}
-	for _, e := range entries {
-		// Temp files of unfinished writes are hidden and never published.
-		name := e.Name()
-		if flat, ok := strings.CutSuffix(name, BlockExt); ok && !e.IsDir() && !strings.HasPrefix(name, ".") {
-			s.files[flat] = filepath.Join(dir, name)
-		}
+	s := &Store{dir: dir, baseURL: strings.TrimRight(baseURL, "/"), tag: fmt.Sprintf("%016x", rand.Uint64()),
+		mem: map[string]atRest{}, files: map[string]string{}, scratch: map[string]bool{}}
+	if dir == "" {
+		s.dir, s.private = filepath.Join(os.TempDir(), "mrs-"+s.tag), true
+	} else if err := s.indexDir(); err != nil {
+		return nil, err
 	}
 	if s.baseURL != "" {
 		servingMu.Lock()
-		serving[filepath.Clean(dir)] = s
+		serving[filepath.Clean(s.dir)] = s
 		servingMu.Unlock()
 	}
 	return s, nil
 }
 
+// indexDir creates a given directory if missing and indexes the bucket
+// files already in it.
+func (s *Store) indexDir() error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return fmt.Errorf("bucket: creating store dir: %w", err)
+	}
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("bucket: reading store dir: %w", err)
+	}
+	for _, e := range entries {
+		// Temp files of unfinished writes are hidden and never published.
+		name := e.Name()
+		if flat, ok := strings.CutSuffix(name, BlockExt); ok && !e.IsDir() && !strings.HasPrefix(name, ".") {
+			s.files[flat] = filepath.Join(s.dir, name)
+		}
+	}
+	return nil
+}
+
+// ensureDir creates the private directory the first time a file needs
+// it. The create is exclusive: a name that already exists is an error,
+// never a directory shared with whoever made it.
+func (s *Store) ensureDir() error {
+	if !s.private {
+		return nil
+	}
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	if s.made {
+		return nil
+	}
+	if s.closed {
+		return fmt.Errorf("bucket: store %s is closed", s.dir)
+	}
+	if err := os.Mkdir(s.dir, 0o700); err != nil {
+		return fmt.Errorf("bucket: creating store dir: %w", err)
+	}
+	s.made = true
+	return nil
+}
+
+// dirExists reports whether the store's directory may hold files: a
+// given one always, a private one once made.
+func (s *Store) dirExists() bool {
+	if !s.private {
+		return s.dir != ""
+	}
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	return s.made
+}
+
+// Scratch returns the path of a scratch directory for name (a job's
+// sort spills) beneath the store's directory, which no other store in
+// that directory uses. Nothing is created: MkScratch does that when a
+// file first needs it.
+func (s *Store) Scratch(name string) string {
+	return filepath.Join(s.dir, name+"-"+s.tag)
+}
+
+// MkScratch creates the scratch directory dir, and first the store's
+// private directory if nothing has needed it yet. It suits
+// shuffle.Options.MakeTempDir.
+func (s *Store) MkScratch(dir string) error {
+	if err := s.ensureDir(); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o700); err != nil && !os.IsExist(err) {
+		return err
+	}
+	s.dirMu.Lock()
+	s.scratch[dir] = true
+	s.dirMu.Unlock()
+	return nil
+}
+
+// RemoveScratch removes a scratch directory MkScratch created, with
+// everything in it. One it never created costs no syscall.
+func (s *Store) RemoveScratch(dir string) error {
+	s.dirMu.Lock()
+	made := s.scratch[dir]
+	delete(s.scratch, dir)
+	s.dirMu.Unlock()
+	if !made {
+		return nil
+	}
+	return os.RemoveAll(dir)
+}
+
 // Close drops the store's RAM buckets and stops ServeBucket from finding
-// them; bucket files stay on disk. Call it when the owning node stops:
-// its RAM buckets are then exactly as lost as its process would make
-// them.
-func (s *Store) Close() {
+// them. It removes a private directory, if one was made; bucket files
+// in a given directory stay on disk. Call it when the owning node
+// stops: its RAM buckets are then exactly as lost as its process would
+// make them.
+func (s *Store) Close() error {
 	if s.baseURL != "" {
 		servingMu.Lock()
 		if serving[filepath.Clean(s.dir)] == s {
@@ -173,6 +275,17 @@ func (s *Store) Close() {
 		s.dropMem(flat)
 	}
 	s.mu.Unlock()
+	if !s.private {
+		return nil
+	}
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	made := s.made
+	s.made, s.closed = false, true
+	if !made {
+		return nil
+	}
+	return os.RemoveAll(s.dir)
 }
 
 // Dir returns the store's directory ("" for memory stores).
@@ -293,6 +406,9 @@ func (s *Store) keepsInRAM(n int) bool {
 
 // openFile creates the temp file the bucket continues in.
 func (k *sink) openFile() error {
+	if err := k.store.ensureDir(); err != nil {
+		return err
+	}
 	f, err := os.CreateTemp(k.store.dir, "."+k.flat+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("bucket: creating %s: %w", filepath.Join(k.store.dir, k.flat), err)
@@ -542,9 +658,10 @@ func (s *Store) unlink(path string) error {
 // prefixed "j<job>/"); the separator keeps "j1_" from matching "j10_".
 func jobPrefix(job int64) string { return fmt.Sprintf("j%d_", job) }
 
-// jobFiles lists the at-rest files of one job's buckets.
+// jobFiles lists the at-rest files of one job's buckets: none, with no
+// syscall, while a private directory has not been made.
 func (s *Store) jobFiles(job int64) ([]string, error) {
-	if s.dir == "" {
+	if !s.dirExists() {
 		return nil, nil
 	}
 	entries, err := os.ReadDir(s.dir)

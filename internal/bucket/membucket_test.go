@@ -68,7 +68,7 @@ func servedStore(t *testing.T, ram bool) (*Store, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() { s.Close() })
 	return s, srv
 }
 

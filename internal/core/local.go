@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/bucket"
@@ -34,9 +33,8 @@ import (
 // idle executor holds no goroutine: one nobody closed is collected with
 // its store like any other value.
 type LocalExecutor struct {
-	env     *TaskEnv
-	ownsDir string // temp dir to remove on Close ("" if none)
-	obs     *obs.Runtime
+	env *TaskEnv
+	obs *obs.Runtime
 
 	mu    sync.Mutex
 	idle  *sync.Cond  // signalled when the last worker exits
@@ -50,8 +48,8 @@ type localTask struct {
 	done func(*TaskResult, error)
 }
 
-func newLocal(env *TaskEnv, workers int, ownsDir string) *LocalExecutor {
-	e := &LocalExecutor{env: env, ownsDir: ownsDir, lanes: make([]int, workers)}
+func newLocal(env *TaskEnv, workers int) *LocalExecutor {
+	e := &LocalExecutor{env: env, lanes: make([]int, workers)}
 	for i := range e.lanes {
 		e.lanes[i] = workers - 1 - i // worker-0 first
 	}
@@ -61,27 +59,18 @@ func newLocal(env *TaskEnv, workers int, ownsDir string) *LocalExecutor {
 
 // NewSerial returns the serial executor.
 func NewSerial(reg *Registry) *LocalExecutor {
-	return newLocal(&TaskEnv{Store: bucket.NewMemStore(), Reg: reg}, 1, "")
+	return newLocal(&TaskEnv{Store: bucket.NewMemStore(), Reg: reg}, 1)
 }
 
 // NewMockParallel returns the mock-parallel executor. dir receives the
-// intermediate data files; if empty a temp dir is created and removed
-// on Close.
+// intermediate data files; if empty, the store's private directory
+// does, made at the first file and removed on Close.
 func NewMockParallel(reg *Registry, dir string) (*LocalExecutor, error) {
-	owns := ""
-	if dir == "" {
-		d, err := os.MkdirTemp("", "mrs-mock-*")
-		if err != nil {
-			return nil, err
-		}
-		dir = d
-		owns = d
-	}
 	store, err := bucket.NewFileStore(dir, "")
 	if err != nil {
 		return nil, err
 	}
-	return newLocal(&TaskEnv{Store: store, Reg: reg, TempDir: dir}, 1, owns), nil
+	return newLocal(&TaskEnv{Store: store, Reg: reg, TempDir: store.Dir()}, 1), nil
 }
 
 // NewThreads returns an in-process parallel executor with n workers.
@@ -89,7 +78,7 @@ func NewThreads(reg *Registry, n int) *LocalExecutor {
 	if n < 1 {
 		n = 1
 	}
-	return newLocal(&TaskEnv{Store: bucket.NewMemStore(), Reg: reg}, n, "")
+	return newLocal(&TaskEnv{Store: bucket.NewMemStore(), Reg: reg}, n)
 }
 
 // Store implements Executor.
@@ -197,8 +186,5 @@ func (e *LocalExecutor) Close() error {
 		e.idle.Wait()
 	}
 	e.mu.Unlock()
-	if e.ownsDir != "" {
-		return os.RemoveAll(e.ownsDir)
-	}
-	return nil
+	return e.env.Store.Close()
 }

@@ -24,7 +24,8 @@ type TaskEnv struct {
 	Store *bucket.Store
 	// Reg resolves function names.
 	Reg *Registry
-	// TempDir holds external-sort spill files ("" = os.TempDir()).
+	// TempDir holds external-sort spill files ("" = os.TempDir()). A
+	// missing one is made by Store.MkScratch at the first spill.
 	TempDir string
 	// SpillBytes overrides the external-sort threshold (0 = default).
 	SpillBytes int64
@@ -63,6 +64,17 @@ func (env *TaskEnv) spillBytes() int64 {
 		return env.SpillBytes
 	}
 	return DefaultSpillBytes
+}
+
+// newSorter returns a sorter that spills past the env's threshold into
+// TempDir, which the store makes at the first spill.
+func (env *TaskEnv) newSorter(combine shuffle.CombineFunc) *shuffle.Sorter {
+	return shuffle.NewSorter(shuffle.Options{
+		SpillBytes:  env.spillBytes(),
+		TempDir:     env.TempDir,
+		MakeTempDir: env.Store.MkScratch,
+		Combine:     combine,
+	})
 }
 
 func (env *TaskEnv) clk() clock.Clock {
@@ -348,11 +360,7 @@ func execMapTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, err
 		combine := CombineAdapter(combineFn)
 		sorters := make([]*shuffle.Sorter, op.Splits)
 		for s := range sorters {
-			sorters[s] = shuffle.NewSorter(shuffle.Options{
-				SpillBytes: env.spillBytes(),
-				TempDir:    env.TempDir,
-				Combine:    combine,
-			})
+			sorters[s] = env.newSorter(combine)
 			defer sorters[s].Close()
 		}
 		emit := sortingEmitter(parter, sorters)
@@ -415,11 +423,7 @@ func execReduceTask(env *TaskEnv, spec *TaskSpec, st *inputStats) (*TaskResult, 
 		}
 		combine = CombineAdapter(combineFn)
 	}
-	sorter := shuffle.NewSorter(shuffle.Options{
-		SpillBytes: env.spillBytes(),
-		TempDir:    env.TempDir,
-		Combine:    combine,
-	})
+	sorter := env.newSorter(combine)
 	defer sorter.Close()
 	// KV inputs are read in place: the sorter adopts each block's record
 	// run and points into it.

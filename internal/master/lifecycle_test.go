@@ -2,6 +2,7 @@ package master
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"testing"
 	"time"
@@ -200,5 +201,36 @@ func TestWaitForSlavesCountsEverySlot(t *testing.T) {
 	poll()
 	if r := <-done; r.err != nil {
 		t.Fatal(r.err)
+	}
+}
+
+// A client that dialled the master and never sent a request does not
+// hold Close: net/http's Shutdown would count that connection busy for
+// 5 s and wait out its whole 2 s bound.
+func TestCloseReturnsDespiteUnusedConnection(t *testing.T) {
+	m, err := New(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The server accepts connections first in, first out, so once a
+	// request on a second connection is answered it holds the first.
+	tr := &http.Transport{}
+	resp, err := (&http.Client{Transport: tr}).Get("http://" + m.Addr() + "/data/none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	tr.CloseIdleConnections()
+	start := time.Now()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= 250*time.Millisecond {
+		t.Fatalf("Close took %v with an unused connection open, want < 250ms", d)
 	}
 }

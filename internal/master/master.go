@@ -51,7 +51,8 @@ type Options struct {
 	// batch script.
 	PortFile string
 	// Dir is the master's bucket directory (local data, collect
-	// staging). Empty means a fresh temp dir, removed on Close.
+	// staging). Empty means a private temp dir, made at the first
+	// bucket file and removed on Close.
 	Dir string
 	// SharedDir, when non-empty, signals filesystem staging mode: the
 	// master (and every slave) uses this directory and file:// URLs.
@@ -166,7 +167,6 @@ type Master struct {
 	ln      net.Listener
 	httpSrv *http.Server
 	addr    string
-	ownsDir string
 	manager *JobManager
 
 	// recovered is the journal state replayed at startup (empty when no
@@ -199,6 +199,12 @@ type Master struct {
 	reaperStop chan struct{}
 	reaperDone chan struct{}
 	specDone   chan struct{} // nil unless the speculation scanner runs
+
+	// fresh holds the server's connections that have carried no request
+	// yet (http.StateNew). Shutdown counts such a connection as busy for
+	// 5 s, so Close closes them itself once the fleet has heard.
+	connMu sync.Mutex
+	fresh  map[net.Conn]struct{}
 }
 
 // JobTaskStats counts one job's completed work as reported over the
@@ -236,6 +242,7 @@ func New(opts Options) (*Master, error) {
 		joined:         make(chan struct{}),
 		reaperStop:     make(chan struct{}),
 		reaperDone:     make(chan struct{}),
+		fresh:          map[net.Conn]struct{}{},
 	}
 	m.sched.SetObserver(opts.Obs)
 	m.sched.SetBlacklist(opts.BlacklistAfter, m.NumSlaves)
@@ -298,19 +305,9 @@ func New(opts Options) (*Master, error) {
 		}
 	}
 
-	dir := opts.Dir
+	dir := opts.Dir // "" gives the store a private directory
 	if opts.SharedDir != "" {
 		dir = opts.SharedDir
-	} else if dir == "" {
-		d, err := os.MkdirTemp("", "mrs-master-*")
-		if err != nil {
-			if m.journal != nil {
-				m.journal.Close()
-			}
-			return nil, err
-		}
-		dir = d
-		m.ownsDir = d
 	}
 
 	ln, err := net.Listen("tcp", opts.Addr)
@@ -352,7 +349,7 @@ func New(opts Options) (*Master, error) {
 	mux.Handle(xmlrpc.RPCPath, rpc)
 	mux.HandleFunc("/data/", m.serveData)
 	obs.RegisterDebug(mux, opts.Obs, m.statusPage)
-	m.httpSrv = &http.Server{Handler: mux}
+	m.httpSrv = &http.Server{Handler: mux, ConnState: m.trackConn}
 	go m.httpSrv.Serve(ln)
 	go m.reaper()
 	if opts.SpeculationFactor > 0 {
@@ -1194,15 +1191,38 @@ func (m *Master) Close() error {
 	m.store.CloseIdle()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
+	m.closeFreshConns()
 	err := m.httpSrv.Shutdown(ctx)
 	if err != nil {
 		m.httpSrv.Close()
 	}
-	m.store.Close()
-	if m.ownsDir != "" {
-		os.RemoveAll(m.ownsDir)
-	}
+	_ = m.store.Close() // a private directory goes; its buckets die with the master
 	return nil
+}
+
+// trackConn is the server's ConnState hook: it keeps the set of
+// connections that have not carried a request yet.
+func (m *Master) trackConn(c net.Conn, state http.ConnState) {
+	m.connMu.Lock()
+	if state == http.StateNew {
+		m.fresh[c] = struct{}{}
+	} else {
+		delete(m.fresh, c)
+	}
+	m.connMu.Unlock()
+}
+
+// closeFreshConns closes every connection that has carried no request:
+// a client that dialled and never sent (a lost dial race on its
+// transport, a pre-connect) would otherwise hold Shutdown for its whole
+// bound.
+func (m *Master) closeFreshConns() {
+	m.connMu.Lock()
+	for c := range m.fresh {
+		c.Close()
+		delete(m.fresh, c)
+	}
+	m.connMu.Unlock()
 }
 
 // shutdownGrace bounds how long Close waits for signed-in nodes to be
@@ -1238,8 +1258,10 @@ func (m *Master) fleetShutDown() bool {
 // tests: the journal is abandoned without a final checkpoint or fsync,
 // the HTTP server is torn down abruptly, and — unlike Close — no
 // shutdown signal ever reaches the fleet (slaves see RPC errors, back
-// off, and retry until a restarted master answers), no bucket data is
-// reclaimed, and the master's own directory is left on disk.
+// off, and retry until a restarted master answers) and no bucket data
+// is reclaimed: a given directory (Dir, SharedDir) is left on disk for
+// the restart. A private one, which no restart could find, goes with
+// the store.
 func (m *Master) Crash() error {
 	m.mu.Lock()
 	if m.closed {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"slices"
@@ -62,7 +63,12 @@ type Options struct {
 	// Zero means never spill.
 	SpillBytes int64
 	// TempDir is where run files are created. Empty means os.TempDir().
+	// A TempDir that does not exist yet is made at the first spill, so a
+	// sorter that never spills touches no directory.
 	TempDir string
+	// MakeTempDir makes TempDir when the first spill finds it missing
+	// (nil: os.MkdirAll), for a directory whose owner must create it.
+	MakeTempDir func(dir string) error
 	// Combine, if non-nil, is applied to each key group as runs are
 	// spilled and again during the final merge. It also selects the
 	// hash-grouped in-memory form; nil selects the prefix index.
@@ -633,6 +639,11 @@ func (s *Sorter) spill() error {
 		return nil
 	}
 	f, err := os.CreateTemp(s.opts.TempDir, "mrs-spill-*.run")
+	if errors.Is(err, fs.ErrNotExist) && s.opts.TempDir != "" {
+		if err = s.makeTempDir(); err == nil {
+			f, err = os.CreateTemp(s.opts.TempDir, "mrs-spill-*.run")
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("shuffle: creating spill file: %w", err)
 	}
@@ -668,6 +679,13 @@ func (s *Sorter) spill() error {
 	s.arBuf, s.bufSize, s.pendBytes, s.foldLive = -1, 0, 0, 0
 	s.ar.reset()
 	return nil
+}
+
+func (s *Sorter) makeTempDir() error {
+	if s.opts.MakeTempDir != nil {
+		return s.opts.MakeTempDir(s.opts.TempDir)
+	}
+	return os.MkdirAll(s.opts.TempDir, 0o700)
 }
 
 func (s *Sorter) combine(key []byte, values [][]byte) ([][]byte, error) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
@@ -89,6 +91,29 @@ func TestSpillingMatchesInMemory(t *testing.T) {
 		if !equalStrings(vs, spill[k]) {
 			t.Errorf("key %q: in-memory %v, spilled %v", k, vs, spill[k])
 		}
+	}
+}
+
+// A missing TempDir is made at the first spill, not before: a sorter
+// that stays in memory touches no directory.
+func TestTempDirMadeAtFirstSpill(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "job1", "spill")
+	s := NewSorter(Options{SpillBytes: 1 << 10, TempDir: dir})
+	defer s.Close()
+	for i := 0; i < 1000; i++ {
+		if err := s.Add(kvio.StrPair(fmt.Sprintf("key-%d", i), "some-value-payload")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(dir); (err == nil) != (s.Spills() > 0) {
+			t.Fatalf("after %d spills, stat of TempDir: %v", s.Spills(), err)
+		}
+	}
+	if s.Spills() == 0 {
+		t.Fatal("expected at least one spill")
+	}
+	var keys int
+	if err := s.Groups(func([]byte, [][]byte) error { keys++; return nil }); err != nil || keys != 1000 {
+		t.Fatalf("spilled sorter yielded %d keys (%v), want 1000", keys, err)
 	}
 }
 

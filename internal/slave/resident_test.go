@@ -26,10 +26,7 @@ func TestSlaveResidentBudgetLRU(t *testing.T) {
 
 	// Per-job envs are struct copies of the base env; the cache pointer
 	// must survive the copy so all jobs share one budget.
-	env, err := s.envFor(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := s.envFor(7)
 	if env.Resident != s.resident {
 		t.Fatal("job env does not share the slave-wide resident cache")
 	}

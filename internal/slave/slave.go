@@ -46,7 +46,8 @@ import (
 type Options struct {
 	// MasterAddr is the master's host:port.
 	MasterAddr string
-	// Dir is the local bucket directory (default: fresh temp dir).
+	// Dir is the local bucket directory (default: a private temp dir,
+	// made at the first bucket file or sort spill and removed on stop).
 	Dir string
 	// SharedDir enables filesystem staging: buckets live here and are
 	// advertised as file:// URLs; no data server is started.
@@ -91,7 +92,6 @@ type Slave struct {
 	env     *core.TaskEnv
 	ln      net.Listener
 	httpSrv *http.Server
-	ownsDir string
 	logger  *log.Logger
 	retry   *fault.Backoff
 
@@ -100,11 +100,11 @@ type Slave struct {
 	signinMu sync.Mutex // serializes re-signin across task slots
 
 	// Per-job execution state: jobs other than 0 get their own TaskEnv
-	// clone with a private temp dir, created lazily and reclaimed when
-	// the master broadcasts the job's completion.
-	envMu   sync.Mutex
-	envs    map[core.JobID]*core.TaskEnv
-	jobDirs map[core.JobID]string
+	// clone whose TempDir is a scratch directory of the store's, made at
+	// the job's first sort spill and reclaimed when the master
+	// broadcasts the job's completion.
+	envMu sync.Mutex
+	envs  map[core.JobID]*core.TaskEnv
 
 	// resident is the slave-wide resident dataset cache. It lives on
 	// the slave, not on a per-job env: envFor's struct copy shares the
@@ -141,26 +141,18 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 		seed = 1
 	}
 	s := &Slave{
-		opts:    opts,
-		reg:     reg,
-		client:  xmlrpc.NewClient("http://" + opts.MasterAddr + xmlrpc.RPCPath),
-		logger:  logger,
-		retry:   fault.NewBackoff(seed),
-		envs:    map[core.JobID]*core.TaskEnv{},
-		jobDirs: map[core.JobID]string{},
+		opts:   opts,
+		reg:    reg,
+		client: xmlrpc.NewClient("http://" + opts.MasterAddr + xmlrpc.RPCPath),
+		logger: logger,
+		retry:  fault.NewBackoff(seed),
+		envs:   map[core.JobID]*core.TaskEnv{},
 	}
 	s.client.Intercept = opts.RPCIntercept
 
-	dir := opts.Dir
+	dir := opts.Dir // "" gives the store a private directory
 	if opts.SharedDir != "" {
 		dir = opts.SharedDir
-	} else if dir == "" {
-		d, err := os.MkdirTemp("", "mrs-slave-*")
-		if err != nil {
-			return nil, err
-		}
-		dir = d
-		s.ownsDir = d
 	}
 
 	baseURL := ""
@@ -192,7 +184,7 @@ func New(reg *core.Registry, opts Options) (*Slave, error) {
 	if s.resident != nil {
 		obs.RegisterResidentGauge(opts.Obs.M())
 	}
-	s.env = &core.TaskEnv{Store: store, Reg: reg, TempDir: dir, Obs: opts.Obs, Prefetch: opts.Prefetch, Resident: s.resident}
+	s.env = &core.TaskEnv{Store: store, Reg: reg, TempDir: store.Dir(), Obs: opts.Obs, Prefetch: opts.Prefetch, Resident: s.resident}
 	if opts.Obs != nil {
 		s.env.Clock = opts.Obs.Clk()
 	}
@@ -400,13 +392,7 @@ func (s *Slave) resignin(ctx context.Context, oldID string) error {
 // its outcome as a report.
 func (s *Slave) runTask(a rpcproto.Assignment) rpcproto.Report {
 	r := rpcproto.Report{Job: int64(a.Spec.Job), TaskID: a.TaskID}
-	env, err := s.envFor(a.Spec.Job)
-	if err != nil {
-		s.logger.Printf("slave %s: job %d env: %v", s.ID(), r.Job, err)
-		r.Err = err.Error()
-		return r
-	}
-	result, err := core.ExecTask(env, a.Spec)
+	result, err := core.ExecTask(s.envFor(a.Spec.Job), a.Spec)
 	s.tasksRun.Add(1)
 	if err != nil {
 		s.logger.Printf("slave %s: task %d (attempt %d) failed: %v", s.ID(), a.TaskID, a.Attempt, err)
@@ -419,26 +405,23 @@ func (s *Slave) runTask(a rpcproto.Assignment) rpcproto.Report {
 // envFor returns the task environment for a job. Job 0 (the unmanaged
 // single-job path) runs in the slave's base environment, preserving
 // classic layout; other jobs get a lazily created clone whose TempDir
-// is a private per-job directory, so concurrent jobs never interleave
-// scratch files and a job's scratch can be reclaimed wholesale.
-func (s *Slave) envFor(job core.JobID) (*core.TaskEnv, error) {
+// is a per-job scratch directory of the store's, so concurrent jobs
+// never interleave scratch files and a job's scratch can be reclaimed
+// wholesale. The directory is made at the job's first sort spill, so a
+// job that spills nothing costs no syscall here.
+func (s *Slave) envFor(job core.JobID) *core.TaskEnv {
 	if job == 0 {
-		return s.env, nil
+		return s.env
 	}
 	s.envMu.Lock()
 	defer s.envMu.Unlock()
 	if env, ok := s.envs[job]; ok {
-		return env, nil
-	}
-	dir, err := os.MkdirTemp(s.env.TempDir, fmt.Sprintf("job%d-*", job))
-	if err != nil {
-		return nil, fmt.Errorf("slave: job %d temp dir: %w", job, err)
+		return env
 	}
 	env := *s.env
-	env.TempDir = dir
+	env.TempDir = s.store.Scratch(fmt.Sprintf("job%d", job))
 	s.envs[job] = &env
-	s.jobDirs[job] = dir
-	return &env, nil
+	return &env
 }
 
 // deleteBuckets removes buckets of freed datasets from the store, and
@@ -467,12 +450,13 @@ func (s *Slave) gcJob(job core.JobID) {
 		s.opts.Obs.M().Add(obs.MetricResidentGCBytes, freed)
 	}
 	s.envMu.Lock()
-	dir, ok := s.jobDirs[job]
-	delete(s.jobDirs, job)
+	env, ok := s.envs[job]
 	delete(s.envs, job)
 	s.envMu.Unlock()
 	if ok {
-		os.RemoveAll(dir)
+		if err := s.store.RemoveScratch(env.TempDir); err != nil {
+			s.logger.Printf("slave %s: gc job %d scratch: %v", s.ID(), job, err)
+		}
 	}
 	s.jobGCs.Add(1)
 	s.opts.Obs.M().Add("mrs_slave_job_gcs_total", 1)
@@ -530,19 +514,17 @@ func (s *Slave) cleanup() {
 	// Release pooled data-plane and control-plane connections so peers
 	// and the master can shut their servers down gracefully.
 	s.store.CloseIdle()
-	s.store.Close() // RAM buckets die with the slave, like its process would
 	s.client.CloseIdle()
 	s.envMu.Lock()
-	dirs := s.jobDirs
-	s.jobDirs = map[core.JobID]string{}
+	envs := s.envs
 	s.envs = map[core.JobID]*core.TaskEnv{}
 	s.envMu.Unlock()
-	for _, d := range dirs {
-		os.RemoveAll(d)
+	for _, env := range envs {
+		_ = s.store.RemoveScratch(env.TempDir) // best effort: the node is stopping
 	}
-	if s.ownsDir != "" {
-		os.RemoveAll(s.ownsDir)
-	}
+	// RAM buckets die with the slave, like its process would, and a
+	// private directory goes with them.
+	_ = s.store.Close()
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

@@ -64,7 +64,9 @@ func Map(key, value []byte, emit kvio.Emitter) error {
 
 // newReduce returns the reduce, which sums counts; it is also the
 // combiner. It encodes each total into one buffer, reused from call to
-// call (the emitter copies), so one reduce serves one task.
+// call (the emitter copies), so one reduce serves one task. A value that
+// is not one varint, or a running total that leaves int64, is an error
+// naming the key, never a wrapped count.
 func newReduce() core.ReduceFunc {
 	var count []byte
 	return func(key []byte, values [][]byte, emit kvio.Emitter) error {
@@ -74,7 +76,11 @@ func newReduce() core.ReduceFunc {
 			if err != nil {
 				return fmt.Errorf("wordcount: bad count for %q: %w", key, err)
 			}
-			total += n
+			sum := total + n
+			if (sum < total) != (n < 0) {
+				return fmt.Errorf("wordcount: count for %q overflows int64", key)
+			}
+			total = sum
 		}
 		count = binary.AppendVarint(count[:0], total)
 		return emit.Emit(key, count)

@@ -2,8 +2,13 @@ package wordcount
 
 import (
 	"bytes"
+	"math"
+	"math/big"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -245,6 +250,97 @@ func FuzzMapMatchesFields(f *testing.F) {
 			if n, err := codec.DecodeVarint(p.Value); err != nil || n != 1 {
 				t.Fatalf("%q: word %d counts %x", line, i, p.Value)
 			}
+		}
+	})
+}
+
+// countValues cuts fuzz bytes into reduce values: each takes a length
+// byte (mod 12, so varints of every size, empty and over-long values
+// all occur) and then that many bytes, or what is left.
+func countValues(data []byte) [][]byte {
+	var vals [][]byte
+	for len(data) > 0 {
+		n := min(int(data[0])%12, len(data)-1)
+		vals = append(vals, data[1:1+n])
+		data = data[1+n:]
+	}
+	return vals
+}
+
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzReduceCounts: the reduce, and the same reduce as a map-side
+// combiner, either sum arbitrary values exactly or refuse them with an
+// error naming the key: a value that is not one varint, or a running
+// total that leaves int64. Either way they allocate within a bound
+// proportional to the input.
+func FuzzReduceCounts(f *testing.F) {
+	counts := func(ns ...int64) []byte {
+		var b []byte
+		for _, n := range ns {
+			v := codec.EncodeVarint(n)
+			b = append(append(b, byte(len(v))), v...)
+		}
+		return b
+	}
+	f.Add([]byte("the"), counts(3, 4, 1))
+	f.Add([]byte("w"), counts(-5, 5, math.MaxInt64, math.MinInt64))
+	f.Add([]byte("big"), counts(math.MaxInt64, 1, -1))
+	f.Add([]byte("low"), counts(math.MinInt64, -1))
+	f.Add([]byte("\xff\x00key"), append(counts(1), 0, 11, 0x80, 0x80))
+	f.Add([]byte(""), []byte{3, 0x80, 0x80, 0x80})
+	f.Add([]byte("k"), []byte{})
+	f.Fuzz(func(t *testing.T, key, data []byte) {
+		vals := countValues(data)
+		want, refuse := new(big.Int), false
+		for _, v := range vals {
+			n, err := codec.DecodeVarint(v)
+			if err != nil {
+				refuse = true
+				break
+			}
+			if want.Add(want, big.NewInt(n)); !want.IsInt64() {
+				refuse = true
+				break
+			}
+		}
+		bound := 8*uint64(len(key)+len(data)) + 64<<10
+		named := strconv.Quote(string(key))
+
+		var e kvio.SliceEmitter
+		var err error
+		if n := allocated(func() { err = newReduce()(key, vals, &e) }); n > bound {
+			t.Fatalf("reduce over %d input bytes allocated %d B", len(key)+len(data), n)
+		}
+		var out [][]byte
+		var cerr error
+		combine := core.CombineAdapter(newReduce())
+		if n := allocated(func() { out, cerr = combine(key, vals) }); n > bound {
+			t.Fatalf("combine over %d input bytes allocated %d B", len(key)+len(data), n)
+		}
+		if refuse {
+			for _, err := range []error{err, cerr} {
+				if err == nil || !strings.Contains(err.Error(), named) {
+					t.Fatalf("values %x: error %v, want one naming key %s", vals, err, named)
+				}
+			}
+			return
+		}
+		if err != nil || cerr != nil {
+			t.Fatalf("values %x summing to %v refused: %v, %v", vals, want, err, cerr)
+		}
+		sum := codec.EncodeVarint(want.Int64())
+		if len(e.Pairs) != 1 || !bytes.Equal(e.Pairs[0].Key, key) || !bytes.Equal(e.Pairs[0].Value, sum) {
+			t.Fatalf("reduce emitted %v, want one count %v", e.Pairs, want)
+		}
+		if len(out) != 1 || !bytes.Equal(out[0], sum) {
+			t.Fatalf("combine returned %x, want one count %v", out, want)
 		}
 	})
 }

@@ -64,11 +64,12 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -run '^$' -fuzz 'FuzzMapMatchesFields' -fuzztime 10s ./internal/wordcount
 	go test -run '^$' -fuzz 'FuzzDecodeAssignment' -fuzztime 10s ./internal/rpcproto
 	go test -run '^$' -fuzz 'FuzzDecodeReports' -fuzztime 10s ./internal/rpcproto
-	echo "== tier 2: user-codec fuzz (PSO swarms and bests, k-means centroids and partials: allocation bounded by input; corpus + 10s each)"
+	echo "== tier 2: user-codec fuzz (PSO swarms and bests, k-means centroids and partials, wordcount counts: allocation bounded by input; corpus + 10s each)"
 	go test -run '^$' -fuzz 'FuzzDecodeSwarm' -fuzztime 10s ./internal/pso
 	go test -run '^$' -fuzz 'FuzzDecodeBest' -fuzztime 10s ./internal/pso
 	go test -run '^$' -fuzz 'FuzzDecodeCentroids' -fuzztime 10s ./internal/kmeans
 	go test -run '^$' -fuzz 'FuzzUpdatePartials' -fuzztime 10s ./internal/kmeans
+	go test -run '^$' -fuzz 'FuzzReduceCounts' -fuzztime 10s ./internal/wordcount
 	echo "== tier 2: allocation regression guard (scripts/alloc_thresholds.txt)"
 	bench="$(go test -run '^$' -bench 'BenchmarkSorterAdd|BenchmarkSortGroupInMemory|BenchmarkSortGroupUniqueKeys|BenchmarkSortGroupSmall|BenchmarkSortGroupCombineHeavy|BenchmarkSorterCombineZipf' \
 		-benchmem -benchtime 100x ./internal/shuffle/
@@ -118,10 +119,19 @@ if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
 	go test -race -count=2 \
 		-run 'Elastic|Drain|Speculat|Resignin' \
 		./internal/cluster ./internal/sched
-	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts, fleet start)"
+	echo "== tier 2: piggybacked-report control plane (race: redelivery, unknown node, blacklist park, close acks, RPC counts, fleet start, directories made at first need)"
 	go test -race -count=2 \
-		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|WaitFor|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster' \
-		./internal/master ./internal/cluster ./internal/slave
+		-run 'Piggyback|Malformed|BlacklistPark|CloseReturns|WaitFor|PSOChainCreatesNoBucketFiles|ChaosPackedMap|RunAgainstRealMaster|SetupCycleLeavesTmpdirEmpty|JobScratchMadeAtFirstSpill|PrivateDir|RAMOnlyStoreTouchesNoDirectory|ScratchDirLifecycle|TempDirMadeAtFirstSpill' \
+		./internal/master ./internal/cluster ./internal/slave ./internal/bucket ./internal/shuffle
+	echo "== tier 2: lifecycle suites leave nothing in a fresh TMPDIR but Go's own build directories"
+	tmp="$(mktemp -d)"
+	TMPDIR="$tmp" go test -count=1 ./internal/cluster ./internal/master ./internal/slave ./internal/core ./internal/bucket
+	left="$(ls -A "$tmp" | grep -v '^go-build' || true)"
+	if [ -n "$left" ]; then
+		echo "FAIL: left in TMPDIR: $left"
+		exit 1
+	fi
+	rm -rf "$tmp"
 	echo "== tier 2: journal replay fuzz (corpus + 10s of new inputs)"
 	go test -run '^$' -fuzz 'FuzzJournalReplay' -fuzztime 10s ./internal/journal
 	echo "== tier 2: traced pipelined job end-to-end"
